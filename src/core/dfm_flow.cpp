@@ -651,21 +651,25 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
     pass.finish(rep.nets.size(), 1, reuse ? 0 : 1, inc);
   }
 
-  // 7. Critical area / defect-limited yield. Shorts on M2 are net-aware
-  // (stubs strapped through vias are not shorts); M1 uses the
-  // conservative layer-local estimate. Reads the same layers as
-  // connectivity, so it reuses exactly when connectivity did.
+  // 7. Critical area / defect-limited yield: three units, each spliced
+  // on its own input layers. M1 uses the conservative layer-local shorts
+  // estimate; shorts on M2 are net-aware (stubs strapped through vias
+  // are not shorts), so that unit reads every layer the nets span.
   if (enabled.caa) {
     evict_keeping({layers::kMetal1, layers::kMetal2});
     pass.start("caa_yield");
-    const bool reuse =
-        inc && !damage.dirty_any(
-                   {layers::kMetal1, layers::kVia1, layers::kMetal2});
-    if (reuse) {
-      rep.lambda_shorts = prev->lambda_shorts;
-      rep.lambda_opens = prev->lambda_opens;
-      rep.defect_yield = prev->defect_yield;
-    } else {
+    const DefectModel& defects = options.defects;
+    const bool have = inc && caches.caa_valid;
+    std::size_t dirty_units = 0;
+    if (!have || damage.dirty(layers::kMetal1)) {
+      TELEM_SPAN("caa/m1_shorts");
+      caches.caa_m1_shorts = defects.lambda(average_short_critical_area(
+          ShortNets::of_layer(m1), defects, 24, pool));
+      ++dirty_units;
+    }
+    if (!have || damage.dirty_any(
+                     {layers::kMetal1, layers::kVia1, layers::kMetal2})) {
+      TELEM_SPAN("caa/m2_net_shorts");
       std::vector<Region> pieces;
       std::vector<int> net_of;
       for (std::size_t ni = 0; ni < rep.nets.nets.size(); ++ni) {
@@ -674,21 +678,25 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
           net_of.push_back(static_cast<int>(ni));
         }
       }
-      const auto m2_shorts = [&](Coord s) {
-        return short_critical_area_nets(pieces, net_of, s);
-      };
-      const double eca_nm2 =
-          average_critical_area(m2_shorts, options.defects, 16);
-      rep.lambda_shorts = layer_lambda(m1, options.defects, /*shorts=*/true) +
-                          options.defects.d0 * (eca_nm2 / 1e14);
-      rep.lambda_opens =
-          layer_lambda(snap.layer(layers::kMetal2), options.defects,
-                       /*shorts=*/false);
-      rep.defect_yield = poisson_yield(rep.lambda_shorts + rep.lambda_opens);
+      caches.caa_m2_net_shorts = defects.lambda(average_short_critical_area(
+          ShortNets::of_pieces(pieces, net_of), defects, 16, pool));
+      ++dirty_units;
     }
+    if (!have || damage.dirty(layers::kMetal2)) {
+      TELEM_SPAN("caa/m2_opens");
+      caches.caa_m2_opens = layer_lambda(snap.layer(layers::kMetal2), defects,
+                                         /*shorts=*/false);
+      ++dirty_units;
+    }
+    caches.caa_valid = true;
+    rep.lambda_shorts = caches.caa_m1_shorts + caches.caa_m2_net_shorts;
+    rep.lambda_opens = caches.caa_m2_opens;
+    rep.defect_yield = poisson_yield(rep.lambda_shorts + rep.lambda_opens);
     rep.scorecard.add("defect_yield", rep.defect_yield, 2.0,
                       "Poisson over CAA lambda");
-    pass.finish(rep.nets.size(), 1, reuse ? 0 : 1, inc);
+    pass.finish(rep.nets.size(), 3, dirty_units, inc);
+  } else {
+    caches.caa_valid = false;
   }
 
   caches.valid = true;

@@ -2,14 +2,14 @@
 //
 // A DfmFlowSession runs the full DFM flow cold once, keeps the per-unit
 // intermediate results of every pass (per-rule violation lists, per-
-// window pattern matches, per-tile litho hotspots, whole-pass outputs of
-// the global passes), and on each applied LayoutDelta re-runs only the
-// units whose inputs the edit dirtied — splicing the cached results in
-// for everything else. The spliced report is bit-identical to running
-// the flow cold on the edited layout, at every thread count: each unit
-// is a deterministic function of canonical layer geometry, and a unit is
-// reused only when that geometry is provably unchanged inside the unit's
-// interaction halo.
+// window pattern matches, per-tile litho hotspots, per-term CAA fault
+// rates, whole-pass outputs of the other global passes), and on each
+// applied LayoutDelta re-runs only the units whose inputs the edit
+// dirtied — splicing the cached results in for everything else. The
+// spliced report is bit-identical to running the flow cold on the edited
+// layout, at every thread count: each unit is a deterministic function
+// of canonical layer geometry, and a unit is reused only when that
+// geometry is provably unchanged inside the unit's interaction halo.
 //
 // Damage model (what makes a unit dirty):
 //  * DRC / recommended rule: any layer in rule_layers(rule) dirtied.
@@ -21,8 +21,14 @@
 //    they would cold.
 //  * Litho tile: the dirty region intersects the tile core expanded by
 //    the 6-sigma optical halo (the exact window the tile simulates).
-//  * Global passes (dpt, via_doubling, connectivity, caa_yield): any
-//    input layer dirtied re-runs the whole pass.
+//  * Global passes (dpt, via_doubling, connectivity): any input layer
+//    dirtied re-runs the whole pass.
+//  * caa_yield: three units, each keyed on its own input layers — M1
+//    layer-local shorts (m1), M2 net-aware shorts (m1, via1, m2: the
+//    nets span all three) and M2 opens (m2). Each caches its fault rate
+//    as a double, and the pass sums the cached terms exactly as a cold
+//    run does. Within a unit the defect sizes fan out on the pool and
+//    are integrated in size-index order.
 #pragma once
 
 #include "core/delta.h"
@@ -52,6 +58,11 @@ struct FlowCaches {
   /// Kernel spectra for the litho FFT path, shared across runs of a
   /// session (one transform per process corner and raster size).
   std::shared_ptr<KernelSpectrumCache> kernels;
+  /// caa_yield's per-unit fault rates.
+  double caa_m1_shorts = 0.0;
+  double caa_m2_net_shorts = 0.0;
+  double caa_m2_opens = 0.0;
+  bool caa_valid = false;
 
   bool valid = false;
 };

@@ -208,8 +208,10 @@ Region covered_at_least(const std::vector<Rect>& rects, int k) {
     open = std::move(next);
   }
   std::sort(out.begin(), out.end());
+  // Same banding and order as sweep_boolean: `out` is already canonical.
   Region reg;
-  for (const Rect& r : out) reg.add(r);
+  reg.raw_ = std::move(out);
+  reg.normalized_ = true;
   return reg;
 }
 

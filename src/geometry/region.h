@@ -68,6 +68,7 @@ class Region {
   Region closed(Coord d) const;   // bloat then shrink: fills thin gaps
 
   friend Region boolean_op(const Region& a, const Region& b, BoolOp op);
+  friend Region covered_at_least(const std::vector<Rect>& rects, int k);
 
   Region operator|(const Region& o) const { return boolean_op(*this, o, BoolOp::kOr); }
   Region operator&(const Region& o) const { return boolean_op(*this, o, BoolOp::kAnd); }
@@ -98,7 +99,8 @@ std::vector<Rect> sweep_boolean(const std::vector<Rect>& a,
 /// Area covered by at least `k` of the input rects (counting multiplicity).
 /// Feeding each connected component's canonical rects once makes k=2 the
 /// "two distinct components come within range" detector used for
-/// corner-to-corner spacing checks.
+/// corner-to-corner spacing checks. The sweep emits canonical bands, so
+/// the result comes back already normalized.
 Region covered_at_least(const std::vector<Rect>& rects, int k);
 
 }  // namespace dfm

@@ -1,5 +1,6 @@
 #include "yield/yield.h"
 
+#include "core/parallel.h"
 #include "core/telemetry.h"
 #include "gen/rng.h"
 
@@ -7,36 +8,59 @@
 
 namespace dfm {
 
+ShortNets ShortNets::of_layer(const Region& layer) {
+  ShortNets out;
+  out.nets2x_ = layer.scaled(2).components();
+  for (const Region& net : out.nets2x_) (void)net.rects();
+  return out;
+}
+
+ShortNets ShortNets::of_pieces(const std::vector<Region>& pieces,
+                               const std::vector<int>& net_of) {
+  ShortNets out;
+  if (pieces.size() != net_of.size()) return out;
+  std::map<int, Region> nets;
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    nets[net_of[i]].add(pieces[i]);
+  }
+  out.nets2x_.reserve(nets.size());
+  for (auto& [id, net] : nets) {
+    out.nets2x_.push_back(net.scaled(2));
+    (void)out.nets2x_.back().rects();
+  }
+  return out;
+}
+
+std::vector<Area> short_critical_areas(const ShortNets& nets,
+                                       const std::vector<Coord>& sizes,
+                                       ThreadPool* pool) {
+  return parallel_map(pool, sizes.size(), [&](std::size_t i) -> Area {
+    const Coord s = sizes[i];
+    if (s <= 0) return 0;
+    TELEM_SPAN_ARG("caa/short", static_cast<std::uint64_t>(s));
+    // A square defect of side s centered at p touches a net iff p lies
+    // in the net bloated by s/2 (Chebyshev). It shorts iff it touches
+    // two or more distinct nets, i.e. p is covered by >= 2 bloated nets.
+    // On the doubled grid s == 2 * (s/2), so odd sizes stay exact.
+    std::vector<Rect> bloated;
+    for (const Region& net : nets.nets2x()) {
+      const Region grown = net.bloated(s);
+      for (const Rect& r : grown.rects()) bloated.push_back(r);
+    }
+    return covered_at_least(bloated, 2).area() / 4;  // back to 1x area
+  });
+}
+
 Area short_critical_area(const Region& layer, Coord s) {
   if (s <= 0 || layer.empty()) return 0;
-  TELEM_SPAN_ARG("caa/short", static_cast<std::uint64_t>(s));
-  // A square defect of side s centered at p touches a net iff p lies in
-  // the net bloated by s/2 (Chebyshev). It shorts iff it touches two or
-  // more distinct nets, i.e. p is covered by >= 2 bloated nets. Work on
-  // the doubled grid so odd sizes stay exact.
-  std::vector<Rect> bloated;
-  for (const Region& net : layer.scaled(2).components()) {
-    const Region grown = net.bloated(s);  // s == 2 * (s/2) on the 2x grid
-    for (const Rect& r : grown.rects()) bloated.push_back(r);
-  }
-  return covered_at_least(bloated, 2).area() / 4;  // back to 1x area
+  return short_critical_areas(ShortNets::of_layer(layer), {s}).front();
 }
 
 Area short_critical_area_nets(const std::vector<Region>& pieces,
                               const std::vector<int>& net_of, Coord s) {
   if (s <= 0 || pieces.empty() || pieces.size() != net_of.size()) return 0;
-  // Union the pieces per net, then count double coverage of the per-net
-  // bloats exactly as in the component-based variant.
-  std::map<int, Region> nets;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    nets[net_of[i]].add(pieces[i]);
-  }
-  std::vector<Rect> bloated;
-  for (auto& [id, net] : nets) {
-    const Region grown = net.scaled(2).bloated(s);
-    for (const Rect& r : grown.rects()) bloated.push_back(r);
-  }
-  return covered_at_least(bloated, 2).area() / 4;
+  return short_critical_areas(ShortNets::of_pieces(pieces, net_of), {s})
+      .front();
 }
 
 Area open_critical_area(const Region& layer, Coord s) {

@@ -19,27 +19,64 @@ double DefectModel::pdf(Coord s) const {
   return std::pow(static_cast<double>(s), -k) / norm;
 }
 
-double average_critical_area(const std::function<Area(Coord)>& ca,
-                             const DefectModel& model, int steps) {
-  // Geometric size grid from x0 to xmax; trapezoidal integration of
-  // ca(s) * pdf(s).
+namespace {
+
+// Geometric size grid from x0 to xmax, as the exact doubles the
+// trapezoid rule steps over (each point the previous one times `ratio`).
+std::vector<double> geometric_grid(const DefectModel& model, int steps) {
   const double a = static_cast<double>(model.x0);
   const double b = static_cast<double>(model.xmax);
-  if (steps < 2 || b <= a) return 0.0;
+  if (steps < 2 || b <= a) return {};
   const double ratio = std::pow(b / a, 1.0 / (steps - 1));
-  double prev_s = a;
-  double prev_v = static_cast<double>(ca(model.x0)) * model.pdf(model.x0);
-  double acc = 0.0;
+  std::vector<double> grid(static_cast<std::size_t>(steps));
   double s = a;
-  for (int i = 1; i < steps; ++i) {
-    s *= ratio;
-    const auto si = static_cast<Coord>(std::llround(s));
-    const double v = static_cast<double>(ca(si)) * model.pdf(si);
-    acc += 0.5 * (prev_v + v) * (s - prev_s);
-    prev_s = s;
+  grid[0] = s;
+  for (std::size_t i = 1; i < grid.size(); ++i) grid[i] = s *= ratio;
+  return grid;
+}
+
+}  // namespace
+
+std::vector<Coord> defect_size_grid(const DefectModel& model, int steps) {
+  std::vector<Coord> sizes;
+  for (const double s : geometric_grid(model, steps)) {
+    sizes.push_back(static_cast<Coord>(std::llround(s)));
+  }
+  return sizes;
+}
+
+double integrate_critical_area(const std::vector<Area>& ca,
+                               const DefectModel& model) {
+  // Trapezoidal integration of ca(s) * pdf(s) over the size grid.
+  const std::vector<double> grid =
+      geometric_grid(model, static_cast<int>(ca.size()));
+  if (grid.empty()) return 0.0;
+  const auto term = [&](std::size_t i) {
+    return static_cast<double>(ca[i]) *
+           model.pdf(static_cast<Coord>(std::llround(grid[i])));
+  };
+  double prev_v = term(0);
+  double acc = 0.0;
+  for (std::size_t i = 1; i < grid.size(); ++i) {
+    const double v = term(i);
+    acc += 0.5 * (prev_v + v) * (grid[i] - grid[i - 1]);
     prev_v = v;
   }
   return acc;
+}
+
+double average_critical_area(const std::function<Area(Coord)>& ca,
+                             const DefectModel& model, int steps) {
+  std::vector<Area> values;
+  for (const Coord s : defect_size_grid(model, steps)) values.push_back(ca(s));
+  return integrate_critical_area(values, model);
+}
+
+double average_short_critical_area(const ShortNets& nets,
+                                   const DefectModel& model, int steps,
+                                   ThreadPool* pool) {
+  return integrate_critical_area(
+      short_critical_areas(nets, defect_size_grid(model, steps), pool), model);
 }
 
 double poisson_yield(double lambda) { return std::exp(-lambda); }
@@ -50,14 +87,13 @@ double negative_binomial_yield(double lambda, double alpha) {
 
 double layer_lambda(const Region& layer, const DefectModel& model, bool shorts,
                     int steps) {
-  const auto ca = [&layer, shorts](Coord s) {
-    return shorts ? short_critical_area(layer, s)
-                  : open_critical_area(layer, s);
-  };
-  const double eca_nm2 = average_critical_area(ca, model, steps);
-  // nm^2 -> cm^2: 1 cm = 1e7 nm.
-  const double eca_cm2 = eca_nm2 / 1e14;
-  return model.d0 * eca_cm2;
+  if (shorts) {
+    return model.lambda(
+        average_short_critical_area(ShortNets::of_layer(layer), model, steps));
+  }
+  return model.lambda(average_critical_area(
+      [&layer](Coord s) { return open_critical_area(layer, s); }, model,
+      steps));
 }
 
 }  // namespace dfm

@@ -15,6 +15,7 @@ namespace dfm {
 
 class LayoutDelta;     // core/delta.h
 class LayoutSnapshot;  // core/snapshot.h
+class ThreadPool;      // core/parallel.h
 
 /// Power-law defect size distribution f(s) ~ 1/s^k on [x0, xmax] — the
 /// standard model in the critical-area literature (k = 3 typical).
@@ -26,7 +27,39 @@ struct DefectModel {
 
   /// Normalized pdf at size s (nm^-1); 0 outside [x0, xmax].
   double pdf(Coord s) const;
+
+  /// Fault rate for an expected critical area: d0 [cm^-2] x eca, with
+  /// the nm^2 -> cm^2 conversion.
+  double lambda(double eca_nm2) const { return d0 * (eca_nm2 / 1e14); }
 };
+
+/// Shapes grouped into nets for the batched shorts kernel: one region
+/// per net, on the doubled grid (so odd defect sizes stay exact) and
+/// normalized when built, so every size can read the groups at once
+/// from any thread. Building it is the size-invariant half of shorts
+/// analysis; do it once per layer, not once per size.
+class ShortNets {
+ public:
+  /// One net per connected component of `layer` (layer-local estimate).
+  static ShortNets of_layer(const Region& layer);
+  /// One net per distinct `net_of[i]` label, the union of its `pieces`;
+  /// empty when the two vectors disagree in length.
+  static ShortNets of_pieces(const std::vector<Region>& pieces,
+                             const std::vector<int>& net_of);
+
+  const std::vector<Region>& nets2x() const { return nets2x_; }
+
+ private:
+  std::vector<Region> nets2x_;
+};
+
+/// The batched shorts kernel: short critical area of `nets` at each of
+/// `sizes` (out[i] for sizes[i]). Sizes fan out on `pool` (null = serial);
+/// each size is computed serially on its own, so every entry is the same
+/// integer at any thread count.
+std::vector<Area> short_critical_areas(const ShortNets& nets,
+                                       const std::vector<Coord>& sizes,
+                                       ThreadPool* pool = nullptr);
 
 /// Critical area for *shorts* at one defect size: the set of defect
 /// centers where a square defect of side `s` bridges two distinct nets
@@ -51,10 +84,26 @@ Area open_critical_area(const Region& layer, Coord s);
 Area open_critical_area_mc(const Region& layer, Coord s, int samples,
                            std::uint64_t seed);
 
+/// The geometric grid of `steps` defect sizes from x0 to xmax that the
+/// expected critical area is integrated on (empty when steps < 2 or
+/// xmax <= x0).
+std::vector<Coord> defect_size_grid(const DefectModel& model, int steps);
+
+/// Trapezoidal integral of ca[i] * pdf over defect_size_grid(model,
+/// ca.size()), accumulated in index order.
+double integrate_critical_area(const std::vector<Area>& ca,
+                               const DefectModel& model);
+
 /// Expected critical area over the defect size distribution, integrated
 /// on a geometric grid of `steps` sizes.
 double average_critical_area(const std::function<Area(Coord)>& ca,
                              const DefectModel& model, int steps = 24);
+
+/// Expected short critical area of `nets`: the batched kernel over the
+/// size grid, integrated in index order. Bit-identical at any pool size.
+double average_short_critical_area(const ShortNets& nets,
+                                   const DefectModel& model, int steps,
+                                   ThreadPool* pool = nullptr);
 
 /// Poisson yield: exp(-lambda).
 double poisson_yield(double lambda);

@@ -354,6 +354,85 @@ TEST(DfmFlowSession, BboxMovingEditFallsBackToFullRun) {
       << "a bbox-moving edit must degrade to a full re-run";
 }
 
+// caa_yield splices three units: M1 layer-local shorts (m1), M2
+// net-aware shorts (m1, via1, m2) and M2 opens (m2). One edit per layer,
+// in sequence on one session, so each run sums terms cached by earlier
+// runs with the ones it recomputes; every report must equal a cold flow
+// with the CAA doubles bit-equal, and the trace must show which units ran.
+class CaaSplice : public ::testing::TestWithParam<unsigned> {};
+
+std::size_t caa_dirty_units(const DfmFlowReport& rep) {
+  const PassTrace* caa = rep.trace.find("caa_yield");
+  EXPECT_NE(caa, nullptr);
+  if (caa == nullptr) return 0;
+  EXPECT_EQ(caa->total_units, 3u);
+  return caa->dirty_units;
+}
+
+void expect_matches_cold(const DfmFlowReport& warm, const LayerMap& shadow,
+                         const DfmFlowOptions& opt) {
+  const DfmFlowReport cold =
+      run_dfm_flow(LayoutSnapshot(LayerMap(shadow)), opt);
+  EXPECT_TRUE(reports_equivalent(warm, cold));
+  EXPECT_EQ(warm.lambda_shorts, cold.lambda_shorts);
+  EXPECT_EQ(warm.lambda_opens, cold.lambda_opens);
+  EXPECT_EQ(warm.defect_yield, cold.defect_yield);
+}
+
+TEST_P(CaaSplice, EachUnitRecomputesOnlyOnItsOwnLayers) {
+  const DfmFlowOptions opt = fast_options(GetParam());
+  const LayerMap base = small_design(31);
+  LayerMap shadow = base;
+  DfmFlowSession session(base, opt);
+  const Rect core = interior(session.snapshot().bbox());
+
+  // Via1: a cut where M1 and M2 overlap inside the core, so it can
+  // merge nets and move the net-aware M2 term.
+  const Region landing =
+      (base.at(layers::kMetal1) & base.at(layers::kMetal2)).clipped(core);
+  ASSERT_FALSE(landing.empty());
+  const Rect pad = landing.rects().front();
+  const Coord via = Tech::standard().via_size;
+  struct Step {
+    const char* what;
+    LayerKey layer;
+    Rect rect;
+    std::size_t dirty;
+  };
+  const std::vector<Step> steps = {
+      {"m1", layers::kMetal1,
+       Rect{core.lo.x, core.lo.y, core.lo.x + 300, core.lo.y + 60}, 2},
+      {"m2", layers::kMetal2,
+       Rect{core.hi.x - 300, core.hi.y - 60, core.hi.x, core.hi.y}, 2},
+      {"via1", layers::kVia1,
+       Rect{pad.lo.x, pad.lo.y, pad.lo.x + via, pad.lo.y + via}, 1},
+  };
+  for (const Step& s : steps) {
+    SCOPED_TRACE(s.what);
+    LayoutDelta d;
+    d.add(s.layer, s.rect);
+    d.apply(shadow);
+    const DfmFlowReport& warm = session.apply(d);
+    EXPECT_EQ(caa_dirty_units(warm), s.dirty);
+    expect_matches_cold(warm, shadow, opt);
+  }
+
+  const DfmFlowReport& idle = session.apply(LayoutDelta{});
+  EXPECT_EQ(caa_dirty_units(idle), 0u);
+  expect_matches_cold(idle, shadow, opt);
+
+  const Rect bb = session.snapshot().bbox();
+  LayoutDelta grow;
+  grow.add(layers::kMetal2,
+           Rect{bb.hi.x + 4000, bb.lo.y, bb.hi.x + 4060, bb.lo.y + 3000});
+  grow.apply(shadow);
+  const DfmFlowReport& full = session.apply(grow);
+  EXPECT_EQ(caa_dirty_units(full), 3u);
+  expect_matches_cold(full, shadow, opt);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, CaaSplice, ::testing::Values(1u, 2u, 8u));
+
 // Concurrent delta application over one shared base: each thread derives
 // its own IncrementalSnapshot and runs real passes on it. Clean layers
 // share the base's lazily built derived products across threads, which

@@ -75,6 +75,25 @@ TEST_P(CoverageProperty, MatchesBruteForceBitmap) {
   }
 }
 
+TEST_P(CoverageProperty, ReturnsCanonicalBands) {
+  // The sweep's bands are already canonical: re-normalizing them must
+  // change neither the rects nor the area.
+  std::mt19937_64 rng(GetParam());
+  std::uniform_int_distribution<Coord> pos(-200, 200);
+  std::uniform_int_distribution<Coord> len(1, 120);
+  std::vector<Rect> rects;
+  for (int i = 0; i < 60; ++i) {
+    const Coord x = pos(rng), y = pos(rng);
+    rects.push_back(Rect{x, y, x + len(rng), y + len(rng)});
+  }
+  for (const int k : {1, 2, 3}) {
+    const Region cov = covered_at_least(rects, k);
+    const std::vector<Rect>& out = cov.rects();
+    EXPECT_EQ(out, sweep_boolean(out, {}, BoolOp::kOr)) << "k=" << k;
+    EXPECT_EQ(cov.area(), Region(out).area()) << "k=" << k;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CoverageProperty, ::testing::Range(1u, 9u));
 
 TEST(RegionScaled, ScalesAreasQuadratically) {

@@ -1,12 +1,16 @@
 #include "yield/yield.h"
 
+#include "core/parallel.h"
 #include "core/snapshot.h"
 
 #include "gen/generators.h"
+#include "layout/connectivity.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <map>
 
 namespace dfm {
 namespace {
@@ -230,6 +234,197 @@ TEST(NetAwareShorts, MixedNetsCountOnlyCrossNetPairs) {
       short_critical_area_nets({w0, w1, w2}, {0, 0, 2}, s);
   EXPECT_LT(adjacent_shared, all_distinct);
   EXPECT_EQ(outer_shared, all_distinct);
+}
+
+// ---- Batched kernel vs the per-size reference ----------------------------
+//
+// The reference is the unbatched algorithm, kept here verbatim: group the
+// nets again for every size, bloat, count double coverage, and integrate
+// by calling ca(s) inside the trapezoid loop. The batched kernel hoists
+// the grouping, fans the sizes out on a pool and integrates afterwards;
+// every integer and every double must come out the same.
+
+Area reference_short_ca(const Region& layer, Coord s) {
+  if (s <= 0 || layer.empty()) return 0;
+  std::vector<Rect> bloated;
+  for (const Region& net : layer.scaled(2).components()) {
+    const Region grown = net.bloated(s);
+    for (const Rect& r : grown.rects()) bloated.push_back(r);
+  }
+  return covered_at_least(bloated, 2).area() / 4;
+}
+
+Area reference_short_ca_nets(const std::vector<Region>& pieces,
+                             const std::vector<int>& net_of, Coord s) {
+  if (s <= 0 || pieces.empty() || pieces.size() != net_of.size()) return 0;
+  std::map<int, Region> nets;
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    nets[net_of[i]].add(pieces[i]);
+  }
+  std::vector<Rect> bloated;
+  for (auto& [id, net] : nets) {
+    const Region grown = net.scaled(2).bloated(s);
+    for (const Rect& r : grown.rects()) bloated.push_back(r);
+  }
+  return covered_at_least(bloated, 2).area() / 4;
+}
+
+double reference_average(const std::function<Area(Coord)>& ca,
+                         const DefectModel& model, int steps) {
+  const double a = static_cast<double>(model.x0);
+  const double b = static_cast<double>(model.xmax);
+  if (steps < 2 || b <= a) return 0.0;
+  const double ratio = std::pow(b / a, 1.0 / (steps - 1));
+  double prev_s = a;
+  double prev_v = static_cast<double>(ca(model.x0)) * model.pdf(model.x0);
+  double acc = 0.0;
+  double s = a;
+  for (int i = 1; i < steps; ++i) {
+    s *= ratio;
+    const auto si = static_cast<Coord>(std::llround(s));
+    const double v = static_cast<double>(ca(si)) * model.pdf(si);
+    acc += 0.5 * (prev_v + v) * (s - prev_s);
+    prev_s = s;
+    prev_v = v;
+  }
+  return acc;
+}
+
+double reference_lambda(double eca_nm2, const DefectModel& model) {
+  const double eca_cm2 = eca_nm2 / 1e14;
+  return model.d0 * eca_cm2;
+}
+
+struct KernelDesign {
+  LayerMap layers;                // normalized M1 and M2
+  std::vector<Region> m2_pieces;  // per-net M2 shapes, as the flow builds
+  std::vector<int> m2_net_of;
+};
+
+KernelDesign kernel_design(std::uint64_t seed) {
+  DesignParams p;
+  p.seed = seed;
+  p.rows = 2;
+  p.cells_per_row = 4;
+  p.routes = 10;
+  p.via_fields = 1;
+  p.vias_per_field = 16;
+  const Library lib = generate_design(p);
+  LayerMap m;
+  for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+    m.emplace(k, lib.flatten(lib.top_cells()[0], k));
+  }
+  const LayoutSnapshot snap(std::move(m));
+  KernelDesign d;
+  for (const LayerKey k : {layers::kMetal1, layers::kMetal2}) {
+    d.layers.emplace(k, snap.layer(k).region());
+  }
+  const Netlist nets = extract_nets(snap, standard_stack());
+  for (std::size_t ni = 0; ni < nets.nets.size(); ++ni) {
+    if (const Region* piece = nets.nets[ni].on(layers::kMetal2)) {
+      d.m2_pieces.push_back(*piece);
+      d.m2_net_of.push_back(static_cast<int>(ni));
+    }
+  }
+  return d;
+}
+
+class CriticalAreaKernel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CriticalAreaKernel, EverySizeMatchesPerSizeReference) {
+  const KernelDesign d = kernel_design(GetParam());
+  const DefectModel model;
+  for (const LayerKey k : {layers::kMetal1, layers::kMetal2}) {
+    const Region& layer = d.layers.at(k);
+    ASSERT_FALSE(layer.empty());
+    const ShortNets nets = ShortNets::of_layer(layer);
+    for (const int steps : {16, 24}) {
+      const std::vector<Coord> sizes = defect_size_grid(model, steps);
+      ASSERT_EQ(sizes.size(), static_cast<std::size_t>(steps));
+      std::vector<Area> want;
+      for (const Coord s : sizes) want.push_back(reference_short_ca(layer, s));
+      ASSERT_GT(want.back(), 0) << "the largest defect must short something";
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        ThreadPool pool(threads);
+        EXPECT_EQ(short_critical_areas(nets, sizes, &pool), want)
+            << "layer " << to_string(k) << " steps " << steps << " threads "
+            << threads;
+      }
+      for (std::size_t i = 0; i < sizes.size(); i += 5) {
+        EXPECT_EQ(short_critical_area(layer, sizes[i]), want[i]);
+      }
+    }
+  }
+}
+
+TEST_P(CriticalAreaKernel, NetAwareShortsMatchPerSizeReference) {
+  const KernelDesign d = kernel_design(GetParam());
+  ASSERT_FALSE(d.m2_pieces.empty());
+  const DefectModel model;
+  const ShortNets nets = ShortNets::of_pieces(d.m2_pieces, d.m2_net_of);
+  const auto ref = [&](Coord s) {
+    return reference_short_ca_nets(d.m2_pieces, d.m2_net_of, s);
+  };
+  for (const int steps : {16, 24}) {
+    const std::vector<Coord> sizes = defect_size_grid(model, steps);
+    std::vector<Area> want;
+    for (const Coord s : sizes) want.push_back(ref(s));
+    ASSERT_GT(want.back(), 0) << "the largest defect must short two nets";
+    const double want_eca = reference_average(ref, model, steps);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(short_critical_areas(nets, sizes, &pool), want)
+          << "steps " << steps << " threads " << threads;
+      EXPECT_EQ(average_short_critical_area(nets, model, steps, &pool),
+                want_eca)
+          << "steps " << steps << " threads " << threads;
+    }
+    EXPECT_EQ(average_critical_area(
+                  [&](Coord s) {
+                    return short_critical_area_nets(d.m2_pieces, d.m2_net_of,
+                                                    s);
+                  },
+                  model, steps),
+              want_eca);
+  }
+}
+
+TEST_P(CriticalAreaKernel, LayerLambdaMatchesReference) {
+  const KernelDesign d = kernel_design(GetParam());
+  DefectModel model;
+  model.d0 = 0.7;
+  for (const LayerKey k : {layers::kMetal1, layers::kMetal2}) {
+    const Region& layer = d.layers.at(k);
+    for (const int steps : {16, 24}) {
+      const auto shorts_ca = [&](Coord s) {
+        return reference_short_ca(layer, s);
+      };
+      const auto opens_ca = [&](Coord s) {
+        return open_critical_area(layer, s);
+      };
+      const double shorts =
+          reference_lambda(reference_average(shorts_ca, model, steps), model);
+      const double opens =
+          reference_lambda(reference_average(opens_ca, model, steps), model);
+      EXPECT_EQ(layer_lambda(layer, model, /*shorts=*/true, steps), shorts);
+      EXPECT_EQ(layer_lambda(layer, model, /*shorts=*/false, steps), opens);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CriticalAreaKernel,
+                         ::testing::Values(3u, 17u, 29u));
+
+TEST(CriticalAreaGrid, DegenerateInputs) {
+  const DefectModel model;
+  EXPECT_TRUE(defect_size_grid(model, 1).empty());
+  EXPECT_EQ(integrate_critical_area({}, model), 0.0);
+  const std::vector<Coord> sizes = defect_size_grid(model, 16);
+  EXPECT_EQ(short_critical_areas(ShortNets::of_layer(Region{}), sizes),
+            std::vector<Area>(sizes.size(), 0));
+  // Mismatched labels group nothing, as the per-size entry point returns 0.
+  EXPECT_TRUE(
+      ShortNets::of_pieces({Region{Rect{0, 0, 10, 10}}}, {}).nets2x().empty());
 }
 
 }  // namespace
