@@ -130,6 +130,7 @@ std::vector<Hotspot> simulate_tile(const NormalizedRegion& layer,
   const Region printed = simulate_print_ex(clip, window, options.model, {},
                                            pool, options.fast,
                                            options.kernels.get());
+  TELEM_SPAN("litho/compare");
   for (Hotspot h : find_hotspots(clip.clipped(core.expanded(margin / 2)),
                                  printed, options.edge_tolerance)) {
     if (core.contains(h.marker.center())) local.push_back(std::move(h));

@@ -9,6 +9,7 @@
 #include "geometry/region.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <vector>
 
@@ -37,6 +38,53 @@ struct Interval {
   friend bool operator==(const Interval&, const Interval&) = default;
 };
 
+// Appends [lo, hi) to a slab's interval list (sorted by lo), merging it
+// into its predecessor when the two touch or overlap.
+void append_interval(std::vector<Interval>& cur, Coord lo, Coord hi) {
+  if (!cur.empty() && lo <= cur.back().hi) {
+    cur.back().hi = std::max(cur.back().hi, hi);
+  } else {
+    cur.push_back({lo, hi});
+  }
+}
+
+// The banding step every sweep shares. `open_` holds the previous slab's
+// bands (interval -> x where the band opened), sorted by lo. At the slab
+// boundary `x`, given the new slab's maximal intervals `cur` (sorted,
+// disjoint), a band whose interval reappears unchanged continues; every
+// other band closes into the rect [start, x) x interval, and each new
+// interval opens a band at `x`. Continuing only identical intervals makes
+// the emitted rects a pure function of the point set: the canonical form.
+class SlabBands {
+ public:
+  void advance(Coord x, const std::vector<Interval>& cur,
+               std::vector<Rect>& out) {
+    next_.clear();
+    std::size_t oi = 0;
+    const auto close = [&] {
+      out.push_back(
+          Rect{open_[oi].second, open_[oi].first.lo, x, open_[oi].first.hi});
+      ++oi;
+    };
+    for (const Interval& iv : cur) {
+      while (oi < open_.size() && open_[oi].first.lo < iv.lo) close();
+      if (oi < open_.size() && open_[oi].first == iv) {
+        next_.emplace_back(iv, open_[oi].second);
+        ++oi;
+      } else {
+        next_.emplace_back(iv, x);
+      }
+    }
+    while (oi < open_.size()) close();
+    open_.swap(next_);
+  }
+
+  bool empty() const { return open_.empty(); }
+
+ private:
+  std::vector<std::pair<Interval, Coord>> open_, next_;
+};
+
 }  // namespace
 
 std::vector<Rect> sweep_boolean(const std::vector<Rect>& a,
@@ -59,36 +107,9 @@ std::vector<Rect> sweep_boolean(const std::vector<Rect>& a,
   // Coverage deltas per y boundary, per operand.
   std::map<Coord, std::array<int, 2>> deltas;
 
-  // Open output bands from the previous slab: interval -> slab start x.
-  std::vector<std::pair<Interval, Coord>> open;
+  SlabBands bands;
   std::vector<Rect> out;
-
-  auto flush_slab = [&](Coord x_now, const std::vector<Interval>& cur) {
-    // Keep bands whose interval persists; close the rest.
-    std::vector<std::pair<Interval, Coord>> next;
-    next.reserve(cur.size());
-    std::size_t oi = 0;
-    for (const Interval& iv : cur) {
-      // `open` and `cur` are both sorted by lo; advance oi to match.
-      while (oi < open.size() && open[oi].first.lo < iv.lo) {
-        out.push_back(Rect{open[oi].second, open[oi].first.lo, x_now,
-                           open[oi].first.hi});
-        ++oi;
-      }
-      if (oi < open.size() && open[oi].first == iv) {
-        next.emplace_back(iv, open[oi].second);
-        ++oi;
-      } else {
-        next.emplace_back(iv, x_now);
-      }
-    }
-    while (oi < open.size()) {
-      out.push_back(
-          Rect{open[oi].second, open[oi].first.lo, x_now, open[oi].first.hi});
-      ++oi;
-    }
-    open = std::move(next);
-  };
+  std::vector<Interval> cur;
 
   std::size_t i = 0;
   while (i < events.size()) {
@@ -105,7 +126,7 @@ std::vector<Rect> sweep_boolean(const std::vector<Rect>& a,
       apply(e.yhi, -e.delta);
     }
     // Recompute predicate intervals for the slab starting at x.
-    std::vector<Interval> cur;
+    cur.clear();
     int ca = 0, cb = 0;
     bool inside = false;
     Coord start = 0;
@@ -118,21 +139,14 @@ std::vector<Rect> sweep_boolean(const std::vector<Rect>& a,
         start = y;
       } else if (!now && inside) {
         inside = false;
-        if (cur.empty() || cur.back().hi != start) {
-          cur.push_back({start, y});
-        } else {
-          cur.back().hi = y;  // merge touching intervals
-        }
+        append_interval(cur, start, y);
       }
     }
-    flush_slab(x, cur);
+    bands.advance(x, cur, out);
   }
-  // All rect right edges generate closing events, so `open` drains by the
-  // final event; flush defensively anyway.
-  if (!open.empty()) {
-    const Coord x_end = events.back().x;
-    flush_slab(x_end, {});
-  }
+  // All rect right edges generate closing events, so the bands drain by
+  // the final event; flush defensively anyway.
+  if (!bands.empty()) bands.advance(events.back().x, {}, out);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -153,8 +167,9 @@ Region covered_at_least(const std::vector<Rect>& rects, int k) {
             [](const VEvent& a, const VEvent& b) { return a.x < b.x; });
 
   std::map<Coord, int> deltas;
-  std::vector<std::pair<Interval, Coord>> open;
+  SlabBands bands;
   std::vector<Rect> out;
+  std::vector<Interval> cur;
   std::size_t i = 0;
   while (i < events.size()) {
     const Coord x = events[i].x;
@@ -165,7 +180,7 @@ Region covered_at_least(const std::vector<Rect>& rects, int k) {
       deltas[e.yhi] -= e.delta;
       if (deltas[e.yhi] == 0) deltas.erase(e.yhi);
     }
-    std::vector<Interval> cur;
+    cur.clear();
     int c = 0;
     bool inside = false;
     Coord start = 0;
@@ -177,38 +192,41 @@ Region covered_at_least(const std::vector<Rect>& rects, int k) {
         start = y;
       } else if (!now && inside) {
         inside = false;
-        if (!cur.empty() && cur.back().hi == start) {
-          cur.back().hi = y;
-        } else {
-          cur.push_back({start, y});
-        }
+        append_interval(cur, start, y);
       }
     }
-    // Close/continue bands (same canonical banding as sweep_boolean).
-    std::vector<std::pair<Interval, Coord>> next;
-    std::size_t oi = 0;
-    for (const Interval& iv : cur) {
-      while (oi < open.size() && open[oi].first.lo < iv.lo) {
-        out.push_back(Rect{open[oi].second, open[oi].first.lo, x,
-                           open[oi].first.hi});
-        ++oi;
-      }
-      if (oi < open.size() && open[oi].first == iv) {
-        next.emplace_back(iv, open[oi].second);
-        ++oi;
-      } else {
-        next.emplace_back(iv, x);
-      }
-    }
-    while (oi < open.size()) {
-      out.push_back(
-          Rect{open[oi].second, open[oi].first.lo, x, open[oi].first.hi});
-      ++oi;
-    }
-    open = std::move(next);
+    bands.advance(x, cur, out);
   }
   std::sort(out.begin(), out.end());
   // Same banding and order as sweep_boolean: `out` is already canonical.
+  Region reg;
+  reg.raw_ = std::move(out);
+  reg.normalized_ = true;
+  return reg;
+}
+
+Region grid_region(const Rect& window, Coord px,
+                   const std::vector<std::vector<PixelRun>>& columns) {
+  // Column i is one slab, [lo.x + i*px, lo.x + (i+1)*px) clipped to the
+  // window; its runs are the slab's intervals, so the sweep's banding
+  // step applies column by column with no event sort and no coverage map.
+  SlabBands bands;
+  std::vector<Rect> out;
+  std::vector<Interval> cur;
+  Coord x = window.lo.x;
+  for (const std::vector<PixelRun>& runs : columns) {
+    if (x >= window.hi.x) break;
+    cur.clear();
+    for (const PixelRun& run : runs) {
+      const Coord lo = window.lo.y + run.lo * px;
+      const Coord hi = std::min(window.lo.y + run.hi * px, window.hi.y);
+      if (lo < hi) append_interval(cur, lo, hi);
+    }
+    bands.advance(x, cur, out);
+    x += px;
+  }
+  bands.advance(std::min(x, window.hi.x), {}, out);
+  std::sort(out.begin(), out.end());
   Region reg;
   reg.raw_ = std::move(out);
   reg.normalized_ = true;
@@ -252,8 +270,9 @@ std::vector<Rect> decompose(const Polygon& p) {
             [](const VEdge& a, const VEdge& b) { return a.x < b.x; });
 
   std::map<Coord, int> deltas;
-  std::vector<std::pair<std::pair<Coord, Coord>, Coord>> open;
+  SlabBands bands;
   std::vector<Rect> out;
+  std::vector<Interval> cur;
   std::size_t i = 0;
   while (i < vedges.size()) {
     const Coord x = vedges[i].x;
@@ -264,7 +283,7 @@ std::vector<Rect> decompose(const Polygon& p) {
       deltas[e.yhi] -= e.delta;
       if (deltas[e.yhi] == 0) deltas.erase(e.yhi);
     }
-    std::vector<std::pair<Coord, Coord>> cur;
+    cur.clear();
     int c = 0;
     bool inside = false;
     Coord start = 0;
@@ -276,35 +295,10 @@ std::vector<Rect> decompose(const Polygon& p) {
         start = y;
       } else if (!now && inside) {
         inside = false;
-        if (!cur.empty() && cur.back().second == start) {
-          cur.back().second = y;
-        } else {
-          cur.emplace_back(start, y);
-        }
+        append_interval(cur, start, y);
       }
     }
-    // Close/continue bands.
-    std::vector<std::pair<std::pair<Coord, Coord>, Coord>> next;
-    std::size_t oi = 0;
-    for (const auto& iv : cur) {
-      while (oi < open.size() && open[oi].first.first < iv.first) {
-        out.push_back(Rect{open[oi].second, open[oi].first.first, x,
-                           open[oi].first.second});
-        ++oi;
-      }
-      if (oi < open.size() && open[oi].first == iv) {
-        next.emplace_back(iv, open[oi].second);
-        ++oi;
-      } else {
-        next.emplace_back(iv, x);
-      }
-    }
-    while (oi < open.size()) {
-      out.push_back(
-          Rect{open[oi].second, open[oi].first.first, x, open[oi].first.second});
-      ++oi;
-    }
-    open = std::move(next);
+    bands.advance(x, cur, out);
   }
   std::sort(out.begin(), out.end());
   return out;

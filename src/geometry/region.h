@@ -18,6 +18,11 @@ namespace dfm {
 
 enum class BoolOp { kOr, kAnd, kSub, kXor };
 
+/// Pixel rows [lo, hi) of one column of a pixel grid.
+struct PixelRun {
+  int lo = 0, hi = 0;
+};
+
 class Region {
  public:
   Region() = default;
@@ -69,6 +74,8 @@ class Region {
 
   friend Region boolean_op(const Region& a, const Region& b, BoolOp op);
   friend Region covered_at_least(const std::vector<Rect>& rects, int k);
+  friend Region grid_region(const Rect& window, Coord px,
+                            const std::vector<std::vector<PixelRun>>& columns);
 
   Region operator|(const Region& o) const { return boolean_op(*this, o, BoolOp::kOr); }
   Region operator&(const Region& o) const { return boolean_op(*this, o, BoolOp::kAnd); }
@@ -102,5 +109,14 @@ std::vector<Rect> sweep_boolean(const std::vector<Rect>& a,
 /// corner-to-corner spacing checks. The sweep emits canonical bands, so
 /// the result comes back already normalized.
 Region covered_at_least(const std::vector<Rect>& rects, int k);
+
+/// Region covered by pixels of a grid anchored at `window.lo` with pitch
+/// `px`: `columns[i]` lists the runs of column i (sorted by lo), and pixel
+/// (i, j) covers [lo.x + i*px, lo.x + (i+1)*px) x [lo.y + j*px,
+/// lo.y + (j+1)*px) clipped to `window`. Each column is one slab of the
+/// canonical x-slab form, so the bands are built directly and the result
+/// comes back already normalized.
+Region grid_region(const Rect& window, Coord px,
+                   const std::vector<std::vector<PixelRun>>& columns);
 
 }  // namespace dfm

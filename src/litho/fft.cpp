@@ -235,9 +235,11 @@ bool fft_beats_direct(std::size_t ntaps, int nx, int ny) {
   // FFT: one complex FFT per row per pass (two real rows share one
   // transform, two transforms per pair) at ~5*L*log2(L) flops, plus the
   // real-spectrum pointwise multiply, plus two transposes counted as
-  // memory traffic. Constants validated against the measured crossover
-  // on the RelWithDebInfo build (direct inner loop vectorizes well, so
-  // FFT only wins for genuinely wide kernels).
+  // memory traffic. The constants were fitted to the crossover of the
+  // old per-pixel direct loop. The vectorized tap-outer loop now beats
+  // the FFT on every tile edge from 256 to 4096 px and every kernel
+  // from 21 to 61 taps (bench_k1_litho_crossover), so this model is
+  // optimistic about the FFT.
   const auto pass = [](double rows, double len) {
     return rows * (5.0 * len * std::log2(len) + 3.0 * len);
   };

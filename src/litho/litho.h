@@ -95,9 +95,12 @@ Raster aerial_image_ex(const Region& mask, const Rect& window,
                        KernelSpectrumCache* kernels = nullptr);
 
 /// Printed contours at a process condition: pixels with dose*I >= threshold,
-/// returned as a merged region (pixel-grid resolution).
+/// returned as a normalized region (pixel-grid resolution, the last
+/// column and row clipped to the window). With a pool, column strips
+/// threshold concurrently; the region is the same either way.
 Region printed_region(const Raster& aerial, const OpticalModel& model,
-                      const ProcessCondition& cond);
+                      const ProcessCondition& cond,
+                      ThreadPool* pool = nullptr);
 
 /// One-call simulate: mask -> printed region inside `window`.
 Region simulate_print(const Region& mask, const Rect& window,

@@ -1,3 +1,4 @@
+#include "litho/kernel_detail.h"
 #include "litho/litho.h"
 
 #include "core/parallel.h"
@@ -74,17 +75,7 @@ Raster rasterize(const Region& r, const Rect& window, Coord px,
       }
     }
   };
-  if (pool != nullptr && pool->concurrency() > 1 && img.ny > 1) {
-    const int bands = std::min<int>(static_cast<int>(pool->concurrency()) * 4,
-                                    img.ny);
-    const int rows_per = (img.ny + bands - 1) / bands;
-    pool->parallel_for(static_cast<std::size_t>(bands), [&](std::size_t b) {
-      const int lo = static_cast<int>(b) * rows_per;
-      fill_rows(lo, std::min(lo + rows_per, img.ny));
-    });
-  } else {
-    fill_rows(0, img.ny);
-  }
+  detail::for_row_bands(img.ny, pool, fill_rows);
   // Canonical rects never overlap, but numerical accumulation can nudge a
   // pixel past 1.
   for (float& v : img.values) v = std::min(v, 1.0f);

@@ -1,10 +1,11 @@
-// Direct tests for covered_at_least and Region::scaled — load-bearing
-// pieces of the spacing and critical-area engines that the rest of the
-// suite only exercises indirectly.
+// Direct tests for covered_at_least, grid_region and Region::scaled —
+// load-bearing pieces of the spacing, critical-area and litho engines
+// that the rest of the suite only exercises indirectly.
 #include "geometry/region.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 namespace dfm {
@@ -95,6 +96,40 @@ TEST_P(CoverageProperty, ReturnsCanonicalBands) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoverageProperty, ::testing::Range(1u, 9u));
+
+class GridRegionProperty : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(GridRegionProperty, EqualsNormalizedUnionOfPixels) {
+  // Random pixel runs on a grid whose window clips the last column and
+  // row; runs may touch or overlap. The builder must return exactly the
+  // canonical form of the union of the clipped pixel rects.
+  std::mt19937_64 rng(GetParam());
+  std::uniform_int_distribution<int> count(0, 3);
+  std::uniform_int_distribution<int> row(0, 11);
+  const Coord px = 5;
+  const Rect window{-7, 3, -7 + 9 * px - 2, 3 + 12 * px - 4};
+  std::vector<std::vector<PixelRun>> columns(9);
+  Region pixels;
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    for (int n = count(rng); n > 0; --n) {
+      const int a = row(rng), b = row(rng);
+      columns[i].push_back({std::min(a, b), std::max(a, b) + 1});
+    }
+    std::sort(columns[i].begin(), columns[i].end(),
+              [](const PixelRun& l, const PixelRun& r) { return l.lo < r.lo; });
+    const Coord x0 = window.lo.x + static_cast<Coord>(i) * px;
+    for (const PixelRun& run : columns[i]) {
+      pixels.add(Rect{x0, window.lo.y + run.lo * px,
+                      std::min(x0 + px, window.hi.x),
+                      std::min(window.lo.y + run.hi * px, window.hi.y)});
+    }
+  }
+  const Region grid = grid_region(window, px, columns);
+  EXPECT_EQ(grid.rects(), pixels.rects());
+  EXPECT_EQ(grid.rects(), sweep_boolean(grid.rects(), {}, BoolOp::kOr));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GridRegionProperty, ::testing::Range(1u, 17u));
 
 TEST(RegionScaled, ScalesAreasQuadratically) {
   Region r;
