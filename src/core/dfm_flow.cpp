@@ -468,8 +468,9 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
 
   // 3. Litho hotspots (tile-simulated). Splice unit: one simulation
   // tile; a tile is stale when the dirty region touches its core
-  // expanded by the optical halo. The cache is valid only while every
-  // run refreshes it, so a skipped pass invalidates it.
+  // expanded by the optical halo, and a stale tile re-renders only the
+  // pixels the edit reaches into its cached print. The cache is valid
+  // only while every run refreshes it, so a skipped pass invalidates it.
   // From here on the m1 view below stays live, so every keep set through
   // the caa pass includes kMetal1.
   evict_keeping({layers::kMetal1});
@@ -487,44 +488,30 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
     sim.kernels = caches.kernels;
     const bool have = inc && caches.litho_valid;
     // Distributed path: the coordinator mirrors the tiled run's
-    // bookkeeping exactly — same make_tiles grid, same 6-sigma stale
-    // selection, same fallback-to-full conditions — and outsources only
-    // the per-tile simulation. A declined batch falls through to the
-    // in-process engines, byte-identically either way (the snapshot
-    // density gate is a pure shortcut, see simulate_litho_tile).
+    // bookkeeping exactly — same make_tiles grid, same stale selection
+    // (stale_litho_tiles), same fallback-to-full conditions — and
+    // outsources only the per-tile simulation. A declined batch falls
+    // through to the in-process engines, byte-identically either way (the
+    // snapshot density gate is a pure shortcut, see simulate_litho_tile).
     bool sharded = false;
     if (options.shards != nullptr) {
       TELEM_SPAN("shard/litho");
-      HotspotTileSim next;
-      next.extent = m1.bbox();
-      next.tile = sim.tile;
-      next.tiles = make_tiles(next.extent, sim.tile);
+      const Rect extent = m1.bbox();
+      const std::vector<Rect> tiles = make_tiles(extent, sim.tile);
+      const bool carry = have && caches.litho.same_grid(extent, sim.tile);
       std::vector<std::size_t> stale;
-      const bool carry = have && caches.litho.extent == next.extent &&
-                         caches.litho.tile == next.tile &&
-                         caches.litho.per_tile.size() ==
-                             caches.litho.tiles.size();
       if (carry) {
-        next.per_tile = caches.litho.per_tile;
-        const Region dirty = damage.inc->dirty_region(layers::kMetal1);
-        const Coord margin = 6 * sim.model.sigma;
-        for (std::size_t ti = 0; ti < next.tiles.size(); ++ti) {
-          const Rect window = next.tiles[ti].expanded(margin);
-          for (const Rect& d : dirty.rects()) {
-            if (d.overlaps(window)) {
-              stale.push_back(ti);
-              break;
-            }
-          }
+        for (const StaleTile& st : stale_litho_tiles(
+                 tiles, sim, damage.inc->dirty_region(layers::kMetal1))) {
+          stale.push_back(st.index);
         }
       } else {
-        next.per_tile.resize(next.tiles.size());
-        stale.resize(next.tiles.size());
+        stale.resize(tiles.size());
         std::iota(stale.begin(), stale.end(), std::size_t{0});
       }
       std::vector<Rect> cores;
       cores.reserve(stale.size());
-      for (const std::size_t ti : stale) cores.push_back(next.tiles[ti]);
+      for (const std::size_t ti : stale) cores.push_back(tiles[ti]);
       std::vector<std::vector<Hotspot>> per_core(cores.size());
       std::vector<char> skipflags(cores.size(), 0);
       std::vector<char> handled(cores.size(), 0);
@@ -551,8 +538,20 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
             per_core[local[i]] = std::move(redone[i]);
           }
         }
+        // Carried tiles keep their prints; re-sent tiles have none.
+        HotspotTileSim next;
+        if (carry) {
+          next = std::move(caches.litho);
+        } else {
+          next.extent = extent;
+          next.tile = sim.tile;
+          next.tiles = tiles;
+          next.per_tile.resize(tiles.size());
+        }
+        next.prints.resize(next.tiles.size());
         for (std::size_t i = 0; i < stale.size(); ++i) {
           next.per_tile[stale[i]] = std::move(per_core[i]);
+          next.prints[stale[i]] = {};
         }
         next.recomputed = stale.size();
         next.skipped = static_cast<std::size_t>(
@@ -564,7 +563,7 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
     if (!sharded) {
       caches.litho =
           have ? resimulate_hotspots(snap, layers::kMetal1, m1.bbox(), sim,
-                                     caches.litho,
+                                     std::move(caches.litho),
                                      damage.inc->dirty_region(layers::kMetal1))
                : simulate_hotspots_tiled(snap, layers::kMetal1, m1.bbox(), sim);
     }

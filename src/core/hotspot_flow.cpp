@@ -99,43 +99,60 @@ bool density_gate_empty(const DensityMap& dm, const Rect& window) {
   return true;
 }
 
+// What one tile simulation produces.
+struct TileResult {
+  std::vector<Hotspot> hotspots;  // the hotspots the core owns
+  ColumnRuns print;  // the tile's print, kept when directly convolved
+  bool skipped = false;  // the prefilter proved the tile hotspot-free
+};
+
 // One tile of the tiled simulation: clip the layer to the 6-sigma halo
 // window around the core, simulate, and keep only the hotspots this core
 // owns (marker center inside the core) so tiling never double-reports.
 // With a valid calibration, tiles the prefilter proves hotspot-free skip
 // the simulation (their owned-hotspot list is provably empty, so the
-// merged output is unchanged); `skipped` reports that outcome.
-std::vector<Hotspot> simulate_tile(const NormalizedRegion& layer,
-                                   const Rect& core,
-                                   const HotspotSimOptions& options,
-                                   ThreadPool* pool,
-                                   const PrefilterCalibration* cal,
-                                   const DensityMap* dm, bool& skipped) {
+// merged output is unchanged). `prev` is the tile's print from before an
+// edit inside `changed`, or null (or no columns) for a full render; the
+// print is bit-identical either way (print_window), so the hotspots are
+// too.
+TileResult simulate_tile(const NormalizedRegion& layer, const Rect& core,
+                         const HotspotSimOptions& options, ThreadPool* pool,
+                         const PrefilterCalibration* cal, const DensityMap* dm,
+                         const ColumnRuns* prev, const Rect& changed) {
   const Coord margin = 6 * options.model.sigma;
-  std::vector<Hotspot> local;
+  TileResult out;
   const Rect window = core.expanded(margin);
-  if (dm != nullptr && density_gate_empty(*dm, window)) return local;
+  if (dm != nullptr && density_gate_empty(*dm, window)) return out;
   const Region clip = layer.clipped(window);
-  if (clip.empty()) return local;
+  if (clip.empty()) return out;
   if (cal != nullptr) {
     TELEM_SPAN("litho/prefilter");
     const TileFeatures f =
         tile_features(clip, window, *cal, core.expanded(margin / 2));
     if (prefilter_safe(f, *cal)) {
       TELEM_COUNTER_ADD("litho.prefilter_skip", 1);
-      skipped = true;
-      return local;
+      out.skipped = true;
+      return out;
     }
   }
-  const Region printed = simulate_print_ex(clip, window, options.model, {},
-                                           pool, options.fast,
-                                           options.kernels.get());
+  WindowPrint print =
+      print_window(clip, window, options.model, {}, pool, options.fast,
+                   options.kernels.get(), prev, changed);
+  const Region printed = grid_region(window, options.model.px, print.runs);
+  if (print.direct) out.print = std::move(print.runs);
   TELEM_SPAN("litho/compare");
   for (Hotspot h : find_hotspots(clip.clipped(core.expanded(margin / 2)),
-                                 printed, options.edge_tolerance)) {
-    if (core.contains(h.marker.center())) local.push_back(std::move(h));
+                                 printed, options.edge_tolerance, pool)) {
+    if (core.contains(h.marker.center())) out.hotspots.push_back(std::move(h));
   }
-  return local;
+  return out;
+}
+
+// Stores tile `ti`'s result in `sim`; returns whether it was skipped.
+bool store_tile(HotspotTileSim& sim, std::size_t ti, TileResult&& r) {
+  sim.per_tile[ti] = std::move(r.hotspots);
+  sim.prints[ti] = std::move(r.print);
+  return r.skipped;
 }
 
 // Shared core of the region/snapshot overloads of the cold tiled run.
@@ -147,67 +164,52 @@ HotspotTileSim tiled_impl(const NormalizedRegion& layer, const DensityMap* dm,
   sim.tile = options.tile;
   if (extent.is_empty()) return sim;
   sim.tiles = make_tiles(extent, options.tile);
+  sim.per_tile.resize(sim.tiles.size());
+  sim.prints.resize(sim.tiles.size());
   const PrefilterCalibration cal = resolve_calibration(options);
   const PrefilterCalibration* calp = cal.valid ? &cal : nullptr;
   const PassPool pool(options);
-  std::vector<char> skipped(sim.tiles.size(), 0);
-  sim.per_tile = parallel_map(pool, sim.tiles.size(), [&](std::size_t ti) {
-    TELEM_SPAN_ARG("litho/tile", ti);
-    bool skip = false;
-    auto local =
-        simulate_tile(layer, sim.tiles[ti], options, pool, calp, dm, skip);
-    skipped[ti] = skip ? 1 : 0;
-    return local;
-  });
+  std::vector<TileResult> results =
+      parallel_map(pool, sim.tiles.size(), [&](std::size_t ti) {
+        TELEM_SPAN_ARG("litho/tile", ti);
+        return simulate_tile(layer, sim.tiles[ti], options, pool, calp, dm,
+                             nullptr, Rect::empty());
+      });
+  for (std::size_t ti = 0; ti < results.size(); ++ti) {
+    if (store_tile(sim, ti, std::move(results[ti]))) ++sim.skipped;
+  }
   sim.recomputed = sim.tiles.size();
-  sim.skipped = static_cast<std::size_t>(
-      std::count(skipped.begin(), skipped.end(), 1));
   return sim;
 }
 
 // Shared core of the region/snapshot overloads of the incremental run.
 HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
                           const Rect& extent, const HotspotSimOptions& options,
-                          const HotspotTileSim& prev, const Region& dirty) {
-  if (prev.extent != extent || prev.tile != options.tile ||
-      prev.per_tile.size() != prev.tiles.size()) {
+                          HotspotTileSim prev, const Region& dirty) {
+  if (!prev.same_grid(extent, options.tile)) {
     return tiled_impl(layer, dm, extent, options);
   }
-  HotspotTileSim sim;
-  sim.extent = extent;
-  sim.tile = options.tile;
-  sim.tiles = prev.tiles;
-  sim.per_tile = prev.per_tile;
-  const Coord margin = 6 * options.model.sigma;
-  std::vector<std::size_t> stale;
-  for (std::size_t ti = 0; ti < sim.tiles.size(); ++ti) {
-    const Rect window = sim.tiles[ti].expanded(margin);
-    for (const Rect& d : dirty.rects()) {
-      if (d.overlaps(window)) {
-        stale.push_back(ti);
-        break;
-      }
-    }
-  }
+  HotspotTileSim sim = std::move(prev);
+  sim.prints.resize(sim.tiles.size());
+  const std::vector<StaleTile> stale =
+      stale_litho_tiles(sim.tiles, options, dirty);
   const PrefilterCalibration cal = resolve_calibration(options);
   const PrefilterCalibration* calp = cal.valid ? &cal : nullptr;
   const PassPool pool(options);
-  std::vector<char> skipped(stale.size(), 0);
-  std::vector<std::vector<Hotspot>> redone =
+  std::vector<TileResult> results =
       parallel_map(pool, stale.size(), [&](std::size_t si) {
-        TELEM_SPAN_ARG("litho/tile", stale[si]);
-        bool skip = false;
-        auto local = simulate_tile(layer, sim.tiles[stale[si]], options, pool,
-                                   calp, dm, skip);
-        skipped[si] = skip ? 1 : 0;
-        return local;
+        const StaleTile& st = stale[si];
+        TELEM_SPAN_ARG("litho/tile", st.index);
+        return simulate_tile(layer, sim.tiles[st.index], options, pool, calp,
+                             dm, &sim.prints[st.index], st.changed);
       });
+  sim.skipped = 0;
   for (std::size_t si = 0; si < stale.size(); ++si) {
-    sim.per_tile[stale[si]] = std::move(redone[si]);
+    if (store_tile(sim, stale[si].index, std::move(results[si]))) {
+      ++sim.skipped;
+    }
   }
   sim.recomputed = stale.size();
-  sim.skipped = static_cast<std::size_t>(
-      std::count(skipped.begin(), skipped.end(), 1));
   return sim;
 }
 
@@ -228,7 +230,10 @@ std::vector<Hotspot> simulate_litho_tile(const NormalizedRegion& layer,
                                          ThreadPool* pool,
                                          const PrefilterCalibration* cal,
                                          bool& skipped) {
-  return simulate_tile(layer, core, options, pool, cal, nullptr, skipped);
+  TileResult r = simulate_tile(layer, core, options, pool, cal, nullptr,
+                               nullptr, Rect::empty());
+  skipped = r.skipped;
+  return std::move(r.hotspots);
 }
 
 PrefilterCalibration resolve_litho_calibration(
@@ -240,6 +245,26 @@ std::vector<Hotspot> HotspotTileSim::merged() const {
   std::vector<Hotspot> out;
   for (const std::vector<Hotspot>& v : per_tile) {
     out.insert(out.end(), v.begin(), v.end());
+  }
+  return out;
+}
+
+bool HotspotTileSim::same_grid(const Rect& e, Coord t) const {
+  return extent == e && tile == t && per_tile.size() == tiles.size();
+}
+
+std::vector<StaleTile> stale_litho_tiles(const std::vector<Rect>& tiles,
+                                         const HotspotSimOptions& options,
+                                         const Region& dirty) {
+  const Coord margin = 6 * options.model.sigma;
+  std::vector<StaleTile> out;
+  for (std::size_t ti = 0; ti < tiles.size(); ++ti) {
+    const Rect window = tiles[ti].expanded(margin);
+    Rect changed = Rect::empty();
+    for (const Rect& d : dirty.rects()) {
+      if (d.overlaps(window)) changed = changed.join(d.intersect(window));
+    }
+    if (!changed.is_empty()) out.push_back({ti, changed});
   }
   return out;
 }
@@ -259,18 +284,16 @@ HotspotTileSim simulate_hotspots_tiled(const LayoutSnapshot& snap,
 
 HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty) {
-  return resim_impl(layer, nullptr, extent, options, prev, dirty);
+                                   HotspotTileSim prev, const Region& dirty) {
+  return resim_impl(layer, nullptr, extent, options, std::move(prev), dirty);
 }
 
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty) {
+                                   HotspotTileSim prev, const Region& dirty) {
   return resim_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options, prev, dirty);
+                    extent, options, std::move(prev), dirty);
 }
 
 std::vector<Hotspot> simulate_hotspots(NormalizedRegion layer,

@@ -104,11 +104,35 @@ struct HotspotTileSim {
   Coord tile = 0;
   std::vector<Rect> tiles;  // row-major cores, make_tiles(extent, tile)
   std::vector<std::vector<Hotspot>> per_tile;  // aligned with tiles
+  /// Aligned with tiles: each directly convolved tile's print as runs of
+  /// its window's pixel grid (print_window), which an edit splices into
+  /// instead of re-rendering the tile. No columns for tiles the density
+  /// gate or the prefilter skipped, FFT-convolved tiles, and tiles a
+  /// shard produced.
+  std::vector<ColumnRuns> prints;
   std::size_t recomputed = 0;  // tiles simulated by the producing call
   std::size_t skipped = 0;  // tiles the prefilter proved hotspot-free
 
   std::vector<Hotspot> merged() const;
+  /// True when this simulation's tile grid is the one `extent` and `tile`
+  /// make, so an incremental run can carry its tiles over.
+  bool same_grid(const Rect& extent, Coord tile) const;
 };
+
+/// A tile an edit makes stale, and the part of the edit its simulation
+/// window sees.
+struct StaleTile {
+  std::size_t index;  // into HotspotTileSim::tiles
+  Rect changed;       // bbox of the dirty region inside the tile's window
+};
+
+/// The tiles whose simulation window — the core expanded by the 6-sigma
+/// optical halo — `dirty` touches, in tile order. Every other tile's
+/// output is unchanged by the edit (it depends only on the layer clipped
+/// to its window).
+std::vector<StaleTile> stale_litho_tiles(const std::vector<Rect>& tiles,
+                                         const HotspotSimOptions& options,
+                                         const Region& dirty);
 
 struct PrefilterCalibration;  // litho/prefilter.h
 
@@ -150,16 +174,16 @@ HotspotTileSim simulate_hotspots_tiled(const LayoutSnapshot& snap,
                                        LayerKey layer, const Rect& extent,
                                        const HotspotSimOptions& options);
 
-/// Re-simulates only the tiles whose simulation window — the tile core
-/// expanded by the 6-sigma optical halo — intersects `dirty`; every
-/// other tile's list is carried over from `prev`. A tile's output
-/// depends only on the layer clipped to that window, so the result is
-/// bit-identical to simulate_hotspots_tiled over the edited layer.
-/// Falls back to a full run when extent or tile size changed.
+/// Re-simulates only the stale tiles (stale_litho_tiles); every other
+/// tile is carried over from `prev`. A stale tile with a cached print
+/// re-renders only the pixels the edit can reach and splices them in
+/// (print_window). A tile's output depends only on the layer clipped to
+/// its window, so the result is bit-identical to simulate_hotspots_tiled
+/// over the edited layer. Falls back to a full run when extent or tile
+/// size changed.
 HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty);
+                                   HotspotTileSim prev, const Region& dirty);
 
 /// Snapshot-native incremental re-simulation: stale tiles go through the
 /// same density-gate + prefilter + convolution path as the snapshot
@@ -168,8 +192,7 @@ HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty);
+                                   HotspotTileSim prev, const Region& dirty);
 
 /// Simulates in tiles (bounded raster size) and returns all hotspots.
 /// Tiles run concurrently on the pool; per-tile results are merged in

@@ -205,8 +205,7 @@ Region covered_at_least(const std::vector<Rect>& rects, int k) {
   return reg;
 }
 
-Region grid_region(const Rect& window, Coord px,
-                   const std::vector<std::vector<PixelRun>>& columns) {
+Region grid_region(const Rect& window, Coord px, const ColumnRuns& columns) {
   // Column i is one slab, [lo.x + i*px, lo.x + (i+1)*px) clipped to the
   // window; its runs are the slab's intervals, so the sweep's banding
   // step applies column by column with no event sort and no coverage map.
@@ -214,12 +213,12 @@ Region grid_region(const Rect& window, Coord px,
   std::vector<Rect> out;
   std::vector<Interval> cur;
   Coord x = window.lo.x;
-  for (const std::vector<PixelRun>& runs : columns) {
+  for (std::size_t i = 0; i < columns.columns(); ++i) {
     if (x >= window.hi.x) break;
     cur.clear();
-    for (const PixelRun& run : runs) {
-      const Coord lo = window.lo.y + run.lo * px;
-      const Coord hi = std::min(window.lo.y + run.hi * px, window.hi.y);
+    for (const PixelRun* run = columns.begin(i); run != columns.end(i); ++run) {
+      const Coord lo = window.lo.y + run->lo * px;
+      const Coord hi = std::min(window.lo.y + run->hi * px, window.hi.y);
       if (lo < hi) append_interval(cur, lo, hi);
     }
     bands.advance(x, cur, out);

@@ -12,6 +12,7 @@
 #include "geometry/polygon.h"
 #include "geometry/rect.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace dfm {
@@ -21,6 +22,26 @@ enum class BoolOp { kOr, kAnd, kSub, kXor };
 /// Pixel rows [lo, hi) of one column of a pixel grid.
 struct PixelRun {
   int lo = 0, hi = 0;
+};
+
+/// The runs of every column of a pixel grid, stored flat: column i's runs
+/// are runs[start[i], start[i + 1]), sorted by lo. Default: no columns.
+struct ColumnRuns {
+  std::vector<std::uint32_t> start;  // columns() + 1 offsets, or none
+  std::vector<PixelRun> runs;
+
+  std::size_t columns() const { return start.empty() ? 0 : start.size() - 1; }
+  const PixelRun* begin(std::size_t i) const {
+    return runs.data() + start[i];
+  }
+  const PixelRun* end(std::size_t i) const {
+    return runs.data() + start[i + 1];
+  }
+  /// Closes the next column: it holds the runs pushed since the last close.
+  void end_column() {
+    if (start.empty()) start.push_back(0);
+    start.push_back(static_cast<std::uint32_t>(runs.size()));
+  }
 };
 
 class Region {
@@ -75,7 +96,7 @@ class Region {
   friend Region boolean_op(const Region& a, const Region& b, BoolOp op);
   friend Region covered_at_least(const std::vector<Rect>& rects, int k);
   friend Region grid_region(const Rect& window, Coord px,
-                            const std::vector<std::vector<PixelRun>>& columns);
+                            const ColumnRuns& columns);
 
   Region operator|(const Region& o) const { return boolean_op(*this, o, BoolOp::kOr); }
   Region operator&(const Region& o) const { return boolean_op(*this, o, BoolOp::kAnd); }
@@ -111,12 +132,11 @@ std::vector<Rect> sweep_boolean(const std::vector<Rect>& a,
 Region covered_at_least(const std::vector<Rect>& rects, int k);
 
 /// Region covered by pixels of a grid anchored at `window.lo` with pitch
-/// `px`: `columns[i]` lists the runs of column i (sorted by lo), and pixel
+/// `px`: `columns` holds each column's runs (sorted by lo), and pixel
 /// (i, j) covers [lo.x + i*px, lo.x + (i+1)*px) x [lo.y + j*px,
 /// lo.y + (j+1)*px) clipped to `window`. Each column is one slab of the
 /// canonical x-slab form, so the bands are built directly and the result
 /// comes back already normalized.
-Region grid_region(const Rect& window, Coord px,
-                   const std::vector<std::vector<PixelRun>>& columns);
+Region grid_region(const Rect& window, Coord px, const ColumnRuns& columns);
 
 }  // namespace dfm

@@ -69,7 +69,7 @@ void for_row_bands(int ny, ThreadPool* pool,
   const int rows_per = (ny + bands - 1) / bands;
   pool->parallel_for(static_cast<std::size_t>(bands), [&](std::size_t b) {
     const int lo = static_cast<int>(b) * rows_per;
-    fn(lo, std::min(lo + rows_per, ny));
+    if (lo < ny) fn(lo, std::min(lo + rows_per, ny));
   });
 }
 
@@ -153,44 +153,106 @@ Raster separable_convolve(Raster img, const std::vector<float>& taps,
 
 }  // namespace detail
 
-Raster aerial_image_ex(const Region& mask, const Rect& window,
-                       const OpticalModel& model, Coord defocus,
-                       ThreadPool* pool, LithoFastMode mode,
-                       KernelSpectrumCache* kernels) {
-  // Pad the window by the kernel reach so features just outside still
-  // contribute, then crop back. The taps come from the unrounded
-  // effective sigma; at defocus 0 it equals `sigma` exactly, so the
-  // best-focus image is unchanged from the historical rounded form.
+namespace {
+
+// The padded raster a simulation window is rendered on: the window grown
+// by the kernel reach, rounded up to whole pixels so that the padded grid
+// and the window's own grid share pixel edges. The taps come from the
+// unrounded effective sigma; at defocus 0 it equals `sigma` exactly, so
+// the best-focus image is unchanged from the historical rounded form.
+struct PaddedGrid {
+  std::vector<float> taps;
+  int radius = 0;  // tap radius in pixels
+  int off = 0;     // window pixel (i, j) is padded pixel (i + off, j + off)
+  Rect padded;
+  int nx = 0, ny = 0;  // window grid
+  int pnx = 0, pny = 0;  // padded grid
+  bool fft = false;  // convolve by FFT (over the whole padded raster)
+};
+
+int pixels_over(Coord extent, Coord px) {
+  return static_cast<int>((extent + px - 1) / px);
+}
+
+PaddedGrid padded_grid(const Rect& window, const OpticalModel& model,
+                       Coord defocus, LithoFastMode mode) {
+  const Coord px = model.px;
   const double s = model.sigma_at_nm(defocus);
-  const Coord pad = static_cast<Coord>(std::ceil(3.0 * s)) + model.px;
-  const Rect padded = window.expanded(pad);
+  PaddedGrid g;
+  g.taps = detail::gaussian_taps(s / static_cast<double>(px));
+  g.radius = static_cast<int>(g.taps.size() / 2);
+  const Coord reach = static_cast<Coord>(std::ceil(3.0 * s)) + px;
+  g.off = static_cast<int>((reach + px - 1) / px);
+  g.padded = window.expanded(g.off * px);
+  g.nx = pixels_over(window.width(), px);
+  g.ny = pixels_over(window.height(), px);
+  g.pnx = g.nx + 2 * g.off;
+  g.pny = g.ny + 2 * g.off;
+  g.fft = mode == LithoFastMode::kFft ||
+          (mode == LithoFastMode::kAuto &&
+           fftconv::fft_beats_direct(g.taps.size(), g.pnx, g.pny));
+  return g;
+}
+
+// Pixels [x0, x1) x [y0, y1) of a raster grid.
+struct PixelBox {
+  int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
+
+  bool empty() const { return x0 >= x1 || y0 >= y1; }
+  std::uint64_t pixels() const {
+    return empty() ? 0
+                   : static_cast<std::uint64_t>(x1 - x0) *
+                         static_cast<std::uint64_t>(y1 - y0);
+  }
+};
+
+// The rect a box of grid pixels covers, clipped to the grid's window.
+Rect box_rect(const Rect& window, Coord px, const PixelBox& b) {
+  return Rect{window.lo.x + b.x0 * px, window.lo.y + b.y0 * px,
+              std::min(window.lo.x + b.x1 * px, window.hi.x),
+              std::min(window.lo.y + b.y1 * px, window.hi.y)};
+}
+
+// The aerial image over the window pixels of `box` — each pixel
+// bit-identical to the same pixel of the whole-window image. The direct
+// convolution renders only the padded pixels the box's taps read (the box
+// grown by the tap radius): the raster is exact per pixel (rasterize),
+// and a box pixel sums the same products in the same order, skipping the
+// same out-of-range taps, as in the whole padded raster. The FFT mixes
+// every pixel into every other, so it renders the whole padded raster.
+Raster aerial_box(const Region& mask, const Rect& window,
+                  const OpticalModel& model, const PaddedGrid& g,
+                  ThreadPool* pool, KernelSpectrumCache* kernels,
+                  const PixelBox& box) {
+  const Coord px = model.px;
+  const PixelBox src =
+      g.fft ? PixelBox{0, 0, g.pnx, g.pny}
+            : PixelBox{std::max(0, box.x0 + g.off - g.radius),
+                       std::max(0, box.y0 + g.off - g.radius),
+                       std::min(g.pnx, box.x1 + g.off + g.radius),
+                       std::min(g.pny, box.y1 + g.off + g.radius)};
   Raster img;
   {
     TELEM_SPAN("litho/raster");
-    img = rasterize(mask, padded, model.px, pool);
+    img = rasterize(mask, box_rect(g.padded, px, src), px, pool);
   }
-  const double sigma_px = s / static_cast<double>(model.px);
-  const std::vector<float> taps = detail::gaussian_taps(sigma_px);
-  const bool use_fft =
-      mode == LithoFastMode::kFft ||
-      (mode == LithoFastMode::kAuto &&
-       fftconv::fft_beats_direct(taps.size(), img.nx, img.ny));
-  img = use_fft ? fftconv::fft_convolve_separable(img, taps, kernels, pool)
-                : detail::separable_convolve(std::move(img), taps, pool);
+  img = g.fft ? fftconv::fft_convolve_separable(img, g.taps, kernels, pool)
+              : detail::separable_convolve(std::move(img), g.taps, pool);
 
-  // Crop to the requested window in place, one row copy at a time: row y
-  // moves from (y + off) * img.nx + off down to y * out.nx, which never
-  // overwrites a row still to be read.
+  // Crop to the box in place, one row copy at a time: row y moves from
+  // (y + cy) * img.nx + cx down to y * out.nx, which never overwrites a row
+  // still to be read.
   Raster out;
-  out.window = window;
-  out.px = model.px;
-  const int off = static_cast<int>(pad / model.px);
-  out.nx = static_cast<int>((window.width() + model.px - 1) / model.px);
-  out.ny = static_cast<int>((window.height() + model.px - 1) / model.px);
+  out.window = box_rect(window, px, box);
+  out.px = px;
+  out.nx = box.x1 - box.x0;
+  out.ny = box.y1 - box.y0;
+  const int cx = box.x0 + g.off - src.x0;
+  const int cy = box.y0 + g.off - src.y0;
   for (int y = 0; y < out.ny; ++y) {
-    const auto src = img.values.begin() +
-                     static_cast<std::ptrdiff_t>(y + off) * img.nx + off;
-    std::copy(src, src + out.nx,
+    const auto from = img.values.begin() +
+                      static_cast<std::ptrdiff_t>(y + cy) * img.nx + cx;
+    std::copy(from, from + out.nx,
               img.values.begin() + static_cast<std::ptrdiff_t>(y) * out.nx);
   }
   img.values.resize(static_cast<std::size_t>(out.nx) *
@@ -199,21 +261,12 @@ Raster aerial_image_ex(const Region& mask, const Rect& window,
   return out;
 }
 
-Raster aerial_image(const Region& mask, const Rect& window,
-                    const OpticalModel& model, Coord defocus,
-                    ThreadPool* pool) {
-  return aerial_image_ex(mask, window, model, defocus, pool,
-                         LithoFastMode::kOff);
-}
-
-Region printed_region(const Raster& aerial, const OpticalModel& model,
-                      const ProcessCondition& cond, ThreadPool* pool) {
+// Thresholds into per-column y-runs. A strip of columns reads the image
+// row by row, and each column's runs are written only by its strip.
+ColumnRuns threshold_runs(const Raster& aerial, double th, ThreadPool* pool) {
   TELEM_SPAN_ARG("litho/print", static_cast<std::uint64_t>(aerial.nx) *
                                     static_cast<std::uint64_t>(aerial.ny));
-  const double th = model.threshold / cond.dose;
   const int nx = aerial.nx, ny = aerial.ny;
-  // Threshold into per-column y-runs. A strip of columns reads the image
-  // row by row, and each column's runs are written only by its strip.
   std::vector<std::vector<PixelRun>> columns(static_cast<std::size_t>(nx));
   constexpr int kMinStrip = 64;
   const int tasks =
@@ -247,23 +300,146 @@ Region printed_region(const Raster& aerial, const OpticalModel& model,
   } else {
     for (int s = 0; s < strips; ++s) scan(static_cast<std::size_t>(s));
   }
-  return grid_region(aerial.window, aerial.px, columns);
+  ColumnRuns out;
+  for (const std::vector<PixelRun>& column : columns) {
+    out.runs.insert(out.runs.end(), column.begin(), column.end());
+    out.end_column();
+  }
+  return out;
+}
+
+// `base` with rows [box.y0, box.y1) of columns [box.x0, box.x1) replaced
+// by `sub` (box's columns, rows counted from box.y0). A run of `base`
+// that crosses a box row edge is cut there, and runs meeting at the edge
+// are merged again, so each column stays a list of maximal runs: the
+// runs a threshold of the spliced image would produce.
+ColumnRuns splice_runs(const ColumnRuns& base, const ColumnRuns& sub,
+                       const PixelBox& box) {
+  ColumnRuns out;
+  out.runs.reserve(base.runs.size() + sub.runs.size());
+  const auto push = [&](std::size_t column_start, PixelRun r) {
+    if (out.runs.size() > column_start && out.runs.back().hi == r.lo) {
+      out.runs.back().hi = r.hi;
+    } else {
+      out.runs.push_back(r);
+    }
+  };
+  for (std::size_t x = 0; x < base.columns(); ++x) {
+    const int ix = static_cast<int>(x);
+    const std::size_t first = out.runs.size();
+    if (ix < box.x0 || ix >= box.x1) {
+      out.runs.insert(out.runs.end(), base.begin(x), base.end(x));
+      out.end_column();
+      continue;
+    }
+    for (const PixelRun* r = base.begin(x); r != base.end(x); ++r) {
+      if (r->lo < box.y0) push(first, {r->lo, std::min(r->hi, box.y0)});
+    }
+    const std::size_t sx = static_cast<std::size_t>(ix - box.x0);
+    for (const PixelRun* r = sub.begin(sx); r != sub.end(sx); ++r) {
+      push(first, {r->lo + box.y0, r->hi + box.y0});
+    }
+    for (const PixelRun* r = base.begin(x); r != base.end(x); ++r) {
+      if (r->hi > box.y1) push(first, {std::max(r->lo, box.y1), r->hi});
+    }
+    out.end_column();
+  }
+  return out;
+}
+
+}  // namespace
+
+Raster aerial_image_ex(const Region& mask, const Rect& window,
+                       const OpticalModel& model, Coord defocus,
+                       ThreadPool* pool, LithoFastMode mode,
+                       KernelSpectrumCache* kernels) {
+  const PaddedGrid g = padded_grid(window, model, defocus, mode);
+  return aerial_box(mask, window, model, g, pool, kernels,
+                    PixelBox{0, 0, g.nx, g.ny});
+}
+
+Raster aerial_image(const Region& mask, const Rect& window,
+                    const OpticalModel& model, Coord defocus,
+                    ThreadPool* pool) {
+  return aerial_image_ex(mask, window, model, defocus, pool,
+                         LithoFastMode::kOff);
+}
+
+Region printed_region(const Raster& aerial, const OpticalModel& model,
+                      const ProcessCondition& cond, ThreadPool* pool) {
+  return grid_region(aerial.window, aerial.px,
+                     threshold_runs(aerial, model.threshold / cond.dose, pool));
+}
+
+WindowPrint print_window(const Region& mask, const Rect& window,
+                         const OpticalModel& model,
+                         const ProcessCondition& cond, ThreadPool* pool,
+                         LithoFastMode mode, KernelSpectrumCache* kernels,
+                         const ColumnRuns* prev, const Rect& changed) {
+  const PaddedGrid g = padded_grid(window, model, cond.defocus, mode);
+  const Coord px = model.px;
+  WindowPrint out;
+  out.direct = !g.fft;
+  PixelBox box{0, 0, g.nx, g.ny};
+  const bool splice = out.direct && prev != nullptr &&
+                      prev->columns() == static_cast<std::size_t>(g.nx);
+  if (splice) {
+    // The pixels the change can reach: the padded pixels it touches (the
+    // mask counts out to the padded window), grown by the tap radius and
+    // clamped to the window's grid.
+    const Rect c = changed.intersect(g.padded);
+    const auto lo = [&](Coord v, Coord origin) {
+      return static_cast<int>((v - origin) / px) - g.off - g.radius;
+    };
+    const auto hi = [&](Coord v, Coord origin) {
+      return pixels_over(v - origin, px) - g.off + g.radius;
+    };
+    box = c.is_empty() ? PixelBox{}
+                       : PixelBox{std::max(0, lo(c.lo.x, g.padded.lo.x)),
+                                  std::max(0, lo(c.lo.y, g.padded.lo.y)),
+                                  std::min(g.nx, hi(c.hi.x, g.padded.lo.x)),
+                                  std::min(g.ny, hi(c.hi.y, g.padded.lo.y))};
+  }
+  TELEM_SPAN_ARG("litho/window", box.pixels());
+  // Render the box in row strips, each spliced onto the print so far: a
+  // direct render then holds one strip's raster (grown by the tap
+  // radius) at a time instead of the whole tile's. The FFT renders the
+  // whole padded raster at once anyway, so it takes the box in one strip.
+  constexpr int kStripPixels = 1 << 22;
+  const int rows =
+      g.fft ? std::max(1, box.y1 - box.y0)
+            : std::max(1, kStripPixels / (box.x1 - box.x0 + 2 * g.radius));
+  if (!splice) {
+    for (int x = 0; x < g.nx; ++x) out.runs.end_column();
+  }
+  const ColumnRuns* base = splice ? prev : &out.runs;
+  for (int y = box.y0; y < box.y1; y += rows) {
+    const PixelBox strip{box.x0, y, box.x1, std::min(y + rows, box.y1)};
+    out.runs = splice_runs(
+        *base,
+        threshold_runs(aerial_box(mask, window, model, g, pool, kernels, strip),
+                       model.threshold / cond.dose, pool),
+        strip);
+    base = &out.runs;
+  }
+  if (base != &out.runs) out.runs = *base;
+  return out;
 }
 
 Region simulate_print(const Region& mask, const Rect& window,
                       const OpticalModel& model, const ProcessCondition& cond,
                       ThreadPool* pool) {
-  return printed_region(aerial_image(mask, window, model, cond.defocus, pool),
-                        model, cond, pool);
+  return simulate_print_ex(mask, window, model, cond, pool,
+                           LithoFastMode::kOff);
 }
 
 Region simulate_print_ex(const Region& mask, const Rect& window,
                          const OpticalModel& model,
                          const ProcessCondition& cond, ThreadPool* pool,
                          LithoFastMode mode, KernelSpectrumCache* kernels) {
-  return printed_region(
-      aerial_image_ex(mask, window, model, cond.defocus, pool, mode, kernels),
-      model, cond, pool);
+  return grid_region(
+      window, model.px,
+      print_window(mask, window, model, cond, pool, mode, kernels).runs);
 }
 
 }  // namespace dfm

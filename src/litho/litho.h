@@ -48,9 +48,10 @@ struct Raster {
 };
 
 /// Area-weighted rasterization of a region: each pixel holds its covered
-/// fraction in [0, 1]. With a pool, row bands fill concurrently; each
-/// pixel still accumulates its rects in canonical order, so the image is
-/// bit-identical to the serial one.
+/// fraction in [0, 1]. Coverage is summed exactly in integer nm^2, so a
+/// pixel's value depends only on the point set inside it — not on how it
+/// is cut into rects, on their order, or on the thread count. Throws for
+/// px above 4096 nm, where the sum would stop being exact.
 Raster rasterize(const Region& r, const Rect& window, Coord px,
                  ThreadPool* pool = nullptr);
 
@@ -101,6 +102,36 @@ Raster aerial_image_ex(const Region& mask, const Rect& window,
 Region printed_region(const Raster& aerial, const OpticalModel& model,
                       const ProcessCondition& cond,
                       ThreadPool* pool = nullptr);
+
+/// The print of a simulation window as per-column runs of its pixel grid
+/// (anchored at window.lo, pitch model.px): grid_region(window, model.px,
+/// runs) is simulate_print_ex's region, rect for rect.
+struct WindowPrint {
+  ColumnRuns runs;
+  /// Convolved directly (not by FFT): the runs can seed a later splice.
+  bool direct = false;
+};
+
+/// simulate_print_ex as runs. `prev` and `changed` turn a re-simulation
+/// into a splice: when `prev` is the direct print of this window for a
+/// mask that differs from `mask` only inside `changed`, and this print
+/// convolves directly too, only the pixels the change can reach (those
+/// `changed` touches inside the padded window, grown by the tap radius,
+/// kept to the window's grid) are re-rendered, from a raster of those
+/// pixels grown by the tap radius again, and spliced into `prev`. Raster
+/// pixels are exact and each re-rendered pixel sums the same products in
+/// the same order as in the whole window, so the runs are bit-identical
+/// to a full print. A direct render works in row strips of a few million
+/// pixels, each spliced onto the print so far, so it never holds a whole
+/// large window's raster. A span `litho/window` carries the number of
+/// pixels re-rendered.
+WindowPrint print_window(const Region& mask, const Rect& window,
+                         const OpticalModel& model,
+                         const ProcessCondition& cond, ThreadPool* pool,
+                         LithoFastMode mode,
+                         KernelSpectrumCache* kernels = nullptr,
+                         const ColumnRuns* prev = nullptr,
+                         const Rect& changed = Rect::empty());
 
 /// One-call simulate: mask -> printed region inside `window`.
 Region simulate_print(const Region& mask, const Rect& window,
@@ -171,9 +202,12 @@ struct Hotspot {
 
 /// Compares printed vs drawn target: pinches are target areas that fail
 /// to print (eroded target not covered by print); bridges are printed
-/// areas bridging drawn gaps (print outside the dilated target).
+/// areas bridging drawn gaps (print outside the dilated target). With a
+/// pool the two halves run concurrently; the list (pinches, then
+/// bridges) is the same either way.
 std::vector<Hotspot> find_hotspots(const Region& target, const Region& printed,
-                                   Coord edge_tolerance);
+                                   Coord edge_tolerance,
+                                   ThreadPool* pool = nullptr);
 
 /// Full-flow helper: simulate at nominal + detect.
 std::vector<Hotspot> litho_hotspots(const Region& target, const Rect& window,

@@ -31,6 +31,9 @@ double Raster::sample(Point p) const {
 Raster rasterize(const Region& r, const Rect& window, Coord px,
                  ThreadPool* pool) {
   if (px <= 0) throw std::invalid_argument("pixel size must be positive");
+  // Coverage is summed in integer nm^2, which a float holds exactly up to
+  // 2^24 — one whole pixel of 4096 x 4096 nm.
+  if (px > 4096) throw std::invalid_argument("pixel size above 4096 nm");
   Raster img;
   img.window = window;
   img.px = px;
@@ -44,18 +47,21 @@ Raster rasterize(const Region& r, const Rect& window, Coord px,
   }
   img.values.assign(total, 0.0f);
 
-  // Exact area-weighted coverage: for each canonical rect, distribute its
-  // overlap over the pixel grid with fractional rows/columns at edges.
-  // Parallel fill splits the image into row bands; a band accumulates its
-  // rows from every rect in canonical order, so each pixel sees the same
-  // additions in the same order as the serial loop (bit-identical), and
-  // no two bands touch the same row.
-  const std::vector<Rect>& rects = r.rects();
-  const double pxd = static_cast<double>(px);
+  // Exact area-weighted coverage: each pixel adds, per canonical rect, its
+  // overlap in integer nm^2. Every partial sum is an integer of at most
+  // px^2 (canonical rects never overlap), so the float sum is exact and
+  // independent of the order and of how the point set is cut into rects:
+  // a pixel's value is a pure function of the geometry inside it. Each
+  // row band divides its own rows by px^2 once, so the parallel fill is
+  // bit-identical to the serial one.
+  std::vector<Rect> clipped;
+  for (const Rect& box : r.rects()) {
+    const Rect c = box.intersect(window);
+    if (!c.is_empty()) clipped.push_back(c);
+  }
+  const float pixel_area = static_cast<float>(px * px);
   const auto fill_rows = [&](int row_lo, int row_hi) {
-    for (const Rect& box : rects) {
-      const Rect c = box.intersect(window);
-      if (c.is_empty()) continue;
+    for (const Rect& c : clipped) {
       const int ix0 = static_cast<int>((c.lo.x - window.lo.x) / px);
       const int ix1 = static_cast<int>((c.hi.x - 1 - window.lo.x) / px);
       const int iy0 = std::max(static_cast<int>((c.lo.y - window.lo.y) / px),
@@ -63,22 +69,21 @@ Raster rasterize(const Region& r, const Rect& window, Coord px,
       const int iy1 = std::min(
           static_cast<int>((c.hi.y - 1 - window.lo.y) / px), row_hi - 1);
       for (int iy = iy0; iy <= iy1; ++iy) {
-        const double py0 = static_cast<double>(window.lo.y) + iy * pxd;
-        const double oy = std::min<double>(static_cast<double>(c.hi.y), py0 + pxd) -
-                          std::max<double>(static_cast<double>(c.lo.y), py0);
+        const Coord py0 = window.lo.y + iy * px;
+        const Coord oy = std::min(c.hi.y, py0 + px) - std::max(c.lo.y, py0);
         for (int ix = ix0; ix <= ix1; ++ix) {
-          const double px0 = static_cast<double>(window.lo.x) + ix * pxd;
-          const double ox = std::min<double>(static_cast<double>(c.hi.x), px0 + pxd) -
-                            std::max<double>(static_cast<double>(c.lo.x), px0);
-          img.at(ix, iy) += static_cast<float>((ox * oy) / (pxd * pxd));
+          const Coord px0 = window.lo.x + ix * px;
+          const Coord ox = std::min(c.hi.x, px0 + px) - std::max(c.lo.x, px0);
+          img.at(ix, iy) += static_cast<float>(ox * oy);
         }
       }
     }
+    const auto row = [&](int y) {
+      return img.values.begin() + static_cast<std::ptrdiff_t>(y) * img.nx;
+    };
+    for (auto v = row(row_lo); v != row(row_hi); ++v) *v /= pixel_area;
   };
   detail::for_row_bands(img.ny, pool, fill_rows);
-  // Canonical rects never overlap, but numerical accumulation can nudge a
-  // pixel past 1.
-  for (float& v : img.values) v = std::min(v, 1.0f);
   return img;
 }
 

@@ -124,7 +124,12 @@ TEST_P(GridRegionProperty, EqualsNormalizedUnionOfPixels) {
                       std::min(window.lo.y + run.hi * px, window.hi.y)});
     }
   }
-  const Region grid = grid_region(window, px, columns);
+  ColumnRuns flat;
+  for (const std::vector<PixelRun>& column : columns) {
+    flat.runs.insert(flat.runs.end(), column.begin(), column.end());
+    flat.end_column();
+  }
+  const Region grid = grid_region(window, px, flat);
   EXPECT_EQ(grid.rects(), pixels.rects());
   EXPECT_EQ(grid.rects(), sweep_boolean(grid.rects(), {}, BoolOp::kOr));
 }

@@ -71,7 +71,10 @@ Raster reference_convolve(const Raster& in, const std::vector<float>& taps,
 Raster reference_aerial_image(const Region& mask, const Rect& window,
                               const OpticalModel& model, Coord defocus) {
   const double s = model.sigma_at_nm(defocus);
-  const Coord pad = static_cast<Coord>(std::ceil(3.0 * s)) + model.px;
+  // The reach rounded up to whole pixels, so the crop stays on the
+  // window's pixel grid.
+  const Coord reach = static_cast<Coord>(std::ceil(3.0 * s)) + model.px;
+  const Coord pad = (reach + model.px - 1) / model.px * model.px;
   const Rect padded = window.expanded(pad);
   Raster img = rasterize(mask, padded, model.px);
   const double sigma_px = s / static_cast<double>(model.px);
