@@ -30,7 +30,7 @@ struct MetricsSnapshot;  // core/telemetry.h
 /// One timed pass of the flow.
 struct PassTrace {
   std::string name;
-  double ms = 0;                   // wall time of the pass
+  double ms = 0;                   // wall time of the pass (its span's)
   std::size_t items = 0;           // result items (violations, hotspots, ...)
   std::uint64_t cache_hits = 0;    // snapshot derived products reused
   std::uint64_t cache_misses = 0;  // snapshot derived products built
@@ -57,7 +57,7 @@ struct PassTrace {
 /// Per-pass observability for one flow run.
 struct FlowTrace {
   std::vector<PassTrace> passes;
-  double total_ms = 0;       // wall time of the whole flow
+  double total_ms = 0;       // wall time of the whole flow ("flow" span)
   SnapshotCacheStats cache;  // snapshot cache totals at the end
 
   /// Sum of per-pass wall times (close to total_ms by construction:
@@ -152,8 +152,8 @@ DfmFlowReport run_dfm_flow(std::shared_ptr<const SnapshotSource> source,
                            const DfmFlowOptions& options);
 
 /// Runs the flow over a snapshot the caller already built (its "snapshot"
-/// pass then records zero time). The snapshot must contain
-/// LayoutSnapshot::standard_flow_layers().
+/// pass then times only applying the memory budget). The snapshot must
+/// contain LayoutSnapshot::standard_flow_layers().
 DfmFlowReport run_dfm_flow(const LayoutSnapshot& snap,
                            const DfmFlowOptions& options);
 

@@ -21,8 +21,6 @@ struct FillOptions {
   double target_min = 0.15;  // bring every tile up to at least this
 };
 
-using FillParams [[deprecated("renamed FillOptions")]] = FillOptions;
-
 struct FillResult {
   Region fill;
   int tiles_below = 0;     // tiles initially under the target

@@ -56,8 +56,8 @@ Coord metal_min_space(const Tech& t, LayerKey k) {
 
 // ---- proposal generators (fixed order) ------------------------------------
 
-// 1. Pattern-guided repairs, ported from the legacy auto_fix: deck
-// order, match order.
+// 1. Pattern-guided repairs at DRC-Plus matches: deck order, match
+// order.
 void propose_pattern_repairs(FixPlan& plan, const LayoutSnapshot& snap,
                              const DfmFlowReport& report,
                              const FixOptions& options, const Tech& tech) {

@@ -21,9 +21,8 @@ namespace dfm {
 /// order is the generator order in FixEngine::run.
 enum class FixKind {
   kPatternVia,    // pad growth to full enclosure (DFM.VIA.BORDERLESS,
-                  // R.V1.E.*): the ported autofix via repair
-  kPatternPinch,  // pinch-corridor widening (DFM.PINCH.1): the ported
-                  // autofix pinch repair
+                  // R.V1.E.*)
+  kPatternPinch,  // pinch-corridor widening (DFM.PINCH.1)
   kViaDouble,     // redundant via beside a single-via cut (yield pass)
   kSpread,        // wire spreading at a recommended spacing violation
   kRetarget,      // hotspot-driven local retarget (litho pinch/bridge)
@@ -76,9 +75,9 @@ struct FixPlan {
 
 namespace fix_detail {
 
-// The geometric repair primitives shared by FixEngine's generators and
-// the deprecated auto_fix shim. All are pure: they compute additions
-// against const inputs and leave application to the caller.
+// The geometric repair primitives behind FixEngine's generators. All are
+// pure: they compute additions against const inputs and leave
+// application to the caller.
 
 /// Material may be added iff it keeps `space` to everything it does not
 /// merge with.
@@ -92,13 +91,13 @@ bool via_pad_addition(const Region& vias, const Region& metal, Point anchor,
                       Coord via_size, Coord enclosure, Coord space,
                       Region& add);
 
-/// The ported borderless-via repair: full-enclosure pad growth on both
+/// The borderless-via repair: full-enclosure pad growth on both
 /// metal layers at once (both must be legal or neither is produced).
 bool borderless_via_additions(const Region& vias, const Region& m1,
                               const Region& m2, Point anchor, const Tech& t,
                               Region& add_m1, Region& add_m2);
 
-/// The ported pinch-corridor repair: widen the M1 component under the
+/// The pinch-corridor repair: widen the M1 component under the
 /// window's center perpendicular to its run direction.
 bool pinch_addition(const Region& m1, const Rect& window, const Tech& t,
                     Region& add_m1);

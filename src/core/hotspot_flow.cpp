@@ -1,6 +1,7 @@
 #include "core/hotspot_flow.h"
 
 #include "core/parallel.h"
+#include "core/shard_backend.h"
 #include "core/snapshot.h"
 #include "core/telemetry.h"
 #include "geometry/rtree.h"
@@ -8,6 +9,7 @@
 #include "litho/prefilter.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace dfm {
 namespace {
@@ -148,66 +150,77 @@ TileResult simulate_tile(const NormalizedRegion& layer, const Rect& core,
   return out;
 }
 
-// Stores tile `ti`'s result in `sim`; returns whether it was skipped.
-bool store_tile(HotspotTileSim& sim, std::size_t ti, TileResult&& r) {
-  sim.per_tile[ti] = std::move(r.hotspots);
-  sim.prints[ti] = std::move(r.print);
-  return r.skipped;
-}
-
-// Shared core of the region/snapshot overloads of the cold tiled run.
-HotspotTileSim tiled_impl(const NormalizedRegion& layer, const DensityMap* dm,
-                          const Rect& extent,
-                          const HotspotSimOptions& options) {
-  HotspotTileSim sim;
-  sim.extent = extent;
-  sim.tile = options.tile;
-  if (extent.is_empty()) return sim;
-  sim.tiles = make_tiles(extent, options.tile);
-  sim.per_tile.resize(sim.tiles.size());
-  sim.prints.resize(sim.tiles.size());
-  const PrefilterCalibration cal = resolve_calibration(options);
-  const PrefilterCalibration* calp = cal.valid ? &cal : nullptr;
-  const PassPool pool(options);
-  std::vector<TileResult> results =
-      parallel_map(pool, sim.tiles.size(), [&](std::size_t ti) {
-        TELEM_SPAN_ARG("litho/tile", ti);
-        return simulate_tile(layer, sim.tiles[ti], options, pool, calp, dm,
-                             nullptr, Rect::empty());
-      });
-  for (std::size_t ti = 0; ti < results.size(); ++ti) {
-    if (store_tile(sim, ti, std::move(results[ti]))) ++sim.skipped;
-  }
-  sim.recomputed = sim.tiles.size();
-  return sim;
-}
-
-// Shared core of the region/snapshot overloads of the incremental run.
+// The one tiled run, cold or incremental. A cold run is the case where
+// `prev` is not a simulation of this grid: every tile is stale and none
+// has a cached print. Otherwise only the tiles `dirty` reaches are
+// stale, and the rest carry over from `prev` with their prints. Stale
+// tiles are offered to `shards` first when it is non-null; a tile it
+// handles keeps no print. The tiles it declines simulate here, each
+// splicing into its cached print when it has one.
 HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
                           const Rect& extent, const HotspotSimOptions& options,
-                          HotspotTileSim prev, const Region& dirty) {
-  if (!prev.same_grid(extent, options.tile)) {
-    return tiled_impl(layer, dm, extent, options);
+                          HotspotTileSim prev, const Region& dirty,
+                          ShardBackend* shards) {
+  HotspotTileSim sim;
+  std::vector<StaleTile> stale;
+  if (prev.same_grid(extent, options.tile)) {
+    sim = std::move(prev);
+    stale = stale_litho_tiles(sim.tiles, options, dirty);
+  } else {
+    sim.extent = extent;
+    sim.tile = options.tile;
+    sim.tiles = make_tiles(extent, options.tile);
+    sim.per_tile.resize(sim.tiles.size());
+    for (std::size_t ti = 0; ti < sim.tiles.size(); ++ti) {
+      stale.push_back({ti, Rect::empty()});
+    }
   }
-  HotspotTileSim sim = std::move(prev);
   sim.prints.resize(sim.tiles.size());
-  const std::vector<StaleTile> stale =
-      stale_litho_tiles(sim.tiles, options, dirty);
-  const PrefilterCalibration cal = resolve_calibration(options);
+
+  std::vector<TileResult> results(stale.size());
+  std::vector<std::size_t> local(stale.size());  // indices into `stale`
+  std::iota(local.begin(), local.end(), std::size_t{0});
+  if (shards != nullptr && !stale.empty()) {
+    TELEM_SPAN("shard/litho");
+    std::vector<Rect> cores;
+    cores.reserve(stale.size());
+    for (const StaleTile& st : stale) cores.push_back(sim.tiles[st.index]);
+    std::vector<std::vector<Hotspot>> per_core(cores.size());
+    std::vector<char> skipped(cores.size(), 0);
+    std::vector<char> handled(cores.size(), 0);
+    if (shards->shard_litho(cores, &per_core, &skipped, &handled)) {
+      local.clear();
+      for (std::size_t i = 0; i < stale.size(); ++i) {
+        if (handled[i] == 0) {
+          local.push_back(i);
+        } else {
+          results[i].hotspots = std::move(per_core[i]);
+          results[i].skipped = skipped[i] != 0;
+        }
+      }
+    }
+  }
+  const PrefilterCalibration cal =
+      local.empty() ? PrefilterCalibration{} : resolve_calibration(options);
   const PrefilterCalibration* calp = cal.valid ? &cal : nullptr;
   const PassPool pool(options);
-  std::vector<TileResult> results =
-      parallel_map(pool, stale.size(), [&](std::size_t si) {
-        const StaleTile& st = stale[si];
+  std::vector<TileResult> simulated =
+      parallel_map(pool, local.size(), [&](std::size_t li) {
+        const StaleTile& st = stale[local[li]];
         TELEM_SPAN_ARG("litho/tile", st.index);
         return simulate_tile(layer, sim.tiles[st.index], options, pool, calp,
                              dm, &sim.prints[st.index], st.changed);
       });
+  for (std::size_t li = 0; li < local.size(); ++li) {
+    results[local[li]] = std::move(simulated[li]);
+  }
+
   sim.skipped = 0;
   for (std::size_t si = 0; si < stale.size(); ++si) {
-    if (store_tile(sim, stale[si].index, std::move(results[si]))) {
-      ++sim.skipped;
-    }
+    TileResult& r = results[si];
+    sim.per_tile[stale[si].index] = std::move(r.hotspots);
+    sim.prints[stale[si].index] = std::move(r.print);
+    if (r.skipped) ++sim.skipped;
   }
   sim.recomputed = stale.size();
   return sim;
@@ -272,28 +285,30 @@ std::vector<StaleTile> stale_litho_tiles(const std::vector<Rect>& tiles,
 HotspotTileSim simulate_hotspots_tiled(NormalizedRegion layer,
                                        const Rect& extent,
                                        const HotspotSimOptions& options) {
-  return tiled_impl(layer, nullptr, extent, options);
+  return resim_impl(layer, nullptr, extent, options, {}, Region{}, nullptr);
 }
 
 HotspotTileSim simulate_hotspots_tiled(const LayoutSnapshot& snap,
                                        LayerKey layer, const Rect& extent,
                                        const HotspotSimOptions& options) {
-  return tiled_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options);
+  return resim_impl(snap.layer(layer), density_for(snap, layer, options),
+                    extent, options, {}, Region{}, nullptr);
 }
 
 HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
                                    const HotspotSimOptions& options,
                                    HotspotTileSim prev, const Region& dirty) {
-  return resim_impl(layer, nullptr, extent, options, std::move(prev), dirty);
+  return resim_impl(layer, nullptr, extent, options, std::move(prev), dirty,
+                    nullptr);
 }
 
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   HotspotTileSim prev, const Region& dirty) {
+                                   HotspotTileSim prev, const Region& dirty,
+                                   ShardBackend* shards) {
   return resim_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options, std::move(prev), dirty);
+                    extent, options, std::move(prev), dirty, shards);
 }
 
 std::vector<Hotspot> simulate_hotspots(NormalizedRegion layer,

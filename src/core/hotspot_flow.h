@@ -17,6 +17,7 @@
 namespace dfm {
 
 class LayoutSnapshot;  // core/snapshot.h
+class ShardBackend;    // core/shard_backend.h
 
 struct HotspotFlowOptions : PassOptions {
   using PassOptions::PassOptions;
@@ -28,9 +29,6 @@ struct HotspotFlowOptions : PassOptions {
   double match_threshold = 0.25;    // scan-side distance threshold
   Coord scan_stride = 200;          // sliding-scan stride
 };
-
-using HotspotFlowParams [[deprecated("renamed HotspotFlowOptions")]] =
-    HotspotFlowOptions;
 
 struct HotspotClass {
   Region representative;  // geometry of the defining snippet
@@ -188,11 +186,14 @@ HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
 /// Snapshot-native incremental re-simulation: stale tiles go through the
 /// same density-gate + prefilter + convolution path as the snapshot
 /// overload of simulate_hotspots_tiled, so a splice is bit-identical to
-/// the cold snapshot run under every LithoFastMode.
+/// the cold snapshot run under every LithoFastMode. With `shards`, the
+/// stale tile cores are offered to the backend first and only the ones
+/// it declines simulate here; a tile a shard produced keeps no print.
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   HotspotTileSim prev, const Region& dirty);
+                                   HotspotTileSim prev, const Region& dirty,
+                                   ShardBackend* shards = nullptr);
 
 /// Simulates in tiles (bounded raster size) and returns all hotspots.
 /// Tiles run concurrently on the pool; per-tile results are merged in

@@ -1,112 +1,69 @@
 #include "core/incremental.h"
 
 #include "core/shard_backend.h"
-#include "core/telemetry.h"
 #include "layout/library.h"
 
-#include <chrono>
 #include <utility>
 
 namespace dfm {
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 DfmFlowSession::DfmFlowSession(const Library& lib, std::uint32_t top,
                                DfmFlowOptions options)
     : options_(std::move(options)), pool_(options_) {
-  const auto t0 = Clock::now();
-  telemetry::Span flow_span("flow");
-  const std::uint64_t snap_t0 = telemetry::now_ns();
-  if (const std::size_t budget = resolved_memory_budget(options_)) {
-    // Out-of-core mode: snapshot hydrates lazily from a copy of the
-    // library (the session outlives the caller's reference) and evicts
-    // at pass boundaries to stay under `budget`.
-    snap_ = std::make_unique<LayoutSnapshot>(
-        std::make_shared<LibrarySource>(std::make_shared<Library>(lib), top),
-        LayoutSnapshot::standard_flow_layers());
-    snap_->budget().set_limit(budget);
-  } else {
-    snap_ = std::make_unique<LayoutSnapshot>(lib, top, pool_.get());
-  }
-  telemetry::record_span("flow/snapshot", snap_t0, telemetry::now_ns());
-  report_.trace.passes.push_back(
-      PassTrace{"snapshot", ms_since(t0), snap_->layer_keys().size()});
-  run_cold();
-  report_.trace.total_ms = ms_since(t0);
+  detail::run_flow(report_, options_, pool_.get(), caches_, nullptr,
+                   [&]() -> const LayoutSnapshot& {
+                     // Out-of-core mode hydrates lazily from a copy of the
+                     // library: the session outlives the caller's
+                     // reference.
+                     snap_ = resolved_memory_budget(options_) != 0
+                                 ? std::make_unique<LayoutSnapshot>(
+                                       std::make_shared<LibrarySource>(
+                                           std::make_shared<Library>(lib), top),
+                                       LayoutSnapshot::standard_flow_layers())
+                                 : std::make_unique<LayoutSnapshot>(
+                                       lib, top, pool_.get());
+                     return *snap_;
+                   });
 }
 
 DfmFlowSession::DfmFlowSession(LayerMap layers, DfmFlowOptions options)
     : options_(std::move(options)), pool_(options_) {
-  const auto t0 = Clock::now();
-  telemetry::Span flow_span("flow");
-  const std::uint64_t snap_t0 = telemetry::now_ns();
-  snap_ = std::make_unique<LayoutSnapshot>(std::move(layers));
-  // Eager snapshots can't drop geometry, but their derived products are
-  // still evictable under a budget.
-  if (const std::size_t budget = resolved_memory_budget(options_)) {
-    snap_->budget().set_limit(budget);
-  }
-  telemetry::record_span("flow/snapshot", snap_t0, telemetry::now_ns());
-  report_.trace.passes.push_back(
-      PassTrace{"snapshot", ms_since(t0), snap_->layer_keys().size()});
-  run_cold();
-  report_.trace.total_ms = ms_since(t0);
+  detail::run_flow(report_, options_, pool_.get(), caches_, nullptr,
+                   [&]() -> const LayoutSnapshot& {
+                     snap_ =
+                         std::make_unique<LayoutSnapshot>(std::move(layers));
+                     return *snap_;
+                   });
 }
 
 DfmFlowSession::DfmFlowSession(std::shared_ptr<const SnapshotSource> source,
                                DfmFlowOptions options)
     : options_(std::move(options)), pool_(options_) {
-  const auto t0 = Clock::now();
-  telemetry::Span flow_span("flow");
-  const std::uint64_t snap_t0 = telemetry::now_ns();
-  snap_ = std::make_unique<LayoutSnapshot>(
-      std::move(source), LayoutSnapshot::standard_flow_layers());
-  snap_->budget().set_limit(resolved_memory_budget(options_));
-  telemetry::record_span("flow/snapshot", snap_t0, telemetry::now_ns());
-  report_.trace.passes.push_back(
-      PassTrace{"snapshot", ms_since(t0), snap_->layer_keys().size()});
-  run_cold();
-  report_.trace.total_ms = ms_since(t0);
-}
-
-void DfmFlowSession::run_cold() {
-  detail::run_flow_passes(report_, *snap_, options_, pool_.get(), caches_,
-                          FlowDamage{}, nullptr);
+  detail::run_flow(report_, options_, pool_.get(), caches_, nullptr,
+                   [&]() -> const LayoutSnapshot& {
+                     snap_ = std::make_unique<LayoutSnapshot>(
+                         std::move(source),
+                         LayoutSnapshot::standard_flow_layers());
+                     return *snap_;
+                   });
 }
 
 const DfmFlowReport& DfmFlowSession::apply(const LayoutDelta& delta) {
-  const auto t0 = Clock::now();
-  // Keep shard workers' resident geometry in lockstep before any pass
-  // dispatches to them; the coordinator's damage model below stays the
-  // sole authority on what is stale.
-  if (options_.shards != nullptr) options_.shards->shard_apply(delta);
-  auto next = std::make_unique<IncrementalSnapshot>(*snap_, delta);
-
+  std::unique_ptr<IncrementalSnapshot> next;
   DfmFlowReport rep;
-  PassTrace snap_pass;
-  snap_pass.name = "snapshot";
-  snap_pass.ms = ms_since(t0);
-  snap_pass.items = next->layer_keys().size();
-  snap_pass.total_units = next->layer_keys().size();
-  for (const LayerKey k : next->layer_keys()) {
-    if (next->layer_dirty(k)) ++snap_pass.dirty_units;
-  }
-  snap_pass.incremental = true;
-  rep.trace.passes.push_back(std::move(snap_pass));
-
-  const FlowDamage damage{next.get()};
-  detail::run_flow_passes(rep, *next, options_, pool_.get(), caches_, damage,
-                          &report_);
-  rep.trace.total_ms = ms_since(t0);
-
+  detail::run_flow(rep, options_, pool_.get(), caches_, &report_,
+                   [&]() -> const LayoutSnapshot& {
+                     // Keep shard workers' resident geometry in lockstep
+                     // before any pass dispatches to them; the
+                     // coordinator's damage model stays the sole
+                     // authority on what is stale.
+                     if (options_.shards != nullptr) {
+                       options_.shards->shard_apply(delta);
+                     }
+                     next = std::make_unique<IncrementalSnapshot>(*snap_,
+                                                                  delta);
+                     return *next;
+                   });
   report_ = std::move(rep);
   snap_ = std::move(next);
   return report_;

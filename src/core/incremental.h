@@ -2,16 +2,18 @@
 //
 // A DfmFlowSession runs the full DFM flow cold once, keeps the per-unit
 // intermediate results of every pass (per-rule violation lists, per-
-// window pattern matches, per-tile litho hotspots, per-term CAA fault
-// rates, whole-pass outputs of the other global passes), and on each
-// applied LayoutDelta re-runs only the units whose inputs the edit
-// dirtied — splicing the cached results in for everything else. The
+// window pattern matches, per-tile litho hotspots and prints, per-term
+// CAA fault rates, whole-pass outputs of the other global passes), and
+// on each applied LayoutDelta re-runs only the units whose inputs the
+// edit dirtied — splicing the cached results in for everything else. The
 // spliced report is bit-identical to running the flow cold on the edited
 // layout, at every thread count: each unit is a deterministic function
 // of canonical layer geometry, and a unit is reused only when that
 // geometry is provably unchanged inside the unit's interaction halo.
 //
-// Damage model (what makes a unit dirty):
+// Damage model (what makes a unit dirty; a unit with no cached result
+// is always dirty, so a cold run is the all-dirty case of the same
+// driver, detail::run_flow):
 //  * DRC / recommended rule: any layer in rule_layers(rule) dirtied.
 //    Density rules also read the joint bbox; a bbox-moving edit forces a
 //    full cold run (IncrementalSnapshot::bbox_changed).
@@ -20,7 +22,9 @@
 //    anchor layer every run, so windows appear/move/vanish exactly as
 //    they would cold.
 //  * Litho tile: the dirty region intersects the tile core expanded by
-//    the 6-sigma optical halo (the exact window the tile simulates).
+//    the 6-sigma optical halo (the exact window the tile simulates). A
+//    stale tile with a cached print re-renders only the pixels the
+//    edit reaches.
 //  * Global passes (dpt, via_doubling, connectivity): any input layer
 //    dirtied re-runs the whole pass.
 //  * caa_yield: three units, each keyed on its own input layers — M1
@@ -34,6 +38,7 @@
 #include "core/delta.h"
 #include "core/dfm_flow.h"
 
+#include <functional>
 #include <map>
 #include <memory>
 
@@ -80,14 +85,20 @@ struct FlowDamage {
 };
 
 namespace detail {
-/// The one flow implementation cold and incremental runs share: damage
-/// decides which units recompute, `caches`/`prev` supply the rest, and
-/// both are updated for the next run. A cold run is exactly
-/// run_flow_passes with full damage and empty caches.
-void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
-                     const DfmFlowOptions& options, ThreadPool* pool,
-                     FlowCaches& caches, const FlowDamage& damage,
-                     const DfmFlowReport* prev);
+/// The one flow driver every entry point runs through: the three
+/// run_dfm_flow overloads, the three DfmFlowSession constructors and
+/// DfmFlowSession::apply. It opens the "flow" span, times `snapshot()`
+/// (which builds the snapshot to analyse, or derives it from the last
+/// one) as the "snapshot" pass, applies resolved_memory_budget, and runs
+/// every enabled pass into `rep`. Each pass's PassTrace.ms and its
+/// "flow/<pass>" span are the same two clock reads. With `prev` (the
+/// report `caches` describe) and an IncrementalSnapshot, only the units
+/// its damage makes stale recompute and the rest splice in from
+/// `caches`; otherwise the run is cold (full damage). Either way
+/// `caches` is left describing this run.
+void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
+              ThreadPool* pool, FlowCaches& caches, const DfmFlowReport* prev,
+              const std::function<const LayoutSnapshot&()>& snapshot);
 }  // namespace detail
 
 /// The fix -> recheck loop: build once, edit cheaply.
@@ -124,8 +135,6 @@ class DfmFlowSession {
   const DfmFlowReport& apply(const LayoutDelta& delta);
 
  private:
-  void run_cold();
-
   DfmFlowOptions options_;
   PassPool pool_;
   std::unique_ptr<LayoutSnapshot> snap_;

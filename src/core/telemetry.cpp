@@ -121,6 +121,8 @@ ThreadBuffer* register_thread() {
   return raw;
 }
 
+}  // namespace
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -142,6 +144,8 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string us_str(std::uint64_t ns) {
   char buf[40];

@@ -134,15 +134,37 @@ class Span {
     parent_ = parent;
   }
   ~Span() {
+    if (name_ != nullptr) close_at(now_ns());
+  }
+
+  /// A span opened at `start_ns`, a now_ns() reading the caller keeps to
+  /// time the same interval itself. Closing it with close_at() makes the
+  /// recorded span and the caller's duration the same two clock reads.
+  static Span opened_at(const char* name, std::uint64_t start_ns) {
+    return Span(name, start_ns, OpenedAt{});
+  }
+
+  /// Closes the span at `end_ns` (a now_ns() reading) instead of at
+  /// destruction. No-op on an inert or already closed span.
+  void close_at(std::uint64_t end_ns) {
     if (name_ == nullptr) return;
     --detail::tl_depth;
-    detail::record(name_, start_, now_ns(), depth_, arg_, id_, parent_);
+    detail::record(name_, start_, end_ns, depth_, arg_, id_, parent_);
+    name_ = nullptr;
   }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
+  struct OpenedAt {};
+  Span(const char* name, std::uint64_t start_ns, OpenedAt) {
+    if (!enabled()) return;
+    name_ = name;
+    depth_ = detail::tl_depth++;
+    start_ = start_ns;
+  }
+
   const char* name_ = nullptr;
   std::uint64_t start_ = 0;
   std::uint64_t arg_ = 0;
@@ -165,6 +187,10 @@ void record_span_ids(const char* name, std::uint64_t start_ns,
 /// Interns a dynamic name, returning a pointer that stays valid for the
 /// process lifetime. Cold path (mutex + map); never call per-item.
 const char* intern(const std::string& name);
+
+/// JSON string escaping (quotes, backslashes, control characters) for
+/// every JSON document the toolkit writes.
+std::string json_escape(const std::string& s);
 
 /// Names the calling thread's track in exported traces. Takes effect
 /// whenever the thread registers (first recorded event); cheap enough to

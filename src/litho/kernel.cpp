@@ -16,15 +16,6 @@ double OpticalModel::sigma_at_nm(Coord defocus) const {
                    extra * extra);
 }
 
-// Deprecated shim: the historical API rounded to integer nm, collapsing
-// nearby defocus values onto the same kernel.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-Coord OpticalModel::sigma_at(Coord defocus) const {
-  return static_cast<Coord>(std::lround(sigma_at_nm(defocus)));
-}
-#pragma GCC diagnostic pop
-
 namespace detail {
 // defined here, declared in kernel_detail.h
 

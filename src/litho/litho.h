@@ -64,12 +64,6 @@ struct OpticalModel {
   /// Unrounded — kernel taps built from this value track defocus
   /// smoothly instead of quantizing to integer-nm sigma steps.
   double sigma_at_nm(Coord defocus) const;
-
-  /// Deprecated: rounds the effective sigma to integer nm, which
-  /// quantizes the defocus response (Bossung curves develop flat
-  /// steps). Kept as a shim; use sigma_at_nm.
-  [[deprecated("use sigma_at_nm; rounding quantizes the defocus response")]]
-  Coord sigma_at(Coord defocus) const;
 };
 
 struct ProcessCondition {

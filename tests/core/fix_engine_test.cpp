@@ -5,6 +5,7 @@
 // over the fixed layout at every thread count.
 #include "core/fix_engine.h"
 
+#include "drc/engine.h"
 #include "gen/generators.h"
 
 #include <gtest/gtest.h>
@@ -67,6 +68,128 @@ std::string plan_signature(const FixPlan& plan) {
     sig += '\n';
   }
   return sig;
+}
+
+// ---- repair primitives ------------------------------------------------------
+
+LayerMap cell_layers(const Cell& c) {
+  LayerMap m;
+  for (const LayerKey k : {layers::kMetal1, layers::kMetal2, layers::kVia1}) {
+    m.emplace(k, c.local_region(k));
+  }
+  return m;
+}
+
+std::size_t borderless_hits(const DrcPlusDeck& deck, const DrcPlusResult& r) {
+  std::size_t hits = 0;
+  for (std::size_t si = 0; si < deck.pattern_sets.size(); ++si) {
+    for (const PatternMatch& m : r.matches[si]) {
+      if (deck.pattern_sets[si].rules[m.rule_index].name ==
+          "DFM.VIA.BORDERLESS") {
+        ++hits;
+      }
+    }
+  }
+  return hits;
+}
+
+TEST(FixPrimitives, BorderlessViaRepairGivesFullEnclosure) {
+  const Tech& t = Tech::standard();
+  Cell c{"c"};
+  add_via(c, t, {0, 0}, ViaStyle::kBorderless);  // bare via: exact match
+  LayerMap layers = cell_layers(c);
+  const DrcPlusDeck deck = DrcPlusDeck::standard(t);
+  const DrcPlusEngine engine{deck};
+  const DrcPlusResult before = engine.run(LayoutSnapshot(layers));
+  ASSERT_GE(borderless_hits(deck, before), 1u);
+
+  // Repair every borderless match in turn, each against the layout the
+  // repairs before it left.
+  std::size_t fixed = 0;
+  for (std::size_t si = 0; si < deck.pattern_sets.size(); ++si) {
+    for (const PatternMatch& m : before.matches[si]) {
+      if (deck.pattern_sets[si].rules[m.rule_index].name !=
+          "DFM.VIA.BORDERLESS") {
+        continue;
+      }
+      Region a1;
+      Region a2;
+      if (!fix_detail::borderless_via_additions(
+              layers.at(layers::kVia1), layers.at(layers::kMetal1),
+              layers.at(layers::kMetal2), m.anchor, t, a1, a2)) {
+        continue;
+      }
+      EXPECT_FALSE(a1.empty());
+      layers.at(layers::kMetal1).add(a1);
+      layers.at(layers::kMetal2).add(a2);
+      ++fixed;
+    }
+  }
+  EXPECT_GE(fixed, 1u);
+
+  // The repaired via is fully enclosed on both metals, and the matcher
+  // no longer fires on it.
+  const Region& via = layers.at(layers::kVia1);
+  EXPECT_TRUE(
+      (via.bloated(t.via_enclosure) - layers.at(layers::kMetal1)).empty());
+  EXPECT_TRUE(
+      (via.bloated(t.via_enclosure) - layers.at(layers::kMetal2)).empty());
+  EXPECT_EQ(borderless_hits(deck, engine.run(LayoutSnapshot(layers))), 0u);
+}
+
+TEST(FixPrimitives, BorderlessViaRepairRefusedWhenSpacingWouldBreak) {
+  const Tech& t = Tech::standard();
+  Cell c{"c"};
+  add_via(c, t, {0, 0}, ViaStyle::kBorderless);
+  // A hostile neighbour too close to where the pad must grow.
+  const Coord pad_edge = t.via_size / 2 + t.via_enclosure;
+  c.add(layers::kMetal1,
+        Rect{pad_edge + t.m1_space - 5, -100, pad_edge + t.m1_space + 95, 100});
+  const LayerMap layers = cell_layers(c);
+  Region a1;
+  Region a2;
+  EXPECT_FALSE(fix_detail::borderless_via_additions(
+      layers.at(layers::kVia1), layers.at(layers::kMetal1),
+      layers.at(layers::kMetal2), Point{0, 0}, t, a1, a2));
+  EXPECT_TRUE(a1.empty());
+  EXPECT_TRUE(a2.empty());
+}
+
+TEST(FixPrimitives, PinchRepairWidensWhenRoomExists) {
+  const Tech& t = Tech::standard();
+  // A pinch-like corridor with relaxed gaps (1.5x min space): room to
+  // widen the middle line. The window is aimed by hand (the relaxed
+  // corridor is not the exact deck pattern).
+  const Coord w = t.m1_width;
+  const Coord s = t.m1_space + t.m1_space / 2;
+  const Coord len = 14 * w;
+  Region m1;
+  m1.add(Rect{0, 0, len, 3 * w});
+  m1.add(Rect{0, 3 * w + s, len, 4 * w + s});
+  m1.add(Rect{0, 4 * w + 2 * s, len, 7 * w + 2 * s});
+  const Region middle_before = m1.clipped(Rect{0, 3 * w + s, len, 4 * w + s});
+
+  Region a1;
+  ASSERT_TRUE(fix_detail::pinch_addition(
+      m1, Rect{len / 2 - 400, 0, len / 2 + 400, 7 * w + 2 * s}, t, a1));
+  m1.add(a1);
+  // The middle line is wider now, and no spacing violation was created.
+  EXPECT_GT(m1.clipped(Rect{0, 2 * w, len, 5 * w + 2 * s}).area(),
+            middle_before.area());
+  EXPECT_TRUE(check_min_spacing(m1, t.m1_space, "S").empty());
+}
+
+TEST(FixPlan, NoPatternMatchesNoPatternRepairs) {
+  const Tech& t = Tech::standard();
+  Cell c{"c"};
+  add_via(c, t, {0, 0}, ViaStyle::kSymmetric);
+  const LayoutSnapshot snap(cell_layers(c));
+  DfmFlowReport report;
+  report.drcplus = DrcPlusEngine{DrcPlusDeck::standard(t)}.run(snap);
+  ASSERT_EQ(report.drcplus.pattern_match_count(), 0u);
+  FixOptions fo;
+  fo.moves = {"pattern_via", "pattern_pinch"};
+  EXPECT_TRUE(FixEngine::run(snap, report, fo, t).empty());
 }
 
 TEST(FixKindNames, RoundTrip) {

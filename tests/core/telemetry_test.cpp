@@ -2,16 +2,20 @@
 // under multi-thread contention (with a concurrent drain — the TSan
 // target), the Chrome-trace exporter's output is byte-stable, rings drop
 // (and count) instead of wrapping, histograms clamp into their edge
-// buckets, and — the one that matters for sign-off — recording never
-// changes the flow's answer.
+// buckets, the flow's spans and trace rows come from one clock and nest
+// the same way for cold and incremental runs, and — the one that
+// matters for sign-off — recording never changes the flow's answer.
 #include "core/telemetry.h"
 
 #include "core/dfm_flow.h"
+#include "core/incremental.h"
 #include "gen/generators.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,7 +96,9 @@ TEST_F(TelemetryTest, SpanNestingUnderContention) {
     for (const telem::SpanEvent& e : t.events) {
       // The recorded depth must agree with the name's nesting level.
       for (std::uint32_t d = 0; d < 4; ++d) {
-        if (std::string(e.name) == kDepthName[d]) EXPECT_EQ(e.depth, d);
+        if (std::string(e.name) == kDepthName[d]) {
+          EXPECT_EQ(e.depth, d);
+        }
       }
     }
     // Spans close inner-first, so within each recursion the ring holds
@@ -401,6 +407,114 @@ TEST_F(TelemetryTest, RecordingDoesNotChangeTheFlowReport) {
   if (telem::compiled_in()) {
     EXPECT_GT(telem::drain().total_events(), 0u);
   }
+}
+
+/// A small session layout and litho options quick enough for a unit
+/// test; one thread, so every span lands on the calling thread.
+struct SessionFixture {
+  LayerMap layers;
+  DfmFlowOptions options;
+  LayoutDelta edit;
+
+  SessionFixture() {
+    DesignParams p;
+    p.seed = 7;
+    p.rows = 2;
+    p.cells_per_row = 4;
+    p.routes = 8;
+    const Library lib = generate_design(p);
+    for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+      layers.emplace(k, lib.flatten(lib.top_cells()[0], k));
+    }
+    options.threads = 1;
+    options.model.sigma = 20;
+    options.model.px = 10;
+    options.litho_tile = 6000;
+    const Point c = lib.bbox(lib.top_cells()[0]).center();
+    edit.add(layers::kMetal1, Rect{c.x - 100, c.y - 100, c.x + 100, c.y + 100});
+  }
+};
+
+/// (span name, parent span name) for every span at depth <= 1; a root's
+/// parent is "". The parent is the depth-0 span on the same thread whose
+/// interval holds the child.
+std::set<std::pair<std::string, std::string>> top_span_pairs(
+    const telem::TraceSnapshot& trace) {
+  std::set<std::pair<std::string, std::string>> out;
+  for (const telem::ThreadTrace& t : trace.threads) {
+    for (const telem::SpanEvent& e : t.events) {
+      if (e.depth > 1) continue;
+      std::string parent;
+      for (const telem::SpanEvent& r : t.events) {
+        if (e.depth == 1 && r.depth == 0 && r.start_ns <= e.start_ns &&
+            e.end_ns <= r.end_ns) {
+          parent = r.name;
+        }
+      }
+      out.emplace(e.name, parent);
+    }
+  }
+  return out;
+}
+
+TEST_F(TelemetryTest, IncrementalRunHasTheColdSpanTree) {
+  if (!telem::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  const SessionFixture f;
+  telem::set_enabled(true);
+  DfmFlowSession session(LayerMap(f.layers), f.options);
+  telem::set_enabled(false);
+  const auto cold = top_span_pairs(telem::drain());
+  telem::clear();
+
+  telem::set_enabled(true);
+  session.apply(f.edit);
+  telem::set_enabled(false);
+  const auto incremental = top_span_pairs(telem::drain());
+
+  // The derive is the incremental run's "snapshot" pass, and every pass
+  // nests under the "flow" root exactly as in the cold run.
+  EXPECT_EQ(cold, incremental);
+  const std::pair<std::string, std::string> want[] = {
+      {"flow", ""},
+      {"flow/snapshot", "flow"},
+      {"flow/drc_plus", "flow"},
+      {"flow/litho", "flow"},
+      {"flow/caa_yield", "flow"}};
+  for (const auto& pair : want) {
+    EXPECT_EQ(incremental.count(pair), 1u) << pair.first;
+  }
+}
+
+TEST_F(TelemetryTest, PassTimesAreTheirSpans) {
+  const SessionFixture f;
+  // Every "flow/<pass>" span lasts exactly its PassTrace.ms and the
+  // "flow" root exactly total_ms: both come from the same clock reads.
+  const auto check = [&](const DfmFlowReport& rep) {
+    EXPECT_LE(rep.trace.passes_ms(), rep.trace.total_ms);
+    if (!telem::compiled_in()) return;
+    std::map<std::string, double> span_ms;
+    for (const telem::ThreadTrace& t : telem::drain().threads) {
+      for (const telem::SpanEvent& e : t.events) {
+        span_ms[e.name] = static_cast<double>(e.end_ns - e.start_ns) / 1e6;
+      }
+    }
+    ASSERT_EQ(span_ms.count("flow"), 1u);
+    EXPECT_EQ(span_ms["flow"], rep.trace.total_ms);
+    for (const PassTrace& p : rep.trace.passes) {
+      ASSERT_EQ(span_ms.count("flow/" + p.name), 1u) << p.name;
+      EXPECT_EQ(span_ms["flow/" + p.name], p.ms) << p.name;
+    }
+  };
+  telem::set_enabled(true);
+  DfmFlowSession session(LayerMap(f.layers), f.options);
+  telem::set_enabled(false);
+  check(session.report());
+  telem::clear();
+
+  telem::set_enabled(true);
+  session.apply(f.edit);
+  telem::set_enabled(false);
+  check(session.report());
 }
 
 }  // namespace

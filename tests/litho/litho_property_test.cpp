@@ -130,12 +130,6 @@ TEST(LithoBossung, UnroundedSigmaGrowsInQuadrature) {
   EXPECT_DOUBLE_EQ(m.sigma_at_nm(0), 25.0);  // best focus is untouched
   EXPECT_NEAR(m.sigma_at_nm(6), std::sqrt(625.0 + 9.0), 1e-12);
   EXPECT_NEAR(m.sigma_at_nm(40), std::sqrt(625.0 + 400.0), 1e-12);
-  // The deprecated shim still answers, rounded to integer nm.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_EQ(m.sigma_at(6), 25);
-  EXPECT_EQ(m.sigma_at(40), 32);
-#pragma GCC diagnostic pop
 }
 
 }  // namespace

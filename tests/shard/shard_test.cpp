@@ -9,7 +9,9 @@
 #include "shard/local_backend.h"
 
 #include "core/incremental.h"
+#include "core/parallel.h"
 #include "core/stream_source.h"
+#include "core/telemetry.h"
 #include "gdsii/gdsii.h"
 #include "gen/generators.h"
 #include "shard/remote_backend.h"
@@ -364,6 +366,79 @@ TEST(LocalShard, IncrementalMatchesUnshardedAfterEveryEdit) {
     DfmFlowSession cold(LayerMap(shadow), opt);
     EXPECT_TRUE(reports_equivalent(sharded.report(), cold.report()))
         << "analysis drifted from cold truth after edit " << i;
+  }
+}
+
+TEST(LocalShard, DeclinedTileEditSplicesLocally) {
+  // Workers planned for a much smaller litho tile get a halo too small
+  // for the flow's tiles, so a tile whose 6-sigma window escapes every
+  // shard window is declined (cf. ShardRouting.UncoverableTileIsDeclined)
+  // and simulated by the coordinator, which keeps its print. An M1 edit
+  // inside such a tile re-renders only the edit's pixels into that print
+  // and must stay exact.
+  const LayerMap m = small_design(23);
+  const DfmFlowOptions opt = fast_options(2, /*litho=*/true);
+  shard::ShardWorkerConfig small_halo = worker_config(opt);
+  small_halo.litho_tile = 200;
+  LocalShardBackend backend(m, 3, small_halo);
+  DfmFlowOptions with_shards = opt;
+  with_shards.shards = &backend;
+  DfmFlowSession sharded(LayerMap(m), with_shards);
+  DfmFlowSession unsharded(LayerMap(m), opt);
+  ASSERT_EQ(flow_report_canonical_json(sharded.report()),
+            flow_report_canonical_json(unsharded.report()));
+
+  // A declined tile with M1 geometry at its center, where the edit goes.
+  const Region& m1 = m.at(layers::kMetal1);
+  Rect edit = Rect::empty();
+  for (const Rect& core : make_tiles(m1.bbox(), opt.litho_tile)) {
+    const Point c = core.center();
+    const Rect probe{c.x - 100, c.y - 100, c.x + 100, c.y + 100};
+    if (shard::route_litho_tile(backend.plan(), core, opt.model.sigma) < 0 &&
+        !m1.clipped(probe.expanded(200)).empty()) {
+      edit = probe;
+      break;
+    }
+  }
+  ASSERT_FALSE(edit.is_empty()) << "no declined tile to edit in";
+
+  LayerMap shadow = m;
+  for (const bool add : {true, false}) {
+    LayoutDelta d;
+    if (add) {
+      d.add(layers::kMetal1, edit);
+    } else {
+      d.remove(layers::kMetal1, edit);
+    }
+    const bool traced = telemetry::compiled_in();
+    telemetry::clear();
+    telemetry::set_enabled(traced);
+    sharded.apply(d);
+    telemetry::set_enabled(false);
+    unsharded.apply(d);
+    d.apply(shadow);
+    EXPECT_FALSE(backend.degraded());
+    EXPECT_EQ(flow_report_canonical_json(sharded.report()),
+              flow_report_canonical_json(unsharded.report()));
+    DfmFlowSession cold(LayerMap(shadow), opt);
+    EXPECT_TRUE(reports_equivalent(sharded.report(), cold.report()));
+    if (!traced) continue;
+    // The declined tile spliced: a litho/window render far smaller than
+    // the tile's (tile + 12 sigma)^2 / px^2 pixels.
+    const std::uint64_t tile_px = static_cast<std::uint64_t>(
+        ((opt.litho_tile + 12 * opt.model.sigma) / opt.model.px) *
+        ((opt.litho_tile + 12 * opt.model.sigma) / opt.model.px));
+    bool spliced = false;
+    for (const telemetry::ThreadTrace& t : telemetry::drain().threads) {
+      for (const telemetry::SpanEvent& e : t.events) {
+        if (std::string(e.name) == "litho/window" && e.arg > 0 &&
+            e.arg * 16 < tile_px) {
+          spliced = true;
+        }
+      }
+    }
+    telemetry::clear();
+    EXPECT_TRUE(spliced) << (add ? "add" : "remove");
   }
 }
 
