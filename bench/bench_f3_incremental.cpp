@@ -12,8 +12,11 @@
 #include "core/dfm_flow.h"
 #include "core/incremental.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <string>
 
 using namespace dfm;
 using namespace dfm::bench;
@@ -41,6 +44,108 @@ DfmFlowOptions flow_options(unsigned threads) {
   // neighbourhood, not half the chip.
   o.litho_tile = 4000;
   return o;
+}
+
+double median(std::vector<double> v) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+// The edit probe: perfbench's scale-8 design (seed 7) under a warm
+// session at default options and 4 threads. Each layer gets `per_layer`
+// seeded 200 x 200 patches in empty space (a 100-dbu margin to every
+// shape and 800 dbu inside the bbox, so no edit moves the extent), each
+// added and then removed; every apply is one sample. Prints the cold
+// flow time, the per-layer apply medians and, per layer, the median of
+// every pass's PassTrace ms. Returns false when a spliced report
+// diverges from a cold run over the same layout.
+bool edit_probe(int per_layer) {
+  DesignParams p;
+  p.seed = 7;
+  p.name = "f1_s8";
+  p.rows = 8;
+  p.cells_per_row = 32;
+  p.routes = 80;
+  p.via_fields = 8;
+  p.vias_per_field = 64;
+  const Library lib = generate_design(p);
+  const std::uint32_t top = lib.top_cells()[0];
+  DfmFlowOptions options;
+  options.threads = 4;
+
+  Stopwatch t_cold;
+  DfmFlowSession session(lib, top, options);
+  const double cold_ms = t_cold.ms();
+
+  const LayerKey layers_[3] = {layers::kMetal1, layers::kMetal2,
+                               layers::kVia1};
+  const char* names[3] = {"m1", "m2", "via1"};
+  const LayoutSnapshot index(lib, top,
+                             std::vector<LayerKey>(std::begin(layers_),
+                                                   std::end(layers_)));
+  const Rect box = index.bbox().expanded(-800);
+  Rng rng(7);
+  std::map<std::string, std::vector<double>> apply_ms[3];
+  bool equal = true;
+  for (int n = 0; n < 3 * per_layer; ++n) {
+    const int l = n % 3;
+    Rect patch = Rect::empty();
+    while (patch.is_empty()) {
+      const Coord x = rng.uniform(box.lo.x, box.hi.x - 200);
+      const Coord y = rng.uniform(box.lo.y, box.hi.y - 200);
+      const Rect r{x, y, x + 200, y + 200};
+      if (index.rtree(layers_[l]).query(r.expanded(100)).empty()) patch = r;
+    }
+    for (const bool add : {true, false}) {
+      LayoutDelta d;
+      if (add) {
+        d.add(layers_[l], patch);
+      } else {
+        d.remove(layers_[l], patch);
+      }
+      Stopwatch t;
+      const DfmFlowReport& rep = session.apply(d);
+      apply_ms[l]["apply"].push_back(t.ms());
+      for (const PassTrace& pt : rep.trace.passes) {
+        apply_ms[l][pt.name].push_back(pt.ms);
+      }
+      // One cold check per layer keeps the probe's own cost bounded.
+      if (n < 3 && add) {
+        LayerMap edited;
+        for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+          edited.emplace(k, lib.flatten(top, k));
+        }
+        d.apply(edited);
+        const LayoutSnapshot snap{edited};
+        equal = equal && reports_equivalent(rep, run_dfm_flow(snap, options));
+      }
+    }
+  }
+
+  std::printf("\nEdit probe: scale-8 (seed 7), default options, 4 threads, "
+              "%d patches per layer, each added then removed\n",
+              per_layer);
+  std::printf("cold flow: %.1f ms\n", cold_ms);
+  Table table("edit probe: per-layer medians (ms)");
+  std::vector<std::string> header = {"layer", "apply"};
+  const char* passes[] = {"snapshot",     "drc_plus",     "recommended",
+                          "litho",        "dpt",          "via_doubling",
+                          "connectivity", "caa_yield"};
+  for (const char* pass : passes) header.emplace_back(pass);
+  table.set_header(header);
+  for (int l = 0; l < 3; ++l) {
+    std::vector<std::string> row = {names[l],
+                                    Table::num(median(apply_ms[l]["apply"]), 1)};
+    for (const char* pass : passes) {
+      row.push_back(Table::num(median(apply_ms[l][pass]), 1));
+    }
+    table.add_row(row);
+  }
+  table.print();
+  std::printf("spliced reports equal a cold run: %s\n", equal ? "yes" : "NO");
+  return equal;
 }
 
 }  // namespace
@@ -128,6 +233,9 @@ int main() {
   // wobbles for reasons that have nothing to do with the splice logic.
   // DFMKIT_BENCH_SPEEDUP_MIN relaxes (or tightens) only that threshold;
   // the default stays the paper's 5x.
+  const bool probe_equal = edit_probe(30);
+  all_equal = all_equal && probe_equal;
+
   double speedup_min = 5.0;
   if (const char* env = std::getenv("DFMKIT_BENCH_SPEEDUP_MIN")) {
     char* end = nullptr;

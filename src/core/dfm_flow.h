@@ -34,10 +34,11 @@ struct PassTrace {
   std::size_t items = 0;           // result items (violations, hotspots, ...)
   std::uint64_t cache_hits = 0;    // snapshot derived products reused
   std::uint64_t cache_misses = 0;  // snapshot derived products built
-  // Incremental accounting. A "unit" is the pass's splice granule (DRC
-  // rule, capture window, litho tile, whole pass for the global ones);
-  // a cold run recomputes all of them, an incremental run only the
-  // dirty ones.
+  // Incremental accounting. A "unit" is the pass's splice granule
+  // ((rule x tile) for DRC and recommended rules, one per density rule,
+  // capture window, litho tile, (term x tile) for the M1 CAA term, whole
+  // pass for the global ones); a cold run recomputes all of them, an
+  // incremental run only the dirty ones.
   std::size_t total_units = 0;
   std::size_t dirty_units = 0;
   bool incremental = false;  // ran against an IncrementalSnapshot

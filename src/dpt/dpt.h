@@ -60,6 +60,12 @@ struct Decomposition {
 /// Full decomposition flow: color, split odd-cycle nodes at conflict-
 /// separating cuts (bounded retries), emit masks with stitch overlap.
 Decomposition decompose_dpt(const Region& layer, const Tech& tech);
+namespace detail {
+/// decompose_dpt with the layer's components (Region::components()
+/// order, e.g. a snapshot's memoized labelling) already computed.
+Decomposition decompose_dpt_nodes(const Region& layer,
+                                  std::vector<Region> nodes, const Tech& tech);
+}  // namespace detail
 /// Same over one layer of a snapshot (empty layer when absent).
 Decomposition decompose_dpt(const LayoutSnapshot& snap, LayerKey layer,
                             const Tech& tech);

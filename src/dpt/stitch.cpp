@@ -65,9 +65,14 @@ bool split_node(const Region& node, const std::vector<Region>& neighbours,
 }  // namespace
 
 Decomposition decompose_dpt(const Region& layer, const Tech& tech) {
+  return detail::decompose_dpt_nodes(layer, layer.components(), tech);
+}
+
+Decomposition detail::decompose_dpt_nodes(const Region& layer,
+                                          std::vector<Region> nodes,
+                                          const Tech& tech) {
   TELEM_SPAN("dpt/decompose");
   Decomposition out;
-  std::vector<Region> nodes = layer.components();
   // Track which node pairs are split halves (stitch partners).
   std::vector<std::pair<std::size_t, std::size_t>> partners;
   std::vector<Rect> strips;
@@ -133,7 +138,8 @@ Decomposition decompose_dpt(const Region& layer, const Tech& tech) {
 
 Decomposition decompose_dpt(const LayoutSnapshot& snap, LayerKey layer,
                             const Tech& tech) {
-  return decompose_dpt(snap.layer(layer), tech);
+  return detail::decompose_dpt_nodes(snap.layer(layer),
+                                     snap.components(layer).regions, tech);
 }
 
 }  // namespace dfm

@@ -401,6 +401,12 @@ WindowPrint print_window(const Region& mask, const Rect& window,
                                   std::min(g.ny, hi(c.hi.y, g.padded.lo.y))};
   }
   TELEM_SPAN_ARG("litho/window", box.pixels());
+  if (box.x1 > box.x0 && box.y1 > box.y0) {
+    out.rendered =
+        Rect{window.lo.x + box.x0 * px, window.lo.y + box.y0 * px,
+             window.lo.x + box.x1 * px, window.lo.y + box.y1 * px}
+            .intersect(window);
+  }
   // Render the box in row strips, each spliced onto the print so far: a
   // direct render then holds one strip's raster (grown by the tap
   // radius) at a time instead of the whole tile's. The FFT renders the

@@ -104,6 +104,9 @@ struct WindowPrint {
   ColumnRuns runs;
   /// Convolved directly (not by FFT): the runs can seed a later splice.
   bool direct = false;
+  /// The part of the window whose pixels this call rendered: the whole
+  /// window, or just the spliced pixels (empty when none changed).
+  Rect rendered = Rect::empty();
 };
 
 /// simulate_print_ex as runs. `prev` and `changed` turn a re-simulation

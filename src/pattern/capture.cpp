@@ -79,8 +79,14 @@ TopologicalPattern capture_window(const LayerMap& layers,
 
 std::vector<AnchorWindow> anchor_windows(const Region& anchor_layer,
                                          Coord radius) {
+  return anchor_windows(anchor_layer.components(), radius);
+}
+
+std::vector<AnchorWindow> anchor_windows(const std::vector<Region>& comps,
+                                         Coord radius) {
   std::vector<AnchorWindow> out;
-  for (const Region& comp : anchor_layer.components()) {
+  out.reserve(comps.size());
+  for (const Region& comp : comps) {
     const Point c = comp.bbox().center();
     out.push_back(AnchorWindow{
         c, Rect{c.x - radius, c.y - radius, c.x + radius, c.y + radius}});
@@ -111,7 +117,9 @@ std::vector<CapturedPattern> capture_at_anchors(
     LayerKey anchor_layer, Coord radius, ThreadPool* pool) {
   const std::vector<LayerIndex> index = snapshot_index(snap, on);
   const std::vector<AnchorWindow> sites =
-      anchor_windows(snap.layer(anchor_layer), radius);
+      snap.has(anchor_layer)
+          ? anchor_windows(snap.components(anchor_layer).regions, radius)
+          : std::vector<AnchorWindow>{};
   // Sites capture concurrently (the indices are read-only); parallel_map
   // keeps the results in component order — identical to the serial scan.
   return parallel_map(pool, sites.size(), [&](std::size_t i) {

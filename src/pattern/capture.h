@@ -44,6 +44,10 @@ struct AnchorWindow {
 /// and captures only the sites its damage regions touch.
 std::vector<AnchorWindow> anchor_windows(const Region& anchor_layer,
                                          Coord radius);
+/// Same over the anchor layer's components (Region::components() order,
+/// e.g. LayoutSnapshot::components).
+std::vector<AnchorWindow> anchor_windows(const std::vector<Region>& comps,
+                                         Coord radius);
 
 /// Captures one anchor site over the snapshot's memoized indexes.
 /// capture_at_anchors(snap, ...) == capture_window_at mapped over

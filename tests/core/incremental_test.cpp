@@ -4,10 +4,12 @@
 // every thread count.
 #include "core/incremental.h"
 
+#include "splice_streams.h"
 #include "gen/generators.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -354,19 +356,48 @@ TEST(DfmFlowSession, BboxMovingEditFallsBackToFullRun) {
       << "a bbox-moving edit must degrade to a full re-run";
 }
 
-// caa_yield splices three units: M1 layer-local shorts (m1), M2
-// net-aware shorts (m1, via1, m2) and M2 opens (m2). One edit per layer,
-// in sequence on one session, so each run sums terms cached by earlier
-// runs with the ones it recomputes; every report must equal a cold flow
-// with the CAA doubles bit-equal, and the trace must show which units ran.
+// caa_yield splices the M1 layer-local shorts term per grid tile (m1)
+// plus two whole units: M2 net-aware shorts (m1, via1, m2) and M2 opens
+// (m2). One edit per layer, in sequence on one session, so each run sums
+// terms cached by earlier runs with the ones it recomputes; every report
+// must equal a cold flow with the CAA doubles bit-equal, and the trace
+// must show which units ran.
 class CaaSplice : public ::testing::TestWithParam<unsigned> {};
 
-std::size_t caa_dirty_units(const DfmFlowReport& rep) {
+std::size_t caa_dirty_units(const DfmFlowReport& rep, std::size_t tiles) {
   const PassTrace* caa = rep.trace.find("caa_yield");
   EXPECT_NE(caa, nullptr);
   if (caa == nullptr) return 0;
-  EXPECT_EQ(caa->total_units, 3u);
+  EXPECT_EQ(caa->total_units, tiles + 2);
   return caa->dirty_units;
+}
+
+/// The M1 tiles an M1 edit `patch` makes stale, counted the way the
+/// pass defines them: cells the patch grown by the largest defect's
+/// half-width (rounded up) touches, and cells under any edited component
+/// touching the patch, grown the same way.
+std::size_t m1_tiles_reached(const LayerMap& edited, const Rect& patch,
+                             const DfmFlowOptions& opt) {
+  const LayoutSnapshot snap{LayerMap(edited)};
+  const TileGrid grid(snap.bbox(), opt.tech.density_tile);
+  const Coord reach = (opt.defects.xmax + 1) / 2;
+  std::vector<char> hit(grid.size(), 0);
+  std::vector<Rect> reached = {patch.expanded(reach)};
+  const LayerComponents& comps = snap.components(layers::kMetal1);
+  for (std::size_t i = 0; i < comps.regions.size(); ++i) {
+    for (const Rect& r : comps.regions[i].rects()) {
+      if (r.touches(patch)) {
+        reached.push_back(comps.boxes[i].expanded(reach));
+        break;
+      }
+    }
+  }
+  for (std::size_t t = 0; t < grid.size(); ++t) {
+    for (const Rect& r : reached) {
+      if (grid.cell(t).touches(r)) hit[t] = 1;
+    }
+  }
+  return static_cast<std::size_t>(std::count(hit.begin(), hit.end(), 1));
 }
 
 void expect_matches_cold(const DfmFlowReport& warm, const LayerMap& shadow,
@@ -385,6 +416,8 @@ TEST_P(CaaSplice, EachUnitRecomputesOnlyOnItsOwnLayers) {
   LayerMap shadow = base;
   DfmFlowSession session(base, opt);
   const Rect core = interior(session.snapshot().bbox());
+  const std::size_t tiles =
+      TileGrid(session.snapshot().bbox(), opt.tech.density_tile).size();
 
   // Via1: a cut where M1 and M2 overlap inside the core, so it can
   // merge nets and move the net-aware M2 term.
@@ -399,9 +432,16 @@ TEST_P(CaaSplice, EachUnitRecomputesOnlyOnItsOwnLayers) {
     Rect rect;
     std::size_t dirty;
   };
+  const Rect m1_patch{core.lo.x, core.lo.y, core.lo.x + 300, core.lo.y + 60};
+  LayerMap m1_edited = base;
+  {
+    LayoutDelta d;
+    d.add(layers::kMetal1, m1_patch);
+    d.apply(m1_edited);
+  }
   const std::vector<Step> steps = {
-      {"m1", layers::kMetal1,
-       Rect{core.lo.x, core.lo.y, core.lo.x + 300, core.lo.y + 60}, 2},
+      {"m1", layers::kMetal1, m1_patch,
+       m1_tiles_reached(m1_edited, m1_patch, opt) + 1},
       {"m2", layers::kMetal2,
        Rect{core.hi.x - 300, core.hi.y - 60, core.hi.x, core.hi.y}, 2},
       {"via1", layers::kVia1,
@@ -413,12 +453,12 @@ TEST_P(CaaSplice, EachUnitRecomputesOnlyOnItsOwnLayers) {
     d.add(s.layer, s.rect);
     d.apply(shadow);
     const DfmFlowReport& warm = session.apply(d);
-    EXPECT_EQ(caa_dirty_units(warm), s.dirty);
+    EXPECT_EQ(caa_dirty_units(warm, tiles), s.dirty);
     expect_matches_cold(warm, shadow, opt);
   }
 
   const DfmFlowReport& idle = session.apply(LayoutDelta{});
-  EXPECT_EQ(caa_dirty_units(idle), 0u);
+  EXPECT_EQ(caa_dirty_units(idle, tiles), 0u);
   expect_matches_cold(idle, shadow, opt);
 
   const Rect bb = session.snapshot().bbox();
@@ -427,8 +467,71 @@ TEST_P(CaaSplice, EachUnitRecomputesOnlyOnItsOwnLayers) {
            Rect{bb.hi.x + 4000, bb.lo.y, bb.hi.x + 4060, bb.lo.y + 3000});
   grow.apply(shadow);
   const DfmFlowReport& full = session.apply(grow);
-  EXPECT_EQ(caa_dirty_units(full), 3u);
+  const std::size_t grown =
+      TileGrid(session.snapshot().bbox(), opt.tech.density_tile).size();
+  EXPECT_EQ(caa_dirty_units(full, grown), grown + 2);
   expect_matches_cold(full, shadow, opt);
+}
+
+// The M1 shorts term per (tile x defect size): integer areas summed in
+// tile order reproduce the cold double bit for bit after every step of
+// the edit streams (isolated, merging, splitting, seam-straddling,
+// extent-edge and bbox-moving edits).
+TEST_P(CaaSplice, M1TileStreamsMatchColdFlow) {
+  splice_streams::run_streams(GetParam(), "caa_yield");
+}
+
+// The M1 halo is exact: a patch one unit inside half the largest defect
+// size from a seam still reaches the neighbouring tile's coverage (its
+// bloat meets a wire's there), so that tile must recompute.
+TEST_P(CaaSplice, EditJustInsideTheHaloRechecksTheNeighbourTile) {
+  DfmFlowOptions opt;
+  opt.threads = GetParam();
+  opt.passes = {"caa_yield"};
+  const Coord tile = opt.tech.density_tile;
+  const Coord reach = (opt.defects.xmax + 1) / 2;
+  LayerMap m;
+  for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+    m.emplace(k, Region{});
+  }
+  Region& m1 = m.at(layers::kMetal1);
+  m1.add(Rect{0, 0, 100, 100});                      // bbox corners: two
+  m1.add(Rect{2 * tile - 100, 0, 2 * tile, 100});    // cells side by side
+  m1.add(Rect{tile - 1000, 1000, tile - 10, 1100});  // wire near the seam
+  DfmFlowSession session(m, opt);
+  const Rect patch{tile + reach - 1, 1000, tile + reach + 99, 1100};
+  LayoutDelta d;
+  d.add(layers::kMetal1, patch);
+  d.apply(m);
+  const DfmFlowReport& warm = session.apply(d);
+  expect_matches_cold(warm, m, opt);
+  // The patch's own cell and the neighbour, plus the net-aware M2 term.
+  EXPECT_EQ(caa_dirty_units(warm, 2), 3u);
+}
+
+// Net identity is global: a U-shaped net whose base lies outside a
+// tile's window shows that tile two separate arms, which must still count
+// as one net (no short between them) when the tile recomputes.
+TEST_P(CaaSplice, NetLeavingTheTileWindowKeepsItsLabel) {
+  DfmFlowOptions opt;
+  opt.threads = GetParam();
+  opt.passes = {"caa_yield"};
+  const Coord tile = opt.tech.density_tile;
+  LayerMap m;
+  for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+    m.emplace(k, Region{});
+  }
+  Region& m1 = m.at(layers::kMetal1);
+  m1.add(Rect{0, 0, 100, 100});
+  m1.add(Rect{2 * tile - 100, 1900, 2 * tile, 2000});
+  m1.add(Rect{tile / 2, 1000, tile + 3000, 1100});  // lower arm
+  m1.add(Rect{tile / 2, 1500, tile + 3000, 1600});  // upper arm
+  m1.add(Rect{tile / 2, 1000, tile / 2 + 100, 1600});  // base, far left
+  DfmFlowSession session(m, opt);
+  LayoutDelta d;
+  d.add(layers::kMetal1, Rect{tile + 4000, 300, tile + 4100, 350});
+  d.apply(m);
+  expect_matches_cold(session.apply(d), m, opt);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, CaaSplice, ::testing::Values(1u, 2u, 8u));

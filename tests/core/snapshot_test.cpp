@@ -7,6 +7,8 @@
 // Library-path flow field for field.
 #include "core/snapshot.h"
 
+#include "core/delta.h"
+
 #include "core/dfm_flow.h"
 #include "core/parallel.h"
 #include "gen/generators.h"
@@ -105,6 +107,50 @@ TEST(LayoutSnapshot, DerivedProductsAreBitIdenticalToFreshComputation) {
       EXPECT_EQ(memo_map.values, fresh_map.values);
     }
   }
+}
+
+// The memoized labelling is Region::components() byte for byte, and its
+// 2x-grid users (spacing, CAA shorts) get exactly the components of the
+// scaled layer by scaling each component.
+TEST(LayoutSnapshot, ComponentsMemoMatchesRegionComponents) {
+  const Library lib = small_design(77);
+  const LayoutSnapshot snap(lib, lib.top_cells().front());
+  for (const LayerKey k : {layers::kMetal1, layers::kMetal2, layers::kVia1}) {
+    const Region& layer = snap.layer(k).region();
+    const LayerComponents& memo = snap.components(k);
+    const std::vector<Region> direct = layer.components();
+    const std::vector<Region> direct2x = layer.scaled(2).components();
+    ASSERT_EQ(memo.regions.size(), direct.size());
+    ASSERT_EQ(direct2x.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+      EXPECT_EQ(memo.regions[i].rects(), direct[i].rects());
+      EXPECT_EQ(memo.boxes[i], direct[i].bbox());
+      EXPECT_EQ(memo.regions[i].scaled(2).rects(), direct2x[i].rects());
+    }
+    EXPECT_EQ(&snap.components(k), &memo);  // built once
+  }
+  EXPECT_TRUE(snap.components(layers::kMetal2).regions.size() > 0);
+  EXPECT_TRUE(snap.components(LayerKey{99, 0}).regions.empty());  // absent
+}
+
+// Components are charged to the budget, shared by clean layers of an
+// IncrementalSnapshot and rebuilt for dirty ones.
+TEST(LayoutSnapshot, ComponentsShareCleanLayersAndRebuildDirtyOnes) {
+  const Library lib = small_design(78);
+  const LayoutSnapshot base(lib, lib.top_cells().front());
+  const std::size_t before = base.budget().current();
+  const LayerComponents& m1 = base.components(layers::kMetal1);
+  const LayerComponents& m2 = base.components(layers::kMetal2);
+  EXPECT_GT(base.budget().current(), before);
+  const Rect bb = base.bbox();
+  LayoutDelta d;
+  d.add(layers::kMetal1, Rect{bb.lo.x + 10, bb.lo.y + 10, bb.lo.x + 60,
+                              bb.lo.y + 60});
+  const IncrementalSnapshot inc(base, d);
+  EXPECT_EQ(&inc.components(layers::kMetal2), &m2);
+  EXPECT_NE(&inc.components(layers::kMetal1), &m1);
+  EXPECT_EQ(inc.components(layers::kMetal1).regions,
+            inc.layer(layers::kMetal1).region().components());
 }
 
 TEST(LayoutSnapshot, CacheStatsCountEveryReadAndBuildOnce) {

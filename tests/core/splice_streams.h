@@ -1,0 +1,196 @@
+// Edit streams for the damage-local splice suites: generated designs,
+// the edit cases a spatial splice has to get right, and a driver that
+// checks a warm session against a cold flow after every step.
+#pragma once
+
+#include "core/incremental.h"
+
+#include "gen/generators.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
+
+namespace dfm::splice_streams {
+
+inline LayerMap design_layers(std::uint64_t seed, int rows, int cells) {
+  DesignParams p;
+  p.seed = seed;
+  p.rows = rows;
+  p.cells_per_row = cells;
+  p.routes = 3 * cells;
+  p.via_fields = 2;
+  p.vias_per_field = 16;
+  const Library lib = generate_design(p);
+  LayerMap m;
+  for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+    m.emplace(k, lib.flatten(lib.top_cells()[0], k));
+  }
+  return m;
+}
+
+/// Default options restricted to one pass (litho only when it is asked
+/// for, on a coarse raster with small tiles so edits cross seams).
+inline DfmFlowOptions splice_options(unsigned threads, const std::string& pass) {
+  DfmFlowOptions o;
+  o.threads = threads;
+  o.passes = {pass};
+  o.run_litho = pass == "litho";
+  if (o.run_litho) {
+    o.model.sigma = 20;
+    o.model.px = 10;
+    o.litho_tile = 3000;
+  }
+  return o;
+}
+
+/// Names the first report field that differs, for a readable failure.
+inline std::string first_difference(const DfmFlowReport& a, const DfmFlowReport& b) {
+  const auto& va = a.drcplus.drc.violations;
+  const auto& vb = b.drcplus.drc.violations;
+  if (va != vb) {
+    std::string out = "drc violations (" + std::to_string(va.size()) +
+                      " vs " + std::to_string(vb.size()) + ")";
+    for (std::size_t i = 0; i < std::min(va.size(), vb.size()); ++i) {
+      if (!(va[i] == vb[i])) {
+        out += " first at " + std::to_string(i) + ": " + va[i].rule + " " +
+               to_string(va[i].marker) + " m=" +
+               std::to_string(va[i].measured) + " vs " + vb[i].rule + " " +
+               to_string(vb[i].marker) + " m=" +
+               std::to_string(vb[i].measured);
+        break;
+      }
+    }
+    return out;
+  }
+  if (a.drcplus.matches != b.drcplus.matches) return "pattern matches";
+  if (a.recommended != b.recommended) {
+    std::string out = "recommended";
+    for (std::size_t i = 0; i < a.recommended.counts.size(); ++i) {
+      out += " " + a.recommended.counts[i].first + "=" +
+             std::to_string(a.recommended.counts[i].second) + "/" +
+             std::to_string(b.recommended.counts[i].second);
+    }
+    return out;
+  }
+  if (a.hotspots != b.hotspots) {
+    return "hotspots (" + std::to_string(a.hotspots.size()) + " vs " +
+           std::to_string(b.hotspots.size()) + ")";
+  }
+  if (a.lambda_shorts != b.lambda_shorts) return "lambda_shorts";
+  if (!reports_equivalent(a, b)) return "other fields";
+  return "";
+}
+
+/// One edit of a stream, added and then removed.
+struct Edit {
+  const char* what;
+  LayerKey layer;
+  Rect rect;
+};
+
+/// The edit cases, found on the design itself so every generated design
+/// gets each of them.
+inline std::vector<Edit> edit_cases(const LayerMap& m) {
+  const LayoutSnapshot snap{LayerMap(m)};
+  const Rect bb = snap.bbox();
+  const Coord tile = Tech::standard().density_tile;
+  std::vector<Edit> out;
+  const LayerComponents& m1 = snap.components(layers::kMetal1);
+  const RTree& tree = snap.rtree(layers::kMetal1);
+
+  // Isolated: an empty 200 x 200 spot with a 200-dbu margin.
+  for (Coord y = bb.lo.y + 400; y + 600 < bb.hi.y && out.empty(); y += 170) {
+    for (Coord x = bb.lo.x + 400; x + 600 < bb.hi.x; x += 230) {
+      const Rect r{x, y, x + 200, y + 200};
+      if (tree.query(r.expanded(200)).empty()) {
+        out.push_back({"isolated", layers::kMetal1, r});
+        break;
+      }
+    }
+  }
+  // Merging: a bridge across the gap between two horizontally adjacent
+  // components whose y extents overlap.
+  for (std::size_t i = 0; i < m1.regions.size() && out.size() < 2; ++i) {
+    const Rect a = m1.boxes[i];
+    for (const std::uint32_t j : tree.query(Rect{a.hi.x + 1, a.lo.y,
+                                                 a.hi.x + 150, a.hi.y})) {
+      const Rect b = snap.layer(layers::kMetal1).rects()[j];
+      const Coord lo = std::max(a.lo.y, b.lo.y);
+      const Coord hi = std::min(a.hi.y, b.hi.y);
+      if (b.lo.x > a.hi.x && hi - lo >= 40) {
+        out.push_back({"merge", layers::kMetal1,
+                       Rect{a.hi.x - 10, lo, b.lo.x + 10, lo + 40}});
+        break;
+      }
+    }
+  }
+  // Splitting: a 40-dbu slice across a wire segment that cuts its
+  // component in two.
+  for (std::size_t i = 0; i < m1.regions.size() && out.size() < 3; ++i) {
+    for (const Rect& r : m1.regions[i].rects()) {
+      if (r.width() < 200 || r.height() > 150) continue;
+      const Coord x = (r.lo.x + r.hi.x) / 2;
+      const Rect slice{x, r.lo.y, x + 40, r.hi.y};
+      if ((m1.regions[i] - Region{slice}).components().size() > 1) {
+        out.push_back({"split", layers::kMetal1, slice});
+        break;
+      }
+    }
+  }
+  // Straddling the first vertical tile seam, mid-height.
+  const Coord seam = bb.lo.x + tile;
+  const Coord my = (bb.lo.y + bb.hi.y) / 2;
+  out.push_back({"seam", layers::kMetal1, Rect{seam - 120, my, seam + 80, my + 45}});
+  // A sub-minimum-area square whose anchor lies exactly on the seam.
+  out.push_back({"on seam", layers::kMetal1,
+                 Rect{seam, my - 900, seam + 30, my - 870}});
+  // A notch-forming sliver near a wire on the seam, on M2.
+  out.push_back({"seam m2", layers::kMetal2,
+                 Rect{seam - 30, my + 300, seam + 30, my + 700}});
+  // At the extent edge, inside the bbox.
+  out.push_back({"edge", layers::kMetal1,
+                 Rect{bb.lo.x, bb.lo.y, bb.lo.x + 45, bb.lo.y + 300}});
+  // A via that may violate enclosure.
+  out.push_back({"via", layers::kVia1,
+                 Rect{seam + 5, my - 400, seam + 55, my - 350}});
+  // bbox-moving.
+  out.push_back({"grow", layers::kMetal1,
+                 Rect{bb.hi.x + 500, bb.lo.y, bb.hi.x + 540, bb.lo.y + 900}});
+  return out;
+}
+
+/// Runs every edit case of `m` as add then remove on one warm session,
+/// checking each step against a cold flow.
+inline void run_stream(const LayerMap& m, const DfmFlowOptions& opt) {
+  DfmFlowSession session(m, opt);
+  LayerMap shadow = m;
+  for (const Edit& e : edit_cases(m)) {
+    for (const bool add : {true, false}) {
+      SCOPED_TRACE(std::string(e.what) + (add ? " add" : " remove"));
+      LayoutDelta d;
+      if (add) {
+        d.add(e.layer, e.rect);
+      } else {
+        d.remove(e.layer, e.rect);
+      }
+      d.apply(shadow);
+      const DfmFlowReport& warm = session.apply(d);
+      const DfmFlowReport cold = run_dfm_flow(LayoutSnapshot(LayerMap(shadow)), opt);
+      EXPECT_TRUE(reports_equivalent(warm, cold))
+          << first_difference(warm, cold);
+    }
+  }
+}
+
+/// run_stream over three generated designs.
+inline void run_streams(unsigned threads, const std::string& pass) {
+  for (const std::uint64_t seed : {3u, 11u, 29u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    run_stream(design_layers(seed, 3, 8), splice_options(threads, pass));
+  }
+}
+
+}  // namespace dfm::splice_streams
