@@ -4,6 +4,7 @@
 #include "core/snapshot.h"
 #include "geometry/rtree.h"
 #include "layout/density.h"
+#include "layout/tile_grid.h"
 
 namespace dfm {
 
@@ -23,42 +24,38 @@ FillResult insert_fill(const Region& layer, const Rect& extent,
                            static_cast<double>(p.square);
   const Coord step = p.square + p.spacing;
 
-  for (int iy = 0; iy < before.ny; ++iy) {
-    for (int ix = 0; ix < before.nx; ++ix) {
-      const double d = before.at(ix, iy);
-      if (d >= p.target_min) continue;
-      ++res.tiles_below;
-      const Coord tx0 = extent.lo.x + p.tile * ix;
-      const Coord ty0 = extent.lo.y + p.tile * iy;
-      const Rect tile{tx0, ty0, std::min(tx0 + p.tile, extent.hi.x),
-                      std::min(ty0 + p.tile, extent.hi.y)};
-      const double tile_area = static_cast<double>(tile.area());
-      double have = d * tile_area;
-      const double want = p.target_min * tile_area;
+  const TileGrid grid(extent, p.tile);
+  for (std::size_t t = 0; t < grid.size(); ++t) {
+    const double d = before.values[t];
+    if (d >= p.target_min) continue;
+    ++res.tiles_below;
+    const Rect tile = grid.core(t);
+    const double tile_area = static_cast<double>(tile.area());
+    double have = d * tile_area;
+    const double want = p.target_min * tile_area;
 
-      for (Coord y = tile.lo.y; y + p.square <= tile.hi.y && have < want;
-           y += step) {
-        for (Coord x = tile.lo.x; x + p.square <= tile.hi.x && have < want;
-             x += step) {
-          const Rect candidate{x, y, x + p.square, y + p.square};
-          bool blocked = false;
-          tree.visit(candidate, [&](std::uint32_t i) {
-            if (obstacles[i].overlaps(candidate)) blocked = true;
-          });
-          if (blocked) continue;
-          // Moat against already-placed fill.
-          if (region_distance(res.fill, Region{candidate},
-                              p.spacing) < p.spacing &&
-              !res.fill.empty()) {
-            continue;
-          }
-          res.fill.add(candidate);
-          ++res.squares;
-          have += fill_area;
+    for (Coord y = tile.lo.y; y + p.square <= tile.hi.y && have < want;
+         y += step) {
+      for (Coord x = tile.lo.x; x + p.square <= tile.hi.x && have < want;
+           x += step) {
+        const Rect candidate{x, y, x + p.square, y + p.square};
+        bool blocked = false;
+        tree.visit(candidate, [&](std::uint32_t i) {
+          if (obstacles[i].overlaps(candidate)) blocked = true;
+        });
+        if (blocked) continue;
+        // Moat against already-placed fill.
+        if (region_distance(res.fill, Region{candidate},
+                            p.spacing) < p.spacing &&
+            !res.fill.empty()) {
+          continue;
         }
+        res.fill.add(candidate);
+        ++res.squares;
+        have += fill_area;
       }
-      if (have >= want) ++res.tiles_fixed;
     }
+    if (have >= want) ++res.tiles_fixed;
   }
   return res;
 }

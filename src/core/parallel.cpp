@@ -1,6 +1,7 @@
 #include "core/parallel.h"
 
 #include "core/telemetry.h"
+#include "layout/tile_grid.h"
 
 #include <algorithm>
 
@@ -194,15 +195,7 @@ void ThreadPool::parallel_for(std::size_t n,
 }
 
 std::vector<Rect> make_tiles(const Rect& extent, Coord tile) {
-  std::vector<Rect> out;
-  if (extent.is_empty() || tile <= 0) return out;
-  for (Coord y = extent.lo.y; y < extent.hi.y; y += tile) {
-    for (Coord x = extent.lo.x; x < extent.hi.x; x += tile) {
-      out.push_back(Rect{x, y, std::min(x + tile, extent.hi.x),
-                         std::min(y + tile, extent.hi.y)});
-    }
-  }
-  return out;
+  return TileGrid(extent, tile).cores();
 }
 
 }  // namespace dfm

@@ -124,8 +124,8 @@ auto parallel_map(ThreadPool* pool, std::size_t n, F&& fn)
 }
 
 /// Row-major tile decomposition of `extent` (y-outer scan order, partial
-/// tiles clamped at the hi edges) — the canonical item ordering every
-/// tiled pass schedules and merges by.
+/// tiles clamped at the hi edges): the cores of TileGrid(extent, tile),
+/// the canonical item ordering every tiled pass schedules and merges by.
 std::vector<Rect> make_tiles(const Rect& extent, Coord tile);
 
 }  // namespace dfm

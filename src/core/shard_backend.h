@@ -27,6 +27,7 @@
 namespace dfm {
 
 class LayoutDelta;  // core/delta.h
+struct TileRisk;    // core/hotspot_flow.h
 
 class ShardBackend {
  public:
@@ -63,13 +64,13 @@ class ShardBackend {
 
   /// Distributed litho tile simulation. `cores` are the stale tile
   /// cores (make_tiles order); a handled core's per_core[i] receives
-  /// the hotspots the core owns and skipped[i] the prefilter outcome,
-  /// exactly as simulate_litho_tile reports them. A core whose 6-sigma
+  /// the core's risk state (own hotspots and seam pieces) and skipped[i]
+  /// the prefilter outcome, exactly as simulate_litho_tile reports them. A core whose 6-sigma
   /// simulation window escapes every shard window is declined
   /// (handled[i] stays false) and the flow simulates it locally.
   /// Returns false to decline the whole batch.
   virtual bool shard_litho(const std::vector<Rect>& cores,
-                           std::vector<std::vector<Hotspot>>* per_core,
+                           std::vector<TileRisk>* per_core,
                            std::vector<char>* skipped,
                            std::vector<char>* handled) = 0;
 

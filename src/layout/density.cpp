@@ -1,5 +1,7 @@
 #include "layout/density.h"
 
+#include "layout/tile_grid.h"
+
 #include <algorithm>
 
 namespace dfm {
@@ -23,32 +25,24 @@ DensityMap density_map(const Region& r, const Rect& window, Coord tile) {
   DensityMap m;
   m.window = window;
   m.tile = tile;
-  if (window.is_empty() || tile <= 0) return m;
-  m.nx = static_cast<int>((window.width() + tile - 1) / tile);
-  m.ny = static_cast<int>((window.height() + tile - 1) / tile);
-  m.values.assign(static_cast<std::size_t>(m.nx) * static_cast<std::size_t>(m.ny),
-                  0.0);
+  const TileGrid grid(window, tile);
+  m.nx = grid.nx();
+  m.ny = grid.ny();
+  m.values.assign(grid.size(), 0.0);
 
   // Accumulate each canonical rect's overlap into the tiles it spans.
+  std::vector<std::size_t> tiles;
   for (const Rect& box : r.rects()) {
     const Rect c = box.intersect(window);
     if (c.is_empty()) continue;
-    const int ix0 = static_cast<int>((c.lo.x - window.lo.x) / tile);
-    const int ix1 = static_cast<int>((c.hi.x - 1 - window.lo.x) / tile);
-    const int iy0 = static_cast<int>((c.lo.y - window.lo.y) / tile);
-    const int iy1 = static_cast<int>((c.hi.y - 1 - window.lo.y) / tile);
-    for (int iy = iy0; iy <= iy1; ++iy) {
-      const Coord ty0 = window.lo.y + tile * iy;
-      const Coord ty1 = std::min(ty0 + tile, window.hi.y);
-      for (int ix = ix0; ix <= ix1; ++ix) {
-        const Coord tx0 = window.lo.x + tile * ix;
-        const Rect t{tx0, ty0, std::min(tx0 + tile, window.hi.x), ty1};
-        const Rect ov = c.intersect(t);
-        if (ov.is_empty() || t.is_empty()) continue;
-        m.values[static_cast<std::size_t>(iy) * static_cast<std::size_t>(m.nx) +
-                 static_cast<std::size_t>(ix)] +=
-            static_cast<double>(ov.area()) / static_cast<double>(t.area());
-      }
+    tiles.clear();
+    grid.touching(Rect{c.lo.x, c.lo.y, c.hi.x - 1, c.hi.y - 1}, tiles);
+    for (const std::size_t t : tiles) {
+      const Rect core = grid.core(t);
+      const Rect ov = c.intersect(core);
+      if (ov.is_empty() || core.is_empty()) continue;
+      m.values[t] +=
+          static_cast<double>(ov.area()) / static_cast<double>(core.area());
     }
   }
   return m;

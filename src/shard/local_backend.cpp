@@ -118,7 +118,7 @@ bool LocalShardBackend::shard_match(std::size_t set_index,
 }
 
 bool LocalShardBackend::shard_litho(const std::vector<Rect>& cores,
-                                    std::vector<std::vector<Hotspot>>* per_core,
+                                    std::vector<TileRisk>* per_core,
                                     std::vector<char>* skipped,
                                     std::vector<char>* handled) {
   if (degraded_) return false;

@@ -45,7 +45,7 @@ class LocalShardBackend : public ShardBackend {
                    std::vector<std::vector<PatternMatch>>* out,
                    std::vector<char>* handled) override;
   bool shard_litho(const std::vector<Rect>& cores,
-                   std::vector<std::vector<Hotspot>>* per_core,
+                   std::vector<TileRisk>* per_core,
                    std::vector<char>* skipped,
                    std::vector<char>* handled) override;
   void shard_apply(const LayoutDelta& delta) override;

@@ -354,7 +354,7 @@ bool RemoteShardBackend::shard_match(
 }
 
 bool RemoteShardBackend::shard_litho(const std::vector<Rect>& cores,
-                                     std::vector<std::vector<Hotspot>>* per_core,
+                                     std::vector<TileRisk>* per_core,
                                      std::vector<char>* skipped,
                                      std::vector<char>* handled) {
   if (degraded_) return false;
@@ -380,22 +380,28 @@ bool RemoteShardBackend::shard_litho(const std::vector<Rect>& cores,
   }
   const std::vector<Json> responses = call_many(targets, requests);
   if (responses.empty() && !targets.empty()) return false;
-  std::vector<std::vector<Hotspot>> got(cores.size());
+  std::vector<TileRisk> got(cores.size());
   std::vector<char> skip(cores.size(), 0);
   std::vector<char> ok(cores.size(), 0);
   try {
     for (std::size_t b = 0; b < responses.size(); ++b) {
       const Json::Array& hs = responses[b].find("hotspots")->as_array();
+      const Json::Array& ps = responses[b].find("pieces")->as_array();
       const Json::Array& sk = responses[b].find("skipped")->as_array();
       const std::vector<std::size_t>& idx = *batches[b];
-      if (hs.size() != idx.size() || sk.size() != idx.size()) {
+      if (hs.size() != idx.size() || ps.size() != idx.size() ||
+          sk.size() != idx.size()) {
         throw service::JsonError("hotspots: wrong arity");
       }
       for (std::size_t j = 0; j < idx.size(); ++j) {
-        std::vector<Hotspot> per;
-        per.reserve(hs[j].as_array().size());
+        TileRisk per;
+        per.interior.reserve(hs[j].as_array().size());
         for (const Json& jh : hs[j].as_array()) {
-          per.push_back(hotspot_from_json(jh));
+          per.interior.push_back(hotspot_from_json(jh));
+        }
+        per.edges.reserve(ps[j].as_array().size());
+        for (const Json& jp : ps[j].as_array()) {
+          per.edges.push_back(risk_piece_from_json(jp));
         }
         got[idx[j]] = std::move(per);
         skip[idx[j]] = sk[j].as_int() != 0 ? 1 : 0;

@@ -134,19 +134,24 @@ Json do_match(const Json& req, ShardWorkerSession& session, std::uint64_t id) {
 
 Json do_litho(const Json& req, ShardWorkerSession& session, std::uint64_t id) {
   Json::Array hotspots;
+  Json::Array pieces;
   Json::Array skipped;
   for (const Json& jc : require(req, "cores").as_array()) {
     bool skip = false;
-    const std::vector<Hotspot> hs =
-        session.litho_tile(rect_from_json(jc), skip);
-    Json::Array per;
-    per.reserve(hs.size());
-    for (const Hotspot& h : hs) per.push_back(hotspot_to_json(h));
-    hotspots.push_back(Json(std::move(per)));
+    const TileRisk risk = session.litho_tile(rect_from_json(jc), skip);
+    Json::Array hs;
+    hs.reserve(risk.interior.size());
+    for (const Hotspot& h : risk.interior) hs.push_back(hotspot_to_json(h));
+    hotspots.push_back(Json(std::move(hs)));
+    Json::Array ps;
+    ps.reserve(risk.edges.size());
+    for (const RiskPiece& p : risk.edges) ps.push_back(risk_piece_to_json(p));
+    pieces.push_back(Json(std::move(ps)));
     skipped.push_back(Json(skip ? 1 : 0));
   }
   Json::Object fields;
   fields["hotspots"] = Json(std::move(hotspots));
+  fields["pieces"] = Json(std::move(pieces));
   fields["skipped"] = Json(std::move(skipped));
   return make_ok(id, std::move(fields));
 }

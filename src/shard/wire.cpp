@@ -187,6 +187,22 @@ Hotspot hotspot_from_json(const Json& j) {
   return h;
 }
 
+Json risk_piece_to_json(const RiskPiece& p) {
+  Json::Object o;
+  o["kind"] = Json(p.kind == HotspotKind::kPinch ? 0 : 1);
+  o["region"] = region_to_json(p.region);
+  return Json(std::move(o));
+}
+
+RiskPiece risk_piece_from_json(const Json& j) {
+  RiskPiece p;
+  p.kind = j.get_int("kind", 0) == 0 ? HotspotKind::kPinch
+                                     : HotspotKind::kBridge;
+  if (const Json* v = j.find("region")) p.region = region_from_json(*v);
+  p.bbox = p.region.bbox();
+  return p;
+}
+
 Json layer_to_json(LayerKey k) {
   return Json(Json::Array{Json(static_cast<std::int64_t>(k.layer)),
                           Json(static_cast<std::int64_t>(k.datatype))});

@@ -7,6 +7,7 @@
 #pragma once
 
 #include "core/delta.h"
+#include "core/hotspot_flow.h"
 #include "drc/rules.h"
 #include "geometry/region.h"
 #include "layout/tech.h"
@@ -55,6 +56,10 @@ PatternMatch match_from_json(const Json& j);
 // Hotspot <-> {kind, marker, severity}
 Json hotspot_to_json(const Hotspot& h);
 Hotspot hotspot_from_json(const Json& j);
+
+// RiskPiece <-> {kind, region} (the bbox is the region's)
+Json risk_piece_to_json(const RiskPiece& p);
+RiskPiece risk_piece_from_json(const Json& j);
 
 // LayerKey <-> [layer, datatype]
 Json layer_to_json(LayerKey k);

@@ -75,8 +75,8 @@ std::vector<std::vector<PatternMatch>> ShardWorkerSession::match(
   return eng.matcher(set_index).scan_per_window(captured, pool_.get());
 }
 
-std::vector<Hotspot> ShardWorkerSession::litho_tile(const Rect& tile_core,
-                                                    bool& skipped) {
+TileRisk ShardWorkerSession::litho_tile(const Rect& tile_core,
+                                        bool& skipped) {
   TELEM_SPAN("shard_worker/litho");
   const LayoutSnapshot& snap = snapshot();
   HotspotSimOptions sim{pool_.get()};
@@ -91,7 +91,7 @@ std::vector<Hotspot> ShardWorkerSession::litho_tile(const Rect& tile_core,
         resolve_litho_calibration(sim));
   }
   bool skip = false;
-  std::vector<Hotspot> out = simulate_litho_tile(
+  TileRisk out = simulate_litho_tile(
       snap.layer(layers::kMetal1), tile_core, sim, pool_.get(),
       cal_->valid ? cal_.get() : nullptr, skip);
   skipped = skip;

@@ -82,7 +82,7 @@ class ShardWorkerSession {
 
   /// One litho simulation tile (simulate_litho_tile over the windowed
   /// m1); `tile_core.expanded(6*sigma)` must lie inside the window.
-  std::vector<Hotspot> litho_tile(const Rect& tile_core, bool& skipped);
+  TileRisk litho_tile(const Rect& tile_core, bool& skipped);
 
   /// Applies an edit, clipped to the window: layer <- (layer - removed)
   /// | (added & window). Derived state (snapshot, views) rebuilds

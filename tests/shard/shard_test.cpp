@@ -228,6 +228,18 @@ TEST(ShardWire, HotspotSeverityRoundTripsBitExactly) {
   EXPECT_EQ(shard::hotspot_from_json(shard::hotspot_to_json(h)), h);
 }
 
+TEST(ShardWire, RiskPieceRoundTripsWithItsBbox) {
+  RiskPiece p;
+  p.kind = HotspotKind::kBridge;
+  p.region.add(Rect{-40, 0, 10, 30});
+  p.region.add(Rect{10, 20, 90, 30});
+  p.bbox = p.region.bbox();
+  const RiskPiece back = shard::risk_piece_from_json(shard::risk_piece_to_json(p));
+  EXPECT_EQ(back.kind, p.kind);
+  EXPECT_EQ(back.region, p.region);
+  EXPECT_EQ(back.bbox, p.bbox);
+}
+
 TEST(ShardWire, SiteAndMatchRoundTrip) {
   const AnchorWindow site{Point{150, -60}, Rect{-250, -460, 550, 340}};
   EXPECT_EQ(shard::site_from_json(shard::site_to_json(site)), site);
@@ -649,6 +661,43 @@ TEST(RemoteShard, MatchesDirectRunColdAndIncremental) {
   session.apply(d);
   direct.apply(d);
   EXPECT_FALSE(backend.degraded());
+  EXPECT_EQ(flow_report_canonical_json(session.report()),
+            flow_report_canonical_json(direct.report()));
+}
+
+// A pinch line across both shards and several litho tile seams: its
+// pieces come back from the worker processes as the wire's seam-piece
+// field and must re-merge into the same hotspots as the direct run.
+TEST(RemoteShard, SeamPiecesCrossTheWire) {
+  Library lib;
+  const std::uint32_t top = lib.new_cell("top");
+  lib.cell(top).add(layers::kMetal1, Rect{0, 0, 30000, 300});
+  lib.cell(top).add(layers::kMetal1, Rect{0, 7700, 30000, 8000});
+  lib.cell(top).add(layers::kMetal1, Rect{4000, 4000, 26000, 4026});
+
+  const std::string dir = shard::make_shard_scratch_dir();
+  const std::string gds = dir + "/seam.gds";
+  write_gdsii_file(lib, gds);
+
+  const DfmFlowOptions opt = fast_options(1, /*litho=*/true);
+  const auto source = open_stream_source(gds);
+  DfmFlowSession direct(source, opt);
+  ASSERT_FALSE(direct.report().hotspots.empty())
+      << "the skinny line must pinch, or the test is vacuous";
+
+  shard::RemoteShardConfig sc;
+  sc.worker = worker_config(opt);
+  sc.layout_path = gds;
+  sc.binary = DFMKIT_BIN;
+  sc.socket_dir = dir;
+  sc.shards = 2;
+  shard::RemoteShardBackend backend(shard::shard_extent_of(gds),
+                                    std::move(sc));
+  DfmFlowOptions sharded = opt;
+  sharded.shards = &backend;
+  DfmFlowSession session(source, sharded);
+  EXPECT_FALSE(backend.degraded());
+  EXPECT_EQ(session.report().hotspots, direct.report().hotspots);
   EXPECT_EQ(flow_report_canonical_json(session.report()),
             flow_report_canonical_json(direct.report()));
 }
