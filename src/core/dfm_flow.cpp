@@ -2,7 +2,6 @@
 
 #include "core/incremental.h"
 #include "core/parallel.h"
-#include "core/shard_backend.h"
 #include "core/telemetry.h"
 #include "litho/fft.h"
 
@@ -72,18 +71,6 @@ bool window_touched(const FlowDamage& damage, const std::vector<LayerKey>& on,
 }
 
 using RuleUnits = std::vector<std::vector<std::vector<KeyedViolation>>>;
-
-/// Splits a rule's keyed violations (in emission order) into the grid
-/// tiles that own their anchors; a density rule keeps one slot.
-std::vector<std::vector<KeyedViolation>> split_by_owner(
-    std::vector<KeyedViolation> keyed, const Rule& rule, const TileGrid& grid) {
-  if (!rule_tiled(rule)) return {std::move(keyed)};
-  std::vector<std::vector<KeyedViolation>> out(grid.size());
-  for (KeyedViolation& kv : keyed) {
-    out[grid.owner(kv.anchor)].push_back(std::move(kv));
-  }
-  return out;
-}
 
 /// A rule's violations from its unit slots: tile lists re-merge in the
 /// component-bbox order check_* emits (stable, so a component's
@@ -229,79 +216,67 @@ class FlowDriver {
   }
 
   /// (rule x tile) splice of `rules` into `slots` ([rule][unit]: one unit
-  /// per grid tile for a rule_tiled rule, one for a density rule). A rule
-  /// recomputes whole, its keyed violations split into its tile slots by
-  /// owner, when there is nothing to reuse (cold run, or the grid
-  /// changed: `reuse` false) or when the edit dirtied a density rule's
-  /// layer; `offer(whole)` may settle some of those itself and returns
-  /// the rest. A tiled rule the edit dirtied recomputes only the tiles
-  /// its damage reaches (mark_damaged_tiles at rule_reach, plus every
-  /// tile under a cached violation within reach of the damage), each
-  /// under a `span` span with the tile index. Returns the units
-  /// recomputed.
-  template <class Offer>
+  /// per grid tile for a rule_tiled rule, one for a density rule). Every
+  /// unit of a rule recomputes when there is nothing to reuse (cold run,
+  /// or the grid changed: `reuse` false) or when the edit dirtied a
+  /// density rule's layer. A tiled rule the edit dirtied recomputes only
+  /// the tiles its damage reaches (mark_damaged_tiles at rule_reach, plus
+  /// every tile under a cached violation within reach of the damage).
+  /// Each unit runs under a `span` span with its tile index. Returns the
+  /// units recomputed.
   std::size_t splice_rule_tiles(RuleUnits& slots,
                                 const std::vector<Rule>& rules,
                                 const TileGrid& grid, bool reuse,
-                                Offer&& offer, const char* span) const {
+                                const char* span) const {
     reuse = reuse && inc_ && slots.size() == rules.size();
     if (!reuse) slots.assign(rules.size(), {});
-    std::vector<std::size_t> whole;
-    std::vector<std::pair<std::size_t, std::size_t>> tiles;
-    std::size_t dirty = 0;
+    std::vector<std::pair<std::size_t, std::size_t>> units;
     for (std::size_t ri = 0; ri < rules.size(); ++ri) {
       const Rule& rule = rules[ri];
-      const std::size_t units = rule_tiled(rule) ? grid.size() : 1;
+      const std::size_t n = rule_tiled(rule) ? grid.size() : 1;
       const std::vector<LayerKey> on = rule_layers(rule);
-      if (!reuse || slots[ri].size() != units ||
+      std::vector<char> stale(n, 1);
+      if (!reuse || slots[ri].size() != n ||
           (!rule_tiled(rule) && damage_.dirty_any(on))) {
-        whole.push_back(ri);
-        dirty += units;
+        slots[ri].assign(n, {});
+      } else if (!damage_.dirty_any(on)) {
         continue;
-      }
-      if (!damage_.dirty_any(on)) continue;
-      const Rect dmg = damage_.inc->damage_bbox(on, 0);
-      const Coord reach = rule_reach(rule);
-      std::vector<char> stale(units, 0);
-      mark_damaged_tiles(grid, dmg, reach,
-                         &snap_.components(rule_component_layer(rule)), reach,
-                         stale);
-      std::vector<std::size_t> hit;
-      for (const std::vector<KeyedViolation>& unit : slots[ri]) {
-        for (const KeyedViolation& kv : unit) {
-          const Rect ext = kv.extent.expanded(reach);
-          if (ext.touches(dmg)) grid.touching(ext, hit);
+      } else {
+        const Rect dmg = damage_.inc->damage_bbox(on, 0);
+        const Coord reach = rule_reach(rule);
+        stale.assign(n, 0);
+        mark_damaged_tiles(grid, dmg, reach,
+                           &snap_.components(rule_component_layer(rule)),
+                           reach, stale);
+        std::vector<std::size_t> hit;
+        for (const std::vector<KeyedViolation>& unit : slots[ri]) {
+          for (const KeyedViolation& kv : unit) {
+            const Rect ext = kv.extent.expanded(reach);
+            if (ext.touches(dmg)) grid.touching(ext, hit);
+          }
         }
+        for (const std::size_t t : hit) stale[t] = 1;
       }
-      for (const std::size_t t : hit) stale[t] = 1;
-      for (std::size_t t = 0; t < units; ++t) {
-        if (stale[t] != 0) tiles.emplace_back(ri, t);
+      for (std::size_t t = 0; t < n; ++t) {
+        if (stale[t] != 0) units.emplace_back(ri, t);
       }
-      dirty += static_cast<std::size_t>(
-          std::count(stale.begin(), stale.end(), 1));
     }
     run_groups(
-        offer(std::move(whole)),
-        [&](std::size_t ri) { return rule_layers(rules[ri]); },
-        [&](std::size_t ri) {
-          return split_by_owner(DrcEngine::run_rule_keyed(snap_, rules[ri]),
-                                rules[ri], grid);
-        },
-        [&](std::size_t ri, auto&& units) { slots[ri] = std::move(units); });
-    run_groups(
-        tiles,
+        units,
         [&](const std::pair<std::size_t, std::size_t>& u) {
           return rule_layers(rules[u.first]);
         },
         [&](const std::pair<std::size_t, std::size_t>& u) {
           TELEM_SPAN_ARG(span, u.second);
-          return run_rule_tile(snap_, rules[u.first], grid, u.second);
+          const Rule& rule = rules[u.first];
+          return rule_tiled(rule) ? run_rule_tile(snap_, rule, grid, u.second)
+                                  : DrcEngine::run_rule_keyed(snap_, rule);
         },
         [&](const std::pair<std::size_t, std::size_t>& u, auto&& found) {
           slots[u.first][u.second] = std::move(found);
         });
     (void)span;
-    return dirty;
+    return units.size();
   }
 
  private:
@@ -367,53 +342,17 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
 
   // 1. DRC + DRC-Plus. Splice units: one per (DRC rule x grid tile),
   // one per density rule, and one per pattern capture window (stale iff
-  // the dirty region touches the window on a capture layer).
+  // the dirty region touches the window on a capture layer). A cold run
+  // is the case where every unit is stale.
   flow.pass("flow/drc_plus", [&] {
     if (!caches.engine) {
       caches.engine = std::make_shared<DrcPlusEngine>(DrcPlusDeck::standard(t));
     }
     const DrcPlusEngine& engine = *caches.engine;
     const RuleDeck& deck = engine.deck().drc;
-    // Distributed path: offer the whole-rule min-width recomputes to the
-    // shard backend — their morphology is window-local, so shards
-    // compute it over haloed windows and the stitched union equals the
-    // whole-layer bad region. Folding it into markers here, against the
-    // full layer, reproduces check_min_width byte for byte, and the
-    // markers split into the rule's tile slots by owner. Declined rules
-    // (and every other rule kind) run locally.
-    const auto offer_width_rules = [&](std::vector<std::size_t> whole) {
-      std::vector<std::size_t> offer;  // deck indices of width rules
-      std::vector<Rule> offer_rules;
-      for (const std::size_t ri : whole) {
-        if (options.shards != nullptr &&
-            deck.rules[ri].kind == RuleKind::kMinWidth) {
-          offer.push_back(ri);
-          offer_rules.push_back(deck.rules[ri]);
-        }
-      }
-      if (offer.empty()) return whole;
-      TELEM_SPAN("shard/drc");
-      std::vector<Region> bad2x(offer.size());
-      std::vector<char> handled(offer.size(), 0);
-      if (!options.shards->shard_drc(offer_rules, &bad2x, &handled)) {
-        return whole;
-      }
-      std::vector<char> done(deck.rules.size(), 0);
-      for (std::size_t i = 0; i < offer.size(); ++i) {
-        if (handled[i] == 0) continue;
-        const Rule& rule = offer_rules[i];
-        caches.drc_rules[offer[i]] = split_by_owner(
-            min_width_markers_keyed(bad2x[i], snap.layer(rule.layer).region(),
-                                    rule.value, rule.name),
-            rule, grid);
-        done[offer[i]] = 1;
-      }
-      std::erase_if(whole, [&](std::size_t ri) { return done[ri] != 0; });
-      return whole;
-    };
     std::size_t dirty_units =
         flow.splice_rule_tiles(caches.drc_rules, deck.rules, grid, same_grid,
-                               offer_width_rules, "drc/tile");
+                               "drc/tile");
     std::size_t total_units = 0;
     rep.drcplus.drc.violations.clear();
     for (std::size_t ri = 0; ri < deck.rules.size(); ++ri) {
@@ -469,46 +408,22 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
           stale.push_back(w);
         }
       }
-      // Distributed path: stale sites are offered to the shard backend
-      // first; a handled site's matches come back exactly as the local
-      // capture+scan would produce them (clip-of-clip equals direct
-      // clip inside the halo). Declined sites — e.g. a window escaping
-      // its owning shard's halo — capture locally below.
-      std::vector<std::size_t> local = stale;
-      if (options.shards != nullptr && !stale.empty()) {
-        TELEM_SPAN_ARG("shard/match", si);
-        std::vector<AnchorWindow> offer;
-        offer.reserve(stale.size());
-        for (const std::size_t w : stale) offer.push_back(sites[w]);
-        std::vector<std::vector<PatternMatch>> out(offer.size());
-        std::vector<char> handled(offer.size(), 0);
-        if (options.shards->shard_match(si, offer, &out, &handled)) {
-          local.clear();
-          for (std::size_t i = 0; i < stale.size(); ++i) {
-            if (handled[i] != 0) {
-              found[stale[i]] = std::move(out[i]);
-            } else {
-              local.push_back(stale[i]);
-            }
-          }
-        }
-      }
       // Budgeted runs clip capture layers per window straight off the
       // source (transient, uncharged) instead of hydrating full layers
       // and their R-trees; both paths feed identical canonical clips to
       // the encoder, so the matches are bit-identical.
       const bool streamed = flow.budgeted();
       const std::vector<CapturedPattern> captured =
-          parallel_map(pool, local.size(), [&](std::size_t i) {
-            const AnchorWindow& site = sites[local[i]];
+          parallel_map(pool, stale.size(), [&](std::size_t i) {
+            const AnchorWindow& site = sites[stale[i]];
             return streamed
                        ? capture_window_streamed(snap, set.capture_layers, site)
                        : capture_window_at(snap, set.capture_layers, site);
           });
       std::vector<std::vector<PatternMatch>> scanned =
           engine.matcher(si).scan_per_window(captured, pool);
-      for (std::size_t i = 0; i < local.size(); ++i) {
-        found[local[i]] = std::move(scanned[i]);
+      for (std::size_t i = 0; i < stale.size(); ++i) {
+        found[stale[i]] = std::move(scanned[i]);
       }
       std::map<AnchorWindow, std::vector<PatternMatch>> next;
       std::vector<PatternMatch> flat;
@@ -551,8 +466,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
     checked.reserve(rules.size());
     for (const RecommendedRule& rr : rules) checked.push_back(rr.rule);
     const std::size_t dirty_units = flow.splice_rule_tiles(
-        caches.recommended_tiles, checked, grid, same_grid,
-        [](std::vector<std::size_t> whole) { return whole; }, "rec/tile");
+        caches.recommended_tiles, checked, grid, same_grid, "rec/tile");
     std::vector<std::size_t> hits(rules.size(), 0);
     std::size_t total_units = 0;
     for (std::size_t ri = 0; ri < rules.size(); ++ri) {
@@ -595,8 +509,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
         caches.litho = resimulate_hotspots(
             snap, layers::kMetal1, m1.bbox(), sim,
             have ? std::move(caches.litho) : HotspotTileSim{},
-            have ? damage.inc->dirty_region(layers::kMetal1) : none,
-            options.shards);
+            have ? damage.inc->dirty_region(layers::kMetal1) : none);
         rep.hotspots = caches.litho.merged();
         rep.scorecard.add("litho", score_from_count(rep.hotspots.size()), 3.0,
                           std::to_string(rep.hotspots.size()) + " hotspots");

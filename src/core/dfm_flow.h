@@ -21,8 +21,7 @@
 
 namespace dfm {
 
-class Table;         // core/report.h
-class ShardBackend;  // core/shard_backend.h
+class Table;  // core/report.h
 namespace telemetry {
 struct MetricsSnapshot;  // core/telemetry.h
 }
@@ -102,12 +101,6 @@ struct DfmFlowOptions : PassOptions {
   /// the same way --litho-fast / --memory-budget are. The flow passes
   /// themselves never read this.
   FixOptions fix;
-  /// Distributed shard backend (core/shard_backend.h). When non-null,
-  /// the flow offers its unit-parallel work (min-width DRC, pattern
-  /// sites, litho tiles) to the backend and computes declined units
-  /// locally; the report is byte-identical either way. Borrowed, not
-  /// owned; null runs everything in-process.
-  ShardBackend* shards = nullptr;
 };
 
 /// options.memory_budget, or the parsed DFMKIT_SNAPSHOT_BUDGET

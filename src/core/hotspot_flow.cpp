@@ -1,7 +1,6 @@
 #include "core/hotspot_flow.h"
 
 #include "core/parallel.h"
-#include "core/shard_backend.h"
 #include "core/snapshot.h"
 #include "core/telemetry.h"
 #include "geometry/rtree.h"
@@ -10,7 +9,6 @@
 #include "litho/prefilter.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace dfm {
 namespace {
@@ -282,14 +280,15 @@ TileRisk compare_tile(const Region& target_z, const Rect& window, Coord px,
 // calibration, tiles the prefilter proves hotspot-free skip the
 // simulation (their risk state is provably hotspot-free, so the merged
 // output is unchanged). `prev_print` is the tile's print from before an
-// edit inside `changed`, or null (or no columns) for a full render; the
-// print is bit-identical either way (print_window), so the risk is too.
-// `prev_risk` is the matching risk state, or null for a full compare.
+// edit inside `changed`, or no columns for a full render; the print is
+// bit-identical either way (print_window), so the risk is too.
+// `prev_risk` is the matching risk state, read only when there is a
+// print to splice into.
 TileResult simulate_tile(const NormalizedRegion& layer, const Rect& core,
                          const Rect& cell, const Rect& extent,
                          const HotspotSimOptions& options, ThreadPool* pool,
                          const PrefilterCalibration* cal, const DensityMap* dm,
-                         const ColumnRuns* prev_print, const TileRisk* prev_risk,
+                         const ColumnRuns& prev_print, const TileRisk& prev_risk,
                          const Rect& changed) {
   const Coord margin = 6 * options.model.sigma;
   TileResult out;
@@ -307,14 +306,14 @@ TileResult simulate_tile(const NormalizedRegion& layer, const Rect& core,
       return out;
     }
   }
-  const bool splice = prev_print != nullptr && prev_print->columns() != 0;
+  const bool splice = prev_print.columns() != 0;
   WindowPrint print = print_window(clip, window, options.model, {}, pool,
                                    options.fast, options.kernels.get(),
-                                   splice ? prev_print : nullptr, changed);
+                                   splice ? &prev_print : nullptr, changed);
   const Rect z = core.expanded(margin / 2);
   out.risk = compare_tile(clip.clipped(z), window, options.model.px,
                           print.runs, z, cell, extent, options.edge_tolerance,
-                          pool, splice ? prev_risk : nullptr, print.rendered,
+                          pool, splice ? &prev_risk : nullptr, print.rendered,
                           changed);
   if (print.direct) out.print = std::move(print.runs);
   return out;
@@ -354,14 +353,11 @@ void assemble(HotspotTileSim& sim, const TileGrid& grid, Coord tol) {
 // The one tiled run, cold or incremental. A cold run is the case where
 // `prev` is not a simulation of this grid: every tile is stale and none
 // has a cached print. Otherwise only the tiles `dirty` reaches are
-// stale, and the rest carry over from `prev` with their prints. Stale
-// tiles are offered to `shards` first when it is non-null; a tile it
-// handles keeps no print. The tiles it declines simulate here, each
-// splicing into its cached print when it has one.
+// stale, and the rest carry over from `prev` with their prints. A stale
+// tile splices into its cached print when it has one.
 HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
                           const Rect& extent, const HotspotSimOptions& options,
-                          HotspotTileSim prev, const Region& dirty,
-                          ShardBackend* shards) {
+                          HotspotTileSim prev, const Region& dirty) {
   const TileGrid grid(extent, options.tile);
   HotspotTileSim sim;
   std::vector<StaleTile> stale;
@@ -380,45 +376,19 @@ HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
   sim.prints.resize(sim.tiles.size());
   sim.risk.resize(sim.tiles.size());
 
-  std::vector<TileResult> results(stale.size());
-  std::vector<std::size_t> local(stale.size());  // indices into `stale`
-  std::iota(local.begin(), local.end(), std::size_t{0});
-  if (shards != nullptr && !stale.empty()) {
-    TELEM_SPAN("shard/litho");
-    std::vector<Rect> cores;
-    cores.reserve(stale.size());
-    for (const StaleTile& st : stale) cores.push_back(sim.tiles[st.index]);
-    std::vector<TileRisk> per_core(cores.size());
-    std::vector<char> skipped(cores.size(), 0);
-    std::vector<char> handled(cores.size(), 0);
-    if (shards->shard_litho(cores, &per_core, &skipped, &handled)) {
-      local.clear();
-      for (std::size_t i = 0; i < stale.size(); ++i) {
-        if (handled[i] == 0) {
-          local.push_back(i);
-        } else {
-          results[i].risk = std::move(per_core[i]);
-          results[i].skipped = skipped[i] != 0;
-        }
-      }
-    }
-  }
   const PrefilterCalibration cal =
-      local.empty() ? PrefilterCalibration{} : resolve_calibration(options);
+      stale.empty() ? PrefilterCalibration{} : resolve_calibration(options);
   const PrefilterCalibration* calp = cal.valid ? &cal : nullptr;
   const PassPool pool(options);
-  std::vector<TileResult> simulated =
-      parallel_map(pool, local.size(), [&](std::size_t li) {
-        const StaleTile& st = stale[local[li]];
+  std::vector<TileResult> results =
+      parallel_map(pool, stale.size(), [&](std::size_t si) {
+        const StaleTile& st = stale[si];
         TELEM_SPAN_ARG("litho/tile", st.index);
         return simulate_tile(layer, sim.tiles[st.index], grid.cell(st.index),
                              extent, options, pool, calp, dm,
-                             &sim.prints[st.index], &sim.risk[st.index],
+                             sim.prints[st.index], sim.risk[st.index],
                              st.changed);
       });
-  for (std::size_t li = 0; li < local.size(); ++li) {
-    results[local[li]] = std::move(simulated[li]);
-  }
 
   sim.skipped = 0;
   for (std::size_t si = 0; si < stale.size(); ++si) {
@@ -442,16 +412,6 @@ const DensityMap* density_for(const LayoutSnapshot& snap, LayerKey layer,
 }
 
 }  // namespace
-
-TileRisk simulate_litho_tile(const NormalizedRegion& layer, const Rect& core,
-                             const HotspotSimOptions& options, ThreadPool* pool,
-                             const PrefilterCalibration* cal, bool& skipped) {
-  // A lone core is its own cell and extent: every side counts as shared.
-  TileResult r = simulate_tile(layer, core, core, core, options, pool, cal,
-                               nullptr, nullptr, nullptr, Rect::empty());
-  skipped = r.skipped;
-  return std::move(r.risk);
-}
 
 PrefilterCalibration resolve_litho_calibration(
     const HotspotSimOptions& options) {
@@ -490,30 +450,28 @@ std::vector<StaleTile> stale_litho_tiles(const std::vector<Rect>& tiles,
 HotspotTileSim simulate_hotspots_tiled(NormalizedRegion layer,
                                        const Rect& extent,
                                        const HotspotSimOptions& options) {
-  return resim_impl(layer, nullptr, extent, options, {}, Region{}, nullptr);
+  return resim_impl(layer, nullptr, extent, options, {}, Region{});
 }
 
 HotspotTileSim simulate_hotspots_tiled(const LayoutSnapshot& snap,
                                        LayerKey layer, const Rect& extent,
                                        const HotspotSimOptions& options) {
   return resim_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options, {}, Region{}, nullptr);
+                    extent, options, {}, Region{});
 }
 
 HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
                                    const HotspotSimOptions& options,
                                    HotspotTileSim prev, const Region& dirty) {
-  return resim_impl(layer, nullptr, extent, options, std::move(prev), dirty,
-                    nullptr);
+  return resim_impl(layer, nullptr, extent, options, std::move(prev), dirty);
 }
 
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   HotspotTileSim prev, const Region& dirty,
-                                   ShardBackend* shards) {
+                                   HotspotTileSim prev, const Region& dirty) {
   return resim_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options, std::move(prev), dirty, shards);
+                    extent, options, std::move(prev), dirty);
 }
 
 std::vector<Hotspot> simulate_hotspots(NormalizedRegion layer,

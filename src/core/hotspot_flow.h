@@ -17,7 +17,6 @@
 namespace dfm {
 
 class LayoutSnapshot;  // core/snapshot.h
-class ShardBackend;    // core/shard_backend.h
 
 struct HotspotFlowOptions : PassOptions {
   using PassOptions::PassOptions;
@@ -132,8 +131,7 @@ struct HotspotTileSim {
   /// Aligned with tiles: each directly convolved tile's print as runs of
   /// its window's pixel grid (print_window), which an edit splices into
   /// instead of re-rendering the tile. No columns for tiles the density
-  /// gate or the prefilter skipped, FFT-convolved tiles, and tiles a
-  /// shard produced.
+  /// gate or the prefilter skipped, and for FFT-convolved tiles.
   std::vector<ColumnRuns> prints;
   /// Aligned with tiles: each tile's risk state, which a later edit's
   /// windowed compare splices into (and the seam completion reads);
@@ -165,27 +163,10 @@ std::vector<StaleTile> stale_litho_tiles(const std::vector<Rect>& tiles,
 
 struct PrefilterCalibration;  // litho/prefilter.h
 
-/// One tile of the tiled simulation, exported for the shard worker: clip
-/// `layer` to the 6-sigma halo window around `core`, simulate, and
-/// compare. Returns the tile's risk state with every side of the core
-/// counted as shared: the hotspots of risk components wholly inside the
-/// core, and the components that reach a side of it (their true extent
-/// may continue into a neighbour) as seam pieces, which the tiled run
-/// completes across seams. `cal` (may be null) is the prefilter
-/// calibration from litho_tile_calibration; a provably hotspot-free tile
-/// skips simulation and sets `skipped`. A shard-produced tile therefore
-/// merges exactly like a local one — the snapshot path's density gate is
-/// a pure shortcut for "clip empty" and never changes output or
-/// `skipped`.
-TileRisk simulate_litho_tile(const NormalizedRegion& layer, const Rect& core,
-                             const HotspotSimOptions& options, ThreadPool* pool,
-                             const PrefilterCalibration* cal, bool& skipped);
-
 /// The prefilter calibration a tiled run with `options` uses; invalid
 /// (never skips) when the prefilter is off, forced off by kOff, or
 /// unprovable for this model. Pure in (model, edge_tolerance,
-/// prefilter_window), so a worker process reproduces the coordinator's
-/// calibration from the serialized options alone.
+/// prefilter_window).
 PrefilterCalibration resolve_litho_calibration(const HotspotSimOptions& options);
 
 /// Simulates every tile of `extent`. Tiles run concurrently on the
@@ -218,14 +199,11 @@ HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
 /// Snapshot-native incremental re-simulation: stale tiles go through the
 /// same density-gate + prefilter + convolution path as the snapshot
 /// overload of simulate_hotspots_tiled, so a splice is bit-identical to
-/// the cold snapshot run under every LithoFastMode. With `shards`, the
-/// stale tile cores are offered to the backend first and only the ones
-/// it declines simulate here; a tile a shard produced keeps no print.
+/// the cold snapshot run under every LithoFastMode.
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   HotspotTileSim prev, const Region& dirty,
-                                   ShardBackend* shards = nullptr);
+                                   HotspotTileSim prev, const Region& dirty);
 
 /// Simulates in tiles (bounded raster size) and returns all hotspots.
 /// Tiles run concurrently on the pool; per-tile results are merged in

@@ -1,6 +1,5 @@
 #include "core/incremental.h"
 
-#include "core/shard_backend.h"
 #include "layout/library.h"
 
 #include <utility>
@@ -53,13 +52,6 @@ const DfmFlowReport& DfmFlowSession::apply(const LayoutDelta& delta) {
   DfmFlowReport rep;
   detail::run_flow(rep, options_, pool_.get(), caches_, &report_,
                    [&]() -> const LayoutSnapshot& {
-                     // Keep shard workers' resident geometry in lockstep
-                     // before any pass dispatches to them; the
-                     // coordinator's damage model stays the sole
-                     // authority on what is stale.
-                     if (options_.shards != nullptr) {
-                       options_.shards->shard_apply(delta);
-                     }
                      next = std::make_unique<IncrementalSnapshot>(*snap_,
                                                                   delta);
                      return *next;

@@ -29,9 +29,10 @@
 //    too (a bad-region component can be long). A stale tile reruns the
 //    check on the layer near its cell, completing bad components that
 //    cross the cell's edge before ownership is decided; per-rule lists
-//    re-merge in component-bbox order. Density rules stay whole-rule
-//    units (any layer dirtied), and a bbox-moving edit forces a full cold
-//    run (IncrementalSnapshot::bbox_changed) because the grid moves.
+//    re-merge in component-bbox order. A cold run (or a new grid) is the
+//    case where every tile is stale. Density rules stay whole-rule units
+//    (any layer dirtied), and a bbox-moving edit forces a full cold run
+//    (IncrementalSnapshot::bbox_changed) because the grid moves.
 //  * Pattern window: the edit's dirty region intersects the window on
 //    any capture layer. Anchor sites are re-enumerated from the edited
 //    anchor layer, so windows appear/move/vanish exactly as they would

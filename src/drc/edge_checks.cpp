@@ -65,25 +65,6 @@ std::vector<Violation> strip_keys(const std::vector<KeyedViolation>& keyed) {
   return out;
 }
 
-Region min_width_bad2x(const Region& r, Coord w) {
-  if (w <= 0 || r.empty()) return {};
-  // On the 2x grid, opening with radius w-1 removes interior dimensions
-  // <= 2w-2, i.e. layout widths <= w-1: exactly "strictly below w".
-  const Region r2 = r.scaled(2);
-  return r2 - r2.opened(w - 1);
-}
-
-std::vector<KeyedViolation> min_width_markers_keyed(const Region& bad2x,
-                                                    const Region& r, Coord w,
-                                                    const std::string& rule) {
-  return markers_from(bad2x, r, w, /*external=*/false, rule);
-}
-
-std::vector<Violation> min_width_markers(const Region& bad2x, const Region& r,
-                                         Coord w, const std::string& rule) {
-  return strip_keys(min_width_markers_keyed(bad2x, r, w, rule));
-}
-
 std::vector<Violation> check_min_width(const Region& r, Coord w,
                                        const std::string& rule) {
   return strip_keys(detail::min_width_keyed(r, w, rule));
@@ -122,7 +103,10 @@ namespace detail {
 std::vector<KeyedViolation> min_width_keyed(const Region& r, Coord w,
                                             const std::string& rule) {
   if (w <= 0 || r.empty()) return {};
-  return min_width_markers_keyed(min_width_bad2x(r, w), r, w, rule);
+  // On the 2x grid, opening with radius w-1 removes interior dimensions
+  // <= 2w-2, i.e. layout widths <= w-1: exactly "strictly below w".
+  const Region r2 = r.scaled(2);
+  return markers_from(r2 - r2.opened(w - 1), r, w, /*external=*/false, rule);
 }
 
 std::vector<KeyedViolation> min_spacing_keyed(const Region& r,

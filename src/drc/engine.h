@@ -110,20 +110,6 @@ class DrcEngine {
 /// Interior dimensions strictly below `w` (Chebyshev), with markers.
 std::vector<Violation> check_min_width(const Region& r, Coord w,
                                        const std::string& rule);
-/// The raw violating area of check_min_width, on the 2x grid. The
-/// morphology is pointwise-local with radius ~w, so a shard can compute
-/// it over a haloed window, clip to its core (2x-scaled), and the union
-/// across shards is exactly the whole-layer result — the property the
-/// distributed DRC path stitches on.
-Region min_width_bad2x(const Region& r, Coord w);
-/// Folds a (possibly shard-stitched) 2x-grid bad region into the exact
-/// markers check_min_width emits, measured against the full layer.
-std::vector<Violation> min_width_markers(const Region& bad2x, const Region& r,
-                                         Coord w, const std::string& rule);
-/// min_width_markers with keys.
-std::vector<KeyedViolation> min_width_markers_keyed(const Region& bad2x,
-                                                    const Region& r, Coord w,
-                                                    const std::string& rule);
 /// Exterior gaps strictly below `s`, including notches.
 std::vector<Violation> check_min_spacing(const Region& r, Coord s,
                                          const std::string& rule);

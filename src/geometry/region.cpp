@@ -172,9 +172,9 @@ std::vector<Region> Region::components() const {
   }
   std::sort(out.begin(), out.end(), [](const Region& a, const Region& b) {
     // Full-bbox ordering: input decomposition must not leak into the
-    // component order (shard-stitched and whole-layer inputs of the same
-    // point set agree), so break lo ties on hi. Components left tied
-    // have identical bboxes.
+    // component order (a tile's clipped input and the whole layer agree
+    // on the same point set), so break lo ties on hi. Components left
+    // tied have identical bboxes.
     const Rect ab = a.bbox(), bb = b.bbox();
     if (ab.lo != bb.lo) return ab.lo < bb.lo;
     return ab.hi < bb.hi;

@@ -39,7 +39,7 @@ ServiceClient::ServiceClient(int fd) : fd_(fd) {
   // versa).
   std::string payload;
   try {
-    if (!read_frame(fd_, payload, max_frame_bytes_)) {
+    if (!read_frame(fd_, payload, kDefaultMaxFrameBytes)) {
       throw ProtocolError(errc::kBadFrame, "connection closed before hello");
     }
     hello_ = Json::parse(payload);
@@ -96,7 +96,6 @@ ServiceClient ServiceClient::connect_tcp(int port) {
 ServiceClient::ServiceClient(ServiceClient&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       next_id_(other.next_id_),
-      max_frame_bytes_(other.max_frame_bytes_),
       hello_(std::move(other.hello_)),
       trace_id_(std::move(other.trace_id_)) {}
 
@@ -105,7 +104,6 @@ ServiceClient& ServiceClient::operator=(ServiceClient&& other) noexcept {
     close();
     fd_ = std::exchange(other.fd_, -1);
     next_id_ = other.next_id_;
-    max_frame_bytes_ = other.max_frame_bytes_;
     hello_ = std::move(other.hello_);
     trace_id_ = std::move(other.trace_id_);
   }
@@ -144,7 +142,7 @@ Json ServiceClient::call(Json request) {
   }
   write_frame(fd_, request.dump());
   std::string payload;
-  if (!read_frame(fd_, payload, max_frame_bytes_)) {
+  if (!read_frame(fd_, payload, kDefaultMaxFrameBytes)) {
     throw ProtocolError(errc::kBadFrame, "connection closed awaiting reply");
   }
   Json reply = Json::parse(payload);

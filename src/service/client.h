@@ -84,12 +84,6 @@ class ServiceClient {
   /// the two files back together.
   const std::string& trace_id() const { return trace_id_; }
 
-  /// Raises (or lowers) the per-frame payload cap for this connection.
-  /// Both sides must agree: the shard channels pair this with workers
-  /// serving under shard::kShardMaxFrameBytes, since bulk geometry
-  /// frames outgrow the interactive default.
-  void set_max_frame_bytes(std::size_t bytes) { max_frame_bytes_ = bytes; }
-
   /// One entry for an "edit" request's edits array.
   static Json make_edit(const std::string& layer, std::int64_t x0,
                         std::int64_t y0, std::int64_t x1, std::int64_t y1,
@@ -100,7 +94,6 @@ class ServiceClient {
 
   int fd_ = -1;
   std::uint64_t next_id_ = 0;
-  std::size_t max_frame_bytes_ = kDefaultMaxFrameBytes;
   Json hello_;
   std::string trace_id_;
 };

@@ -40,12 +40,10 @@ namespace dfm::service {
 ///      echoes a "trace" object {span_id, start_ns, end_ns, queue_ns}
 ///      in the response. New control ops: "metrics" (Prometheus text +
 ///      JSON exposition) and "debug" (flight-recorder drain).
-///  v4: distributed sharding — the `dfmkit shard-serve` worker speaks
-///      the same framing with the shard op family (shard_open,
-///      shard_drc, shard_match, shard_litho, shard_edit, shutdown; see
-///      src/shard/). Shard requests reuse the v3 trace-context fields,
-///      so worker spans parent under the coordinator's dispatch span.
-inline constexpr int kProtocolVersion = 4;
+///  v4: a worker op family for distributed analysis, since removed.
+///  v5: the v4 worker op family and the daemon's per-session status op
+///      for it are gone; such a request gets unknown_op.
+inline constexpr int kProtocolVersion = 5;
 
 /// Bytes of the big-endian length prefix.
 inline constexpr std::size_t kFrameHeaderBytes = 4;

@@ -79,9 +79,6 @@ struct ServiceServer::Conn {
 struct ServiceServer::Session {
   std::string id;
   std::mutex mu;
-  // Declared before `flow`: the flow borrows the backend pointer, so it
-  // must be destroyed first (reverse member order).
-  std::unique_ptr<ShardBackend> shards;
   std::unique_ptr<DfmFlowSession> flow;
   std::atomic<std::int64_t> last_used_ns{0};
 
@@ -618,8 +615,7 @@ void ServiceServer::finish_request(const Job& job, const Json& response,
                                                   50,  100, 500, 1000};
     const bool known = job.op == "open" || job.op == "edit" ||
                        job.op == "flow" || job.op == "fix" ||
-                       job.op == "close" || job.op == "shard" ||
-                       job.op == "sleep";
+                       job.op == "close" || job.op == "sleep";
     const std::string op = known ? job.op : "other";
     telemetry::histogram("service.op." + op + ".request_ms", kLatencyBounds)
         .observe(total_ms);
@@ -661,7 +657,6 @@ Json ServiceServer::execute(Job& job) {
   if (job.op == "flow") return op_flow(job.id, job.request);
   if (job.op == "fix") return op_fix(job.id, job.request);
   if (job.op == "close") return op_close(job.id, job.request);
-  if (job.op == "shard") return op_shard(job.id, job.request);
   if (job.op == "sleep" && options_.enable_debug_ops) {
     const std::int64_t ms =
         std::clamp<std::int64_t>(job.request.get_int("ms", 0), 0, 10000);
@@ -724,24 +719,6 @@ Json ServiceServer::op_open(std::uint64_t id, const Json& req) {
     fo.pool = &pool_;  // all sessions share the server's compute pool
     if (!passes.empty()) fo.passes = std::move(passes);
     if (litho_tile > 0) fo.litho_tile = litho_tile;
-
-    // Distributed sharding: spin up this session's worker fleet before
-    // the cold flow so it already runs sharded. An explicit non-default
-    // "top" bypasses it (workers hydrate the file's own top cell), and
-    // any factory failure falls back to the unsharded path — reports
-    // are byte-identical either way.
-    if (options_.shard_factory && top_name.empty()) {
-      try {
-        session->shards = options_.shard_factory(path);
-        fo.shards = session->shards.get();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr,
-                     "dfmkit serve: shard backend for %s failed (%s); "
-                     "running unsharded\n",
-                     path.c_str(), e.what());
-        session->shards.reset();
-      }
-    }
 
     // Shared-memory fast path: attach (or publish once, then attach)
     // one flattened copy of the file per machine. An explicit "top"
@@ -962,24 +939,6 @@ Json ServiceServer::op_close(std::uint64_t id, const Json& req) {
   // In-flight ops on this session hold their own shared_ptr; the state
   // is destroyed when the last one finishes.
   return make_ok(id, {{"session", Json(sid)}});
-}
-
-Json ServiceServer::op_shard(std::uint64_t id, const Json& req) {
-  const std::string sid = req.get_string("session", "");
-  const std::shared_ptr<Session> session = find_session(sid);
-  if (!session) {
-    throw ProtocolError(errc::kUnknownSession,
-                        "shard: unknown session '" + sid + "'");
-  }
-  std::lock_guard<std::mutex> slock(session->mu);
-  Json::Object fields;
-  fields["session"] = Json(sid);
-  fields["shards"] =
-      Json(session->shards ? session->shards->shard_count() : std::size_t{0});
-  fields["degraded"] =
-      Json(session->shards ? session->shards->is_degraded() : false);
-  session->touch();
-  return make_ok(id, std::move(fields));
 }
 
 Json ServiceServer::inline_stats(std::uint64_t id) const {

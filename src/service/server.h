@@ -36,7 +36,6 @@
 #include "core/dfm_flow.h"
 #include "core/incremental.h"
 #include "core/parallel.h"
-#include "core/shard_backend.h"
 #include "service/flight_recorder.h"
 #include "service/protocol.h"
 
@@ -44,7 +43,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -104,16 +102,6 @@ struct ServiceOptions {
   /// default pass set. `pool`/`threads` are overridden with the server's
   /// shared pool.
   DfmFlowOptions flow;
-
-  /// Per-session distributed shard backend factory (installed by
-  /// `dfmkit serve --shards N`; the server itself cannot depend on
-  /// src/shard/, which sits above this library). When set, "open"
-  /// without an explicit "top" builds a backend for the layout file and
-  /// runs the session's flows against it; a factory failure logs and
-  /// falls back to the unsharded path (reports are byte-identical
-  /// either way). Null disables sharding.
-  std::function<std::unique_ptr<ShardBackend>(const std::string& layout_path)>
-      shard_factory;
 };
 
 /// Point-in-time counters, also served by the "stats" op.
@@ -184,7 +172,6 @@ class ServiceServer {
   Json op_flow(std::uint64_t id, const Json& req);
   Json op_fix(std::uint64_t id, const Json& req);
   Json op_close(std::uint64_t id, const Json& req);
-  Json op_shard(std::uint64_t id, const Json& req);
   Json inline_stats(std::uint64_t id) const;
   Json inline_metrics(std::uint64_t id) const;
   Json inline_debug(std::uint64_t id, const Json& req) const;

@@ -109,20 +109,16 @@ std::string merge_chrome_traces_many(
 
     // Linked server request spans -> candidate clock offsets (center
     // each server span in its client window; transport latency splits
-    // evenly). A daemon records `service/request`, a shard worker
-    // `shard/request`; both carry the propagated parent_span.
+    // evenly). A daemon records `service/request` with the propagated
+    // parent_span.
     std::vector<Pair> pairs;
     std::vector<double> offsets;
-    bool is_shard = false;
     for (const Json& ev : server_events) {
       if (const Json* ph = ev.find("ph");
           ph != nullptr && ph->is_string() && ph->as_string() == "X") {
         ++st.server_events;
       }
-      const bool service = is_span(ev, "service/request");
-      const bool shard = is_span(ev, "shard/request");
-      if (shard) is_shard = true;
-      if (!service && !shard) continue;
+      if (!is_span(ev, "service/request")) continue;
       const std::uint64_t parent = args_link(ev, "parent_span");
       const auto it = requests.find(parent);
       if (it == requests.end()) continue;
@@ -145,10 +141,8 @@ std::string merge_chrome_traces_many(
 
     const int pid = 2 + static_cast<int>(file);
     const std::string process_name =
-        is_shard ? "dfmkit shard-serve " + std::to_string(file)
-        : server_jsons.size() > 1
-            ? "dfmkit serve " + std::to_string(file)
-            : "dfmkit serve";
+        server_jsons.size() > 1 ? "dfmkit serve " + std::to_string(file)
+                                : "dfmkit serve";
     for (const Json& ev : server_events) {
       merged.push_back(rehome(ev, pid, offset_us, process_name));
     }

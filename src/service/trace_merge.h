@@ -1,15 +1,13 @@
 // Stitches a client-side and one or more server-side Chrome traces
 // (all produced by telemetry::chrome_trace_json) into one multi-process
-// timeline — the back half of trace-context propagation (protocol v3),
-// reused by the v4 shard fleet (one coordinator trace + one trace per
-// `dfmkit shard-serve` worker).
+// timeline — the back half of trace-context propagation (protocol v3).
 //
 // Each process records timestamps against its own steady-clock epoch, so
 // the files cannot be overlaid directly. The link is the propagated
 // span ids: a traced client call records a `client/request` span whose
 // `span_id` it sent as the request's "parent_span", and the server
-// records the matching `service/request` (daemon) or `shard/request`
-// (worker) span with that value as `parent_span`. For every linked pair
+// records the matching `service/request` span with that value as
+// `parent_span`. For every linked pair
 // the server span must sit inside the client's send->receive window; the
 // merge computes the per-pair offset that centers it there (splitting
 // the transport RTT evenly) and applies the per-file median offset to

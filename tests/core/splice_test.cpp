@@ -9,12 +9,14 @@
 
 #include "core/hotspot_flow.h"
 #include "core/telemetry.h"
+#include "gen/rng.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace dfm {
@@ -105,6 +107,66 @@ TEST(DrcSplice, TileUnitsPartitionWholeRule) {
   }
 }
 
+// A cold flow computes every tiled rule as the all-stale case of its
+// tile units. Its DRC-Plus result and recommended counts must equal the
+// whole-layer engines' over the same snapshot, on plain designs and on
+// designs with pathologies injected over many tile rows plus every edit
+// case (so rules report in many tiles, across seams).
+TEST(DrcSplice, ColdFlowMatchesWholeLayerEngines) {
+  const Tech& tech = Tech::standard();
+  for (const std::uint64_t seed : {3u, 11u, 29u}) {
+    DesignParams p;
+    p.seed = seed;
+    p.rows = 3;
+    p.cells_per_row = 8;
+    p.routes = 24;
+    Library lib = generate_design(p);
+    const std::uint32_t top = lib.top_cells()[0];
+    const auto layers_of = [&] {
+      LayerMap m;
+      for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+        m.emplace(k, lib.flatten(top, k));
+      }
+      return m;
+    };
+    const LayerMap plain = layers_of();
+    // A strip below the core, many tile rows tall (bench_f5's layout).
+    const Rect core = lib.bbox(top);
+    Rng rng(seed);
+    inject_pathologies(lib.cell(top), rng, p.tech,
+                       Rect{core.lo.x, core.lo.y - 60000, core.hi.x + 60000,
+                            core.lo.y - 4000},
+                       40);
+    LayerMap defects = layers_of();
+    for (const Edit& e : edit_cases(plain)) {
+      LayoutDelta d;
+      d.add(e.layer, e.rect);
+      d.apply(defects);
+    }
+    for (const LayerMap* m : {&plain, &std::as_const(defects)}) {
+      const LayoutSnapshot snap{LayerMap(*m)};
+      const DrcPlusResult drc =
+          DrcPlusEngine(DrcPlusDeck::standard(tech)).run(snap);
+      const RecommendedResult rec =
+          check_recommended(snap, standard_recommended_rules(tech));
+      ASSERT_FALSE(drc.drc.violations.empty());
+      for (const unsigned threads : {1u, 8u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) +
+                     (m == &plain ? " plain" : " defects") + ", threads " +
+                     std::to_string(threads));
+        DfmFlowOptions o;
+        o.threads = threads;
+        o.passes = {"drc_plus", "recommended"};
+        o.run_litho = false;
+        const DfmFlowReport rep = run_dfm_flow(snap, o);
+        EXPECT_EQ(rep.drcplus.drc.violations, drc.drc.violations);
+        EXPECT_EQ(rep.drcplus, drc);
+        EXPECT_EQ(rep.recommended, rec);
+      }
+    }
+  }
+}
+
 TEST_P(DrcSplice, EditStreamsMatchColdFlow) { run_streams(GetParam(), "drc_plus"); }
 
 INSTANTIATE_TEST_SUITE_P(Threads, DrcSplice, ::testing::Values(1u, 2u, 8u));
@@ -178,33 +240,6 @@ TEST(LithoSeam, WireAcrossSeamIsOneHotspot) {
       simulate_hotspots(wire, extent, model, 12, 8000);
   ASSERT_EQ(whole.size(), 1u);
   EXPECT_EQ(seamed, whole);
-}
-
-// A lone tile (the shard worker's unit) keeps a component that reaches
-// its side as a seam piece, never as a hotspot: only the tiled run's
-// seam completion turns it into one.
-TEST(LithoSeam, LoneTileReturnsSeamPiecesApartFromHotspots) {
-  const Region wire{Rect{1850, 985, 2150, 1015}};
-  HotspotSimOptions options;
-  bool skipped = true;
-  const TileRisk left = simulate_litho_tile(wire, Rect{0, 0, 2000, 2000},
-                                            options, nullptr, nullptr,
-                                            skipped);
-  EXPECT_FALSE(skipped);
-  EXPECT_TRUE(left.interior.empty());
-  ASSERT_FALSE(left.edges.empty());
-  for (const RiskPiece& p : left.edges) {
-    EXPECT_EQ(p.kind, HotspotKind::kPinch);
-    EXPECT_EQ(p.bbox, p.region.bbox());
-  }
-  // The same wire wholly inside one core is that core's own hotspot.
-  const TileRisk whole = simulate_litho_tile(wire, Rect{0, 0, 8000, 2000},
-                                             options, nullptr, nullptr,
-                                             skipped);
-  EXPECT_TRUE(whole.edges.empty());
-  EXPECT_EQ(whole.interior,
-            simulate_hotspots(wire, Rect{0, 0, 8000, 2000}, options.model,
-                              options.edge_tolerance, 8000));
 }
 
 // The hotspot multiset does not depend on the litho tile size.

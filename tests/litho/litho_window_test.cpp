@@ -3,19 +3,17 @@
 // splice must be exact, so every check here is equality: a spliced
 // print's runs memcmp-equal a cold render's, and the hotspot lists are
 // equal, after every edit of seeded add/remove streams. The fallbacks
-// (FFT tiles, tiles entering or leaving the prefilter skip, prints a
-// shard never produced) must stay exact too. Underneath, the raster is a
+// (FFT tiles and other tiles without a print, tiles entering or leaving
+// the prefilter skip) must stay exact too. Underneath, the raster is a
 // pure function of the point set inside each pixel, and the simulation
 // grid stays on the window's pixel lattice at every defocus.
 #include "core/hotspot_flow.h"
-#include "core/incremental.h"
 #include "core/parallel.h"
 #include "core/snapshot.h"
 #include "gen/generators.h"
 #include "gen/rng.h"
 #include "litho/litho.h"
 #include "litho/prefilter.h"
-#include "shard/local_backend.h"
 
 #include <gtest/gtest.h>
 
@@ -484,8 +482,9 @@ TEST(LithoWindowFallback, TileMovesIntoAndOutOfPrefilterSkip) {
   EXPECT_EQ(skipped[3], skipped_before) << "removing it must restore the skip";
 }
 
-// A tile simulation without prints — what the shard path leaves — makes
-// its stale tiles render in full; later edits splice into those renders.
+// A tile simulation without prints — what FFT-convolved tiles leave —
+// makes its stale tiles render in full; later edits splice into those
+// renders.
 TEST(LithoWindowFallback, PrintlessTilesRenderInFullThenSplice) {
   HotspotSimOptions options;
   options.model = model_of(20, 10);
@@ -507,68 +506,6 @@ TEST(LithoWindowFallback, PrintlessTilesRenderInFullThenSplice) {
       EXPECT_TRUE(same_runs(sim.prints[ti], cold.prints[ti]))
           << "edit " << i << ", tile " << ti;
     }
-  }
-}
-
-// A session whose litho runs on local shards, then degrades to local
-// compute (an edit past the shard plan) and keeps editing: every report
-// equals a cold flow of the edited layout.
-TEST(LithoWindowFallback, ShardSessionThenLocalEdits) {
-  DesignParams p;
-  p.seed = 23;
-  p.rows = 2;
-  p.cells_per_row = 4;
-  p.routes = 8;
-  p.via_fields = 1;
-  p.vias_per_field = 16;
-  const Library lib = generate_design(p);
-  LayerMap layers;
-  for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
-    layers.emplace(k, lib.flatten(lib.top_cells().front(), k));
-  }
-  DfmFlowOptions opt;
-  opt.threads = 2;
-  opt.tech = Tech::standard();
-  opt.model.sigma = 20;
-  opt.model.px = 10;
-  opt.litho_tile = 3000;
-  shard::ShardWorkerConfig config;
-  config.tech = opt.tech;
-  config.model = opt.model;
-  config.litho_tile = opt.litho_tile;
-  config.litho_edge_tolerance = opt.litho_edge_tolerance;
-  config.litho_fast = opt.litho_fast;
-  shard::LocalShardBackend backend(layers, 3, config);
-  DfmFlowOptions sharded = opt;
-  sharded.shards = &backend;
-  DfmFlowSession session(LayerMap(layers), sharded);
-  LayerMap shadow = layers;
-  const Rect bb = session.snapshot().bbox();
-  Rng rng(23);
-  for (int i = 0; i < 7; ++i) {
-    LayoutDelta d;
-    if (i == 3) {
-      // Past the plan extent: the backend degrades for good.
-      d.add(layers::kMetal1, Rect{bb.hi.x + 100, bb.lo.y + 500,
-                                  bb.hi.x + 400, bb.lo.y + 560});
-    } else {
-      const Region r = stream_edit(rng, i % 2 == 0 ? 5 : 3, bb.expanded(-500),
-                                   opt.litho_tile, 120);
-      for (const Rect& q : r.rects()) {
-        if (i % 3 == 2) {
-          d.remove(layers::kMetal1, q);
-        } else {
-          d.add(layers::kMetal1, q);
-        }
-      }
-    }
-    d.apply(shadow);
-    const DfmFlowReport& warm = session.apply(d);
-    EXPECT_EQ(backend.degraded(), i >= 3) << "edit " << i;
-    const DfmFlowReport cold =
-        run_dfm_flow(LayoutSnapshot(LayerMap(shadow)), opt);
-    ASSERT_TRUE(reports_equivalent(warm, cold)) << "after edit " << i;
-    EXPECT_EQ(warm.hotspots, cold.hotspots) << "after edit " << i;
   }
 }
 

@@ -300,31 +300,33 @@ TEST_F(Observability, TraceMergeNestsServerUnderClientSpan) {
   EXPECT_LE(server_end, client_end);
 }
 
-TEST_F(Observability, TraceMergeManyStitchesShardWorkerTraces) {
-  // Coordinator trace: two traced dispatches (span ids 7 and 8), one
-  // answered by each worker — the --shards fan-out shape.
-  telem::TraceSnapshot coord_snap;
-  coord_snap.epoch_ns = 0;
+TEST_F(Observability, TraceMergeManyStitchesDaemonTraces) {
+  // Client trace: three traced requests (span ids 7, 8 and 9), each
+  // answered by a different daemon.
+  telem::TraceSnapshot client_snap;
+  client_snap.epoch_ns = 0;
   telem::ThreadTrace ct;
   ct.tid = 0;
-  ct.name = "coordinator";
+  ct.name = "client";
   ct.events.push_back(
       telem::SpanEvent{"client/request", 1'000'000, 5'000'000, 1, 0, 7, 0});
   ct.events.push_back(
       telem::SpanEvent{"client/request", 6'000'000, 9'000'000, 1, 0, 8, 0});
-  coord_snap.threads.push_back(std::move(ct));
+  ct.events.push_back(
+      telem::SpanEvent{"client/request", 10'000'000, 14'000'000, 1, 0, 9, 0});
+  client_snap.threads.push_back(std::move(ct));
 
-  // Each worker on its own clock, recording shard/request (protocol v4)
-  // parented under one coordinator span.
-  const auto worker_json = [](std::uint64_t epoch_shift_ns,
+  // Each daemon on its own clock, recording service/request parented
+  // under one client span.
+  const auto daemon_json = [](std::uint64_t epoch_shift_ns,
                               std::uint64_t parent) {
     telem::TraceSnapshot snap;
     snap.epoch_ns = 0;
     telem::ThreadTrace wt;
     wt.tid = 1;
-    wt.name = "shard";
+    wt.name = "executor";
     wt.events.push_back(telem::SpanEvent{
-        "shard/request", epoch_shift_ns, epoch_shift_ns + 2'000'000, 1, 0,
+        "service/request", epoch_shift_ns, epoch_shift_ns + 2'000'000, 1, 0,
         99, parent});
     snap.threads.push_back(std::move(wt));
     return telem::chrome_trace_json(snap, telem::MetricsSnapshot{});
@@ -332,28 +334,29 @@ TEST_F(Observability, TraceMergeManyStitchesShardWorkerTraces) {
 
   TraceMergeStats stats;
   const std::string merged = merge_chrome_traces_many(
-      telem::chrome_trace_json(coord_snap, telem::MetricsSnapshot{}),
-      {worker_json(50'000'000, 7), worker_json(300'000'000, 8)}, &stats);
+      telem::chrome_trace_json(client_snap, telem::MetricsSnapshot{}),
+      {daemon_json(50'000'000, 7), daemon_json(300'000'000, 8),
+       daemon_json(20'000'000, 9)},
+      &stats);
 
-  EXPECT_EQ(stats.client_events, 2u);
-  EXPECT_EQ(stats.server_events, 2u);
-  EXPECT_EQ(stats.linked_requests, 2u);
-  // Per-file clock alignment nests each worker span in its dispatch.
-  EXPECT_EQ(stats.nested, 2u);
+  EXPECT_EQ(stats.client_events, 3u);
+  EXPECT_EQ(stats.server_events, 3u);
+  EXPECT_EQ(stats.linked_requests, 3u);
+  // Per-file clock alignment nests each daemon span in its request.
+  EXPECT_EQ(stats.nested, 3u);
 
   const Json doc = Json::parse(merged);
-  int worker_pids_seen = 0;
+  std::vector<std::int64_t> daemon_pids;
   int arrows = 0;
   for (const Json& e : doc.find("traceEvents")->as_array()) {
     const std::string ph = e.get_string("ph", "");
     if (ph == "s" || ph == "f") ++arrows;
-    if (ph != "X" || e.get_string("name", "") != "shard/request") continue;
-    ++worker_pids_seen;
-    // Worker i lands on pid 2 + i, never on the coordinator's pid 1.
-    EXPECT_GE(e.get_int("pid", 0), 2);
+    if (ph != "X" || e.get_string("name", "") != "service/request") continue;
+    daemon_pids.push_back(e.get_int("pid", 0));
   }
-  EXPECT_EQ(worker_pids_seen, 2);
-  EXPECT_EQ(arrows, 4);
+  // Daemon i lands on pid 2 + i, never on the client's pid 1.
+  EXPECT_EQ(daemon_pids, (std::vector<std::int64_t>{2, 3, 4}));
+  EXPECT_EQ(arrows, 6);
 }
 
 TEST_F(Observability, TraceMergeWithNoLinksStillMerges) {

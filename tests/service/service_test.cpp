@@ -340,6 +340,25 @@ TEST(Service, BackpressureRepliesWhenQueueFull) {
   EXPECT_GE(prober.stats().get_int("rejected_backpressure", 0), 4);
 }
 
+// Protocol v5 removed the v4 per-session status op of the distributed
+// workers: the daemon answers it like any op it does not know, and keeps
+// serving.
+TEST(Service, RemovedV4OpIsUnknown) {
+  ServiceServer server(base_options("v4op"));
+  server.start();
+  ServiceClient client =
+      ServiceClient::connect_unix(server.options().unix_path);
+  const std::string session =
+      client.open(demo_gds()).get_string("session", "");
+  ASSERT_FALSE(session.empty());
+  const Json reply = client.call(Json(
+      Json::Object{{"op", Json("shard")}, {"session", Json(session)}}));
+  EXPECT_FALSE(reply.get_bool("ok", true));
+  EXPECT_EQ(reply.get_string("error", ""), errc::kUnknownOp);
+  EXPECT_TRUE(client.ping().get_bool("ok", false));
+  client.close_session(session);
+}
+
 TEST(Service, SessionLimitYieldsStructuredError) {
   ServiceOptions opt = base_options("maxsessions");
   opt.max_sessions = 1;

@@ -6,8 +6,6 @@
 #include "service/loadgen.h"
 #include "service/server.h"
 #include "service/trace_merge.h"
-#include "shard/remote_backend.h"
-#include "shard/shard_server.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -129,8 +127,7 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
        "--max-queue", "--idle-timeout-ms", "--deadline-ms", "--passes",
        "--litho-tile", "--litho-fast", "--memory-budget", "--snapshot-shm",
        "--fix-max-iters", "--fix-min-gain", "--fix-moves", "--trace-out",
-       "--flight-records", "--slow-ms", "--shards", "--shard-bin",
-       "--shard-dir"});
+       "--flight-records", "--slow-ms"});
   if (!args.positional.empty()) {
     throw std::runtime_error(
         "usage: dfmkit serve [--socket <path>] [--tcp <port>] [--workers N] "
@@ -140,7 +137,6 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
         "[--memory-budget <size>] [--snapshot-shm <prefix>] "
         "[--fix-max-iters N] [--fix-min-gain G] [--fix-moves a,b,...] "
         "[--trace-out <path>] [--flight-records N] [--slow-ms MS] "
-        "[--shards N] [--shard-bin <path>] [--shard-dir <dir>] "
         "[--debug-ops]");
   }
 
@@ -231,34 +227,6 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
     }
   }
 
-  // Distributed sharding: every session this daemon opens (default top
-  // only) gets its own fleet of `dfmkit shard-serve` worker processes.
-  // The factory lives here, not in dfm_service, because the shard
-  // library sits above the service library in the dependency order.
-  const int shards = static_cast<int>(args.num("--shards", 0));
-  if (shards > 0) {
-    const std::string bin =
-        args.str("--shard-bin", shard::self_executable_path());
-    const std::string dir_base = args.str("--shard-dir", "");
-    const DfmFlowOptions flow = opt.flow;
-    opt.shard_factory =
-        [shards, bin, dir_base,
-         flow](const std::string& path) -> std::unique_ptr<ShardBackend> {
-      shard::RemoteShardConfig sc;
-      sc.worker.tech = flow.tech;
-      sc.worker.model = flow.model;
-      sc.worker.litho_tile = flow.litho_tile;
-      sc.worker.litho_edge_tolerance = flow.litho_edge_tolerance;
-      sc.worker.litho_fast = flow.litho_fast;
-      sc.layout_path = path;
-      sc.binary = bin;
-      sc.socket_dir = shard::make_shard_scratch_dir(dir_base);
-      sc.shards = shards;
-      return std::make_unique<shard::RemoteShardBackend>(
-          shard::shard_extent_of(path), std::move(sc));
-    };
-  }
-
   const std::string trace_path = args.str("--trace-out", "");
   if (!trace_path.empty() && !telemetry::compiled_in()) {
     std::fprintf(stderr,
@@ -321,28 +289,6 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
                 static_cast<unsigned>(trace.threads.size()));
   }
   return 0;
-}
-
-int cmd_shard_serve(int argc, char** argv, unsigned threads) {
-  const Args args = Args::parse(argc, argv, 2,
-                                {"--socket", "--threads", "--trace-out"});
-  shard::ShardServeOptions opt;
-  opt.unix_path = args.str("--socket", "");
-  if (opt.unix_path.empty() || !args.positional.empty()) {
-    throw std::runtime_error(
-        "usage: dfmkit shard-serve --socket <path> [--threads N] [--once] "
-        "[--trace-out <path>]");
-  }
-  opt.threads = static_cast<unsigned>(
-      args.num("--threads", static_cast<long>(threads)));
-  opt.once = args.has("--once");
-  opt.trace_out = args.str("--trace-out", "");
-  if (!opt.trace_out.empty() && !telemetry::compiled_in()) {
-    std::fprintf(stderr,
-                 "dfmkit: --trace-out: telemetry was compiled out "
-                 "(DFMKIT_TELEMETRY=OFF); the trace will be empty\n");
-  }
-  return shard::run_shard_server(opt);
 }
 
 int cmd_client(int argc, char** argv) {
@@ -738,11 +684,10 @@ int cmd_trace_merge(int argc, char** argv) {
         "usage: dfmkit trace-merge <client_trace.json> <server_trace.json> "
         "[more_server_traces.json ...] [--out <merged.json>]\n"
         "  Stitches --trace-out files into one Chrome trace: the client\n"
-        "  (or shard coordinator) process plus every server/worker\n"
-        "  process on a shared timeline, with flow arrows linking each\n"
-        "  client/request span to the service/request (daemon) or\n"
-        "  shard/request (worker) span it parented (protocol v3/v4\n"
-        "  trace context).");
+        "  process plus every server process on a shared timeline, with\n"
+        "  flow arrows linking each client/request span to the\n"
+        "  service/request span it parented (protocol v3 trace\n"
+        "  context).");
   }
   const auto slurp = [](const std::string& path) {
     std::ifstream in(path);

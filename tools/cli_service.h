@@ -1,6 +1,5 @@
 // The service-facing dfmkit subcommands, split out of dfmkit_cli.cpp:
 //   dfmkit serve       — run the resident analysis daemon
-//   dfmkit shard-serve — run one distributed-analysis shard worker
 //   dfmkit client      — drive a running daemon (one-shot ops or load gen)
 //   dfmkit top         — polling live view of a daemon's queue/sessions/
 //                        per-op latency percentiles
@@ -13,10 +12,6 @@ namespace dfm::cli {
 /// `dfmkit serve ...`; argv/argc are main()'s (argv[1] == "serve").
 /// `threads` is the global --threads value (compute pool size).
 int cmd_serve(int argc, char** argv, unsigned threads);
-
-/// `dfmkit shard-serve --socket <path> [--threads N] [--once]
-/// [--trace-out <path>]` — one protocol-v4 shard worker (src/shard/).
-int cmd_shard_serve(int argc, char** argv, unsigned threads);
 
 /// `dfmkit client ...`.
 int cmd_client(int argc, char** argv);

@@ -37,11 +37,7 @@
 //                                      identical at any budget; --stream
 //                                      runs out-of-core from the mmap'd
 //                                      file without materializing the
-//                                      cell hierarchy; --shards N fans
-//                                      unit-parallel work out to N
-//                                      shard-serve worker processes —
-//                                      the report is byte-identical at
-//                                      any shard count
+//                                      cell hierarchy
 //   dfmkit fix [--max-iters N] [--min-gain G] [--moves a,b,...]
 //              [--json <path>] [--out <path>] [--expect-improvement]
 //              <in.gds> [top]
@@ -100,10 +96,8 @@
 #include "gen/generators.h"
 #include "layout/svg.h"
 #include "pattern/catalog.h"
-#include "shard/remote_backend.h"
 
 #include <cstdio>
-#include <memory>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -293,9 +287,6 @@ int cmd_flow(int argc, char** argv) {
   std::string passes_arg;
   std::string litho_fast_arg;
   std::string budget_arg;
-  std::string shards_arg;
-  std::string shard_bin_arg;
-  std::string shard_trace_dir;
   bool stream = false;
   std::vector<CliEdit> edits;
   for (int i = 2; i < argc;) {
@@ -318,13 +309,6 @@ int cmd_flow(int argc, char** argv) {
       eat2(litho_fast_arg);
     } else if (std::strcmp(argv[i], "--memory-budget") == 0 && i + 1 < argc) {
       eat2(budget_arg);
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      eat2(shards_arg);
-    } else if (std::strcmp(argv[i], "--shard-bin") == 0 && i + 1 < argc) {
-      eat2(shard_bin_arg);
-    } else if (std::strcmp(argv[i], "--shard-trace-dir") == 0 &&
-               i + 1 < argc) {
-      eat2(shard_trace_dir);
     } else if (std::strcmp(argv[i], "--stream") == 0) {
       stream = true;
       eat1();
@@ -341,7 +325,6 @@ int cmd_flow(int argc, char** argv) {
         "usage: dfmkit flow [--json <path>] [--trace-out <path>] "
         "[--passes a,b,...] [--litho-fast auto|fft|direct|off] "
         "[--memory-budget <bytes|K|M|G>] [--stream] "
-        "[--shards N] [--shard-bin <path>] [--shard-trace-dir <dir>] "
         "[--edit <layer>:<x0>,<y0>,<x1>,<y1>[:remove]]... <in.gds> [top]");
   }
   if (!trace_path.empty() && !telemetry::compiled_in()) {
@@ -378,51 +361,6 @@ int cmd_flow(int argc, char** argv) {
       opt.passes.push_back(name);
     }
     pos = comma + 1;
-  }
-
-  // --shards N: fan unit-parallel work (min-width DRC, pattern sites,
-  // litho tiles) out to N shard-serve worker processes, each hydrating
-  // its spatial window straight from the layout file. Reports are
-  // byte-identical to the unsharded run at any shard count. Workers
-  // serve the file's own top cell, so an explicit [top] argument falls
-  // back to the unsharded path.
-  std::unique_ptr<dfm::shard::RemoteShardBackend> shard_backend;
-  long shards = 0;
-  if (!shards_arg.empty()) {
-    char* end = nullptr;
-    shards = std::strtol(shards_arg.c_str(), &end, 10);
-    if (end == shards_arg.c_str() || *end != '\0' || shards < 0) {
-      throw std::runtime_error("--shards: not a count: '" + shards_arg + "'");
-    }
-  }
-  if (shards > 0 && !stream && argc > 3) {
-    std::fprintf(stderr,
-                 "dfmkit: --shards: explicit top cell requested; workers "
-                 "serve the file's top — running unsharded\n");
-    shards = 0;
-  }
-  if (shards > 0) {
-    dfm::shard::RemoteShardConfig sc;
-    sc.worker.tech = opt.tech;
-    sc.worker.model = opt.model;
-    sc.worker.litho_tile = opt.litho_tile;
-    sc.worker.litho_edge_tolerance = opt.litho_edge_tolerance;
-    sc.worker.litho_fast = opt.litho_fast;
-    sc.layout_path = argv[2];
-    sc.binary = shard_bin_arg.empty() ? dfm::shard::self_executable_path()
-                                      : shard_bin_arg;
-    sc.socket_dir = dfm::shard::make_shard_scratch_dir();
-    sc.shards = static_cast<int>(shards);
-    sc.trace_dir = shard_trace_dir;
-    const std::string scratch = sc.socket_dir;
-    shard_backend = std::make_unique<dfm::shard::RemoteShardBackend>(
-        dfm::shard::shard_extent_of(sc.layout_path), std::move(sc));
-    opt.shards = shard_backend.get();
-    std::printf("sharding: %zu workers, %dx%d grid, halo %lld (scratch %s)\n",
-                shard_backend->shard_count(), shard_backend->plan().nx,
-                shard_backend->plan().ny,
-                static_cast<long long>(shard_backend->plan().halo),
-                scratch.c_str());
   }
 
   // Shared tail for both modes: the metrics snapshot rides along in the
@@ -697,7 +635,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: dfmkit [--threads N] "
                    "<gen|info|drc|drcplus|flow|fix|catalog|svg|serve|"
-                   "shard-serve|client|top|trace-merge> ...\n");
+                   "client|top|trace-merge> ...\n");
       return 2;
     }
     const std::string cmd = argv[1];
@@ -714,9 +652,6 @@ int main(int argc, char** argv) {
     if (cmd == "catalog") return cmd_catalog(argc, argv);
     if (cmd == "svg") return cmd_svg(argc, argv);
     if (cmd == "serve") return dfm::cli::cmd_serve(argc, argv, g_threads);
-    if (cmd == "shard-serve") {
-      return dfm::cli::cmd_shard_serve(argc, argv, g_threads);
-    }
     if (cmd == "client") return dfm::cli::cmd_client(argc, argv);
     if (cmd == "top") return dfm::cli::cmd_top(argc, argv);
     if (cmd == "trace-merge") return dfm::cli::cmd_trace_merge(argc, argv);

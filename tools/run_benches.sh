@@ -19,10 +19,7 @@
 # snapshot byte gauges lifted from its telemetry output), and the fix
 # loop's repair numbers (bench_f5_fix's FIX line: proposals, accepts,
 # violations and composite before/after, thread/service determinism)
-# under "fix", and the distributed-sharding scaling series
-# (bench_s3_shard's SHARD lines: spawn+open cost, cold/incremental wall
-# time vs unsharded, efficiency, report equality) under "shard". The
-# revision stamp comes from `dfmkit --version` (embedded at build time),
+# under "fix". The revision stamp comes from `dfmkit --version` (embedded at build time),
 # not from git at bench time. Requires an existing build
 # (cmake --build <build-dir>).
 set -eu
@@ -230,38 +227,6 @@ if [ -f "$flow_json" ]; then
   fi
 fi
 
-# Distributed sharding scaling series: bench_s3_shard prints one
-# parseable "SHARD key=value ..." line per shard count (worker
-# spawn+open cost, cold/incremental wall time vs the unsharded flow,
-# scaling efficiency, report-equality bit).
-shard_rows=""
-shard_log="$logdir/bench_s3_shard.log"
-if [ -f "$shard_log" ]; then
-  while IFS= read -r line; do
-    case "$line" in SHARD\ *) ;; *) continue ;; esac
-    shards=0 open=0 cold=0 inc=0 bcold=0 binc=0 sp=0 eff=0 ident=0
-    for tok in $line; do
-      case "$tok" in
-        shards=*)       shards="${tok#shards=}" ;;
-        open_ms=*)      open="${tok#open_ms=}" ;;
-        cold_ms=*)      cold="${tok#cold_ms=}" ;;
-        inc_ms=*)       inc="${tok#inc_ms=}" ;;
-        base_cold_ms=*) bcold="${tok#base_cold_ms=}" ;;
-        base_inc_ms=*)  binc="${tok#base_inc_ms=}" ;;
-        speedup=*)      sp="${tok#speedup=}" ;;
-        efficiency=*)   eff="${tok#efficiency=}" ;;
-        identical=*)    ident="${tok#identical=}" ;;
-      esac
-    done
-    row="    {\"shards\": $shards, \"open_ms\": $open, \"cold_ms\": $cold,"
-    row="$row \"inc_ms\": $inc, \"base_cold_ms\": $bcold,"
-    row="$row \"base_inc_ms\": $binc, \"speedup\": $sp,"
-    row="$row \"efficiency\": $eff, \"identical\": $ident}"
-    shard_rows="${shard_rows:+$shard_rows,
-}$row"
-  done < "$shard_log"
-fi
-
 # The fix loop's repair numbers: bench_f5_fix prints one parseable
 # "FIX key=value ..." summary line (proposal/accept counts, violations
 # and composite before/after, thread + service determinism bits).
@@ -329,9 +294,6 @@ fi
   echo '  ],'
   echo '  "fix": ['
   printf '%s\n' "$fix_rows"
-  echo '  ],'
-  echo '  "shard": ['
-  printf '%s\n' "$shard_rows"
   echo '  ],'
   printf '  "flow": '
   # Indent the flow object to nest cleanly.
