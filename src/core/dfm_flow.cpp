@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <optional>
 #include <utility>
@@ -114,6 +115,25 @@ void mark_damaged_tiles(const TileGrid& grid, const Rect& damage, Coord reach,
     });
   }
   for (const std::size_t t : hit) stale[t] = 1;
+}
+
+/// The rects of the edit's dirty regions on `on`. Requires damage.inc.
+std::vector<Rect> dirty_rects(const FlowDamage& damage,
+                              const std::vector<LayerKey>& on) {
+  std::vector<Rect> out;
+  for (const LayerKey k : on) {
+    const std::vector<Rect>& d = damage.inc->dirty_region(k).rects();
+    out.insert(out.end(), d.begin(), d.end());
+  }
+  return out;
+}
+
+/// True when `r` shares a point (closed) with one of `rects`.
+bool touches_any(const Rect& r, const std::vector<Rect>& rects) {
+  for (const Rect& d : rects) {
+    if (r.touches(d)) return true;
+  }
+  return false;
 }
 
 /// What a pass reports for its trace row.
@@ -530,15 +550,61 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
                       stale ? 1u : 0u, inc};
   });
 
-  // 5. Redundant vias (reads the via layer plus both metals). The
-  // derived yield scalars are pure functions of the counts, so they
-  // recompute bit-identically either way.
+  // 5. Redundant vias: one unit per interaction cluster of single vias
+  // (via_clusters), keyed by its member boxes. A cluster reuses its
+  // cached result when the same boxes formed it last run and no stack
+  // layer's dirty region comes within via_reach of a member; a cold run
+  // is the case where every cluster is stale. The clusters' results sum
+  // to the whole layer's, and the derived yield scalars are pure
+  // functions of the counts, so both come out bit-identical either way.
   const std::vector<LayerKey> stack = {layers::kMetal1, layers::kVia1,
                                        layers::kMetal2};
-  flow.pass("flow/via_doubling", [&] {
+  caches.vias_valid = flow.pass("flow/via_doubling", [&] {
     flow.evict_keeping(stack);
-    const bool stale = flow.stale(inc, stack);
-    rep.vias = stale ? double_vias(snap, t) : prev->vias;
+    std::size_t total_units = caches.via_clusters.size();
+    std::size_t dirty_units = 0;
+    if (inc && caches.vias_valid && !damage.dirty_any(stack)) {
+      rep.vias = prev->vias;
+    } else {
+      const LayerComponents& vias = snap.components(layers::kVia1);
+      const std::vector<std::vector<std::uint32_t>> clusters =
+          via_clusters(vias, t);
+      const bool reuse = inc && caches.vias_valid;
+      const Coord reach = via_reach(t);
+      const std::vector<Rect> dirty =
+          reuse ? dirty_rects(damage, stack) : std::vector<Rect>{};
+      std::map<std::vector<Rect>, ViaDoublingResult> next;
+      std::vector<std::vector<Rect>> keys(clusters.size());
+      std::vector<std::size_t> stale;
+      for (std::size_t c = 0; c < clusters.size(); ++c) {
+        bool near = false;
+        for (const std::uint32_t v : clusters[c]) {
+          keys[c].push_back(vias.boxes[v]);
+          near = near || touches_any(vias.boxes[v].expanded(reach), dirty);
+        }
+        const auto it = reuse && !near ? caches.via_clusters.find(keys[c])
+                                       : caches.via_clusters.end();
+        if (it != caches.via_clusters.end()) {
+          next.emplace(keys[c], std::move(it->second));
+        } else {
+          stale.push_back(c);
+        }
+      }
+      flow.run_groups(
+          stale, [&](std::size_t) { return stack; },
+          [&](std::size_t c) {
+            TELEM_SPAN_ARG("vias/cluster", c);
+            return double_via_cluster(snap, clusters[c], t);
+          },
+          [&](std::size_t c, ViaDoublingResult&& r) {
+            next.emplace(std::move(keys[c]), std::move(r));
+          });
+      caches.via_clusters = std::move(next);
+      rep.vias = ViaDoublingResult{};
+      for (const auto& [members, r] : caches.via_clusters) rep.vias += r;
+      total_units = clusters.size();
+      dirty_units = stale.size();
+    }
     const auto singles = static_cast<std::int64_t>(rep.vias.singles_before);
     const auto doubled = static_cast<std::int64_t>(rep.vias.inserted);
     rep.via_yield_before = via_yield(singles, 0, options.via_fail_rate);
@@ -556,93 +622,154 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
                       1.0, std::to_string(redundant) + "/" +
                                std::to_string(total) + " redundant, " +
                                std::to_string(doubled) + " insertable");
-    return PassCounts{static_cast<std::size_t>(singles), 1, stale ? 1u : 0u,
-                      inc};
+    return PassCounts{static_cast<std::size_t>(singles), total_units,
+                      dirty_units, inc};
   });
 
-  // 6. Connectivity: extracted nets and floating (misaligned) vias.
-  // Whole-pass splice over the full stack.
-  flow.pass("flow/connectivity", [&] {
+  // 6. Connectivity: extracted nets and floating (misaligned) vias, one
+  // unit per net. After an edit the nets with a piece touching the
+  // damage on any stack layer dissolve and are re-extracted together
+  // with the edited components there (splice_nets); the rest carry over,
+  // and so do the verdicts of cuts whose bbox the damage misses. A cold
+  // run is the case where every net dissolves.
+  std::optional<NetSplice> spliced;
+  caches.nets_valid = flow.pass("flow/connectivity", [&] {
     flow.evict_keeping(stack);
-    const bool stale = flow.stale(inc, stack);
-    rep.nets = stale ? extract_nets(snap, standard_stack()) : prev->nets;
-    rep.floating_cuts = stale ? find_floating_cuts(snap, standard_stack())
-                              : prev->floating_cuts;
+    const std::vector<StackLayer> net_stack = standard_stack();
+    std::size_t dissolved = 0;
+    if (inc && caches.nets_valid) {
+      rep.nets = prev->nets;
+      rep.floating_cuts = prev->floating_cuts;
+      spliced =
+          splice_nets(*damage.inc, net_stack, rep.nets, caches.net_keys);
+      splice_floating_cuts(*damage.inc, net_stack, rep.floating_cuts);
+      dissolved = spliced->dissolved.size();
+    } else {
+      rep.nets = extract_nets(snap, net_stack, &caches.net_keys);
+      rep.floating_cuts = find_floating_cuts(snap, net_stack);
+      dissolved = rep.nets.size();
+    }
     rep.scorecard.add("connectivity",
                       score_from_count(rep.floating_cuts.size(), 2.0), 1.0,
                       std::to_string(rep.nets.size()) + " nets, " +
                           std::to_string(rep.floating_cuts.size()) +
                           " floating vias");
-    return PassCounts{rep.nets.size(), 1, stale ? 1u : 0u, inc};
+    return PassCounts{rep.nets.size(), rep.nets.size(), dissolved, inc};
   });
 
-  // 7. Critical area / defect-limited yield: the M1 shorts term as one
-  // unit per grid tile, and the two M2 terms as one unit each, spliced on
-  // their own input layers. M1 uses the conservative layer-local shorts
+  // 7. Critical area / defect-limited yield. Units: the M1 shorts term
+  // and the M2 net-aware shorts term one per grid tile each, and M2
+  // opens as one unit. M1 uses the conservative layer-local shorts
   // estimate; shorts on M2 are net-aware (stubs strapped through vias
-  // are not shorts), so that unit reads every layer the nets span. Each
-  // whole-layer computation fans its defect sizes out on the pool.
+  // are not shorts), so its tiles read the per-net M2 pieces and go
+  // stale with the nets the connectivity splice changed. Both tile terms
+  // sum integer areas in tile order and integrate them as the
+  // whole-layer kernel's integers are, so they are bit-identical to it.
   caches.caa_valid = flow.pass("flow/caa_yield", [&] {
     flow.evict_keeping({layers::kMetal1, layers::kMetal2});
     const DefectModel& defects = options.defects;
     const bool cached = inc && caches.caa_valid;
     std::size_t dirty_units = 0;
-    // M1 shorts: (tile x defect size) integer areas of the >= 2-net
-    // coverage each tile owns, nets from the global labelling. A cold run
-    // (or a changed grid) is the case where every tile is stale;
-    // otherwise a stale tile is one the damage grown by the largest
-    // defect's half-width (short_reach, exact) reaches, directly or
-    // through a component the edit changed.
-    const std::vector<Coord> sizes = defect_size_grid(defects, 24);
-    const bool reuse =
-        cached && same_grid && caches.caa_m1_tiles.size() == grid.size();
-    if (!reuse || damage.dirty(layers::kMetal1)) {
-      TELEM_SPAN("caa/m1_shorts");
-      const LayerComponents& comps = snap.components(layers::kMetal1);
-      std::vector<char> stale(grid.size(), reuse ? 0 : 1);
-      if (reuse) {
-        mark_damaged_tiles(grid,
-                           damage.inc->damage_bbox({layers::kMetal1}, 0),
-                           short_reach(sizes), &comps, 0, stale);
-      } else {
-        caches.caa_m1_tiles.assign(grid.size(), {});
+    // Runs the stale tiles of one term on the pool into `slots` (one per
+    // tile; all of them when `reuse` is false) and returns its integer
+    // areas per size, summed in tile order and scaled back to 1x.
+    const auto run_tiles = [&](std::vector<std::vector<Area>>& slots,
+                               bool reuse, std::vector<char>& stale,
+                               const std::vector<Coord>& sizes,
+                               const char* span,
+                               const std::function<const LayerComponents&()>&
+                                   nets) {
+      if (!reuse) {
+        slots.assign(grid.size(), {});
+        stale.assign(grid.size(), 1);
       }
       std::vector<std::size_t> tiles;
       for (std::size_t ti = 0; ti < stale.size(); ++ti) {
         if (stale[ti] != 0) tiles.push_back(ti);
       }
-      std::vector<std::vector<Area>> fresh =
-          parallel_map(pool, tiles.size(), [&](std::size_t i) {
-            TELEM_SPAN_ARG("caa/m1_tile", tiles[i]);
-            return short_critical_areas_tile(comps, sizes, grid, tiles[i]);
-          });
-      for (std::size_t i = 0; i < tiles.size(); ++i) {
-        caches.caa_m1_tiles[tiles[i]] = std::move(fresh[i]);
-      }
-      dirty_units += tiles.size();
-    }
-    // Integer sums in tile order, then today's integration: the cold
-    // double bit for bit.
-    std::vector<Area> m1_ca(sizes.size(), 0);
-    for (const std::vector<Area>& tile : caches.caa_m1_tiles) {
-      for (std::size_t i = 0; i < sizes.size(); ++i) m1_ca[i] += tile[i];
-    }
-    for (Area& a : m1_ca) a /= 4;
-    const double m1_shorts =
-        defects.lambda(integrate_critical_area(m1_ca, defects));
-    if (flow.stale(cached, stack)) {
-      TELEM_SPAN("caa/m2_net_shorts");
-      std::vector<Region> pieces;
-      std::vector<int> net_of;
-      for (std::size_t ni = 0; ni < rep.nets.nets.size(); ++ni) {
-        if (const Region* piece = rep.nets.nets[ni].on(layers::kMetal2)) {
-          pieces.push_back(*piece);
-          net_of.push_back(static_cast<int>(ni));
+      if (!tiles.empty()) {
+        const LayerComponents& comps = nets();
+        std::vector<std::vector<Area>> fresh =
+            parallel_map(pool, tiles.size(), [&](std::size_t i) {
+              TELEM_SPAN_ARG(span, tiles[i]);
+              return short_critical_areas_tile(comps, sizes, grid, tiles[i]);
+            });
+        for (std::size_t i = 0; i < tiles.size(); ++i) {
+          slots[tiles[i]] = std::move(fresh[i]);
         }
       }
-      caches.caa_m2_net_shorts = defects.lambda(average_short_critical_area(
-          ShortNets::of_pieces(pieces, net_of), defects, 16, pool));
-      ++dirty_units;
+      (void)span;
+      dirty_units += tiles.size();
+      std::vector<Area> ca(sizes.size(), 0);
+      for (const std::vector<Area>& tile : slots) {
+        for (std::size_t i = 0; i < sizes.size(); ++i) ca[i] += tile[i];
+      }
+      for (Area& a : ca) a /= 4;
+      return defects.lambda(integrate_critical_area(ca, defects));
+    };
+
+    // M1 shorts: (tile x defect size) integer areas of the >= 2-net
+    // coverage each tile owns, nets from the global labelling. A stale
+    // tile is one the damage grown by the largest defect's half-width
+    // (short_reach, exact) reaches, directly or through a component the
+    // edit changed.
+    const std::vector<Coord> m1_sizes = defect_size_grid(defects, 24);
+    const bool m1_reuse =
+        cached && same_grid && caches.caa_m1_tiles.size() == grid.size();
+    std::vector<char> m1_stale(grid.size(), 0);
+    if (m1_reuse && damage.dirty(layers::kMetal1)) {
+      mark_damaged_tiles(grid, damage.inc->damage_bbox({layers::kMetal1}, 0),
+                         short_reach(m1_sizes),
+                         &snap.components(layers::kMetal1), 0, m1_stale);
+    }
+    double m1_shorts = 0;
+    {
+      TELEM_SPAN("caa/m1_shorts");
+      m1_shorts = run_tiles(caches.caa_m1_tiles, m1_reuse, m1_stale, m1_sizes,
+                            "caa/m1_tile", [&]() -> const LayerComponents& {
+                              return snap.components(layers::kMetal1);
+                            });
+    }
+    // M2 net-aware shorts: the same kernel over one region per net (its
+    // M2 piece) at 16 sizes. A tile is stale when it lies within
+    // short_reach of the old or new M2 bbox of a net the connectivity
+    // splice dissolved or created; every other net is the same point
+    // set with the same identity.
+    const std::vector<Coord> m2_sizes = defect_size_grid(defects, 16);
+    const bool m2_reuse = cached && same_grid && spliced.has_value() &&
+                          caches.caa_m2_tiles.size() == grid.size();
+    std::vector<char> m2_stale(grid.size(), 0);
+    if (m2_reuse) {
+      const Coord reach = short_reach(m2_sizes);
+      std::vector<std::size_t> hit;
+      const auto mark = [&](const Net& net) {
+        if (const Region* piece = net.on(layers::kMetal2)) {
+          grid.touching(bounding_box(piece->raw()).expanded(reach), hit);
+        }
+      };
+      for (const Net& net : spliced->dissolved) mark(net);
+      for (const std::size_t n : spliced->created) mark(rep.nets.nets[n]);
+      for (const std::size_t ti : hit) m2_stale[ti] = 1;
+    }
+    LayerComponents m2_nets;
+    double m2_shorts = 0;
+    {
+      TELEM_SPAN("caa/m2_net_shorts");
+      m2_shorts = run_tiles(
+          caches.caa_m2_tiles, m2_reuse, m2_stale, m2_sizes, "caa/m2_tile",
+          [&]() -> const LayerComponents& {
+            for (Net& net : rep.nets.nets) {
+              for (auto& [key, piece] : net.pieces) {
+                if (key != layers::kMetal2) continue;
+                // Normalized in the report itself, so later runs copy
+                // canonical pieces; the copies are read from the pool.
+                m2_nets.boxes.push_back(piece.bbox());
+                m2_nets.regions.push_back(piece);
+              }
+            }
+            m2_nets.index.build(m2_nets.boxes);
+            return m2_nets;
+          });
     }
     if (flow.stale(cached, {layers::kMetal2})) {
       TELEM_SPAN("caa/m2_opens");
@@ -650,12 +777,12 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
                                          /*shorts=*/false);
       ++dirty_units;
     }
-    rep.lambda_shorts = m1_shorts + caches.caa_m2_net_shorts;
+    rep.lambda_shorts = m1_shorts + m2_shorts;
     rep.lambda_opens = caches.caa_m2_opens;
     rep.defect_yield = poisson_yield(rep.lambda_shorts + rep.lambda_opens);
     rep.scorecard.add("defect_yield", rep.defect_yield, 2.0,
                       "Poisson over CAA lambda");
-    return PassCounts{rep.nets.size(), grid.size() + 2, dirty_units, inc};
+    return PassCounts{rep.nets.size(), 2 * grid.size() + 1, dirty_units, inc};
   });
 
   caches.valid = true;

@@ -1,9 +1,10 @@
 // Incremental re-analysis: dirty-region deltas over LayoutSnapshot.
 //
 // A DfmFlowSession runs the full DFM flow cold once, keeps the per-unit
-// intermediate results of every pass (per-rule violation lists, per-
-// window pattern matches, per-tile litho hotspots and prints, per-term
-// CAA fault rates, whole-pass outputs of the other global passes), and
+// intermediate results of every pass (per-(rule x tile) violation
+// lists, per-window pattern matches, per-tile litho hotspots and prints,
+// per-cluster via doubling, per-net keys, per-(term x tile) CAA areas,
+// and the whole DPT result), and
 // on each applied LayoutDelta re-runs only the units whose inputs the
 // edit dirtied — splicing the cached results in for everything else. The
 // spliced report is bit-identical to running the flow cold on the edited
@@ -44,17 +45,28 @@
 //    reaches, and recompares only a window around them, grown until
 //    every risk component it reaches lies inside; risk pieces that reach
 //    a tile seam re-merge across tiles on every run.
-//  * Global passes (dpt, via_doubling, connectivity): any input layer
-//    dirtied re-runs the whole pass.
-//  * caa_yield: M1 layer-local shorts as one unit per (tile): the
-//    integer 2x-grid area of the >= 2-net coverage each tile owns at
-//    every defect size, with reach short_reach (half the largest defect)
-//    and components touching the damage; a cold run is the case where
-//    every tile is stale. The pass sums the tiles' integers in tile
-//    order and integrates them as the whole-layer kernel's integers are. M2 net-aware shorts
-//    (m1, via1, m2: the nets span all three) and M2 opens (m2) are one
-//    unit each, cached as doubles; within them the defect sizes fan out
-//    on the pool and are integrated in size-index order.
+//  * dpt stays a whole-pass unit: any M1 edit re-runs it.
+//  * via_doubling: one unit per interaction cluster of single vias
+//    (via_clusters: singles whose insertion candidates could come within
+//    via_space of each other, transitively). A cluster is stale unless
+//    the same member boxes formed it last run and no dirty region on
+//    M1, V1 or M2 lies within via_reach of a member box.
+//  * connectivity: one unit per net. A net dissolves when one of its
+//    pieces, on any stack layer, touches the union of the stack's dirty
+//    regions; dissolved nets and the edited components touching the
+//    damage are re-extracted and merged back in canonical (NetKey)
+//    order. A floating-cut verdict is kept while the damage misses the
+//    cut's bbox.
+//  * caa_yield: M1 layer-local shorts and M2 net-aware shorts as one
+//    unit per (term x tile) each: the integer 2x-grid area of the >= 2-net
+//    coverage the tile owns at every defect size of the term. An M1 tile
+//    is stale when the M1 damage, or a component touching it, comes
+//    within short_reach (half the largest defect) of it; an M2 tile when
+//    the old or new M2 bbox of a net the connectivity splice dissolved
+//    or created does. The pass sums each term's integers in tile order
+//    and integrates them as the whole-layer kernel's integers are. M2
+//    opens (m2) is one unit, cached as a double.
+// A cold run is the case where every unit of every pass is stale.
 #pragma once
 
 #include "core/delta.h"
@@ -95,11 +107,20 @@ struct FlowCaches {
   /// Kernel spectra for the litho FFT path, shared across runs of a
   /// session (one transform per process corner and raster size).
   std::shared_ptr<KernelSpectrumCache> kernels;
+  /// via_doubling's units: per interaction cluster of single vias,
+  /// keyed by its member boxes in labelling order, the cluster's result.
+  std::map<std::vector<Rect>, ViaDoublingResult> via_clusters;
+  bool vias_valid = false;
+  /// connectivity's: the NetKey of every net of the last report, aligned
+  /// with its netlist (the nets themselves splice from that report).
+  std::vector<NetKey> net_keys;
+  bool nets_valid = false;
   /// caa_yield's per-unit results: per grid tile, per defect size, the
-  /// 2x-grid area of the M1 shorts critical region the tile owns; the
-  /// M2 terms as fault rates.
+  /// 2x-grid area of the shorts critical region the tile owns, for the
+  /// M1 layer-local term and the M2 net-aware term; M2 opens as a fault
+  /// rate.
   std::vector<std::vector<Area>> caa_m1_tiles;
-  double caa_m2_net_shorts = 0.0;
+  std::vector<std::vector<Area>> caa_m2_tiles;
   double caa_m2_opens = 0.0;
   bool caa_valid = false;
 

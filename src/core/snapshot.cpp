@@ -3,7 +3,6 @@
 #include "core/delta.h"
 #include "core/parallel.h"
 #include "core/telemetry.h"
-#include "layout/connectivity.h"
 #include "layout/library.h"
 
 #include <stdexcept>
@@ -474,33 +473,6 @@ Rect IncrementalSnapshot::damage_bbox(const std::vector<LayerKey>& on,
     if (!d.empty()) box = box.join(d.bbox());
   }
   return box.is_empty() ? box : box.expanded(halo);
-}
-
-namespace {
-
-// The connectivity impls take a LayerMap; hand them copies of just the
-// stack layers so a budgeted, source-backed snapshot hydrates nothing
-// beyond the pass's working set. (These overloads live here, not in
-// connectivity.cpp: dfm_layout sits below dfm_snapshot.)
-LayerMap stack_layer_map(const LayoutSnapshot& snap,
-                         const std::vector<StackLayer>& stack) {
-  LayerMap m;
-  for (const StackLayer& s : stack) {
-    m.emplace(s.key, snap.layer(s.key).region());
-  }
-  return m;
-}
-
-}  // namespace
-
-Netlist extract_nets(const LayoutSnapshot& snap,
-                     const std::vector<StackLayer>& stack) {
-  return detail::extract_nets_impl(stack_layer_map(snap, stack), stack);
-}
-
-std::vector<FloatingCut> find_floating_cuts(
-    const LayoutSnapshot& snap, const std::vector<StackLayer>& stack) {
-  return detail::find_floating_cuts_impl(stack_layer_map(snap, stack), stack);
 }
 
 }  // namespace dfm

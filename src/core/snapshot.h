@@ -76,10 +76,11 @@ struct SnapshotCacheStats {
   }
 };
 
-/// A layer's connected components in Region::components() order (bbox
-/// order), with their bboxes and an R-tree over those bboxes. The one
-/// component labelling every pass shares: DRC spacing and area,
-/// recommended rules, pattern anchors, DPT nodes and CAA shorts, and the
+/// A layer's connected components in Region::components() order
+/// (component_less), with their bboxes and an R-tree over those bboxes.
+/// The one component labelling every pass shares: DRC spacing and area,
+/// recommended rules, pattern anchors, DPT nodes, CAA shorts, the
+/// vertices of net extraction and the vias of via doubling, and the
 /// global net identity the spatial tile units need (a tile cannot see
 /// whether two pieces connect outside it).
 struct LayerComponents {

@@ -170,16 +170,18 @@ std::vector<Region> Region::components() const {
     reg.normalized_ = reg.raw_.size() <= 1;
     out.push_back(std::move(reg));
   }
-  std::sort(out.begin(), out.end(), [](const Region& a, const Region& b) {
-    // Full-bbox ordering: input decomposition must not leak into the
-    // component order (a tile's clipped input and the whole layer agree
-    // on the same point set), so break lo ties on hi. Components left
-    // tied have identical bboxes.
-    const Rect ab = a.bbox(), bb = b.bbox();
-    if (ab.lo != bb.lo) return ab.lo < bb.lo;
-    return ab.hi < bb.hi;
-  });
+  std::sort(out.begin(), out.end(), component_less);
   return out;
+}
+
+bool component_less(const Region& a, const Region& b) {
+  // Input decomposition must not leak into the component order (a tile's
+  // clipped input and the whole layer agree on the same point set, and
+  // an edit elsewhere on the layer must not reorder two components it
+  // left alone), so ties on the bbox break on the canonical rects.
+  const Rect ab = a.bbox(), bb = b.bbox();
+  if (ab != bb) return ab < bb;
+  return a.rects() < b.rects();
 }
 
 namespace {

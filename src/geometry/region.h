@@ -74,7 +74,8 @@ class Region {
   /// extents, which is what GDSII output needs.
   std::vector<Polygon> to_polygons() const;
 
-  /// Connected components (edge-adjacency connects).
+  /// Connected components (edge-adjacency connects), in component_less
+  /// order.
   std::vector<Region> components() const;
 
   Region translated(Point d) const;
@@ -111,6 +112,12 @@ class Region {
   mutable std::vector<Rect> raw_;      // as-added shapes (rect-decomposed)
   mutable bool normalized_ = true;     // raw_ is canonical when true
 };
+
+/// The labelling order of Region::components(): bbox lo, then bbox hi,
+/// then the canonical rects. It depends only on each component's point
+/// set, so two labellings agree on the relative order of every component
+/// they share, whatever else changed around it.
+bool component_less(const Region& a, const Region& b);
 
 /// Chebyshev distance between two regions, early-exiting at `cap`.
 Coord region_distance(const Region& a, const Region& b, Coord cap);

@@ -5,7 +5,6 @@
 #pragma once
 
 #include "geometry/region.h"
-#include "layout/layer_map.h"
 #include "layout/tech.h"
 #include "layout/tile_grid.h"
 
@@ -148,14 +147,42 @@ struct ViaDoublingResult {
   Region new_metal1;        // landing-pad extensions added
   Region new_metal2;
 
+  /// Adds the counts and shapes of `o` (a disjoint part of the layout's
+  /// result, such as one cluster's).
+  ViaDoublingResult& operator+=(const ViaDoublingResult& o);
+
   friend bool operator==(const ViaDoublingResult&,
                          const ViaDoublingResult&) = default;
 };
 
-namespace detail {
-// Shared implementation the snapshot overload routes through.
-ViaDoublingResult double_vias_impl(const LayerMap& layers, const Tech& tech);
-}  // namespace detail
+/// How far from a single via's box doubling it reads the layout (vias
+/// and both metals), in Chebyshev distance: the partner test reads the
+/// metal under the joint pad with any single within two steps (step =
+/// via_size + via_space), which ends within 2 * step + via_size +
+/// enclosure/2 of the box; a candidate reads the vias within via_space
+/// of itself and the metal within the larger metal space + 1 of its pad.
+/// An edit farther than this from every member of a cluster cannot
+/// change the cluster's result.
+Coord via_reach(const Tech& tech);
+
+/// The interaction clusters of the single vias in `vias` (the via
+/// layer's labelling), as labelling indices: each cluster in labelling
+/// order, clusters in order of their first member. Doubling is
+/// sequential only through the vias it has inserted, and two singles'
+/// candidates can come within via_space of each other only when the
+/// hulls of their candidates (one step plus half a via around each
+/// centre) do, so singles are linked when those hulls, one grown by
+/// via_space, touch. Clusters therefore double independently, and the
+/// sum of their results is the whole layer's.
+std::vector<std::vector<std::uint32_t>> via_clusters(
+    const LayerComponents& vias, const Tech& tech);
+
+/// double_vias restricted to one cluster of via_clusters over the
+/// snapshot's via labelling: its members, in order, against the whole
+/// layout.
+ViaDoublingResult double_via_cluster(const LayoutSnapshot& snap,
+                                     const std::vector<std::uint32_t>& members,
+                                     const Tech& tech);
 
 /// Attempts to add a redundant via beside every isolated via, extending
 /// the landing pads when needed; a position is legal when via spacing to
@@ -165,8 +192,9 @@ ViaDoublingResult double_vias_impl(const LayerMap& layers, const Tech& tech);
 /// is covered on both metals — exactly what an insertion leaves behind)
 /// counts as redundant and is left alone, so doubling is idempotent:
 /// re-running on a doubled layout inserts nothing. Reads the snapshot's
-/// memoized metal R-trees, so every legality probe is local to the
-/// candidate pad.
+/// memoized via labelling and metal R-trees, so every legality probe is
+/// local to the candidate pad. The sum of double_via_cluster over
+/// via_clusters.
 ViaDoublingResult double_vias(const LayoutSnapshot& snap, const Tech& tech);
 
 /// The layout edit a doubling result represents (new vias + pad

@@ -356,19 +356,20 @@ TEST(DfmFlowSession, BboxMovingEditFallsBackToFullRun) {
       << "a bbox-moving edit must degrade to a full re-run";
 }
 
-// caa_yield splices the M1 layer-local shorts term per grid tile (m1)
-// plus two whole units: M2 net-aware shorts (m1, via1, m2) and M2 opens
-// (m2). One edit per layer, in sequence on one session, so each run sums
-// terms cached by earlier runs with the ones it recomputes; every report
-// must equal a cold flow with the CAA doubles bit-equal, and the trace
-// must show which units ran.
+// caa_yield splices the M1 layer-local shorts term per grid tile (m1),
+// the M2 net-aware shorts term per grid tile (keyed on the nets the
+// connectivity splice changed), and M2 opens (m2) as one unit. One edit
+// per layer, in sequence on one session, so each run sums terms cached
+// by earlier runs with the ones it recomputes; every report must equal a
+// cold flow with the CAA doubles bit-equal, and the trace must show
+// which units ran.
 class CaaSplice : public ::testing::TestWithParam<unsigned> {};
 
 std::size_t caa_dirty_units(const DfmFlowReport& rep, std::size_t tiles) {
   const PassTrace* caa = rep.trace.find("caa_yield");
   EXPECT_NE(caa, nullptr);
   if (caa == nullptr) return 0;
-  EXPECT_EQ(caa->total_units, tiles + 2);
+  EXPECT_EQ(caa->total_units, 2 * tiles + 1);
   return caa->dirty_units;
 }
 
@@ -398,6 +399,54 @@ std::size_t m1_tiles_reached(const LayerMap& edited, const Rect& patch,
     }
   }
   return static_cast<std::size_t>(std::count(hit.begin(), hit.end(), 1));
+}
+
+/// The M2 net-aware tiles an edit `patch` (before -> after) makes stale,
+/// counted the way the pass defines them: cells within half the largest
+/// of the term's 16 defect sizes (rounded up) of the M2 bbox of a net the
+/// edit changes. Those are the old nets with a piece touching the patch
+/// (they dissolve) and the new nets that are not one of the old nets
+/// left alone (they are re-extracted).
+std::size_t m2_tiles_reached(const LayerMap& before, const LayerMap& after,
+                             const Rect& patch, const DfmFlowOptions& opt) {
+  const LayoutSnapshot old_snap{LayerMap(before)};
+  const LayoutSnapshot new_snap{LayerMap(after)};
+  const TileGrid grid(new_snap.bbox(), opt.tech.density_tile);
+  const std::vector<Coord> sizes = defect_size_grid(opt.defects, 16);
+  const Coord reach = (*std::max_element(sizes.begin(), sizes.end()) + 1) / 2;
+  std::vector<Rect> reached;
+  const auto reach_m2 = [&](const Net& net) {
+    if (const Region* m2 = net.on(layers::kMetal2)) {
+      reached.push_back(m2->bbox().expanded(reach));
+    }
+  };
+  std::vector<Net> untouched;
+  for (const Net& net : extract_nets(old_snap, standard_stack()).nets) {
+    bool touched = false;
+    for (const auto& [key, piece] : net.pieces) {
+      for (const Rect& r : piece.rects()) touched = touched || r.touches(patch);
+    }
+    if (touched) {
+      reach_m2(net);
+    } else {
+      untouched.push_back(net);
+    }
+  }
+  for (const Net& net : extract_nets(new_snap, standard_stack()).nets) {
+    if (std::find(untouched.begin(), untouched.end(), net) == untouched.end()) {
+      reach_m2(net);
+    }
+  }
+  std::size_t n = 0;
+  for (std::size_t t = 0; t < grid.size(); ++t) {
+    for (const Rect& r : reached) {
+      if (grid.cell(t).touches(r)) {
+        ++n;
+        break;
+      }
+    }
+  }
+  return n;
 }
 
 void expect_matches_cold(const DfmFlowReport& warm, const LayerMap& shadow,
@@ -430,30 +479,33 @@ TEST_P(CaaSplice, EachUnitRecomputesOnlyOnItsOwnLayers) {
     const char* what;
     LayerKey layer;
     Rect rect;
-    std::size_t dirty;
   };
-  const Rect m1_patch{core.lo.x, core.lo.y, core.lo.x + 300, core.lo.y + 60};
-  LayerMap m1_edited = base;
-  {
-    LayoutDelta d;
-    d.add(layers::kMetal1, m1_patch);
-    d.apply(m1_edited);
-  }
   const std::vector<Step> steps = {
-      {"m1", layers::kMetal1, m1_patch,
-       m1_tiles_reached(m1_edited, m1_patch, opt) + 1},
+      {"m1", layers::kMetal1,
+       Rect{core.lo.x, core.lo.y, core.lo.x + 300, core.lo.y + 60}},
       {"m2", layers::kMetal2,
-       Rect{core.hi.x - 300, core.hi.y - 60, core.hi.x, core.hi.y}, 2},
+       Rect{core.hi.x - 300, core.hi.y - 60, core.hi.x, core.hi.y}},
       {"via1", layers::kVia1,
-       Rect{pad.lo.x, pad.lo.y, pad.lo.x + via, pad.lo.y + via}, 1},
+       Rect{pad.lo.x, pad.lo.y, pad.lo.x + via, pad.lo.y + via}},
   };
   for (const Step& s : steps) {
     SCOPED_TRACE(s.what);
     LayoutDelta d;
     d.add(s.layer, s.rect);
+    const LayerMap before = shadow;
     d.apply(shadow);
     const DfmFlowReport& warm = session.apply(d);
-    EXPECT_EQ(caa_dirty_units(warm, tiles), s.dirty);
+    // The M1 tiles an M1 edit reaches, the M2 tiles of the nets the edit
+    // changed, and M2 opens on an M2 edit.
+    const std::size_t m2_tiles = m2_tiles_reached(before, shadow, s.rect, opt);
+    if (s.layer == layers::kVia1) {
+      EXPECT_GT(m2_tiles, 0u);
+    }
+    EXPECT_EQ(caa_dirty_units(warm, tiles),
+              (s.layer == layers::kMetal1
+                   ? m1_tiles_reached(shadow, s.rect, opt)
+                   : 0) +
+                  m2_tiles + (s.layer == layers::kMetal2 ? 1 : 0));
     expect_matches_cold(warm, shadow, opt);
   }
 
@@ -469,7 +521,7 @@ TEST_P(CaaSplice, EachUnitRecomputesOnlyOnItsOwnLayers) {
   const DfmFlowReport& full = session.apply(grow);
   const std::size_t grown =
       TileGrid(session.snapshot().bbox(), opt.tech.density_tile).size();
-  EXPECT_EQ(caa_dirty_units(full, grown), grown + 2);
+  EXPECT_EQ(caa_dirty_units(full, grown), 2 * grown + 1);
   expect_matches_cold(full, shadow, opt);
 }
 
@@ -479,6 +531,10 @@ TEST_P(CaaSplice, EachUnitRecomputesOnlyOnItsOwnLayers) {
 // extent-edge and bbox-moving edits).
 TEST_P(CaaSplice, M1TileStreamsMatchColdFlow) {
   splice_streams::run_streams(GetParam(), "caa_yield");
+}
+
+TEST(CaaSplice, TightBudgetStreamMatchesColdFlow) {
+  splice_streams::run_budgeted_stream("caa_yield");
 }
 
 // The M1 halo is exact: a patch one unit inside half the largest defect
@@ -505,8 +561,9 @@ TEST_P(CaaSplice, EditJustInsideTheHaloRechecksTheNeighbourTile) {
   d.apply(m);
   const DfmFlowReport& warm = session.apply(d);
   expect_matches_cold(warm, m, opt);
-  // The patch's own cell and the neighbour, plus the net-aware M2 term.
-  EXPECT_EQ(caa_dirty_units(warm, 2), 3u);
+  // The patch's own cell and the neighbour; the design has no M2, so no
+  // net-aware tile reruns.
+  EXPECT_EQ(caa_dirty_units(warm, 2), 2u);
 }
 
 // Net identity is global: a U-shaped net whose base lies outside a
@@ -532,6 +589,42 @@ TEST_P(CaaSplice, NetLeavingTheTileWindowKeepsItsLabel) {
   d.add(layers::kMetal1, Rect{tile + 4000, 300, tile + 4100, 350});
   d.apply(m);
   expect_matches_cold(session.apply(d), m, opt);
+}
+
+// The M2 net-aware tiles follow the nets: every net edit case (a via
+// joining two nets, a via cut splitting one, an M2 bridge, a floating
+// via, a pad edit), added then removed, must leave the CAA doubles
+// bit-equal to a cold flow, and some steps must recheck only part of the
+// units.
+TEST_P(CaaSplice, M2NetStreamsMatchColdFlow) {
+  const DfmFlowOptions opt =
+      splice_streams::splice_options(GetParam(), "caa_yield");
+  std::size_t partial = 0;
+  for (const std::uint64_t seed : {3u, 11u, 29u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const LayerMap m = splice_streams::design_layers(seed, 3, 8);
+    DfmFlowSession session(m, opt);
+    LayerMap shadow = m;
+    const std::size_t tiles =
+        TileGrid(session.snapshot().bbox(), opt.tech.density_tile).size();
+    for (const splice_streams::Edit& e :
+         splice_streams::net_edit_cases(session.snapshot())) {
+      for (const bool add : {true, false}) {
+        SCOPED_TRACE(std::string(e.what) + (add ? " add" : " remove"));
+        LayoutDelta d;
+        if (add) {
+          d.add(e.layer, e.rect);
+        } else {
+          d.remove(e.layer, e.rect);
+        }
+        d.apply(shadow);
+        const DfmFlowReport& warm = session.apply(d);
+        if (caa_dirty_units(warm, tiles) < 2 * tiles + 1) ++partial;
+        expect_matches_cold(warm, shadow, opt);
+      }
+    }
+  }
+  EXPECT_GT(partial, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, CaaSplice, ::testing::Values(1u, 2u, 8u));

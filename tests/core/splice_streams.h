@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,109 @@ struct Edit {
   Rect rect;
 };
 
+/// The edit cases that change nets or via clusters, found on `snap`:
+/// a via joining M1 and M2 where they overlap, a via rect whose remove
+/// step deletes the only via of a net and so splits it, an M2 bridge
+/// between wires of different nets, a via over M1 only, and an M1 pad
+/// edit within via_reach of a single via.
+inline std::vector<Edit> net_edit_cases(const LayoutSnapshot& snap) {
+  const Tech& tech = Tech::standard();
+  const Coord sz = tech.via_size;
+  std::vector<Edit> out;
+  const LayerComponents& vias = snap.components(layers::kVia1);
+  const RTree& m1_tree = snap.rtree(layers::kMetal1);
+  const RTree& m2_tree = snap.rtree(layers::kMetal2);
+  const auto clear_of_vias = [&](const Rect& r, Coord margin) {
+    return vias.index.query(r.expanded(margin)).empty();
+  };
+  const auto inside = [&](const Rect& r, LayerKey k) {
+    return (Region{r} - snap.layer(k).region()).empty();
+  };
+
+  // Via join: a via-sized square inside M1 and M2, away from every via.
+  const Region both = snap.layer(layers::kMetal1).region() &
+                      snap.layer(layers::kMetal2).region();
+  for (const Rect& r : both.rects()) {
+    if (r.width() < sz || r.height() < sz) continue;
+    const Rect v{r.lo.x, r.lo.y, r.lo.x + sz, r.lo.y + sz};
+    if (clear_of_vias(v, tech.via_space)) {
+      out.push_back({"via join", layers::kVia1, v});
+      break;
+    }
+  }
+  // Via cut: the only via of a net with pieces on both metals.
+  const Netlist nets = extract_nets(snap, standard_stack());
+  for (const Net& net : nets.nets) {
+    const Region* cut = net.on(layers::kVia1);
+    if (cut == nullptr || net.on(layers::kMetal1) == nullptr ||
+        net.on(layers::kMetal2) == nullptr ||
+        cut->components().size() != 1) {
+      continue;
+    }
+    out.push_back({"via cut", layers::kVia1, cut->bbox()});
+    break;
+  }
+  // M2 bridge: across the gap between two M2 wires of different nets
+  // whose y extents overlap.
+  std::map<Rect, std::size_t> m2_net;  // M2 rect -> net
+  for (std::size_t n = 0; n < nets.nets.size(); ++n) {
+    if (const Region* p = nets.nets[n].on(layers::kMetal2)) {
+      for (const Rect& r : p->rects()) m2_net.emplace(r, n);
+    }
+  }
+  const std::vector<Rect>& m2 = snap.layer(layers::kMetal2).rects();
+  for (std::size_t i = 0; i < m2.size(); ++i) {
+    const Rect a = m2[i];
+    bool found = false;
+    for (const std::uint32_t j :
+         m2_tree.query(Rect{a.hi.x + 1, a.lo.y, a.hi.x + 300, a.hi.y})) {
+      const Rect b = m2[j];
+      const Coord lo = std::max(a.lo.y, b.lo.y);
+      const Coord hi = std::min(a.hi.y, b.hi.y);
+      if (b.lo.x > a.hi.x && hi - lo >= 40 && m2_net.at(a) != m2_net.at(b)) {
+        const Rect bridge{a.hi.x - 10, lo, b.lo.x + 10, lo + 40};
+        if (m2_tree.query(bridge).size() == 2) {
+          out.push_back({"M2 bridge", layers::kMetal2, bridge});
+          found = true;
+          break;
+        }
+      }
+    }
+    if (found) break;
+  }
+  // Floating via: inside M1, with no M2 near it.
+  for (const Rect& r : snap.layer(layers::kMetal1).rects()) {
+    if (r.width() < sz || r.height() < sz) continue;
+    const Rect v{r.lo.x, r.lo.y, r.lo.x + sz, r.lo.y + sz};
+    if (inside(v, layers::kMetal1) && clear_of_vias(v, tech.via_space) &&
+        m2_tree.query(v.expanded(100)).empty()) {
+      out.push_back({"floating via", layers::kVia1, v});
+      break;
+    }
+  }
+  // Pad edit: an M1 square in empty space within via_reach of a single
+  // via, less than the M1 space past one candidate's landing pad, so it
+  // can block that candidate's pad extension.
+  const Coord d = tech.via_space + sz + tech.via_enclosure / 2 + 25;
+  EXPECT_LT(d + 60, via_reach(tech));
+  for (const Rect& vb : vias.boxes) {
+    if (vb.width() > sz || vb.height() > sz) continue;
+    const Rect pads[4] = {
+        {vb.hi.x + d, vb.lo.y, vb.hi.x + d + 60, vb.lo.y + 60},
+        {vb.lo.x - d - 60, vb.lo.y, vb.lo.x - d, vb.lo.y + 60},
+        {vb.lo.x, vb.hi.y + d, vb.lo.x + 60, vb.hi.y + d + 60},
+        {vb.lo.x, vb.lo.y - d - 60, vb.lo.x + 60, vb.lo.y - d}};
+    for (const Rect& pad : pads) {
+      if (snap.bbox().contains(pad) &&
+          m1_tree.query(pad.expanded(10)).empty()) {
+        out.push_back({"pad edit", layers::kMetal1, pad});
+        return out;
+      }
+    }
+  }
+  return out;
+}
+
 /// The edit cases, found on the design itself so every generated design
 /// gets each of them.
 inline std::vector<Edit> edit_cases(const LayerMap& m) {
@@ -156,6 +260,7 @@ inline std::vector<Edit> edit_cases(const LayerMap& m) {
   // A via that may violate enclosure.
   out.push_back({"via", layers::kVia1,
                  Rect{seam + 5, my - 400, seam + 55, my - 350}});
+  for (const Edit& e : net_edit_cases(snap)) out.push_back(e);
   // bbox-moving.
   out.push_back({"grow", layers::kMetal1,
                  Rect{bb.hi.x + 500, bb.lo.y, bb.hi.x + 540, bb.lo.y + 900}});
@@ -191,6 +296,15 @@ inline void run_streams(unsigned threads, const std::string& pass) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     run_stream(design_layers(seed, 3, 8), splice_options(threads, pass));
   }
+}
+
+/// run_stream on one design under a 64 KiB snapshot memory budget, so
+/// the pass's derived products are evicted and rebuilt between its unit
+/// groups and between runs.
+inline void run_budgeted_stream(const std::string& pass) {
+  DfmFlowOptions opt = splice_options(2, pass);
+  opt.memory_budget = std::size_t{64} << 10;
+  run_stream(design_layers(11, 3, 8), opt);
 }
 
 }  // namespace dfm::splice_streams

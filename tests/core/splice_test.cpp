@@ -1,5 +1,6 @@
 // Damage-local splicing of the spatial (rule x tile) units of DRC and
-// the recommended rules and of the windowed hotspot compare (the M1
+// the recommended rules, of the windowed hotspot compare, of the per-net
+// connectivity units and of the per-cluster via doubling units (the
 // critical-area tiles run the same streams in CaaSplice). After every
 // step of an add/remove edit stream a warm session's report must equal a
 // cold flow over the edited layout, at threads 1/2/8 (splice_streams.h
@@ -32,7 +33,8 @@ TEST(DrcSplice, EveryDesignHasEveryEditCase) {
       names.emplace_back(e.what);
     }
     for (const char* want :
-         {"isolated", "merge", "split", "seam", "edge", "grow"}) {
+         {"isolated", "merge", "split", "seam", "edge", "grow", "via join",
+          "via cut", "M2 bridge", "floating via", "pad edit"}) {
       EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())
           << "seed " << seed << " lacks " << want;
     }
@@ -179,6 +181,36 @@ TEST_P(RecommendedSplice, EditStreamsMatchColdFlow) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, RecommendedSplice,
                          ::testing::Values(1u, 2u, 8u));
+
+// Connectivity per net: a net whose pieces touch the damage dissolves
+// and is re-extracted with the edited components there; the spliced
+// netlist (in canonical order) and floating-cut list equal a cold run's.
+class ConnectivitySplice : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ConnectivitySplice, EditStreamsMatchColdFlow) {
+  run_streams(GetParam(), "connectivity");
+}
+
+TEST(ConnectivitySplice, TightBudgetStreamMatchesColdFlow) {
+  run_budgeted_stream("connectivity");
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ConnectivitySplice,
+                         ::testing::Values(1u, 2u, 8u));
+
+// Via doubling per interaction cluster: a cluster no edit comes within
+// via_reach of keeps its result, the rest re-run on the pool.
+class ViaSplice : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ViaSplice, EditStreamsMatchColdFlow) {
+  run_streams(GetParam(), "via_doubling");
+}
+
+TEST(ViaSplice, TightBudgetStreamMatchesColdFlow) {
+  run_budgeted_stream("via_doubling");
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ViaSplice, ::testing::Values(1u, 2u, 8u));
 
 // The windowed hotspot compare: a stale litho tile recompares only
 // around what the edit changed, and seam pieces re-merge across tiles.
@@ -338,8 +370,9 @@ TEST(SpliceTelemetry, M1PatchDirtiesTheTilesItsHaloReaches) {
   for (const RecommendedRule& rr : standard_recommended_rules(opt.tech)) {
     if (reads_m1(rr.rule)) rec += reached(rule_reach(rr.rule));
   }
-  // M1 shorts tiles, plus the net-aware M2 term (its nets span M1).
-  const std::size_t caa = reached((opt.defects.xmax + 1) / 2) + 1;
+  // M1 shorts tiles; the patch's new net has no M2 piece and touches no
+  // other net, so no net-aware M2 tile reruns.
+  const std::size_t caa = reached((opt.defects.xmax + 1) / 2);
 
   ASSERT_NE(rep.trace.find("drc_plus"), nullptr);
   EXPECT_EQ(rep.trace.find("drc_plus")->dirty_units, drc);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace dfm {
 namespace {
 
@@ -68,6 +70,64 @@ TEST(Connectivity, GeneratedViaFieldNetCount) {
   add_via_field(c, rng, Tech::standard(), {0, 0}, 30);
   // Every via has its own pads: 30 separate nets.
   EXPECT_EQ(extract_nets(LayoutSnapshot(stack_map(c)), standard_stack()).size(), 30u);
+}
+
+// Net order depends on the nets alone: re-slicing every layer into other
+// rect decompositions, in shuffled order, yields the same nets in the
+// same order, and that order is first-vertex order (the lowest stack
+// layer first, then labelling order).
+TEST(Connectivity, NetOrderIsCanonical) {
+  DesignParams p;
+  p.seed = 5;
+  p.rows = 2;
+  p.cells_per_row = 6;
+  p.routes = 12;
+  p.via_fields = 1;
+  p.vias_per_field = 16;
+  const Library lib = generate_design(p);
+  const std::vector<StackLayer> stack = standard_stack();
+  LayerMap m;
+  for (const StackLayer& s : stack) {
+    m.emplace(s.key, lib.flatten(lib.top_cells()[0], s.key));
+  }
+  std::vector<NetKey> keys;
+  const Netlist nets = extract_nets(LayoutSnapshot(LayerMap(m)), stack, &keys);
+  ASSERT_GT(nets.size(), 10u);
+  ASSERT_EQ(keys.size(), nets.size());
+
+  for (const Coord slice : {7, 33, 120}) {
+    SCOPED_TRACE("slice " + std::to_string(slice));
+    Rng rng(static_cast<std::uint64_t>(slice));
+    LayerMap sliced;
+    for (const auto& [key, region] : m) {
+      std::vector<Rect> pieces;
+      for (const Rect& r : region.rects()) {
+        // Vertical strips of width `slice`, each cut once horizontally.
+        for (Coord x = r.lo.x; x < r.hi.x; x += slice) {
+          const Coord x1 = std::min(x + slice, r.hi.x);
+          const Coord ym = r.lo.y + (r.hi.y - r.lo.y) / 3;
+          pieces.push_back(Rect{x, r.lo.y, x1, ym});
+          pieces.push_back(Rect{x, ym, x1, r.hi.y});
+        }
+      }
+      for (std::size_t i = pieces.size(); i > 1; --i) {
+        std::swap(pieces[i - 1], pieces[rng.index(i)]);
+      }
+      sliced.emplace(key, Region(std::move(pieces)));
+    }
+    EXPECT_EQ(extract_nets(LayoutSnapshot(std::move(sliced)), stack), nets);
+  }
+
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const auto& [key, lowest] = nets.nets[i].pieces.front();
+    std::size_t layer = 0;
+    while (stack[layer].key != key) ++layer;
+    EXPECT_EQ(keys[i].layer, layer);
+    EXPECT_EQ(keys[i].vertex, lowest.components().front());
+    if (i > 0) {
+      EXPECT_TRUE(keys[i - 1] < keys[i]) << "net " << i;
+    }
+  }
 }
 
 TEST(FloatingCuts, FullyLandedViaIsClean) {

@@ -1,5 +1,6 @@
 #include "yield/yield.h"
 
+#include "core/incremental.h"
 #include "core/parallel.h"
 #include "core/snapshot.h"
 
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -198,6 +200,148 @@ TEST(ViaDoubling, InsertedViasAreEnclosed) {
   const Coord enc = t.via_enclosure / 2;
   EXPECT_TRUE((res.new_vias.bloated(enc) - m1).empty());
   EXPECT_TRUE((res.new_vias.bloated(enc) - m2).empty());
+}
+
+// Designs for the cluster identity: random via fields, a via grid at
+// the insertion pitch (one cluster whose members compete for positions),
+// and generated designs with routed vias.
+std::vector<LayerMap> cluster_designs() {
+  std::vector<LayerMap> out = {via_design(17, 30), via_design(23, 64)};
+  const Tech& t = Tech::standard();
+  Library lib{"v"};
+  const auto c = lib.new_cell("c");
+  const Coord pitch = 2 * (t.via_size + t.via_space) + 10;
+  for (int i = 0; i < 6; ++i) {
+    for (int j = 0; j < 6; ++j) {
+      add_via(lib.cell(c), t, {i * pitch, j * pitch}, ViaStyle::kSymmetric);
+    }
+  }
+  LayerMap grid;
+  for (const LayerKey k : {layers::kVia1, layers::kMetal1, layers::kMetal2}) {
+    grid.emplace(k, lib.flatten(c, k));
+  }
+  out.push_back(std::move(grid));
+  {
+    // Two vias whose candidate hulls are closer than via_space but do not
+    // touch: the first inserts to its right, and the second, whose right
+    // candidate a long via blocks, must then find its left candidate too
+    // close to that insertion.
+    Library pair{"p"};
+    const auto pc = pair.new_cell("p");
+    const Coord x = 2 * (t.via_size + t.via_space) + t.via_size + 35;
+    add_via(pair.cell(pc), t, {0, 0}, ViaStyle::kSymmetric);
+    add_via(pair.cell(pc), t, {x, 0}, ViaStyle::kSymmetric);
+    pair.cell(pc).add(layers::kVia1, Rect{x + 175, -25, x + 225, 95});
+    LayerMap m;
+    for (const LayerKey k : {layers::kVia1, layers::kMetal1, layers::kMetal2}) {
+      m.emplace(k, pair.flatten(pc, k));
+    }
+    out.push_back(std::move(m));
+  }
+  for (const std::uint64_t seed : {3u, 11u}) {
+    DesignParams p;
+    p.seed = seed;
+    p.rows = 3;
+    p.cells_per_row = 8;
+    p.routes = 24;
+    p.via_fields = 2;
+    p.vias_per_field = 32;
+    const Library gen = generate_design(p);
+    LayerMap m;
+    for (const LayerKey k : {layers::kVia1, layers::kMetal1, layers::kMetal2}) {
+      m.emplace(k, gen.flatten(gen.top_cells()[0], k));
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+// The cluster decomposition is exact: doubling each cluster on its own,
+// in shuffled order and on a pool, sums to the whole layer doubled as one
+// sequence (every single via in labelling order, sharing one list of
+// inserted vias).
+TEST(ViaClusters, UnionEqualsWholeLayer) {
+  const Tech& t = Tech::standard();
+  std::size_t shared = 0;  // clusters with more than one member
+  std::uint64_t seed = 1;
+  for (const LayerMap& m : cluster_designs()) {
+    const LayoutSnapshot snap{LayerMap(m)};
+    const LayerComponents& vias = snap.components(layers::kVia1);
+    std::vector<std::uint32_t> singles;
+    for (std::uint32_t i = 0; i < vias.boxes.size(); ++i) {
+      if (vias.boxes[i].width() <= t.via_size &&
+          vias.boxes[i].height() <= t.via_size) {
+        singles.push_back(i);
+      }
+    }
+    const ViaDoublingResult whole = double_via_cluster(snap, singles, t);
+    ASSERT_GT(whole.inserted, 0);
+    EXPECT_EQ(double_vias(snap, t), whole);
+
+    std::vector<std::vector<std::uint32_t>> clusters = via_clusters(vias, t);
+    std::vector<std::uint32_t> members;
+    for (const std::vector<std::uint32_t>& c : clusters) {
+      EXPECT_TRUE(std::is_sorted(c.begin(), c.end()));
+      members.insert(members.end(), c.begin(), c.end());
+      if (c.size() > 1) ++shared;
+    }
+    std::sort(members.begin(), members.end());
+    EXPECT_EQ(members, singles) << "clusters partition the single vias";
+
+    Rng rng(seed++);
+    for (std::size_t i = clusters.size(); i > 1; --i) {
+      std::swap(clusters[i - 1], clusters[rng.index(i)]);
+    }
+    for (const unsigned threads : {1u, 8u}) {
+      ThreadPool pool(threads);
+      const std::vector<ViaDoublingResult> parts =
+          parallel_map(&pool, clusters.size(), [&](std::size_t i) {
+            return double_via_cluster(snap, clusters[i], t);
+          });
+      ViaDoublingResult sum;
+      for (const ViaDoublingResult& r : parts) sum += r;
+      EXPECT_EQ(sum, whole) << "threads " << threads;
+    }
+  }
+  EXPECT_GT(shared, 0u) << "no cluster had two members";
+}
+
+// via_reach bounds what a cluster reads: an M1 pad edit one dbu beyond it
+// reuses the cluster's cached result, one at it recomputes the cluster,
+// and both reports equal a cold run.
+TEST(ViaClusters, EditBeyondReachKeepsCluster) {
+  const Tech& t = Tech::standard();
+  Library lib{"v"};
+  const auto c = lib.new_cell("c");
+  add_via(lib.cell(c), t, {0, 0}, ViaStyle::kSymmetric);
+  add_via(lib.cell(c), t, {20000, 0}, ViaStyle::kSymmetric);
+  // Corner marks keep the bbox fixed under the edits.
+  lib.cell(c).add(layers::kMetal1, Rect{-5000, -5000, -4900, -4900});
+  lib.cell(c).add(layers::kMetal1, Rect{25000, 5000, 25100, 5100});
+  LayerMap m;
+  for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+    m.emplace(k, lib.flatten(c, k));
+  }
+  const Rect vb = LayoutSnapshot{LayerMap(m)}.components(layers::kVia1).boxes[0];
+  DfmFlowOptions opt;
+  opt.threads = 2;
+  opt.passes = {"via_doubling"};
+  for (const Coord d : {via_reach(t) + 1, via_reach(t)}) {
+    SCOPED_TRACE("distance " + std::to_string(d));
+    DfmFlowSession session(m, opt);
+    LayerMap shadow = m;
+    LayoutDelta delta;
+    delta.add(layers::kMetal1,
+              Rect{vb.hi.x + d, vb.lo.y, vb.hi.x + d + 60, vb.lo.y + 60});
+    delta.apply(shadow);
+    const DfmFlowReport& warm = session.apply(delta);
+    EXPECT_TRUE(reports_equivalent(
+        warm, run_dfm_flow(LayoutSnapshot(std::move(shadow)), opt)));
+    const PassTrace* vias = warm.trace.find("via_doubling");
+    ASSERT_NE(vias, nullptr);
+    EXPECT_EQ(vias->total_units, 2u);
+    EXPECT_EQ(vias->dirty_units, d > via_reach(t) ? 0u : 1u);
+  }
 }
 
 TEST(NetAwareShorts, ConnectedThroughViaIsNotAShort) {
