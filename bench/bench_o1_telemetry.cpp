@@ -125,7 +125,7 @@ int main() {
     if (overhead_pct > max_overhead_pct) max_overhead_pct = overhead_pct;
     const bool equal = reports_equivalent(off_rep, on_rep);
     all_equal = all_equal && equal;
-    if (telemetry::compiled_in() && depth < 4) depth_ok = false;
+    if (depth < 4) depth_ok = false;
 
     table.add_row({std::to_string(threads), Table::num(off_ms, 1),
                    Table::num(on_ms, 1), Table::num(overhead_pct, 2) + "%",
@@ -138,11 +138,6 @@ int main() {
   }
 
   table.print();
-  if (!telemetry::compiled_in()) {
-    std::printf("\ntelemetry compiled out (DFMKIT_TELEMETRY=OFF): both modes "
-                "are the bare flow.\n");
-    return all_equal ? 0 : 1;
-  }
   std::printf(
       "\nverdict: telemetry is free-to-watch when overhead stays < 2%% with\n"
       "span depth >= 4 (flow -> pass -> tile/rule -> kernel) and reports\n"

@@ -10,7 +10,10 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <mutex>
+#include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -22,7 +25,7 @@ namespace {
 
 // Peak resident set size of this process in KiB, via getrusage (0 where
 // that is unavailable). macOS reports ru_maxrss in bytes, Linux in KiB.
-[[maybe_unused]] std::int64_t peak_rss_kb() {
+std::int64_t peak_rss_kb() {
 #if defined(__unix__) || defined(__APPLE__)
   rusage ru{};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
@@ -57,19 +60,6 @@ class FlowClock {
   std::uint64_t t0_;
   telemetry::Span span_;
 };
-
-/// True when the edit's dirty region on any of `on` has positive-area
-/// overlap with `window` — i.e. the clipped geometry the window reads
-/// may have changed. Requires damage.inc.
-bool window_touched(const FlowDamage& damage, const std::vector<LayerKey>& on,
-                    const Rect& window) {
-  for (const LayerKey k : on) {
-    for (const Rect& d : damage.inc->dirty_region(k).rects()) {
-      if (d.overlaps(window)) return true;
-    }
-  }
-  return false;
-}
 
 using RuleUnits = std::vector<std::vector<std::vector<KeyedViolation>>>;
 
@@ -199,42 +189,6 @@ class FlowDriver {
     if (budgeted()) snap_.evict_to_budget(keep, snap_.budget().limit() / 2);
   }
 
-  /// Computes `compute(u)` for every unit in `units` on the pool and
-  /// hands each result to `store(u, result)`. Under a budget the units
-  /// run in groups sharing one sorted layer set (layers_of(u), in order
-  /// of first appearance), evicting down to the budget before each
-  /// group; unbudgeted runs compute them as one group. Results land by
-  /// unit, so they are identical at any budget and thread count.
-  template <class U, class LayersOf, class Compute, class Store>
-  void run_groups(const std::vector<U>& units, LayersOf&& layers_of,
-                  Compute&& compute, Store&& store) const {
-    std::vector<std::pair<std::vector<LayerKey>, std::vector<U>>> groups;
-    for (const U& u : units) {
-      std::vector<LayerKey> ls;
-      if (budgeted()) {
-        ls = layers_of(u);
-        std::sort(ls.begin(), ls.end());
-      }
-      const auto it =
-          std::find_if(groups.begin(), groups.end(),
-                       [&](const auto& g) { return g.first == ls; });
-      if (it == groups.end()) {
-        groups.emplace_back(std::move(ls), std::vector<U>{u});
-      } else {
-        it->second.push_back(u);
-      }
-    }
-    for (const auto& [group_layers, batch] : groups) {
-      evict_keeping(group_layers);
-      auto fresh = parallel_map(pool_, batch.size(), [&](std::size_t j) {
-        return compute(batch[j]);
-      });
-      for (std::size_t j = 0; j < batch.size(); ++j) {
-        store(batch[j], std::move(fresh[j]));
-      }
-    }
-  }
-
   /// (rule x tile) splice of `rules` into `slots` ([rule][unit]: one unit
   /// per grid tile for a rule_tiled rule, one for a density rule). Every
   /// unit of a rule recomputes when there is nothing to reuse (cold run,
@@ -295,11 +249,108 @@ class FlowDriver {
         [&](const std::pair<std::size_t, std::size_t>& u, auto&& found) {
           slots[u.first][u.second] = std::move(found);
         });
-    (void)span;
     return units.size();
   }
 
+  /// This run's unit results of a keyed splice, in unit order (pointing
+  /// into the cache), and how many of them recomputed.
+  template <class R>
+  struct Spliced {
+    std::vector<const R*> results;
+    std::size_t recomputed = 0;
+  };
+
+  /// Content-keyed splice of `units` into `cache`. A unit whose key the
+  /// cache holds and that `touched(i)` (i its index in `units`) does not
+  /// flag keeps its cached result; every other unit computes `compute(i)`
+  /// through run_groups, grouped by `layers_of(i)`. Without reuse (a cold
+  /// run, or `reuse` false, e.g. a new grid) the cache is cleared first,
+  /// so every unit is stale. Leaves `cache` holding exactly this run's
+  /// units. A repeated key is one result, computed once per occurrence
+  /// when stale.
+  template <class K, class R, class Touched, class LayersOf, class Compute>
+  Spliced<R> splice(std::map<K, R>& cache, const std::vector<K>& units,
+                    bool reuse, Touched&& touched, LayersOf&& layers_of,
+                    Compute&& compute) const {
+    if (!reuse || !inc_) cache.clear();
+    // Walk the units in key order beside the (ordered) cache: keys this
+    // run lacks are erased on the way, and a reused result stays in its
+    // node, whose address holds until the node is erased.
+    std::vector<std::size_t> order(units.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return units[a] < units[b];
+    });
+    Spliced<R> out;
+    out.results.assign(units.size(), nullptr);
+    std::vector<std::size_t> stale;
+    auto it = cache.begin();
+    for (std::size_t n = 0; n < order.size(); ++n) {
+      const std::size_t i = order[n];
+      const K& key = units[i];
+      if (n > 0 && !(units[order[n - 1]] < key)) {
+        // A repeated key shares its first occurrence's fate.
+        out.results[i] = out.results[order[n - 1]];
+        if (out.results[i] == nullptr) stale.push_back(i);
+        continue;
+      }
+      while (it != cache.end() && it->first < key) it = cache.erase(it);
+      const bool cached = it != cache.end() && !(key < it->first);
+      if (cached && !touched(i)) {
+        out.results[i] = &it->second;
+      } else {
+        stale.push_back(i);
+      }
+      if (cached) ++it;
+    }
+    cache.erase(it, cache.end());
+    std::sort(stale.begin(), stale.end());
+    run_groups(stale, layers_of, compute, [&](std::size_t i, R&& r) {
+      out.results[i] =
+          &cache.insert_or_assign(units[i], std::move(r)).first->second;
+    });
+    out.recomputed = stale.size();
+    return out;
+  }
+
  private:
+  /// Computes `compute(u)` for every unit in `units` on the pool and
+  /// hands each result to `store(u, result)`. Under a budget the units
+  /// run in groups sharing one sorted layer set (layers_of(u): the layers
+  /// u reads resident, in order of first appearance), evicting down to
+  /// the budget before each group that reads any; unbudgeted runs compute
+  /// them as one group. Results land by unit, so they are identical at
+  /// any budget and thread count.
+  template <class U, class LayersOf, class Compute, class Store>
+  void run_groups(const std::vector<U>& units, LayersOf&& layers_of,
+                  Compute&& compute, Store&& store) const {
+    std::vector<std::pair<std::vector<LayerKey>, std::vector<U>>> groups;
+    for (const U& u : units) {
+      std::vector<LayerKey> ls;
+      if (budgeted()) {
+        ls = layers_of(u);
+        std::sort(ls.begin(), ls.end());
+      }
+      const auto it =
+          std::find_if(groups.begin(), groups.end(),
+                       [&](const auto& g) { return g.first == ls; });
+      if (it == groups.end()) {
+        groups.emplace_back(std::move(ls), std::vector<U>{u});
+      } else {
+        it->second.push_back(u);
+      }
+    }
+    for (const auto& [group_layers, batch] : groups) {
+      if (!group_layers.empty()) evict_keeping(group_layers);
+      auto fresh = parallel_map(pool_, batch.size(), [&](std::size_t j) {
+        return compute(batch[j]);
+      });
+      for (std::size_t j = 0; j < batch.size(); ++j) {
+        store(batch[j], std::move(fresh[j]));
+      }
+    }
+  }
+
   /// Whether the options enable canonical pass `name`. caa_yield reads
   /// the extracted nets, so requesting it pulls connectivity in.
   bool enabled(const std::string& name) const {
@@ -383,82 +434,52 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
       }
     }
 
-    // Pattern sets: anchor sites re-enumerate from the edited anchor
-    // layer (so windows appear/move/vanish exactly as they would cold)
-    // and are kept while it is clean; a site reuses its cached match list
-    // iff the same window was scanned last run and no capture layer
-    // changed inside it, and a set none of whose capture layers changed
-    // reuses its whole flat match list.
+    // Pattern windows: one unit per (set, anchor window). Sites
+    // re-enumerate every run from the anchor layer's memoized labelling,
+    // so windows appear, move and vanish exactly as they would cold; a
+    // window is stale when a dirty rect on a capture layer overlaps it
+    // with positive area, the only way its clipped geometry can change.
     const std::vector<PatternRuleSet>& sets = engine.deck().pattern_sets;
-    const bool sets_cached = inc && caches.pattern_sites.size() == sets.size();
-    caches.pattern_windows.resize(sets.size());
-    caches.pattern_sites.resize(sets.size());
-    caches.pattern_flat.resize(sets.size());
-    rep.drcplus.matches.clear();
+    std::vector<std::pair<std::size_t, AnchorWindow>> windows;
+    std::vector<std::vector<Rect>> dirty(sets.size());
     for (std::size_t si = 0; si < sets.size(); ++si) {
-      const PatternRuleSet& set = sets[si];
-      // One "drc/pattern_set" span per set, in set order, carrying the
-      // number of windows the set rescanned.
-      const std::uint64_t t0 = telemetry::now_ns();
-      const bool sites_clean = sets_cached && !damage.dirty(set.anchor_layer);
-      if (sites_clean && !damage.dirty_any(set.capture_layers)) {
-        rep.drcplus.matches.push_back(caches.pattern_flat[si]);
-        total_units += caches.pattern_sites[si].size();
-        telemetry::record_span("drc/pattern_set", t0, telemetry::now_ns(), 0);
-        continue;
+      flow.evict_keeping({sets[si].anchor_layer});
+      for (const Rect& box : snap.components(sets[si].anchor_layer).boxes) {
+        windows.emplace_back(si, anchor_window(box, sets[si].radius));
       }
-      if (!sites_clean) {
-        // Streamed capture below reads capture layers per window straight
-        // from the source, so only the anchor layer needs to be resident
-        // for site enumeration.
-        flow.evict_keeping({set.anchor_layer});
-        caches.pattern_sites[si] = anchor_windows(
-            snap.components(set.anchor_layer).regions, set.radius);
-      }
-      const std::vector<AnchorWindow>& sites = caches.pattern_sites[si];
-      const auto& cache = caches.pattern_windows[si];
-      std::vector<std::vector<PatternMatch>> found(sites.size());
-      std::vector<std::size_t> stale;
-      for (std::size_t w = 0; w < sites.size(); ++w) {
-        const auto it = inc ? cache.find(sites[w]) : cache.end();
-        if (it != cache.end() &&
-            !window_touched(damage, set.capture_layers, sites[w].window)) {
-          found[w] = it->second;
-        } else {
-          stale.push_back(w);
-        }
-      }
-      // Budgeted runs clip capture layers per window straight off the
-      // source (transient, uncharged) instead of hydrating full layers
-      // and their R-trees; both paths feed identical canonical clips to
-      // the encoder, so the matches are bit-identical.
-      const bool streamed = flow.budgeted();
-      const std::vector<CapturedPattern> captured =
-          parallel_map(pool, stale.size(), [&](std::size_t i) {
-            const AnchorWindow& site = sites[stale[i]];
-            return streamed
-                       ? capture_window_streamed(snap, set.capture_layers, site)
-                       : capture_window_at(snap, set.capture_layers, site);
-          });
-      std::vector<std::vector<PatternMatch>> scanned =
-          engine.matcher(si).scan_per_window(captured, pool);
-      for (std::size_t i = 0; i < stale.size(); ++i) {
-        found[stale[i]] = std::move(scanned[i]);
-      }
-      std::map<AnchorWindow, std::vector<PatternMatch>> next;
-      std::vector<PatternMatch> flat;
-      for (std::size_t w = 0; w < sites.size(); ++w) {
-        flat.insert(flat.end(), found[w].begin(), found[w].end());
-        next.emplace(sites[w], std::move(found[w]));
-      }
-      caches.pattern_windows[si] = std::move(next);
-      caches.pattern_flat[si] = flat;
-      rep.drcplus.matches.push_back(std::move(flat));
-      total_units += sites.size();
-      dirty_units += stale.size();
-      telemetry::record_span("drc/pattern_set", t0, telemetry::now_ns(),
-                             stale.size());
+      if (inc) dirty[si] = dirty_rects(damage, sets[si].capture_layers);
     }
+    // Budgeted runs clip capture layers per window straight off the
+    // source (transient, uncharged) instead of hydrating full layers and
+    // their R-trees; both paths feed identical canonical clips to the
+    // encoder, so the matches are bit-identical. A window therefore
+    // needs no layer resident, and its budget group evicts nothing.
+    const bool streamed = flow.budgeted();
+    const auto found = flow.splice(
+        caches.pattern_windows, windows, true,
+        [&](std::size_t i) {
+          const Rect& window = windows[i].second.window;
+          return std::any_of(
+              dirty[windows[i].first].begin(), dirty[windows[i].first].end(),
+              [&](const Rect& d) { return d.overlaps(window); });
+        },
+        [](std::size_t) { return std::vector<LayerKey>{}; },
+        [&](std::size_t i) {
+          const auto& [si, site] = windows[i];
+          TELEM_SPAN_ARG("drc/pattern_window", si);
+          const std::vector<LayerKey>& on = sets[si].capture_layers;
+          return engine.matcher(si).scan_window(
+              streamed ? capture_window_streamed(snap, on, site)
+                       : capture_window_at(snap, on, site));
+        });
+    rep.drcplus.matches.assign(sets.size(), {});
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      std::vector<PatternMatch>& out = rep.drcplus.matches[windows[i].first];
+      out.insert(out.end(), found.results[i]->begin(),
+                 found.results[i]->end());
+    }
+    total_units += windows.size();
+    dirty_units += found.recomputed;
 
     int geometric = 0;
     for (const Violation& v : rep.drcplus.drc.violations) {
@@ -561,50 +582,33 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
                                        layers::kMetal2};
   caches.vias_valid = flow.pass("flow/via_doubling", [&] {
     flow.evict_keeping(stack);
-    std::size_t total_units = caches.via_clusters.size();
-    std::size_t dirty_units = 0;
-    if (inc && caches.vias_valid && !damage.dirty_any(stack)) {
-      rep.vias = prev->vias;
-    } else {
-      const LayerComponents& vias = snap.components(layers::kVia1);
-      const std::vector<std::vector<std::uint32_t>> clusters =
-          via_clusters(vias, t);
-      const bool reuse = inc && caches.vias_valid;
-      const Coord reach = via_reach(t);
-      const std::vector<Rect> dirty =
-          reuse ? dirty_rects(damage, stack) : std::vector<Rect>{};
-      std::map<std::vector<Rect>, ViaDoublingResult> next;
-      std::vector<std::vector<Rect>> keys(clusters.size());
-      std::vector<std::size_t> stale;
-      for (std::size_t c = 0; c < clusters.size(); ++c) {
-        bool near = false;
-        for (const std::uint32_t v : clusters[c]) {
-          keys[c].push_back(vias.boxes[v]);
-          near = near || touches_any(vias.boxes[v].expanded(reach), dirty);
-        }
-        const auto it = reuse && !near ? caches.via_clusters.find(keys[c])
-                                       : caches.via_clusters.end();
-        if (it != caches.via_clusters.end()) {
-          next.emplace(keys[c], std::move(it->second));
-        } else {
-          stale.push_back(c);
-        }
+    const LayerComponents& vias = snap.components(layers::kVia1);
+    const std::vector<std::vector<std::uint32_t>> clusters =
+        via_clusters(vias, t);
+    std::vector<std::vector<Rect>> keys(clusters.size());
+    for (std::size_t c = 0; c < clusters.size(); ++c) {
+      for (const std::uint32_t v : clusters[c]) {
+        keys[c].push_back(vias.boxes[v]);
       }
-      flow.run_groups(
-          stale, [&](std::size_t) { return stack; },
-          [&](std::size_t c) {
-            TELEM_SPAN_ARG("vias/cluster", c);
-            return double_via_cluster(snap, clusters[c], t);
-          },
-          [&](std::size_t c, ViaDoublingResult&& r) {
-            next.emplace(std::move(keys[c]), std::move(r));
-          });
-      caches.via_clusters = std::move(next);
-      rep.vias = ViaDoublingResult{};
-      for (const auto& [members, r] : caches.via_clusters) rep.vias += r;
-      total_units = clusters.size();
-      dirty_units = stale.size();
     }
+    const Coord reach = via_reach(t);
+    const std::vector<Rect> dirty =
+        inc ? dirty_rects(damage, stack) : std::vector<Rect>{};
+    const auto found = flow.splice(
+        caches.via_clusters, keys, caches.vias_valid,
+        [&](std::size_t c) {
+          return std::any_of(keys[c].begin(), keys[c].end(),
+                             [&](const Rect& box) {
+                               return touches_any(box.expanded(reach), dirty);
+                             });
+        },
+        [&](std::size_t) { return stack; },
+        [&](std::size_t c) {
+          TELEM_SPAN_ARG("vias/cluster", c);
+          return double_via_cluster(snap, clusters[c], t);
+        });
+    rep.vias = ViaDoublingResult{};
+    for (const ViaDoublingResult* r : found.results) rep.vias += *r;
     const auto singles = static_cast<std::int64_t>(rep.vias.singles_before);
     const auto doubled = static_cast<std::int64_t>(rep.vias.inserted);
     rep.via_yield_before = via_yield(singles, 0, options.via_fail_rate);
@@ -622,8 +626,8 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
                       1.0, std::to_string(redundant) + "/" +
                                std::to_string(total) + " redundant, " +
                                std::to_string(doubled) + " insertable");
-    return PassCounts{static_cast<std::size_t>(singles), total_units,
-                      dirty_units, inc};
+    return PassCounts{static_cast<std::size_t>(singles), clusters.size(),
+                      found.recomputed, inc};
   });
 
   // 6. Connectivity: extracted nets and floating (misaligned) vias, one
@@ -666,81 +670,34 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // sum integer areas in tile order and integrate them as the
   // whole-layer kernel's integers are, so they are bit-identical to it.
   caches.caa_valid = flow.pass("flow/caa_yield", [&] {
-    flow.evict_keeping({layers::kMetal1, layers::kMetal2});
+    const std::vector<LayerKey> m1_m2 = {layers::kMetal1, layers::kMetal2};
+    flow.evict_keeping(m1_m2);
     const DefectModel& defects = options.defects;
     const bool cached = inc && caches.caa_valid;
-    std::size_t dirty_units = 0;
-    // Runs the stale tiles of one term on the pool into `slots` (one per
-    // tile; all of them when `reuse` is false) and returns its integer
-    // areas per size, summed in tile order and scaled back to 1x.
-    const auto run_tiles = [&](std::vector<std::vector<Area>>& slots,
-                               bool reuse, std::vector<char>& stale,
-                               const std::vector<Coord>& sizes,
-                               const char* span,
-                               const std::function<const LayerComponents&()>&
-                                   nets) {
-      if (!reuse) {
-        slots.assign(grid.size(), {});
-        stale.assign(grid.size(), 1);
-      }
-      std::vector<std::size_t> tiles;
-      for (std::size_t ti = 0; ti < stale.size(); ++ti) {
-        if (stale[ti] != 0) tiles.push_back(ti);
-      }
-      if (!tiles.empty()) {
-        const LayerComponents& comps = nets();
-        std::vector<std::vector<Area>> fresh =
-            parallel_map(pool, tiles.size(), [&](std::size_t i) {
-              TELEM_SPAN_ARG(span, tiles[i]);
-              return short_critical_areas_tile(comps, sizes, grid, tiles[i]);
-            });
-        for (std::size_t i = 0; i < tiles.size(); ++i) {
-          slots[tiles[i]] = std::move(fresh[i]);
-        }
-      }
-      (void)span;
-      dirty_units += tiles.size();
-      std::vector<Area> ca(sizes.size(), 0);
-      for (const std::vector<Area>& tile : slots) {
-        for (std::size_t i = 0; i < sizes.size(); ++i) ca[i] += tile[i];
-      }
-      for (Area& a : ca) a /= 4;
-      return defects.lambda(integrate_critical_area(ca, defects));
-    };
-
-    // M1 shorts: (tile x defect size) integer areas of the >= 2-net
-    // coverage each tile owns, nets from the global labelling. A stale
-    // tile is one the damage grown by the largest defect's half-width
-    // (short_reach, exact) reaches, directly or through a component the
-    // edit changed.
-    const std::vector<Coord> m1_sizes = defect_size_grid(defects, 24);
-    const bool m1_reuse =
-        cached && same_grid && caches.caa_m1_tiles.size() == grid.size();
-    std::vector<char> m1_stale(grid.size(), 0);
-    if (m1_reuse && damage.dirty(layers::kMetal1)) {
+    const bool tiles_cached = cached && same_grid;
+    // Per term, the defect sizes and the tiles the edit touches. M1
+    // shorts: (tile x defect size) integer areas of the >= 2-net coverage
+    // each tile owns, nets from the global labelling; a tile is touched
+    // when the damage grown by the largest defect's half-width
+    // (short_reach, exact) reaches it, directly or through a component
+    // the edit changed. M2 net-aware shorts: the same kernel over one
+    // region per net (its M2 piece) at 16 sizes; a tile is touched when
+    // it lies within short_reach of the old or new M2 bbox of a net the
+    // connectivity splice dissolved or created (every other net is the
+    // same point set with the same identity), and every tile is when the
+    // nets did not splice.
+    const std::vector<Coord> sizes[2] = {defect_size_grid(defects, 24),
+                                         defect_size_grid(defects, 16)};
+    std::vector<char> touched[2] = {std::vector<char>(grid.size(), 0),
+                                    std::vector<char>(grid.size(), 1)};
+    if (tiles_cached && damage.dirty(layers::kMetal1)) {
       mark_damaged_tiles(grid, damage.inc->damage_bbox({layers::kMetal1}, 0),
-                         short_reach(m1_sizes),
-                         &snap.components(layers::kMetal1), 0, m1_stale);
+                         short_reach(sizes[0]),
+                         &snap.components(layers::kMetal1), 0, touched[0]);
     }
-    double m1_shorts = 0;
-    {
-      TELEM_SPAN("caa/m1_shorts");
-      m1_shorts = run_tiles(caches.caa_m1_tiles, m1_reuse, m1_stale, m1_sizes,
-                            "caa/m1_tile", [&]() -> const LayerComponents& {
-                              return snap.components(layers::kMetal1);
-                            });
-    }
-    // M2 net-aware shorts: the same kernel over one region per net (its
-    // M2 piece) at 16 sizes. A tile is stale when it lies within
-    // short_reach of the old or new M2 bbox of a net the connectivity
-    // splice dissolved or created; every other net is the same point
-    // set with the same identity.
-    const std::vector<Coord> m2_sizes = defect_size_grid(defects, 16);
-    const bool m2_reuse = cached && same_grid && spliced.has_value() &&
-                          caches.caa_m2_tiles.size() == grid.size();
-    std::vector<char> m2_stale(grid.size(), 0);
-    if (m2_reuse) {
-      const Coord reach = short_reach(m2_sizes);
+    if (tiles_cached && spliced.has_value()) {
+      touched[1].assign(grid.size(), 0);
+      const Coord reach = short_reach(sizes[1]);
       std::vector<std::size_t> hit;
       const auto mark = [&](const Net& net) {
         if (const Region* piece = net.on(layers::kMetal2)) {
@@ -749,15 +706,32 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
       };
       for (const Net& net : spliced->dissolved) mark(net);
       for (const std::size_t n : spliced->created) mark(rep.nets.nets[n]);
-      for (const std::size_t ti : hit) m2_stale[ti] = 1;
+      for (const std::size_t ti : hit) touched[1][ti] = 1;
+    }
+    // Both terms' tiles splice as (term, tile) units in one batch. The
+    // per-net M2 pieces are gathered once, by the first stale M2 tile.
+    std::vector<std::pair<std::size_t, std::size_t>> units;
+    for (std::size_t term = 0; term < 2; ++term) {
+      for (std::size_t ti = 0; ti < grid.size(); ++ti) {
+        units.emplace_back(term, ti);
+      }
     }
     LayerComponents m2_nets;
-    double m2_shorts = 0;
-    {
-      TELEM_SPAN("caa/m2_net_shorts");
-      m2_shorts = run_tiles(
-          caches.caa_m2_tiles, m2_reuse, m2_stale, m2_sizes, "caa/m2_tile",
-          [&]() -> const LayerComponents& {
+    std::once_flag m2_gathered;
+    const auto found = flow.splice(
+        caches.caa_tiles, units, tiles_cached,
+        [&](std::size_t i) {
+          return touched[units[i].first][units[i].second] != 0;
+        },
+        [&](std::size_t) { return m1_m2; },
+        [&](std::size_t i) {
+          const auto [term, ti] = units[i];
+          if (term == 0) {
+            TELEM_SPAN_ARG("caa/m1_tile", ti);
+            return short_critical_areas_tile(snap.components(layers::kMetal1),
+                                             sizes[0], grid, ti);
+          }
+          std::call_once(m2_gathered, [&] {
             for (Net& net : rep.nets.nets) {
               for (auto& [key, piece] : net.pieces) {
                 if (key != layers::kMetal2) continue;
@@ -768,8 +742,22 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
               }
             }
             m2_nets.index.build(m2_nets.boxes);
-            return m2_nets;
           });
+          TELEM_SPAN_ARG("caa/m2_tile", ti);
+          return short_critical_areas_tile(m2_nets, sizes[1], grid, ti);
+        });
+    std::size_t dirty_units = found.recomputed;
+    // Each term's fault rate: its tiles' integer areas per size, summed
+    // in tile order and scaled back to 1x.
+    double shorts[2] = {0, 0};
+    for (std::size_t term = 0; term < 2; ++term) {
+      std::vector<Area> ca(sizes[term].size(), 0);
+      for (std::size_t ti = 0; ti < grid.size(); ++ti) {
+        const std::vector<Area>& tile = *found.results[term * grid.size() + ti];
+        for (std::size_t i = 0; i < ca.size(); ++i) ca[i] += tile[i];
+      }
+      for (Area& a : ca) a /= 4;
+      shorts[term] = defects.lambda(integrate_critical_area(ca, defects));
     }
     if (flow.stale(cached, {layers::kMetal2})) {
       TELEM_SPAN("caa/m2_opens");
@@ -777,7 +765,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
                                          /*shorts=*/false);
       ++dirty_units;
     }
-    rep.lambda_shorts = m1_shorts + m2_shorts;
+    rep.lambda_shorts = shorts[0] + shorts[1];
     rep.lambda_opens = caches.caa_m2_opens;
     rep.defect_yield = poisson_yield(rep.lambda_shorts + rep.lambda_opens);
     rep.scorecard.add("defect_yield", rep.defect_yield, 2.0,
@@ -816,11 +804,15 @@ std::string canonical_flow_pass(const std::string& name) {
 
 std::size_t resolved_memory_budget(const DfmFlowOptions& options) {
   if (options.memory_budget != 0) return options.memory_budget;
-  if (const char* env = std::getenv("DFMKIT_SNAPSHOT_BUDGET")) {
-    std::size_t bytes = 0;
-    if (parse_byte_size(env, &bytes)) return bytes;
+  const char* env = std::getenv("DFMKIT_SNAPSHOT_BUDGET");
+  if (env == nullptr) return 0;
+  std::size_t bytes = 0;
+  if (!parse_byte_size(env, &bytes)) {
+    throw std::runtime_error(
+        "DFMKIT_SNAPSHOT_BUDGET: expected a byte size like 64M, got '" +
+        std::string(env) + "'");
   }
-  return 0;
+  return bytes;
 }
 
 namespace {

@@ -104,7 +104,9 @@ struct DfmFlowOptions : PassOptions {
 };
 
 /// options.memory_budget, or the parsed DFMKIT_SNAPSHOT_BUDGET
-/// environment variable when that is 0; 0 = unlimited.
+/// environment variable when that is 0; 0 = unlimited. Throws
+/// std::runtime_error when the variable is set but is not a byte size
+/// parse_byte_size accepts.
 std::size_t resolved_memory_budget(const DfmFlowOptions& options);
 
 /// Resolves a user-facing pass name ("drc", "vias", "caa", ...) to its

@@ -34,11 +34,12 @@
 //    case where every tile is stale. Density rules stay whole-rule units
 //    (any layer dirtied), and a bbox-moving edit forces a full cold run
 //    (IncrementalSnapshot::bbox_changed) because the grid moves.
-//  * Pattern window: the edit's dirty region intersects the window on
-//    any capture layer. Anchor sites are re-enumerated from the edited
-//    anchor layer, so windows appear/move/vanish exactly as they would
-//    cold; a clean anchor layer keeps its sites, and a set none of whose
-//    capture layers changed keeps its whole match list.
+//  * Pattern window: one unit per (set, anchor window). Anchor sites are
+//    re-enumerated every run from the anchor layer's memoized labelling
+//    (shared with the base snapshot while the layer is clean), so
+//    windows appear/move/vanish exactly as they would cold; a window
+//    whose key was cached is stale when the edit's dirty region on a
+//    capture layer overlaps it with positive area.
 //  * Litho tile: the dirty region intersects the tile core expanded by
 //    the 6-sigma optical halo (the exact window the tile simulates). A
 //    stale tile with a cached print re-renders only the pixels the edit
@@ -95,13 +96,9 @@ struct FlowCaches {
   // violations that unit owns.
   std::vector<std::vector<std::vector<KeyedViolation>>> drc_rules;
   std::vector<std::vector<std::vector<KeyedViolation>>> recommended_tiles;
-  std::vector<std::map<AnchorWindow, std::vector<PatternMatch>>>
-      pattern_windows;                      // per pattern set
-  /// Per pattern set: the anchor sites and the flat match list of the
-  /// last run, reused while the anchor layer (sites) or every capture
-  /// layer (matches) is clean.
-  std::vector<std::vector<AnchorWindow>> pattern_sites;
-  std::vector<std::vector<PatternMatch>> pattern_flat;
+  /// Per (pattern set, anchor window): the window's matches.
+  std::map<std::pair<std::size_t, AnchorWindow>, std::vector<PatternMatch>>
+      pattern_windows;
   HotspotTileSim litho;
   bool litho_valid = false;
   /// Kernel spectra for the litho FFT path, shared across runs of a
@@ -115,12 +112,11 @@ struct FlowCaches {
   /// with its netlist (the nets themselves splice from that report).
   std::vector<NetKey> net_keys;
   bool nets_valid = false;
-  /// caa_yield's per-unit results: per grid tile, per defect size, the
-  /// 2x-grid area of the shorts critical region the tile owns, for the
-  /// M1 layer-local term and the M2 net-aware term; M2 opens as a fault
-  /// rate.
-  std::vector<std::vector<Area>> caa_m1_tiles;
-  std::vector<std::vector<Area>> caa_m2_tiles;
+  /// caa_yield's per-unit results: per (term, grid tile index), per
+  /// defect size, the 2x-grid area of the shorts critical region the tile
+  /// owns, for the M1 layer-local term (0) and the M2 net-aware term (1);
+  /// M2 opens as a fault rate.
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<Area>> caa_tiles;
   double caa_m2_opens = 0.0;
   bool caa_valid = false;
 

@@ -4,6 +4,7 @@
 #include "layout/library.h"
 
 #include <cctype>
+#include <limits>
 
 namespace dfm {
 
@@ -32,19 +33,22 @@ Region LibrarySource::read_layer_window(LayerKey k, const Rect& window) const {
 bool parse_byte_size(const std::string& text, std::size_t* out) {
   if (text.empty()) return false;
   std::size_t i = 0;
-  std::uint64_t value = 0;
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  std::size_t value = 0;
   while (i < text.size() &&
          std::isdigit(static_cast<unsigned char>(text[i])) != 0) {
-    value = value * 10 + static_cast<std::uint64_t>(text[i] - '0');
+    const auto digit = static_cast<std::size_t>(text[i] - '0');
+    if (value > (kMax - digit) / 10) return false;  // overflow
+    value = value * 10 + digit;
     ++i;
   }
   if (i == 0) return false;  // no digits
-  std::uint64_t mult = 1;
+  std::size_t mult = 1;
   if (i < text.size()) {
     switch (std::tolower(static_cast<unsigned char>(text[i]))) {
-      case 'k': mult = 1ull << 10; ++i; break;
-      case 'g': mult = 1ull << 30; ++i; break;
-      case 'm': mult = 1ull << 20; ++i; break;
+      case 'k': mult = std::size_t{1} << 10; ++i; break;
+      case 'g': mult = std::size_t{1} << 30; ++i; break;
+      case 'm': mult = std::size_t{1} << 20; ++i; break;
       default: break;
     }
     // Optional "B" / "iB" tail ("64MiB", "512kb").
@@ -58,7 +62,8 @@ bool parse_byte_size(const std::string& text, std::size_t* out) {
     }
     if (i != text.size()) return false;
   }
-  *out = static_cast<std::size_t>(value * mult);
+  if (value > kMax / mult) return false;  // overflow
+  *out = value * mult;
   return true;
 }
 

@@ -130,7 +130,8 @@ class LibrarySource : public SnapshotSource {
 
 /// Parses a human byte size: a plain integer, optionally suffixed with
 /// K/M/G (powers of 1024, case-insensitive, optional trailing "B" or
-/// "iB"). Returns false on anything else.
+/// "iB"). Returns false on anything else, and on a size std::size_t
+/// cannot hold (which must not wrap to 0, the unlimited budget).
 bool parse_byte_size(const std::string& text, std::size_t* out);
 
 }  // namespace dfm

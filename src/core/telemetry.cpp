@@ -182,14 +182,10 @@ std::uint64_t next_span_id() {
 }
 
 void set_enabled(bool on) {
-#ifdef DFMKIT_TELEMETRY_OFF
-  (void)on;
-#else
   if (on && !detail::g_enabled.load(std::memory_order_relaxed)) {
     global().epoch_ns.store(now_ns(), std::memory_order_relaxed);
   }
   detail::g_enabled.store(on, std::memory_order_relaxed);
-#endif
 }
 
 void record_span(const char* name, std::uint64_t start_ns,
@@ -352,7 +348,7 @@ MetricsSnapshot metrics_snapshot() {
   // Surface ring-overflow losses next to the metrics they taint. Skipped
   // when the registry never saw a metric (and nothing was dropped), so a
   // process that never records keeps an empty() snapshot.
-  if (compiled_in() && (!snap.empty() || dropped != 0)) {
+  if (!snap.empty() || dropped != 0) {
     snap.gauges["telemetry.dropped_events"] = static_cast<double>(dropped);
   }
   return snap;

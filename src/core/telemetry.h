@@ -15,10 +15,7 @@
 //
 // Recording is off by default. set_enabled(true) opens a recording
 // epoch; Span construction checks one relaxed atomic load when disabled,
-// which is the entire disabled-path cost. Compiling with
-// -DDFMKIT_TELEMETRY_OFF (CMake: -DDFMKIT_TELEMETRY=OFF) turns every
-// TELEM_* macro into nothing and pins enabled() to false, so shipped
-// binaries can drop the subsystem outright.
+// which is the entire disabled-path cost.
 //
 // Metrics: counters (monotonic), gauges (set/add), and fixed-bucket
 // histograms, all atomics, registered by name on first use. The TELEM_*
@@ -45,31 +42,17 @@
 
 namespace dfm::telemetry {
 
-/// False when the subsystem was compiled out (-DDFMKIT_TELEMETRY_OFF).
-constexpr bool compiled_in() {
-#ifdef DFMKIT_TELEMETRY_OFF
-  return false;
-#else
-  return true;
-#endif
-}
-
 namespace detail {
 extern std::atomic<bool> g_enabled;
 }  // namespace detail
 
 /// True while a recording epoch is open. One relaxed load.
 inline bool enabled() {
-#ifdef DFMKIT_TELEMETRY_OFF
-  return false;
-#else
   return detail::g_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Opens (true) or closes (false) a recording epoch. Opening stamps the
-/// epoch origin all exported timestamps are relative to. No-op when
-/// compiled out.
+/// epoch origin all exported timestamps are relative to.
 void set_enabled(bool on);
 
 /// Monotonic nanoseconds (steady clock).
@@ -355,26 +338,14 @@ std::string metrics_text();
 
 /// Total events lost to ring overflow across every registered thread
 /// buffer. Also injected into metrics_snapshot() as the
-/// "telemetry.dropped_events" gauge (compiled-in builds, non-empty
-/// snapshots), so metrics_json/metrics_text surface it.
+/// "telemetry.dropped_events" gauge (non-empty snapshots), so
+/// metrics_json/metrics_text surface it.
 std::uint64_t dropped_events();
 
 }  // namespace dfm::telemetry
 
 // ---------------------------------------------------------------------------
-// Instrumentation macros — the only API call sites should use. All of
-// them compile to nothing under DFMKIT_TELEMETRY_OFF.
-
-#ifdef DFMKIT_TELEMETRY_OFF
-
-#define TELEM_SPAN(name) ((void)0)
-#define TELEM_SPAN_ARG(name, arg) ((void)0)
-#define TELEM_COUNTER_ADD(name, n) ((void)0)
-#define TELEM_GAUGE_SET(name, v) ((void)0)
-#define TELEM_GAUGE_ADD(name, v) ((void)0)
-#define TELEM_HIST_OBSERVE(name, bounds, v) ((void)0)
-
-#else
+// Instrumentation macros — the only API call sites should use.
 
 #define DFM_TELEM_CAT2(a, b) a##b
 #define DFM_TELEM_CAT(a, b) DFM_TELEM_CAT2(a, b)
@@ -418,5 +389,3 @@ std::uint64_t dropped_events();
         ::dfm::telemetry::histogram(name, std::vector<double> bounds); \
     telem_h_.observe(static_cast<double>(v));                         \
   } while (0)
-
-#endif  // DFMKIT_TELEMETRY_OFF

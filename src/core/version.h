@@ -15,7 +15,7 @@ namespace dfm {
 const char* git_revision();
 
 /// Human-readable build configuration, e.g.
-/// "RelWithDebInfo telemetry=on sanitize=none".
+/// "RelWithDebInfo sanitize=none".
 const char* build_config();
 
 /// "dfmkit <revision> (<build config>)".

@@ -82,14 +82,18 @@ std::vector<AnchorWindow> anchor_windows(const Region& anchor_layer,
   return anchor_windows(anchor_layer.components(), radius);
 }
 
+AnchorWindow anchor_window(const Rect& box, Coord radius) {
+  const Point c = box.center();
+  return AnchorWindow{
+      c, Rect{c.x - radius, c.y - radius, c.x + radius, c.y + radius}};
+}
+
 std::vector<AnchorWindow> anchor_windows(const std::vector<Region>& comps,
                                          Coord radius) {
   std::vector<AnchorWindow> out;
   out.reserve(comps.size());
   for (const Region& comp : comps) {
-    const Point c = comp.bbox().center();
-    out.push_back(AnchorWindow{
-        c, Rect{c.x - radius, c.y - radius, c.x + radius, c.y + radius}});
+    out.push_back(anchor_window(comp.bbox(), radius));
   }
   return out;
 }

@@ -39,6 +39,9 @@ struct AnchorWindow {
   friend auto operator<=>(const AnchorWindow&, const AnchorWindow&) = default;
 };
 
+/// The site of a component whose bounding box is `box`.
+AnchorWindow anchor_window(const Rect& box, Coord radius);
+
 /// The site list capture_at_anchors scans, in component order, without
 /// capturing anything — incremental re-analysis enumerates this cheaply
 /// and captures only the sites its damage regions touch.

@@ -47,41 +47,39 @@ PatternMatcher::PatternMatcher(std::vector<PatternRule> rules)
   }
 }
 
-std::vector<std::vector<PatternMatch>> PatternMatcher::scan_per_window(
-    const std::vector<CapturedPattern>& windows, ThreadPool* pool) const {
-  const auto scan_window = [&](const CapturedPattern& w) {
-    std::vector<PatternMatch> local;
-    const std::uint64_t h = w.pattern.hash();
-    std::vector<bool> already(rules_.size(), false);
-    if (const auto it = exact_.find(h); it != exact_.end()) {
-      for (const std::size_t ri : it->second) {
-        local.push_back(PatternMatch{ri, w.window, w.anchor, true});
-        already[ri] = true;
+std::vector<PatternMatch> PatternMatcher::scan_window(
+    const CapturedPattern& w) const {
+  std::vector<PatternMatch> out;
+  const std::uint64_t h = w.pattern.hash();
+  std::vector<bool> already(rules_.size(), false);
+  if (const auto it = exact_.find(h); it != exact_.end()) {
+    for (const std::size_t ri : it->second) {
+      out.push_back(PatternMatch{ri, w.window, w.anchor, true});
+      already[ri] = true;
+    }
+  }
+  const std::uint64_t th = topology_hash(w.pattern.canonical());
+  if (const auto it = by_topology_.find(th); it != by_topology_.end()) {
+    for (const std::size_t ri : it->second) {
+      if (already[ri]) continue;
+      if (tolerance_match(w.pattern.canonical(),
+                          rules_[ri].pattern.canonical(),
+                          rules_[ri].dim_tolerance)) {
+        out.push_back(PatternMatch{ri, w.window, w.anchor, false});
       }
     }
-    const std::uint64_t th = topology_hash(w.pattern.canonical());
-    if (const auto it = by_topology_.find(th); it != by_topology_.end()) {
-      for (const std::size_t ri : it->second) {
-        if (already[ri]) continue;
-        if (tolerance_match(w.pattern.canonical(),
-                            rules_[ri].pattern.canonical(),
-                            rules_[ri].dim_tolerance)) {
-          local.push_back(PatternMatch{ri, w.window, w.anchor, false});
-        }
-      }
-    }
-    return local;
-  };
-  return parallel_map(pool, windows.size(), [&](std::size_t i) {
-    TELEM_SPAN_ARG("pattern/match", i);
-    return scan_window(windows[i]);
-  });
+  }
+  return out;
 }
 
 std::vector<PatternMatch> PatternMatcher::scan(
     const std::vector<CapturedPattern>& windows, ThreadPool* pool) const {
   std::vector<PatternMatch> out;
-  for (std::vector<PatternMatch>& v : scan_per_window(windows, pool)) {
+  for (const std::vector<PatternMatch>& v :
+       parallel_map(pool, windows.size(), [&](std::size_t i) {
+         TELEM_SPAN_ARG("pattern/match", i);
+         return scan_window(windows[i]);
+       })) {
     out.insert(out.end(), v.begin(), v.end());
   }
   return out;

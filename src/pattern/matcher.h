@@ -41,12 +41,9 @@ class PatternMatcher {
   std::vector<PatternMatch> scan(const std::vector<CapturedPattern>& windows,
                                  ThreadPool* pool = nullptr) const;
 
-  /// Matches grouped by window, aligned with `windows` — the splice unit
-  /// of incremental pattern scans. scan() is exactly the window-order
-  /// concatenation of these groups.
-  std::vector<std::vector<PatternMatch>> scan_per_window(
-      const std::vector<CapturedPattern>& windows,
-      ThreadPool* pool = nullptr) const;
+  /// The matches of one window — the splice unit of incremental pattern
+  /// scans. scan() is exactly the window-order concatenation of these.
+  std::vector<PatternMatch> scan_window(const CapturedPattern& w) const;
 
   /// Convenience: anchor-capture the target and scan. Shares the
   /// snapshot's memoized R-trees across scans.

@@ -604,24 +604,22 @@ void ServiceServer::finish_request(const Job& job, const Json& response,
                      ({1, 5, 10, 50, 100, 500, 1000, 5000}), total_ms);
   TELEM_HIST_OBSERVE("service.queue_wait_ms",
                      ({0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000}), queue_ms);
-  if constexpr (telemetry::compiled_in()) {
-    // Per-op histograms are keyed by dynamic names, so they bypass the
-    // macros' static caching — fine at per-request (not per-tile) rate.
-    // Only vocabulary ops get their own series: unknown-op garbage must
-    // not mint unbounded registry entries.
-    static const std::vector<double> kLatencyBounds{1,   5,   10,   50,
-                                                    100, 500, 1000, 5000};
-    static const std::vector<double> kQueueBounds{0.1, 0.5, 1,   5,  10,
-                                                  50,  100, 500, 1000};
-    const bool known = job.op == "open" || job.op == "edit" ||
-                       job.op == "flow" || job.op == "fix" ||
-                       job.op == "close" || job.op == "sleep";
-    const std::string op = known ? job.op : "other";
-    telemetry::histogram("service.op." + op + ".request_ms", kLatencyBounds)
-        .observe(total_ms);
-    telemetry::histogram("service.op." + op + ".queue_wait_ms", kQueueBounds)
-        .observe(queue_ms);
-  }
+  // Per-op histograms are keyed by dynamic names, so they bypass the
+  // macros' static caching — fine at per-request (not per-tile) rate.
+  // Only vocabulary ops get their own series: unknown-op garbage must
+  // not mint unbounded registry entries.
+  static const std::vector<double> kLatencyBounds{1,   5,   10,   50,
+                                                  100, 500, 1000, 5000};
+  static const std::vector<double> kQueueBounds{0.1, 0.5, 1,   5,  10,
+                                                50,  100, 500, 1000};
+  const bool known = job.op == "open" || job.op == "edit" ||
+                     job.op == "flow" || job.op == "fix" ||
+                     job.op == "close" || job.op == "sleep";
+  const std::string op = known ? job.op : "other";
+  telemetry::histogram("service.op." + op + ".request_ms", kLatencyBounds)
+      .observe(total_ms);
+  telemetry::histogram("service.op." + op + ".queue_wait_ms", kQueueBounds)
+      .observe(queue_ms);
 
   const bool ok = response.get_bool("ok", false);
   FlightRecord rec;
@@ -968,7 +966,6 @@ Json ServiceServer::inline_metrics(std::uint64_t id) const {
   // `dfmkit top`, which rebuilds histograms to derive percentiles.
   fields["text"] = Json(telemetry::metrics_text(snap));
   fields["json"] = Json(telemetry::metrics_json(snap));
-  fields["telemetry"] = Json(telemetry::compiled_in());
   return make_ok(id, std::move(fields));
 }
 

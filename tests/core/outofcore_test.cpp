@@ -17,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace dfm {
@@ -453,6 +455,31 @@ TEST(ParseByteSize, AcceptsHumanSizes) {
   EXPECT_FALSE(parse_byte_size("x12", &v));
   EXPECT_FALSE(parse_byte_size("12q", &v));
   EXPECT_FALSE(parse_byte_size("12kx", &v));
+  // Sizes past std::size_t are rejected, not wrapped (to 0 = unlimited).
+  EXPECT_TRUE(parse_byte_size("18446744073709551615", &v));
+  EXPECT_EQ(v, std::numeric_limits<std::size_t>::max());
+  EXPECT_FALSE(parse_byte_size("18446744073709551616", &v));
+  EXPECT_TRUE(parse_byte_size("17179869183G", &v));
+  EXPECT_EQ(v, std::size_t{17179869183} << 30);
+  EXPECT_FALSE(parse_byte_size("17179869184G", &v));
+  EXPECT_FALSE(parse_byte_size("99999999999999999999999k", &v));
+}
+
+// A malformed DFMKIT_SNAPSHOT_BUDGET fails loudly instead of silently
+// meaning "unlimited"; an explicit budget does not read it.
+TEST(ParseByteSize, MalformedBudgetVariableThrows) {
+  const char* prev = std::getenv("DFMKIT_SNAPSHOT_BUDGET");
+  const std::string saved = prev != nullptr ? prev : "";
+  ASSERT_EQ(::setenv("DFMKIT_SNAPSHOT_BUDGET", "64MB!", 1), 0);
+  DfmFlowOptions opt;
+  EXPECT_THROW(resolved_memory_budget(opt), std::runtime_error);
+  opt.memory_budget = 4096;
+  EXPECT_EQ(resolved_memory_budget(opt), 4096u);
+  if (prev != nullptr) {
+    ::setenv("DFMKIT_SNAPSHOT_BUDGET", saved.c_str(), 1);
+  } else {
+    ::unsetenv("DFMKIT_SNAPSHOT_BUDGET");
+  }
 }
 
 }  // namespace

@@ -171,6 +171,12 @@ TEST(DrcSplice, ColdFlowMatchesWholeLayerEngines) {
 
 TEST_P(DrcSplice, EditStreamsMatchColdFlow) { run_streams(GetParam(), "drc_plus"); }
 
+// Under a budget the (rule x tile) units and the pattern windows run in
+// budget groups, and windows capture streamed off the source.
+TEST(DrcSplice, TightBudgetStreamMatchesColdFlow) {
+  run_budgeted_stream("drc_plus");
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, DrcSplice, ::testing::Values(1u, 2u, 8u));
 
 class RecommendedSplice : public ::testing::TestWithParam<unsigned> {};
@@ -381,10 +387,32 @@ TEST(SpliceTelemetry, M1PatchDirtiesTheTilesItsHaloReaches) {
   EXPECT_GT(rep.trace.find("drc_plus")->total_units, drc);
 }
 
-// A Via1 edit leaves the M1-anchored pattern set's sites and matches to
-// the cache: the set rescans no window, and the report equals a cold run.
-TEST(SpliceTelemetry, CleanAnchorLayerReusesPatternSites) {
+/// Applies `d` to `session` with span recording on and returns, per
+/// pattern set, how many windows the apply recomputed (its
+/// "drc/pattern_window" spans carry the set index).
+std::vector<std::size_t> windows_rescanned(DfmFlowSession& session,
+                                           const LayoutDelta& d) {
   namespace telem = ::dfm::telemetry;
+  telem::set_enabled(false);
+  telem::clear();
+  telem::set_enabled(true);
+  session.apply(d);
+  telem::set_enabled(false);
+  std::vector<std::size_t> per_set(
+      DrcPlusDeck::standard(session.options().tech).pattern_sets.size(), 0);
+  for (const telem::ThreadTrace& t : telem::drain().threads) {
+    for (const telem::SpanEvent& e : t.events) {
+      if (std::string(e.name) == "drc/pattern_window") ++per_set.at(e.arg);
+    }
+  }
+  telem::clear();
+  return per_set;
+}
+
+// A Via1 edit leaves the M1-anchored pattern set's windows to the
+// cache: no window of set 0 is rescanned, and the report equals a cold
+// run.
+TEST(SpliceTelemetry, CleanAnchorLayerReusesPatternSites) {
   const LayerMap m = design_layers(3, 3, 8);
   DfmFlowOptions opt;
   opt.threads = 2;
@@ -401,29 +429,46 @@ TEST(SpliceTelemetry, CleanAnchorLayerReusesPatternSites) {
   d.add(layers::kVia1, Rect{x, y, x + 50, y + 50});
   d.apply(shadow);
 
-  telem::set_enabled(false);
-  telem::clear();
-  telem::set_enabled(true);
-  const DfmFlowReport& rep = session.apply(d);
-  telem::set_enabled(false);
-  if (telem::compiled_in()) {
-    std::vector<telem::SpanEvent> sets;
-    for (const telem::ThreadTrace& t : telem::drain().threads) {
-      for (const telem::SpanEvent& e : t.events) {
-        if (std::string(e.name) == "drc/pattern_set") sets.push_back(e);
-      }
-    }
-    std::sort(sets.begin(), sets.end(),
-              [](const telem::SpanEvent& a, const telem::SpanEvent& b) {
-                return a.start_ns < b.start_ns;
-              });
-    ASSERT_EQ(sets.size(),
-              DrcPlusDeck::standard(opt.tech).pattern_sets.size());
-    EXPECT_EQ(sets.front().arg, 0u);
-  }
-  telem::clear();
+  const std::vector<std::size_t> rescanned = windows_rescanned(session, d);
+  EXPECT_EQ(rescanned.at(0), 0u);
+  // The via set scans the window the new via opens.
+  EXPECT_GT(rescanned.at(1), 0u);
   EXPECT_TRUE(reports_equivalent(
-      rep, run_dfm_flow(LayoutSnapshot(LayerMap(shadow)), opt)));
+      session.report(), run_dfm_flow(LayoutSnapshot(LayerMap(shadow)), opt)));
+}
+
+// An edit that keeps every window but changes what some of them clip
+// rescans exactly those: an M2 patch on a via rescans the via set's
+// windows it overlaps, and no M1 window.
+TEST(SpliceTelemetry, EditInsideCachedWindowsRescansExactlyThem) {
+  const LayerMap m = design_layers(3, 3, 8);
+  DfmFlowOptions opt;
+  opt.threads = 2;
+  opt.passes = {"drc_plus"};
+  const PatternRuleSet via_set =
+      DrcPlusDeck::standard(opt.tech).pattern_sets.at(1);
+  ASSERT_EQ(via_set.anchor_layer, layers::kVia1);
+  DfmFlowSession session(m, opt);
+  const std::vector<AnchorWindow> sites = anchor_windows(
+      session.snapshot().components(layers::kVia1).regions, via_set.radius);
+  ASSERT_FALSE(sites.empty());
+  const Point c = sites.front().anchor;
+  const Rect patch{c.x, c.y, c.x + 50, c.y + 50};
+  std::size_t overlapped = 0;
+  for (const AnchorWindow& w : sites) {
+    if (patch.overlaps(w.window)) ++overlapped;
+  }
+  ASSERT_GE(overlapped, 1u);
+  LayerMap shadow = m;
+  LayoutDelta d;
+  d.add(layers::kMetal2, patch);
+  d.apply(shadow);
+
+  const std::vector<std::size_t> rescanned = windows_rescanned(session, d);
+  EXPECT_EQ(rescanned.at(0), 0u);
+  EXPECT_EQ(rescanned.at(1), overlapped);
+  EXPECT_TRUE(reports_equivalent(
+      session.report(), run_dfm_flow(LayoutSnapshot(LayerMap(shadow)), opt)));
 }
 
 }  // namespace

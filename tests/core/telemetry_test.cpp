@@ -52,7 +52,6 @@ void nested_spans(int depth) {
 }
 
 TEST_F(TelemetryTest, SpanNestingUnderContention) {
-  if (!telem::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   telem::set_enabled(true);
 
   // 8 recording threads, each running the same 4-deep recursion, while
@@ -177,7 +176,6 @@ TEST_F(TelemetryTest, ExporterOrdersParentsBeforeChildren) {
 }
 
 TEST_F(TelemetryTest, RingOverflowDropsAndCounts) {
-  if (!telem::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   telem::set_ring_capacity(8);
   telem::set_enabled(true);
   // A fresh thread registers a fresh (8-slot) ring.
@@ -201,7 +199,6 @@ TEST_F(TelemetryTest, RingOverflowDropsAndCounts) {
 }
 
 TEST_F(TelemetryTest, DisabledSpansRecordNothing) {
-  if (!telem::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   {
     TELEM_SPAN("off/span");
   }
@@ -333,7 +330,6 @@ TEST_F(TelemetryTest, PrometheusExpositionGoldenFile) {
 }
 
 TEST_F(TelemetryTest, DroppedEventsSurfaceAsAGauge) {
-  if (!telem::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   telem::set_ring_capacity(4);
   telem::set_enabled(true);
   std::thread rec([] {
@@ -404,9 +400,7 @@ TEST_F(TelemetryTest, RecordingDoesNotChangeTheFlowReport) {
   const DfmFlowReport on = run_dfm_flow(LayoutSnapshot{layers}, opt);
   telem::set_enabled(false);
   EXPECT_TRUE(reports_equivalent(off, on));
-  if (telem::compiled_in()) {
-    EXPECT_GT(telem::drain().total_events(), 0u);
-  }
+  EXPECT_GT(telem::drain().total_events(), 0u);
 }
 
 /// A small session layout and litho options quick enough for a unit
@@ -458,7 +452,6 @@ std::set<std::pair<std::string, std::string>> top_span_pairs(
 }
 
 TEST_F(TelemetryTest, IncrementalRunHasTheColdSpanTree) {
-  if (!telem::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   const SessionFixture f;
   telem::set_enabled(true);
   DfmFlowSession session(LayerMap(f.layers), f.options);
@@ -491,7 +484,6 @@ TEST_F(TelemetryTest, PassTimesAreTheirSpans) {
   // "flow" root exactly total_ms: both come from the same clock reads.
   const auto check = [&](const DfmFlowReport& rep) {
     EXPECT_LE(rep.trace.passes_ms(), rep.trace.total_ms);
-    if (!telem::compiled_in()) return;
     std::map<std::string, double> span_ms;
     for (const telem::ThreadTrace& t : telem::drain().threads) {
       for (const telem::SpanEvent& e : t.events) {

@@ -69,7 +69,6 @@ class Observability : public ::testing::Test {
 };
 
 TEST_F(Observability, TraceContextPropagatesAndIsEchoed) {
-  if (!telem::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   ServiceServer server(base_options("trace"));
   server.start();
 
@@ -143,25 +142,20 @@ TEST_F(Observability, MetricsOpExposesPerOpHistograms) {
   const std::string text = metrics.get_string("text", "");
   const Json exposition = Json::parse(metrics.get_string("json", "{}"));
 
-  if (telem::compiled_in()) {
-    EXPECT_TRUE(metrics.get_bool("telemetry", false));
-    // Per-op latency series, in both expositions of the one snapshot.
-    EXPECT_NE(text.find("# TYPE service_op_open_request_ms histogram"),
-              std::string::npos);
-    EXPECT_NE(text.find("service_op_flow_request_ms_bucket{le=\"+Inf\"} 1"),
-              std::string::npos);
-    EXPECT_NE(text.find("service_op_open_queue_wait_ms_count 1"),
-              std::string::npos);
-    const Json* hists = exposition.find("histograms");
-    ASSERT_NE(hists, nullptr);
-    const Json* open_hist = hists->find("service.op.open.request_ms");
-    ASSERT_NE(open_hist, nullptr);
-    EXPECT_EQ(open_hist->get_int("total", 0), 1);
-    EXPECT_EQ(open_hist->find("bounds")->as_array().size() + 1,
-              open_hist->find("counts")->as_array().size());
-  } else {
-    EXPECT_FALSE(metrics.get_bool("telemetry", true));
-  }
+  // Per-op latency series, in both expositions of the one snapshot.
+  EXPECT_NE(text.find("# TYPE service_op_open_request_ms histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("service_op_flow_request_ms_bucket{le=\"+Inf\"} 1"),
+            std::string::npos);
+  EXPECT_NE(text.find("service_op_open_queue_wait_ms_count 1"),
+            std::string::npos);
+  const Json* hists = exposition.find("histograms");
+  ASSERT_NE(hists, nullptr);
+  const Json* open_hist = hists->find("service.op.open.request_ms");
+  ASSERT_NE(open_hist, nullptr);
+  EXPECT_EQ(open_hist->get_int("total", 0), 1);
+  EXPECT_EQ(open_hist->find("bounds")->as_array().size() + 1,
+            open_hist->find("counts")->as_array().size());
 
   client.close_session(opened.get_string("session", ""));
   server.request_shutdown();

@@ -228,11 +228,6 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
   }
 
   const std::string trace_path = args.str("--trace-out", "");
-  if (!trace_path.empty() && !telemetry::compiled_in()) {
-    std::fprintf(stderr,
-                 "dfmkit: --trace-out: telemetry was compiled out "
-                 "(DFMKIT_TELEMETRY=OFF); the trace will be empty\n");
-  }
   if (!trace_path.empty()) {
     telemetry::set_thread_name("main");
     telemetry::set_enabled(true);
@@ -536,11 +531,6 @@ int cmd_client(int argc, char** argv) {
   // trace context on the wire (see `dfmkit trace-merge`).
   const std::string trace_path = args.str("--trace-out", "");
   if (!trace_path.empty()) {
-    if (!telemetry::compiled_in()) {
-      std::fprintf(stderr,
-                   "dfmkit: --trace-out: telemetry was compiled out "
-                   "(DFMKIT_TELEMETRY=OFF); the trace will be empty\n");
-    }
     telemetry::set_thread_name("client");
     telemetry::set_enabled(true);
   }
@@ -665,10 +655,6 @@ int cmd_top(int argc, char** argv) {
     }
     if (any) {
       ops.print();
-    } else if (!metrics.get_bool("telemetry", true)) {
-      std::printf(
-          "(per-op histograms unavailable: server built with "
-          "DFMKIT_TELEMETRY=OFF)\n");
     } else {
       std::printf("(no per-op latency samples yet)\n");
     }

@@ -327,11 +327,6 @@ int cmd_flow(int argc, char** argv) {
         "[--memory-budget <bytes|K|M|G>] [--stream] "
         "[--edit <layer>:<x0>,<y0>,<x1>,<y1>[:remove]]... <in.gds> [top]");
   }
-  if (!trace_path.empty() && !telemetry::compiled_in()) {
-    std::fprintf(stderr,
-                 "dfmkit: --trace-out: telemetry was compiled out "
-                 "(DFMKIT_TELEMETRY=OFF); the trace will be empty\n");
-  }
   // Span recording only pays for itself when someone asked for output;
   // metrics counters are always live (they are the cheap part).
   if (!trace_path.empty()) {
