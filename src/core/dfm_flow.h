@@ -140,9 +140,8 @@ DfmFlowReport run_dfm_flow(const Library& lib, std::uint32_t top,
                            const DfmFlowOptions& options);
 
 /// Out-of-core entry point: runs the flow over a lazily-hydrated
-/// snapshot of `source` (e.g. a GdsStreamSource over an mmap'd file, or
-/// a ShmSnapshotSource over a published segment), under
-/// resolved_memory_budget(options). The report is byte-identical to the
+/// snapshot of `source` (e.g. a GdsStreamSource over an mmap'd file),
+/// under resolved_memory_budget(options). The report is byte-identical to the
 /// in-memory path over the same design.
 DfmFlowReport run_dfm_flow(std::shared_ptr<const SnapshotSource> source,
                            const DfmFlowOptions& options);

@@ -170,8 +170,8 @@ class DfmFlowSession {
                  DfmFlowOptions options);
   /// Same from an explicit layer map (testing / in-memory edits).
   DfmFlowSession(LayerMap layers, DfmFlowOptions options);
-  /// Out-of-core session: hydrates lazily from `source` (a streaming
-  /// reader or shared-memory segment) under resolved_memory_budget.
+  /// Out-of-core session: hydrates lazily from `source` (e.g. a
+  /// streaming reader) under resolved_memory_budget.
   DfmFlowSession(std::shared_ptr<const SnapshotSource> source,
                  DfmFlowOptions options);
 

@@ -9,7 +9,7 @@
 //
 // Out-of-core mode: a snapshot built over a SnapshotSource starts with
 // no geometry resident. Layer regions hydrate on first access (from an
-// mmap-backed streaming reader, a shared-memory segment, or a Library),
+// mmap-backed streaming reader or a Library),
 // and both geometry and derived products can be evicted again under a
 // SnapshotBudget and re-hydrated later. Hydration is deterministic — a
 // re-hydrated layer is canonically identical to its first hydration — so

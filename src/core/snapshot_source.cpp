@@ -5,6 +5,7 @@
 
 #include <cctype>
 #include <limits>
+#include <stdexcept>
 
 namespace dfm {
 
@@ -65,6 +66,25 @@ bool parse_byte_size(const std::string& text, std::size_t* out) {
   if (value > kMax / mult) return false;  // overflow
   *out = value * mult;
   return true;
+}
+
+std::uint64_t parse_count(const std::string& what, const std::string& text,
+                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  bool ok = !text.empty();
+  for (const char c : text) {
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (c < '0' || c > '9' || value > max / 10 || digit > max - value * 10) {
+      ok = false;
+      break;
+    }
+    value = value * 10 + digit;
+  }
+  if (!ok) {
+    throw std::runtime_error(what + ": expected a whole number from 0 to " +
+                             std::to_string(max) + ", got '" + text + "'");
+  }
+  return value;
 }
 
 }  // namespace dfm

@@ -6,9 +6,8 @@
 // holding its flattened form resident: the exact bbox of a layer, the
 // layer's full canonical geometry, and the geometry clipped to a window.
 // Implementations: LibrarySource (wraps an in-memory Library; the
-// compatibility anchor), the mmap-backed GdsStreamSource /
-// OasStreamSource (core/stream_source.h), and ShmSnapshotSource
-// (core/snapshot_shm.h, attaching a segment another process published).
+// compatibility anchor) and the mmap-backed GdsStreamSource /
+// OasStreamSource (core/stream_source.h).
 //
 // A SnapshotBudget is always attached to a snapshot, even with no limit
 // configured — accounting is unconditional so an unlimited run measures
@@ -100,7 +99,7 @@ class SnapshotSource {
  public:
   virtual ~SnapshotSource() = default;
 
-  /// Human-readable origin ("library", "gds:/path", "shm:/name", ...).
+  /// Human-readable origin ("library", "gds:/path", ...).
   virtual std::string describe() const = 0;
   /// Exact bbox of read_layer(k) — empty when the layer has no geometry.
   virtual Rect layer_bbox(LayerKey k) const = 0;
@@ -133,5 +132,13 @@ class LibrarySource : public SnapshotSource {
 /// "iB"). Returns false on anything else, and on a size std::size_t
 /// cannot hold (which must not wrap to 0, the unlimited budget).
 bool parse_byte_size(const std::string& text, std::size_t* out);
+
+/// Parses a count flag such as --threads or --workers: decimal digits
+/// only (no sign, space or suffix) with a value of at most `max`.
+/// Anything else throws std::runtime_error
+/// "<what>: expected a whole number from 0 to <max>, got '<text>'", so
+/// "-1" never wraps to the target type's maximum.
+std::uint64_t parse_count(const std::string& what, const std::string& text,
+                          std::uint64_t max);
 
 }  // namespace dfm

@@ -77,6 +77,11 @@ ServiceClient ServiceClient::connect_unix(const std::string& path) {
 }
 
 ServiceClient ServiceClient::connect_tcp(int port) {
+  if (port < 1 || port > 65535) {
+    throw ProtocolError(errc::kBadRequest,
+                        "tcp port " + std::to_string(port) +
+                            " is out of range (1-65535)");
+  }
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw_errno("socket");
   sockaddr_in addr{};

@@ -31,6 +31,7 @@ class ServiceClient {
   /// Disconnected client; connect_* are the real constructors.
   ServiceClient() = default;
   static ServiceClient connect_unix(const std::string& path);
+  /// Loopback TCP; throws ProtocolError for a port outside 1-65535.
   static ServiceClient connect_tcp(int port);
 
   ServiceClient(ServiceClient&& other) noexcept;

@@ -1,7 +1,6 @@
 #include "service/server.h"
 
 #include "core/fix_engine.h"
-#include "core/snapshot_shm.h"
 #include "core/telemetry.h"
 #include "core/version.h"
 #include "gdsii/gdsii.h"
@@ -121,6 +120,11 @@ void ServiceServer::start() {
   if (options_.unix_path.empty() && options_.tcp_port < 0) {
     throw std::runtime_error("service: no listener configured");
   }
+  if (options_.tcp_port > 65535) {
+    throw std::runtime_error("service: tcp port " +
+                             std::to_string(options_.tcp_port) +
+                             " is out of range (0-65535)");
+  }
 
   if (!options_.unix_path.empty()) {
     sockaddr_un addr{};
@@ -222,13 +226,6 @@ void ServiceServer::wait() {
   close_fd(wake_pipe_[0]);
   close_fd(wake_pipe_[1]);
   if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
-  {
-    std::lock_guard<std::mutex> lock(shm_mu_);
-    for (const std::string& name : shm_published_) {
-      remove_snapshot_shm(name);
-    }
-    shm_published_.clear();
-  }
   joined_ = true;
 }
 
@@ -718,66 +715,28 @@ Json ServiceServer::op_open(std::uint64_t id, const Json& req) {
     if (!passes.empty()) fo.passes = std::move(passes);
     if (litho_tile > 0) fo.litho_tile = litho_tile;
 
-    // Shared-memory fast path: attach (or publish once, then attach)
-    // one flattened copy of the file per machine. An explicit "top"
-    // bypasses it — the segment stores the default top only.
-    if (!options_.snapshot_shm.empty() && top_name.empty()) {
-      const std::string seg =
-          snapshot_shm_name_for(options_.snapshot_shm, path);
-      if (!snapshot_shm_exists(seg)) {
-        const Library lib = [&] {
-          try {
-            return read_layout(path);
-          } catch (const std::exception& e) {
-            throw ProtocolError(errc::kBadRequest,
-                                "open: " + path + ": " + e.what());
-          }
-        }();
-        const auto tops = lib.top_cells();
-        if (tops.empty()) {
-          throw ProtocolError(errc::kBadRequest,
-                              "open: library has no cells");
-        }
-        const LibrarySource src(
-            std::shared_ptr<const Library>(std::shared_ptr<void>{}, &lib),
-            tops.front());
-        try {
-          publish_snapshot_shm(seg, src,
-                               LayoutSnapshot::standard_flow_layers());
-          std::lock_guard<std::mutex> lock(shm_mu_);
-          shm_published_.push_back(seg);
-        } catch (const std::exception&) {
-          // Lost a publish race (O_EXCL): another worker owns the
-          // segment; attaching below is all that matters.
-          if (!snapshot_shm_exists(seg)) throw;
-        }
-      }
-      session->flow = std::make_unique<DfmFlowSession>(
-          std::make_shared<ShmSnapshotSource>(seg), fo);
-    } else {
-      Library lib = [&] {
-        try {
-          return read_layout(path);
-        } catch (const std::exception& e) {
-          throw ProtocolError(errc::kBadRequest,
-                              "open: " + path + ": " + e.what());
-        }
-      }();
-      std::uint32_t top = 0;
+    Library lib = [&] {
       try {
-        if (top_name.empty()) {
-          const auto tops = lib.top_cells();
-          if (tops.empty()) throw std::runtime_error("library has no cells");
-          top = tops.front();
-        } else {
-          top = lib.index_of(top_name);
-        }
+        return read_layout(path);
       } catch (const std::exception& e) {
         throw ProtocolError(errc::kBadRequest,
-                            "open: " + std::string(e.what()));
+                            "open: " + path + ": " + e.what());
       }
-      session->flow = std::make_unique<DfmFlowSession>(lib, top, fo);
+    }();
+    std::uint32_t top = 0;
+    try {
+      if (top_name.empty()) {
+        const auto tops = lib.top_cells();
+        if (tops.empty()) throw std::runtime_error("library has no cells");
+        top = tops.front();
+      } else {
+        top = lib.index_of(top_name);
+      }
+    } catch (const std::exception& e) {
+      throw ProtocolError(errc::kBadRequest,
+                          "open: " + std::string(e.what()));
     }
+    session->flow = std::make_unique<DfmFlowSession>(lib, top, fo);
     report = flow_report_canonical_json(session->flow->report());
     bbox = session->flow->snapshot().bbox();
     session->touch();

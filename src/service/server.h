@@ -56,7 +56,8 @@ struct ServiceOptions {
   /// Unix-domain socket path; empty disables the Unix listener.
   std::string unix_path;
   /// Loopback TCP port: -1 disables, 0 binds an ephemeral port
-  /// (resolved via ServiceServer::tcp_port() after start()).
+  /// (resolved via ServiceServer::tcp_port() after start()); start()
+  /// rejects anything above 65535.
   int tcp_port = -1;
 
   /// Request executor threads (the "server worker threads").
@@ -88,15 +89,6 @@ struct ServiceOptions {
   /// Requests slower than this (admission to response, ms) are logged to
   /// stderr and counted in stats().slow_requests; 0 disables the log.
   double slow_request_ms = 0;
-
-  /// Shared-memory snapshot prefix; empty disables. When set, "open"
-  /// publishes the flattened geometry of each layout into a POSIX shm
-  /// segment (snapshot_shm_name_for(prefix, path)) — or attaches the
-  /// segment another process already published — and every session runs
-  /// out-of-core over that one shared copy. Segments this server
-  /// published are unlinked on shutdown; opens that request an explicit
-  /// non-default "top" bypass the segment (it stores one flattened top).
-  std::string snapshot_shm;
 
   /// Template for every session's flow: tech, optical model, litho tile,
   /// default pass set. `pool`/`threads` are overridden with the server's
@@ -131,8 +123,8 @@ class ServiceServer {
   ServiceServer& operator=(const ServiceServer&) = delete;
 
   /// Binds the listeners and spawns the acceptor + executors. Throws
-  /// std::runtime_error when neither listener is configured or a bind
-  /// fails.
+  /// std::runtime_error when neither listener is configured, the TCP
+  /// port is out of range, or a bind fails.
   void start();
 
   /// Resolved TCP port (after start()); -1 when the TCP listener is off.
@@ -205,10 +197,6 @@ class ServiceServer {
   mutable std::mutex sessions_mu_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
   std::uint64_t session_seq_ = 0;
-
-  /// shm segments this server published (unlinked in wait()).
-  std::mutex shm_mu_;
-  std::vector<std::string> shm_published_;
 
   // Connections (guarded by conns_mu_).
   mutable std::mutex conns_mu_;

@@ -5,7 +5,6 @@
 #include "core/dfm_flow.h"
 #include "core/incremental.h"
 #include "core/snapshot.h"
-#include "core/snapshot_shm.h"
 #include "core/stream_source.h"
 #include "gdsii/gds_stream.h"
 #include "gdsii/gdsii.h"
@@ -381,64 +380,6 @@ TEST(OutOfCoreFlow, SessionEditsBitIdenticalUnderBudget) {
   }
 }
 
-TEST(SnapshotShm, PublishAttachRoundTrip) {
-  const Library lib = make_design();
-  const std::uint32_t top = lib.top_cells().front();
-  const std::string name =
-      snapshot_shm_name_for("dfmkit-test", "round-trip");
-  remove_snapshot_shm(name);  // stale segment from a crashed run
-
-  const LibrarySource src(
-      std::shared_ptr<const Library>(std::shared_ptr<void>{}, &lib), top);
-  ASSERT_GT(publish_snapshot_shm(name, src,
-                                 LayoutSnapshot::standard_flow_layers()),
-            0u);
-  EXPECT_TRUE(snapshot_shm_exists(name));
-  // O_EXCL: publishing the same name twice must fail loudly.
-  EXPECT_THROW(publish_snapshot_shm(name, src, {layers::kMetal1}),
-               std::runtime_error);
-
-  {
-    const ShmSnapshotSource shm(name);
-    EXPECT_EQ(shm.layer_keys(), LayoutSnapshot::standard_flow_layers());
-    const Rect full = lib.bbox(top);
-    for (const LayerKey k : shm.layer_keys()) {
-      EXPECT_EQ(lib.flatten(top, k), shm.read_layer(k))
-          << "layer " << to_string(k);
-      EXPECT_EQ(lib.flatten(top, k).bbox(), shm.layer_bbox(k));
-      const Rect win{full.lo.x, full.lo.y, (full.lo.x + full.hi.x) / 2,
-                     (full.lo.y + full.hi.y) / 2};
-      EXPECT_EQ(lib.flatten_window(top, k, win), shm.read_layer_window(k, win))
-          << "window on layer " << to_string(k);
-    }
-  }
-  EXPECT_TRUE(remove_snapshot_shm(name));
-  EXPECT_FALSE(snapshot_shm_exists(name));
-}
-
-TEST(SnapshotShm, FlowOverSegmentMatchesDirect) {
-  const Library lib = make_design();
-  const std::uint32_t top = lib.top_cells().front();
-  const std::string name = snapshot_shm_name_for("dfmkit-test", "flow");
-  remove_snapshot_shm(name);
-
-  const LibrarySource src(
-      std::shared_ptr<const Library>(std::shared_ptr<void>{}, &lib), top);
-  publish_snapshot_shm(name, src, LayoutSnapshot::standard_flow_layers());
-
-  const DfmFlowReport direct = run_dfm_flow(lib, top, flow_options(1, 0));
-  const DfmFlowReport shared = run_dfm_flow(
-      std::make_shared<ShmSnapshotSource>(name), flow_options(8, 64 << 10));
-  EXPECT_EQ(flow_report_canonical_json(direct),
-            flow_report_canonical_json(shared));
-  remove_snapshot_shm(name);
-}
-
-TEST(SnapshotShm, AttachRejectsGarbage) {
-  EXPECT_THROW(ShmSnapshotSource("/dfmkit-test.does-not-exist"),
-               std::runtime_error);
-}
-
 TEST(ParseByteSize, AcceptsHumanSizes) {
   std::size_t v = 0;
   EXPECT_TRUE(parse_byte_size("123", &v));
@@ -463,6 +404,36 @@ TEST(ParseByteSize, AcceptsHumanSizes) {
   EXPECT_EQ(v, std::size_t{17179869183} << 30);
   EXPECT_FALSE(parse_byte_size("17179869184G", &v));
   EXPECT_FALSE(parse_byte_size("99999999999999999999999k", &v));
+}
+
+TEST(ParseCount, RejectsSignsJunkAndValuesPastTheMaximum) {
+  constexpr std::uint64_t kU32 = std::numeric_limits<unsigned>::max();
+  EXPECT_EQ(parse_count("--threads", "0", kU32), 0u);
+  EXPECT_EQ(parse_count("--threads", "8", kU32), 8u);
+  EXPECT_EQ(parse_count("--threads", "4294967295", kU32), kU32);
+  EXPECT_EQ(parse_count("--tcp", "65535", 65535), 65535u);
+  EXPECT_EQ(parse_count("--n", "18446744073709551615",
+                        std::numeric_limits<std::uint64_t>::max()),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3", "2k",
+                          "4294967296", "99999999999999999999999"}) {
+    EXPECT_THROW(parse_count("--threads", bad, kU32), std::runtime_error)
+        << "'" << bad << "'";
+  }
+  EXPECT_THROW(parse_count("--tcp", "65536", 65535), std::runtime_error);
+  EXPECT_THROW(parse_count("--n", "18446744073709551616",
+                           std::numeric_limits<std::uint64_t>::max()),
+               std::runtime_error);
+  // A small maximum below a single digit still bounds the value.
+  EXPECT_THROW(parse_count("--k", "9", 5), std::runtime_error);
+  try {
+    parse_count("--workers", "-1", kU32);
+    ADD_FAILURE() << "-1 must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "--workers: expected a whole number from 0 to 4294967295, "
+                 "got '-1'");
+  }
 }
 
 // A malformed DFMKIT_SNAPSHOT_BUDGET fails loudly instead of silently

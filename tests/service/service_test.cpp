@@ -1,5 +1,6 @@
 // ServiceServer behavior: served reports byte-identical to the direct
-// library call (at 1 and 8 server workers), admission-queue
+// library call (at 1 and 8 server workers, with and without a snapshot
+// budget), TCP port range checks, admission-queue
 // backpressure, session limits, deadlines, idle eviction, the version
 // handshake, and an 8-client mixed storm with a mid-storm graceful
 // shutdown. Runs under the tsan/asan presets like every other tier-1
@@ -8,7 +9,6 @@
 
 #include "core/fix_engine.h"
 #include "core/incremental.h"
-#include "core/snapshot_shm.h"
 #include "core/version.h"
 #include "gdsii/gdsii.h"
 #include "gen/generators.h"
@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,10 +94,43 @@ TEST(Service, TcpLoopbackWorks) {
   EXPECT_TRUE(client.ping().get_bool("ok", false));
 }
 
-/// The tentpole equivalence gate: a served open + edits must return the
-/// exact bytes the direct library path produces, with 1 and with 8
-/// server workers.
-class ServedEquivalence : public ::testing::TestWithParam<unsigned> {};
+// A port must be range-checked before it is narrowed to uint16_t:
+// 65536 would bind an ephemeral port and 65537 port 1.
+TEST(Service, TcpPortOutOfRangeIsRejected) {
+  ServiceOptions opt = base_options("tcp_range");
+  opt.unix_path.clear();
+  opt.tcp_port = 65536;
+  ServiceServer server(std::move(opt));
+  EXPECT_THROW(server.start(), std::runtime_error);
+  EXPECT_EQ(server.tcp_port(), -1);
+  for (const int port : {0, 65536, 65537}) {
+    try {
+      ServiceClient::connect_tcp(port);
+      ADD_FAILURE() << "connect_tcp(" << port << ") must throw";
+    } catch (const ProtocolError& e) {
+      EXPECT_STREQ(e.code(), errc::kBadRequest) << port;
+    }
+  }
+}
+
+/// The equivalence gate: a served open + edits must return the exact
+/// bytes the direct library path produces, with 1 and with 8 server
+/// workers, unlimited and under a 64 KiB snapshot budget (eviction
+/// inside sessions that share the server's pool).
+struct ServedCase {
+  unsigned workers;
+  std::size_t budget;  // snapshot bytes; 0 = unlimited
+};
+
+// Printed "<workers>" or "<workers>_budget<KiB>k"; ctest names each case
+// after its printed value, so the unlimited cases keep their names.
+std::ostream& operator<<(std::ostream& os, const ServedCase& c) {
+  os << c.workers;
+  if (c.budget != 0) os << "_budget" << (c.budget >> 10) << "k";
+  return os;
+}
+
+class ServedEquivalence : public ::testing::TestWithParam<ServedCase> {};
 
 TEST_P(ServedEquivalence, ReportsBitIdenticalToDirectSession) {
   // Direct library run.
@@ -117,8 +151,10 @@ TEST_P(ServedEquivalence, ReportsBitIdenticalToDirectSession) {
       flow_report_canonical_json(direct.apply(remove));
 
   // Served run, same schedule.
-  ServiceOptions opt = base_options("equiv" + std::to_string(GetParam()));
-  opt.workers = GetParam();
+  ServiceOptions opt =
+      base_options("equiv" + ::testing::PrintToString(GetParam()));
+  opt.workers = GetParam().workers;
+  opt.flow.memory_budget = GetParam().budget;
   ServiceServer server(std::move(opt));
   server.start();
   ServiceClient client =
@@ -140,7 +176,10 @@ TEST_P(ServedEquivalence, ReportsBitIdenticalToDirectSession) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, ServedEquivalence,
-                         ::testing::Values(1u, 8u));
+                         ::testing::Values(ServedCase{1, 0},
+                                           ServedCase{1, 64 << 10},
+                                           ServedCase{8, 0},
+                                           ServedCase{8, 64 << 10}));
 
 /// The fix-loop equivalence gate: the served "fix" op must return the
 /// exact outcome and report bytes the direct FixEngine loop produces,
@@ -254,41 +293,6 @@ TEST(Service, ClientRejectsProtocolMismatch) {
   fake.join();
   ::close(listener);
   ::unlink(path.c_str());
-}
-
-TEST(Service, SnapshotShmSessionsMatchDirectAndShareOneSegment) {
-  const Library lib = read_gdsii_file(demo_gds());
-  DfmFlowOptions direct_opt;
-  direct_opt.passes = kFastPasses;
-  direct_opt.threads = 2;
-  DfmFlowSession direct(lib, lib.top_cells().front(), direct_opt);
-  const std::string direct_cold = flow_report_canonical_json(direct.report());
-
-  ServiceOptions opt = base_options("shm");
-  // pid-suffixed prefix: parallel test processes must not share segments.
-  opt.snapshot_shm = "dfmkit-test-" + std::to_string(::getpid());
-  opt.flow.memory_budget = 64 << 10;  // evict aggressively, same bytes out
-  const std::string segment =
-      snapshot_shm_name_for(opt.snapshot_shm, demo_gds());
-  ServiceServer server(std::move(opt));
-  server.start();
-  ServiceClient client =
-      ServiceClient::connect_unix(server.options().unix_path);
-
-  // First open publishes the segment; the second one attaches it. Both
-  // serve the exact bytes of the direct in-memory session.
-  const Json first = client.open(demo_gds());
-  EXPECT_EQ(first.get_string("report", ""), direct_cold);
-  EXPECT_TRUE(snapshot_shm_exists(segment));
-  const Json second = client.open(demo_gds());
-  EXPECT_EQ(second.get_string("report", ""), direct_cold);
-
-  client.close_session(first.get_string("session", ""));
-  client.close_session(second.get_string("session", ""));
-  server.request_shutdown();
-  server.wait();
-  // The publishing server unlinks its segments on shutdown.
-  EXPECT_FALSE(snapshot_shm_exists(segment));
 }
 
 TEST(Service, BackpressureRepliesWhenQueueFull) {

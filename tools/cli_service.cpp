@@ -15,6 +15,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -82,6 +83,18 @@ struct Args {
     }
     return n;
   }
+  /// Count flags (threads, limits, ports) go through parse_count, so a
+  /// sign or an oversized value is an error instead of a wrapped number.
+  template <typename T>
+  T count(const std::string& name, T dflt,
+          std::uint64_t max = std::numeric_limits<T>::max()) const {
+    const std::string* v = get(name);
+    return v ? static_cast<T>(parse_count(name, *v, max)) : dflt;
+  }
+  /// --tcp <port>, or -1 when absent.
+  int tcp_port() const {
+    return has("--tcp") ? count("--tcp", 0, 65535) : -1;
+  }
 };
 
 std::vector<std::string> split_commas(const std::string& s) {
@@ -120,12 +133,52 @@ void print_loadgen(const LoadGenReport& rep, const LoadGenOptions& opt) {
 
 }  // namespace
 
+CliEdit parse_edit(const std::string& spec) {
+  const auto bad = [&] {
+    return std::runtime_error(
+        "edit spec: expected <layer>:<x0>,<y0>,<x1>,<y1>[:remove], got '" +
+        spec + "'");
+  };
+  const std::size_t colon = spec.find(':');
+  if (colon == std::string::npos) throw bad();
+  CliEdit e;
+  e.layer_name = spec.substr(0, colon);
+  e.layer = service::layer_from_name(e.layer_name);
+  std::string rest = spec.substr(colon + 1);
+  const std::size_t colon2 = rest.find(':');
+  if (colon2 != std::string::npos) {
+    if (rest.substr(colon2 + 1) != "remove") throw bad();
+    e.remove = true;
+    rest = rest.substr(0, colon2);
+  }
+  Coord c[4];
+  std::size_t pos = 0;
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t comma = i < 3 ? rest.find(',', pos) : rest.size();
+    if (comma == std::string::npos) throw bad();
+    const std::string tok = rest.substr(pos, comma - pos);
+    std::size_t used = 0;
+    try {
+      c[i] = std::stoll(tok, &used);
+    } catch (const std::exception&) {
+      throw bad();
+    }
+    if (used != tok.size()) throw bad();
+    pos = comma + 1;
+  }
+  e.rect = Rect{c[0], c[1], c[2], c[3]};
+  if (e.rect.is_empty()) {
+    throw std::runtime_error("edit spec: empty rect '" + spec + "'");
+  }
+  return e;
+}
+
 int cmd_serve(int argc, char** argv, unsigned threads) {
   const Args args = Args::parse(
       argc, argv, 2,
       {"--socket", "--tcp", "--workers", "--pool-threads", "--max-sessions",
        "--max-queue", "--idle-timeout-ms", "--deadline-ms", "--passes",
-       "--litho-tile", "--litho-fast", "--memory-budget", "--snapshot-shm",
+       "--litho-tile", "--litho-fast", "--memory-budget",
        "--fix-max-iters", "--fix-min-gain", "--fix-moves", "--trace-out",
        "--flight-records", "--slow-ms"});
   if (!args.positional.empty()) {
@@ -134,7 +187,7 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
         "[--pool-threads N] [--max-sessions N] [--max-queue N] "
         "[--idle-timeout-ms N] [--deadline-ms N] [--passes a,b,...] "
         "[--litho-tile N] [--litho-fast auto|fft|direct|off] "
-        "[--memory-budget <size>] [--snapshot-shm <prefix>] "
+        "[--memory-budget <size>] "
         "[--fix-max-iters N] [--fix-min-gain G] [--fix-moves a,b,...] "
         "[--trace-out <path>] [--flight-records N] [--slow-ms MS] "
         "[--debug-ops]");
@@ -142,24 +195,18 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
 
   ServiceOptions opt;
   opt.unix_path = args.str("--socket", "");
-  opt.tcp_port = args.has("--tcp")
-                     ? static_cast<int>(args.num("--tcp", 0))
-                     : -1;
+  opt.tcp_port = args.tcp_port();
   if (opt.unix_path.empty() && opt.tcp_port < 0) {
     opt.unix_path = "dfmkit.sock";  // default: unix socket in the cwd
   }
-  opt.workers = static_cast<unsigned>(args.num("--workers", 2));
-  opt.pool_threads = static_cast<unsigned>(
-      args.num("--pool-threads", static_cast<long>(threads)));
-  opt.max_sessions = static_cast<std::size_t>(args.num("--max-sessions", 8));
-  opt.max_queue = static_cast<std::size_t>(args.num("--max-queue", 16));
-  opt.idle_timeout_ms =
-      static_cast<std::uint64_t>(args.num("--idle-timeout-ms", 0));
-  opt.default_deadline_ms =
-      static_cast<std::uint64_t>(args.num("--deadline-ms", 0));
+  opt.workers = args.count("--workers", 2u);
+  opt.pool_threads = args.count("--pool-threads", threads);
+  opt.max_sessions = args.count<std::size_t>("--max-sessions", 8);
+  opt.max_queue = args.count<std::size_t>("--max-queue", 16);
+  opt.idle_timeout_ms = args.count<std::uint64_t>("--idle-timeout-ms", 0);
+  opt.default_deadline_ms = args.count<std::uint64_t>("--deadline-ms", 0);
   opt.enable_debug_ops = args.has("--debug-ops");
-  opt.flight_records =
-      static_cast<std::size_t>(args.num("--flight-records", 256));
+  opt.flight_records = args.count<std::size_t>("--flight-records", 256);
   const std::string slow_ms = args.str("--slow-ms", "");
   if (!slow_ms.empty()) {
     char* end = nullptr;
@@ -188,9 +235,6 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
         "--memory-budget: expected a byte size like 64M, got '" + budget +
         "'");
   }
-  // One shared flattened copy per opened file, machine-wide, keyed by
-  // this prefix; sessions hydrate from it instead of re-reading the file.
-  opt.snapshot_shm = args.str("--snapshot-shm", "");
   // Defaults for the "fix" op, per-request overridable — threaded the
   // same way --litho-fast / --memory-budget configure every session.
   opt.flow.fix.max_iters =
@@ -326,9 +370,7 @@ int cmd_client(int argc, char** argv) {
   if (args.positional.empty()) throw usage();
   const std::string action = args.positional[0];
   const std::string socket = args.str("--socket", "");
-  const int tcp = args.has("--tcp")
-                      ? static_cast<int>(args.num("--tcp", 0))
-                      : -1;
+  const int tcp = args.tcp_port();
 
   const auto connect = [&]() -> ServiceClient {
     if (!socket.empty()) return ServiceClient::connect_unix(socket);
@@ -348,14 +390,26 @@ int cmd_client(int argc, char** argv) {
     opt.top = args.str("--top", "");
     opt.passes = split_commas(args.str("--passes", ""));
     opt.litho_tile = args.num("--litho-tile", 0);
-    opt.clients = static_cast<unsigned>(args.num("--clients", 4));
-    opt.requests_per_client =
-        static_cast<unsigned>(args.num("--requests", 16));
+    opt.clients = args.count("--clients", 4u);
+    opt.requests_per_client = args.count("--requests", 16u);
     opt.mode = args.str("--mode", "inc");
     opt.patch = args.num("--patch", 400);
     const LoadGenReport rep = service::run_load(opt);
     print_loadgen(rep, opt);
     return rep.errors == 0 ? 0 : 1;
+  }
+
+  // Edit specs are checked before connecting: a typo never reaches the
+  // server as some other edit.
+  Json::Array edits;
+  if (action == "edit") {
+    if (args.positional.size() < 3) throw usage();
+    for (std::size_t i = 2; i < args.positional.size(); ++i) {
+      const CliEdit e = parse_edit(args.positional[i]);
+      edits.push_back(ServiceClient::make_edit(e.layer_name, e.rect.lo.x,
+                                               e.rect.lo.y, e.rect.hi.x,
+                                               e.rect.hi.y, e.remove));
+    }
   }
 
   ServiceClient client = connect();
@@ -458,27 +512,6 @@ int cmd_client(int argc, char** argv) {
     return 0;
   }
   if (action == "edit") {
-    if (args.positional.size() < 3) throw usage();
-    Json::Array edits;
-    for (std::size_t i = 2; i < args.positional.size(); ++i) {
-      // <layer>:<x0>,<y0>,<x1>,<y1>[:remove] — same spec as flow --edit.
-      const std::string& spec = args.positional[i];
-      const std::size_t c1 = spec.find(':');
-      if (c1 == std::string::npos) throw usage();
-      const std::size_t c2 = spec.find(':', c1 + 1);
-      const std::string layer = spec.substr(0, c1);
-      const std::string coords = spec.substr(
-          c1 + 1, c2 == std::string::npos ? std::string::npos : c2 - c1 - 1);
-      const bool remove =
-          c2 != std::string::npos && spec.substr(c2 + 1) == "remove";
-      std::vector<std::int64_t> xy;
-      for (const std::string& tok : split_commas(coords)) {
-        xy.push_back(std::strtoll(tok.c_str(), nullptr, 10));
-      }
-      if (xy.size() != 4) throw usage();
-      edits.push_back(
-          ServiceClient::make_edit(layer, xy[0], xy[1], xy[2], xy[3], remove));
-    }
     const Json reply = client.edit(args.positional[1], std::move(edits));
     std::printf("ok %s\n", reply.get_string("session", "?").c_str());
     return 0;
@@ -582,11 +615,9 @@ int cmd_top(int argc, char** argv) {
         "  --count 0 (the default) polls until interrupted.");
   }
   const std::string socket = args.str("--socket", "");
-  const int tcp = args.has("--tcp")
-                      ? static_cast<int>(args.num("--tcp", 0))
-                      : -1;
+  const int tcp = args.tcp_port();
   const long interval_ms = std::max(1L, args.num("--interval-ms", 1000));
-  const long count = args.num("--count", 0);
+  const std::uint64_t count = args.count<std::uint64_t>("--count", 0);
   const bool clear = !args.has("--no-clear") && ::isatty(STDOUT_FILENO);
 
   const auto connect = [&]() -> ServiceClient {
@@ -596,7 +627,7 @@ int cmd_top(int argc, char** argv) {
   };
   ServiceClient client = connect();
 
-  for (long tick = 0; count == 0 || tick < count; ++tick) {
+  for (std::uint64_t tick = 0; count == 0 || tick < count; ++tick) {
     if (tick > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     }

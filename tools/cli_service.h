@@ -7,7 +7,26 @@
 //                        one cross-process timeline
 #pragma once
 
+#include "geometry/rect.h"
+#include "layout/layer_map.h"
+
+#include <string>
+
 namespace dfm::cli {
+
+/// One rect edit as `flow --edit` and `client edit` spell it:
+/// <layer>:<x0>,<y0>,<x1>,<y1>[:remove].
+struct CliEdit {
+  std::string layer_name;  // m1|m2|via1|poly|contact|diff
+  LayerKey layer{};
+  Rect rect = Rect::empty();
+  bool remove = false;
+};
+
+/// Parses one edit spec; throws std::runtime_error on an unknown layer,
+/// a tail other than ":remove", a coordinate that is not an integer, or
+/// an empty rect.
+CliEdit parse_edit(const std::string& spec);
 
 /// `dfmkit serve ...`; argv/argc are main()'s (argv[1] == "serve").
 /// `threads` is the global --threads value (compute pool size).

@@ -100,6 +100,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -208,58 +209,6 @@ int cmd_drc(int argc, char** argv, bool plus) {
   return 0;
 }
 
-LayerKey layer_by_name(const std::string& name) {
-  if (name == "m1") return layers::kMetal1;
-  if (name == "m2") return layers::kMetal2;
-  if (name == "via1") return layers::kVia1;
-  if (name == "poly") return layers::kPoly;
-  if (name == "contact") return layers::kContact;
-  if (name == "diff") return layers::kDiff;
-  throw std::runtime_error("unknown layer '" + name +
-                           "' (m1|m2|via1|poly|contact|diff)");
-}
-
-struct CliEdit {
-  LayerKey layer{};
-  Rect rect = Rect::empty();
-  bool remove = false;
-};
-
-/// Parses --edit <layer>:<x0>,<y0>,<x1>,<y1>[:remove].
-CliEdit parse_edit(const std::string& spec) {
-  const auto bad = [&] {
-    return std::runtime_error("--edit: expected "
-                              "<layer>:<x0>,<y0>,<x1>,<y1>[:remove], got '" +
-                              spec + "'");
-  };
-  const std::size_t colon = spec.find(':');
-  if (colon == std::string::npos) throw bad();
-  CliEdit e;
-  e.layer = layer_by_name(spec.substr(0, colon));
-  std::string rest = spec.substr(colon + 1);
-  const std::size_t colon2 = rest.find(':');
-  if (colon2 != std::string::npos) {
-    if (rest.substr(colon2 + 1) != "remove") throw bad();
-    e.remove = true;
-    rest = rest.substr(0, colon2);
-  }
-  Coord c[4];
-  std::size_t pos = 0;
-  for (int i = 0; i < 4; ++i) {
-    const std::size_t comma = i < 3 ? rest.find(',', pos) : rest.size();
-    if (comma == std::string::npos) throw bad();
-    try {
-      c[i] = std::stoll(rest.substr(pos, comma - pos));
-    } catch (const std::exception&) {
-      throw bad();
-    }
-    pos = comma + 1;
-  }
-  e.rect = Rect{c[0], c[1], c[2], c[3]};
-  if (e.rect.is_empty()) throw std::runtime_error("--edit: empty rect");
-  return e;
-}
-
 LithoFastMode parse_litho_fast(const std::string& s) {
   if (s == "auto") return LithoFastMode::kAuto;
   if (s == "fft") return LithoFastMode::kFft;
@@ -288,7 +237,7 @@ int cmd_flow(int argc, char** argv) {
   std::string litho_fast_arg;
   std::string budget_arg;
   bool stream = false;
-  std::vector<CliEdit> edits;
+  std::vector<cli::CliEdit> edits;
   for (int i = 2; i < argc;) {
     const auto eat2 = [&](std::string& into) {
       into = argv[i + 1];
@@ -315,7 +264,7 @@ int cmd_flow(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--edit") == 0 && i + 1 < argc) {
       std::string spec;
       eat2(spec);
-      edits.push_back(parse_edit(spec));
+      edits.push_back(cli::parse_edit(spec));
     } else {
       ++i;
     }
@@ -616,13 +565,8 @@ int main(int argc, char** argv) {
         ++i;  // some other --threads* token; leave it for the subcommand
         continue;
       }
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(val, &end, 10);
-      if (end == val || *end != '\0') {
-        throw std::runtime_error(std::string("--threads: not a number: '") +
-                                 val + "'");
-      }
-      g_threads = static_cast<unsigned>(n);
+      g_threads = static_cast<unsigned>(parse_count(
+          "--threads", val, std::numeric_limits<unsigned>::max()));
       for (int j = i; j + eat < argc; ++j) argv[j] = argv[j + eat];
       argc -= eat;
     }
