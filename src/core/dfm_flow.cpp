@@ -558,17 +558,66 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
                           caches.litho.recomputed, have};
       });
 
-  // 4. Double patterning on Metal 1. Whole-pass splice: reads m1 only.
-  flow.pass("flow/dpt", [&] {
+  // 4. Double patterning on Metal 1: one unit per conflict unit
+  // (dpt_units), keyed by its member boxes. A unit reuses its cached
+  // result when the same boxes formed it last run and no M1 dirty rect
+  // touches a member box; a cold run is the case where every unit is
+  // stale. Units lie dpt_space apart, so the masks are the union of the
+  // units', the stitches concatenate in unit order, and the score is
+  // finished from the sum of the units' integer partials, bit-identical
+  // to scoring the whole layer. An edit that leaves M1 clean carries
+  // the whole result over.
+  caches.dpt_valid = flow.pass("flow/dpt", [&] {
     flow.evict_keeping({layers::kMetal1});
-    const bool stale = flow.stale(inc, {layers::kMetal1});
-    rep.dpt = stale ? decompose_dpt(snap, layers::kMetal1, t) : prev->dpt;
-    rep.dpt_score = stale ? score_decomposition(rep.dpt, t) : prev->dpt_score;
+    std::size_t dirty_units = 0;
+    if (!flow.stale(inc, {layers::kMetal1})) {
+      rep.dpt = prev->dpt;
+      rep.dpt_score = prev->dpt_score;
+    } else {
+      const LayerComponents& comps = snap.components(layers::kMetal1);
+      const std::vector<std::vector<std::uint32_t>> units =
+          dpt_units(comps, t.dpt_space);
+      std::vector<std::vector<Rect>> keys(units.size());
+      for (std::size_t u = 0; u < units.size(); ++u) {
+        for (const std::uint32_t c : units[u]) {
+          keys[u].push_back(comps.boxes[c]);
+        }
+      }
+      const std::vector<Rect> dirty =
+          inc ? dirty_rects(damage, {layers::kMetal1}) : std::vector<Rect>{};
+      const auto found = flow.splice(
+          caches.dpt_units, keys, caches.dpt_valid,
+          [&](std::size_t u) {
+            return std::any_of(
+                keys[u].begin(), keys[u].end(),
+                [&](const Rect& box) { return touches_any(box, dirty); });
+          },
+          // A unit reads only the M1 labelling the partition just built
+          // in the working set the pass evicted to, so its budget group
+          // evicts nothing and `comps` stays resident.
+          [](std::size_t) { return std::vector<LayerKey>{}; },
+          [&](std::size_t u) {
+            TELEM_SPAN_ARG("dpt/unit", u);
+            Decomposition d = decompose_dpt_unit(comps, units[u], t);
+            const DptPartial partial = dpt_partial(d, t);
+            return DptUnitResult{std::move(d), partial};
+          });
+      std::vector<const Decomposition*> parts;
+      parts.reserve(found.results.size());
+      DptPartial sum;
+      for (const DptUnitResult* r : found.results) {
+        parts.push_back(&r->decomposition);
+        sum += r->partial;
+      }
+      rep.dpt = assemble_dpt(parts);
+      rep.dpt_score = finish(sum, t);
+      dirty_units = found.recomputed;
+    }
     rep.scorecard.add("dpt", rep.dpt.compliant ? rep.dpt_score.composite : 0.0,
                       2.0,
                       rep.dpt.compliant ? "compliant" : "odd cycles remain");
-    return PassCounts{static_cast<std::size_t>(rep.dpt.nodes), 1,
-                      stale ? 1u : 0u, inc};
+    return PassCounts{static_cast<std::size_t>(rep.dpt.nodes),
+                      caches.dpt_units.size(), dirty_units, inc};
   });
 
   // 5. Redundant vias: one unit per interaction cluster of single vias

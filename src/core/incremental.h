@@ -3,8 +3,8 @@
 // A DfmFlowSession runs the full DFM flow cold once, keeps the per-unit
 // intermediate results of every pass (per-(rule x tile) violation
 // lists, per-window pattern matches, per-tile litho hotspots and prints,
-// per-cluster via doubling, per-net keys, per-(term x tile) CAA areas,
-// and the whole DPT result), and
+// per-conflict-unit DPT decompositions, per-cluster via doubling,
+// per-net keys and per-(term x tile) CAA areas), and
 // on each applied LayoutDelta re-runs only the units whose inputs the
 // edit dirtied — splicing the cached results in for everything else. The
 // spliced report is bit-identical to running the flow cold on the edited
@@ -46,7 +46,12 @@
 //    reaches, and recompares only a window around them, grown until
 //    every risk component it reaches lies inside; risk pieces that reach
 //    a tile seam re-merge across tiles on every run.
-//  * dpt stays a whole-pass unit: any M1 edit re-runs it.
+//  * dpt: one unit per conflict unit of M1 (dpt_units: components
+//    linked, transitively, by a gap below dpt_space, touching included).
+//    A unit is stale unless the same member boxes formed it last run and
+//    no M1 dirty rect touches a member box. Units lie dpt_space apart, so
+//    the masks, stitches and score partials assemble from the units'.
+//    An edit that leaves M1 clean carries the whole result over.
 //  * via_doubling: one unit per interaction cluster of single vias
 //    (via_clusters: singles whose insertion candidates could come within
 //    via_space of each other, transitively). A cluster is stale unless
@@ -104,6 +109,10 @@ struct FlowCaches {
   /// Kernel spectra for the litho FFT path, shared across runs of a
   /// session (one transform per process corner and raster size).
   std::shared_ptr<KernelSpectrumCache> kernels;
+  /// dpt's units: per conflict unit of M1, keyed by its member boxes in
+  /// labelling order, the unit's decomposition and score partial.
+  std::map<std::vector<Rect>, DptUnitResult> dpt_units;
+  bool dpt_valid = false;
   /// via_doubling's units: per interaction cluster of single vias,
   /// keyed by its member boxes in labelling order, the cluster's result.
   std::map<std::vector<Rect>, ViaDoublingResult> via_clusters;

@@ -263,6 +263,9 @@ LayerComponents LayerComponents::of(const Region& layer) {
   LayerComponents c;
   c.regions = layer.components();
   c.boxes.reserve(c.regions.size());
+  // bbox() normalizes each region here, so units that read the labelling
+  // on the pool (DPT conflict units, via clusters, nets) share it
+  // without touching its lazy, mutable state.
   for (const Region& r : c.regions) c.boxes.push_back(r.bbox());
   c.index.build(c.boxes);
   return c;

@@ -9,11 +9,13 @@
 #include "layout/tech.h"
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace dfm {
 
-class LayoutSnapshot;  // core/snapshot.h
+class LayoutSnapshot;    // core/snapshot.h
+struct LayerComponents;  // core/snapshot.h
 
 struct ConflictGraph {
   std::vector<Region> nodes;                            // mergeable features
@@ -57,16 +59,33 @@ struct Decomposition {
   friend bool operator==(const Decomposition&, const Decomposition&) = default;
 };
 
-/// Full decomposition flow: color, split odd-cycle nodes at conflict-
-/// separating cuts (bounded retries), emit masks with stitch overlap.
+/// The conflict units of a layer's labelling: maximal sets of components
+/// linked by region_distance < dpt_space, distance 0 included (corner-
+/// touching components share a unit). Members ascend; units are ordered
+/// by their lowest member. Units lie at least dpt_space apart, so each
+/// one colours, stitches and scores on its own, and the layer's result is
+/// assembled from theirs.
+std::vector<std::vector<std::uint32_t>> dpt_units(const LayerComponents& comps,
+                                                  Coord dpt_space);
+
+/// One conflict unit of `comps` decomposed on its own: colour, split
+/// odd-cycle nodes at conflict-separating cuts (at most nodes + 16
+/// splits; a cycle no cut can break stops the unit), emit both masks
+/// with the stitch overlap strips, clipped to the unit's own features.
+/// Stitches come in creation order.
+Decomposition decompose_dpt_unit(const LayerComponents& comps,
+                                 const std::vector<std::uint32_t>& members,
+                                 const Tech& tech);
+
+/// The layer's decomposition from its units' (in unit order): masks are
+/// the union of the units' masks, stitches concatenate in unit order.
+Decomposition assemble_dpt(const std::vector<const Decomposition*>& units);
+
+/// Full decomposition flow: dpt_units over the layer's components, each
+/// unit decomposed on its own, assembled in unit order.
 Decomposition decompose_dpt(const Region& layer, const Tech& tech);
-namespace detail {
-/// decompose_dpt with the layer's components (Region::components()
-/// order, e.g. a snapshot's memoized labelling) already computed.
-Decomposition decompose_dpt_nodes(const Region& layer,
-                                  std::vector<Region> nodes, const Tech& tech);
-}  // namespace detail
-/// Same over one layer of a snapshot (empty layer when absent).
+/// Same over one layer of a snapshot (empty layer when absent), reading
+/// its memoized labelling.
 Decomposition decompose_dpt(const LayoutSnapshot& snap, LayerKey layer,
                             const Tech& tech);
 
@@ -80,13 +99,45 @@ struct DptScore {
   friend bool operator==(const DptScore&, const DptScore&) = default;
 };
 
+/// The integer inputs of a DptScore. Units lie at least dpt_space apart,
+/// so a layer's partial is the sum of its units' and the score's doubles
+/// come out the same either way.
+struct DptPartial {
+  Area area_a = 0;
+  Area area_b = 0;
+  std::size_t stitches = 0;
+  int nodes = 0;
+  /// Narrowest stitch overlap (min of cut width and height).
+  Coord min_overlap = std::numeric_limits<Coord>::max();
+  bool a_spacing_ok = true;  // mask A meets dpt_space
+  bool b_spacing_ok = true;
+
+  DptPartial& operator+=(const DptPartial& o);
+
+  friend bool operator==(const DptPartial&, const DptPartial&) = default;
+};
+
+/// The partial of `d`: mask areas, stitch metrics and the same-mask
+/// spacing check of both masks.
+DptPartial dpt_partial(const Decomposition& d, const Tech& tech);
+/// The score a partial stands for.
+DptScore finish(const DptPartial& p, const Tech& tech);
+
+/// finish(dpt_partial(d, tech), tech).
 DptScore score_decomposition(const Decomposition& d, const Tech& tech);
 
-/// Density rebalancing: a 2-coloring is only unique per connected piece
-/// of the conflict graph; flipping whole pieces changes nothing about
-/// legality but moves area between the masks. Greedy partition balancing
-/// over the pieces minimizes |area(A) - area(B)| — the "merely changing
-/// the decomposition solution" optimization of the DPT scoring paper.
+/// What the flow caches per conflict unit.
+struct DptUnitResult {
+  Decomposition decomposition;
+  DptPartial partial;
+};
+
+/// Density rebalancing: a 2-coloring is only unique per conflict unit
+/// (dpt_units of the joint mask); flipping whole units changes nothing
+/// about legality but moves area between the masks. Greedy partition
+/// balancing over the units minimizes |area(A) - area(B)| — the "merely
+/// changing the decomposition solution" optimization of the DPT scoring
+/// paper.
 Decomposition rebalance_masks(const Decomposition& d, const Tech& tech);
 
 }  // namespace dfm

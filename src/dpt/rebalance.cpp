@@ -1,55 +1,38 @@
-// Mask density rebalancing: per conflict-graph piece, the two-coloring
+// Mask density rebalancing: per conflict unit, the two-coloring
 // can be flipped freely; assigning pieces greedily (largest imbalance
 // first) to the lighter mask equalizes exposure densities without
 // touching legality or stitches.
 #include "dpt/dpt.h"
 
+#include "core/snapshot.h"
+
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 
 namespace dfm {
 
 Decomposition rebalance_masks(const Decomposition& d, const Tech& tech) {
-  // Recover flip units: connected groups of the *joint* mask geometry.
-  // Any group either keeps (A,B) or swaps to (B,A); same-mask spacing is
-  // unaffected within a group, and across groups both masks already kept
-  // dpt_space (checked by the caller's scoring), which a swap preserves
-  // only if groups are >= dpt_space apart on both masks — guaranteed
-  // because a closer pair would have been one conflict-graph piece.
-  const Region joint = d.mask_a | d.mask_b;
-  // Group by conflict connectivity at dpt_space, not mere touching.
-  const ConflictGraph g = build_conflict_graph(joint, tech.dpt_space);
-  // Union conflict-connected nodes into flip groups.
-  std::vector<int> group(g.size());
-  for (std::size_t i = 0; i < g.size(); ++i) group[i] = static_cast<int>(i);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [u, v] : g.edges) {
-      const int gu = group[u], gv = group[v];
-      if (gu != gv) {
-        const int lo = std::min(gu, gv);
-        for (auto& x : group) {
-          if (x == std::max(gu, gv)) x = lo;
-        }
-        changed = true;
-      }
-    }
-  }
+  // Flip units: the conflict units (dpt_units) of the *joint* mask
+  // geometry. Any unit either keeps (A,B) or swaps to (B,A); same-mask
+  // spacing is unaffected within a unit, and units lie at least
+  // dpt_space apart on both masks, which a swap preserves.
+  const LayerComponents joint = LayerComponents::of(d.mask_a | d.mask_b);
 
   struct Piece {
-    Region a, b;     // this group's share of each mask
+    Region a, b;     // this unit's share of each mask
     Area delta = 0;  // area(a) - area(b)
   };
-  std::map<int, Piece> pieces;
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    Piece& p = pieces[group[i]];
-    p.a.add(g.nodes[i] & d.mask_a);
-    p.b.add(g.nodes[i] & d.mask_b);
+  std::vector<Piece> pieces;
+  for (const std::vector<std::uint32_t>& members :
+       dpt_units(joint, tech.dpt_space)) {
+    Piece& p = pieces.emplace_back();
+    for (const std::uint32_t i : members) {
+      p.a.add(joint.regions[i] & d.mask_a);
+      p.b.add(joint.regions[i] & d.mask_b);
+    }
   }
   std::vector<Piece*> order;
-  for (auto& [id, p] : pieces) {
+  for (Piece& p : pieces) {
     p.delta = p.a.area() - p.b.area();
     order.push_back(&p);
   }

@@ -64,23 +64,25 @@ bool split_node(const Region& node, const std::vector<Region>& neighbours,
 
 }  // namespace
 
-Decomposition decompose_dpt(const Region& layer, const Tech& tech) {
-  return detail::decompose_dpt_nodes(layer, layer.components(), tech);
-}
-
-Decomposition detail::decompose_dpt_nodes(const Region& layer,
-                                          std::vector<Region> nodes,
-                                          const Tech& tech) {
-  TELEM_SPAN("dpt/decompose");
+Decomposition decompose_dpt_unit(const LayerComponents& comps,
+                                 const std::vector<std::uint32_t>& members,
+                                 const Tech& tech) {
   Decomposition out;
+  std::vector<Region> nodes;
+  nodes.reserve(members.size());
+  Region unit;  // the unit's own features: stitch strips clip to them
+  for (const std::uint32_t m : members) {
+    nodes.push_back(comps.regions[m]);
+    unit.add(comps.regions[m]);
+  }
   // Track which node pairs are split halves (stitch partners).
   std::vector<std::pair<std::size_t, std::size_t>> partners;
   std::vector<Rect> strips;
 
-  ConflictGraph g = build_conflict_graph(nodes, tech.dpt_space);
+  ConflictGraph g = build_conflict_graph(std::move(nodes), tech.dpt_space);
   ColoringResult col = two_color(g);
 
-  int budget = static_cast<int>(nodes.size()) + 16;  // bounded retries
+  int budget = static_cast<int>(g.size()) + 16;  // bounded retries
   while (!col.bipartite && budget-- > 0 && !col.odd_cycles.empty()) {
     // Split the highest-degree node of the first odd cycle.
     const auto& cycle = col.odd_cycles.front();
@@ -97,7 +99,7 @@ Decomposition detail::decompose_dpt_nodes(const Region& layer,
                     a, b, strip)) {
       break;  // cannot resolve this cycle
     }
-    nodes = g.nodes;
+    nodes = std::move(g.nodes);
     nodes[victim] = a;
     nodes.push_back(b);
     partners.emplace_back(victim, nodes.size() - 1);
@@ -122,9 +124,8 @@ Decomposition detail::decompose_dpt_nodes(const Region& layer,
   // masks: both masks get the overlap strip clipped to the feature.
   for (std::size_t s = 0; s < partners.size(); ++s) {
     const auto [i, j] = partners[s];
-    if (i < col.color.size() && j < col.color.size() &&
-        col.color[i] != col.color[j]) {
-      const Region overlap = layer & Region{strips[s]};
+    if (col.color[i] != col.color[j]) {
+      const Region overlap = unit & Region{strips[s]};
       out.mask_a.add(overlap);
       out.mask_b.add(overlap);
       Stitch st;
@@ -136,10 +137,52 @@ Decomposition detail::decompose_dpt_nodes(const Region& layer,
   return out;
 }
 
+Decomposition assemble_dpt(const std::vector<const Decomposition*>& units) {
+  Decomposition out;
+  out.compliant = true;
+  std::vector<const Region*> a, b;
+  a.reserve(units.size());
+  b.reserve(units.size());
+  for (const Decomposition* u : units) {
+    a.push_back(&u->mask_a);
+    b.push_back(&u->mask_b);
+    out.stitches.insert(out.stitches.end(), u->stitches.begin(),
+                        u->stitches.end());
+    out.compliant = out.compliant && u->compliant;
+    out.unresolved += u->unresolved;
+    out.nodes += u->nodes;
+  }
+  // Units lie at least dpt_space apart on both masks.
+  out.mask_a = union_of_apart(a);
+  out.mask_b = union_of_apart(b);
+  return out;
+}
+
+namespace {
+
+Decomposition decompose_components(const LayerComponents& comps,
+                                   const Tech& tech) {
+  TELEM_SPAN("dpt/decompose");
+  std::vector<Decomposition> units;
+  for (const std::vector<std::uint32_t>& members :
+       dpt_units(comps, tech.dpt_space)) {
+    units.push_back(decompose_dpt_unit(comps, members, tech));
+  }
+  std::vector<const Decomposition*> ptrs;
+  ptrs.reserve(units.size());
+  for (const Decomposition& u : units) ptrs.push_back(&u);
+  return assemble_dpt(ptrs);
+}
+
+}  // namespace
+
+Decomposition decompose_dpt(const Region& layer, const Tech& tech) {
+  return decompose_components(LayerComponents::of(layer), tech);
+}
+
 Decomposition decompose_dpt(const LayoutSnapshot& snap, LayerKey layer,
                             const Tech& tech) {
-  return detail::decompose_dpt_nodes(snap.layer(layer),
-                                     snap.components(layer).regions, tech);
+  return decompose_components(snap.components(layer), tech);
 }
 
 }  // namespace dfm

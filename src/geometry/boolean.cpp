@@ -232,6 +232,19 @@ Region grid_region(const Rect& window, Coord px, const ColumnRuns& columns) {
   return reg;
 }
 
+Region union_of_apart(const std::vector<const Region*>& parts) {
+  std::vector<Rect> out;
+  for (const Region* p : parts) {
+    const std::vector<Rect>& rs = p->rects();
+    out.insert(out.end(), rs.begin(), rs.end());
+  }
+  std::sort(out.begin(), out.end());
+  Region reg;
+  reg.raw_ = std::move(out);
+  reg.normalized_ = true;
+  return reg;
+}
+
 Region boolean_op(const Region& a, const Region& b, BoolOp op) {
   Region r;
   r.raw_ = sweep_boolean(a.raw_, b.raw_, op);

@@ -98,6 +98,7 @@ class Region {
   friend Region covered_at_least(const std::vector<Rect>& rects, int k);
   friend Region grid_region(const Rect& window, Coord px,
                             const ColumnRuns& columns);
+  friend Region union_of_apart(const std::vector<const Region*>& parts);
 
   Region operator|(const Region& o) const { return boolean_op(*this, o, BoolOp::kOr); }
   Region operator&(const Region& o) const { return boolean_op(*this, o, BoolOp::kAnd); }
@@ -145,5 +146,11 @@ Region covered_at_least(const std::vector<Rect>& rects, int k);
 /// canonical x-slab form, so the bands are built directly and the result
 /// comes back already normalized.
 Region grid_region(const Rect& window, Coord px, const ColumnRuns& columns);
+
+/// The union of `parts`, which must lie pairwise at positive distance (no
+/// overlap, no shared boundary). Every slab interval of the union is then
+/// one part's own, so the canonical form is the sorted merge of the
+/// parts' forms and no sweep runs.
+Region union_of_apart(const std::vector<const Region*>& parts);
 
 }  // namespace dfm

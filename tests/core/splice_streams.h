@@ -6,6 +6,7 @@
 #include "core/incremental.h"
 
 #include "gen/generators.h"
+#include "gen/rng.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,30 @@ inline LayerMap design_layers(std::uint64_t seed, int rows, int cells) {
   LayerMap m;
   for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
     m.emplace(k, lib.flatten(lib.top_cells()[0], k));
+  }
+  return m;
+}
+
+/// bench_f5's defect design (seed 7, 2 rows of 8 cells, 16 routes, 10
+/// pathologies in a strip below the core): its M1 has conflict edges and
+/// odd cycles, which the generated designs above lack.
+inline LayerMap defect_layers() {
+  DesignParams p;
+  p.seed = 7;
+  p.rows = 2;
+  p.cells_per_row = 8;
+  p.routes = 16;
+  Library lib = generate_design(p);
+  const std::uint32_t top = lib.top_cells()[0];
+  Rng rng(p.seed ^ 0xD0D0);
+  const Rect core = lib.bbox(top);
+  inject_pathologies(lib.cell(top), rng, p.tech,
+                     Rect{core.lo.x, core.lo.y - 60000, core.hi.x + 60000,
+                          core.lo.y - 4000},
+                     10);
+  LayerMap m;
+  for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+    m.emplace(k, lib.flatten(top, k));
   }
   return m;
 }
@@ -195,6 +220,79 @@ inline std::vector<Edit> net_edit_cases(const LayoutSnapshot& snap) {
   return out;
 }
 
+/// The DPT edit cases, found on the design's M1: a square 60 dbu from a
+/// feature and clear of all others (a new conflict edge), a square
+/// within dpt_space of both ends of a conflict edge (it closes a
+/// triangle), a square touching a feature at one corner only (a new
+/// component in that feature's unit), and the remove of an odd-cycle
+/// member (listed last: its add step changes nothing, its remove step
+/// deletes the member). A design without conflict edges gets only the
+/// first and third.
+inline std::vector<Edit> dpt_edit_cases(const LayoutSnapshot& snap) {
+  const Coord space = Tech::standard().dpt_space;
+  const Rect bb = snap.bbox();
+  const LayerComponents& m1 = snap.components(layers::kMetal1);
+  const RTree& tree = snap.rtree(layers::kMetal1);
+  const std::vector<Rect>& rects = snap.layer(layers::kMetal1).rects();
+  const auto clear = [&](const Rect& r, Coord gap) {
+    return bb.contains(r) && tree.query(r.expanded(gap - 1)).empty();
+  };
+  std::vector<Edit> out;
+
+  for (const Rect& r : rects) {
+    const Rect sq{r.hi.x + 60, r.lo.y, r.hi.x + 110, r.lo.y + 50};
+    if (clear(sq, 60)) {
+      out.push_back({"dpt edge", layers::kMetal1, sq});
+      break;
+    }
+  }
+  const ConflictGraph g = build_conflict_graph(m1.regions, space);
+  // A square closer than `space` to a rect touches the rect grown by
+  // space - 1: scan squares near the window both grown rects share.
+  const auto closes = [&](const Rect& ra, const Rect& rb) {
+    const Rect w = ra.expanded(space - 1).intersect(rb.expanded(space - 1));
+    for (Coord y = w.lo.y - 50; y <= std::min(w.hi.y, w.lo.y + 300); y += 10) {
+      for (Coord x = w.lo.x - 50; x <= std::min(w.hi.x, w.lo.x + 300); x += 10) {
+        const Rect sq{x, y, x + 50, y + 50};
+        if (sq.distance(ra) < space && sq.distance(rb) < space &&
+            clear(sq, 20)) {
+          out.push_back({"dpt triangle", layers::kMetal1, sq});
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  [&] {
+    for (const auto& [u, v] : g.edges) {
+      for (const Rect& ra : m1.regions[u].rects()) {
+        for (const Rect& rb : m1.regions[v].rects()) {
+          if (ra.distance(rb) < space && closes(ra, rb)) return;
+        }
+      }
+    }
+  }();
+  for (const Rect& r : rects) {
+    const Rect sq{r.hi.x, r.hi.y, r.hi.x + 50, r.hi.y + 50};
+    const std::vector<std::uint32_t> near = tree.query(sq.expanded(20));
+    if (bb.contains(sq) && near.size() == 1 && rects[near[0]] == r) {
+      out.push_back({"dpt corner", layers::kMetal1, sq});
+      break;
+    }
+  }
+  const ColoringResult col = two_color(g);
+  for (const std::vector<std::uint32_t>& cycle : col.odd_cycles) {
+    const auto single = std::find_if(
+        cycle.begin(), cycle.end(),
+        [&](std::uint32_t n) { return m1.regions[n].rects().size() == 1; });
+    if (single != cycle.end()) {
+      out.push_back({"dpt cycle cut", layers::kMetal1, m1.boxes[*single]});
+      break;
+    }
+  }
+  return out;
+}
+
 /// The edit cases, found on the design itself so every generated design
 /// gets each of them.
 inline std::vector<Edit> edit_cases(const LayerMap& m) {
@@ -267,12 +365,20 @@ inline std::vector<Edit> edit_cases(const LayerMap& m) {
   return out;
 }
 
-/// Runs every edit case of `m` as add then remove on one warm session,
-/// checking each step against a cold flow.
-inline void run_stream(const LayerMap& m, const DfmFlowOptions& opt) {
+/// Runs every edit case of `m` (and its DPT edit cases when `dpt`) as
+/// add then remove on one warm session, checking each step against a
+/// cold flow.
+inline void run_stream(const LayerMap& m, const DfmFlowOptions& opt,
+                       bool dpt = false) {
   DfmFlowSession session(m, opt);
   LayerMap shadow = m;
-  for (const Edit& e : edit_cases(m)) {
+  std::vector<Edit> edits = edit_cases(m);
+  if (dpt) {
+    for (const Edit& e : dpt_edit_cases(LayoutSnapshot{LayerMap(m)})) {
+      edits.push_back(e);
+    }
+  }
+  for (const Edit& e : edits) {
     for (const bool add : {true, false}) {
       SCOPED_TRACE(std::string(e.what) + (add ? " add" : " remove"));
       LayoutDelta d;
@@ -290,11 +396,17 @@ inline void run_stream(const LayerMap& m, const DfmFlowOptions& opt) {
   }
 }
 
-/// run_stream over three generated designs.
+/// run_stream over three generated designs (and, for "dpt", with the
+/// DPT edit cases and over the defect design too).
 inline void run_streams(unsigned threads, const std::string& pass) {
+  const bool dpt = pass == "dpt";
   for (const std::uint64_t seed : {3u, 11u, 29u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    run_stream(design_layers(seed, 3, 8), splice_options(threads, pass));
+    run_stream(design_layers(seed, 3, 8), splice_options(threads, pass), dpt);
+  }
+  if (dpt) {
+    SCOPED_TRACE("defect design");
+    run_stream(defect_layers(), splice_options(threads, pass), true);
   }
 }
 
@@ -304,7 +416,8 @@ inline void run_streams(unsigned threads, const std::string& pass) {
 inline void run_budgeted_stream(const std::string& pass) {
   DfmFlowOptions opt = splice_options(2, pass);
   opt.memory_budget = std::size_t{64} << 10;
-  run_stream(design_layers(11, 3, 8), opt);
+  run_stream(design_layers(11, 3, 8), opt, pass == "dpt");
+  if (pass == "dpt") run_stream(defect_layers(), opt, true);
 }
 
 }  // namespace dfm::splice_streams

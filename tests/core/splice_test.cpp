@@ -218,6 +218,41 @@ TEST(ViaSplice, TightBudgetStreamMatchesColdFlow) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ViaSplice, ::testing::Values(1u, 2u, 8u));
 
+// DPT per conflict unit: a unit whose member boxes no M1 edit touches
+// keeps its decomposition and score partial, the rest re-run on the
+// pool. The defect design's odd cycles and the DPT edit cases (a new
+// edge, a closed triangle, a corner contact, a removed cycle member)
+// make the streams colour, split and stitch.
+class DptSplice : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(DptSplice, EditStreamsMatchColdFlow) { run_streams(GetParam(), "dpt"); }
+
+TEST(DptSplice, TightBudgetStreamMatchesColdFlow) {
+  run_budgeted_stream("dpt");
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, DptSplice, ::testing::Values(1u, 2u, 8u));
+
+// The DPT streams are not vacuous: the defect design gets every DPT edit
+// case, and the generated designs the two that need no conflict edge.
+TEST(DptSplice, EveryDesignHasEveryDptEditCase) {
+  const auto names = [](const LayerMap& m) {
+    std::vector<std::string> out;
+    for (const Edit& e : dpt_edit_cases(LayoutSnapshot{LayerMap(m)})) {
+      out.emplace_back(e.what);
+    }
+    return out;
+  };
+  EXPECT_EQ(names(defect_layers()),
+            (std::vector<std::string>{"dpt edge", "dpt triangle",
+                                      "dpt corner", "dpt cycle cut"}));
+  for (const std::uint64_t seed : {3u, 11u, 29u}) {
+    EXPECT_EQ(names(design_layers(seed, 3, 8)),
+              (std::vector<std::string>{"dpt edge", "dpt corner"}))
+        << "seed " << seed;
+  }
+}
+
 // The windowed hotspot compare: a stale litho tile recompares only
 // around what the edit changed, and seam pieces re-merge across tiles.
 class HotspotSplice : public ::testing::TestWithParam<unsigned> {};
@@ -385,6 +420,57 @@ TEST(SpliceTelemetry, M1PatchDirtiesTheTilesItsHaloReaches) {
   EXPECT_EQ(rep.trace.find("recommended")->dirty_units, rec);
   EXPECT_EQ(rep.trace.find("caa_yield")->dirty_units, caa);
   EXPECT_GT(rep.trace.find("drc_plus")->total_units, drc);
+}
+
+// An M1 edit recolours only the conflict units it reaches: those whose
+// member boxes the edit touches, and those it formed (a key the last
+// run did not have). Every other unit keeps its cached result.
+TEST(SpliceTelemetry, M1EditRecolorsOnlyNearbyUnits) {
+  const LayerMap m = defect_layers();
+  const Coord space = Tech::standard().dpt_space;
+  DfmFlowSession session(m, splice_options(2, "dpt"));
+  const auto keys = [&](const LayoutSnapshot& snap) {
+    const LayerComponents& c = snap.components(layers::kMetal1);
+    std::vector<std::vector<Rect>> out;
+    for (const std::vector<std::uint32_t>& unit : dpt_units(c, space)) {
+      std::vector<Rect>& key = out.emplace_back();
+      for (const std::uint32_t i : unit) key.push_back(c.boxes[i]);
+    }
+    return out;
+  };
+  LayerMap shadow = m;
+  for (const Edit& e : dpt_edit_cases(LayoutSnapshot{LayerMap(m)})) {
+    for (const bool add : {true, false}) {
+      SCOPED_TRACE(std::string(e.what) + (add ? " add" : " remove"));
+      const std::vector<std::vector<Rect>> before =
+          keys(LayoutSnapshot{LayerMap(shadow)});
+      LayoutDelta d;
+      if (add) {
+        d.add(e.layer, e.rect);
+      } else {
+        d.remove(e.layer, e.rect);
+      }
+      d.apply(shadow);
+      const std::vector<std::vector<Rect>> after =
+          keys(LayoutSnapshot{LayerMap(shadow)});
+      // The dirty region is the edit's rect (added | removed).
+      session.apply(d);
+      std::size_t reached = 0;
+      for (const std::vector<Rect>& key : after) {
+        const bool known =
+            std::find(before.begin(), before.end(), key) != before.end();
+        const bool touched =
+            std::any_of(key.begin(), key.end(),
+                        [&](const Rect& box) { return box.touches(e.rect); });
+        if (!known || touched) ++reached;
+      }
+      const PassTrace* row = session.report().trace.find("dpt");
+      ASSERT_NE(row, nullptr);
+      EXPECT_EQ(row->total_units, after.size());
+      EXPECT_EQ(row->dirty_units, reached);
+      EXPECT_LT(row->dirty_units, row->total_units);
+    }
+  }
 }
 
 /// Applies `d` to `session` with span recording on and returns, per

@@ -1,8 +1,14 @@
 #include "dpt/dpt.h"
 
+#include "core/parallel.h"
+#include "core/snapshot.h"
 #include "gen/generators.h"
+#include "gen/rng.h"
 
 #include <gtest/gtest.h>
+
+#include <numeric>
+#include <utility>
 
 namespace dfm {
 namespace {
@@ -205,6 +211,142 @@ TEST(Rebalance, AlreadyBalancedIsStable) {
   d.mask_b = Region{Rect{5000, 0, 5100, 100}};
   const Decomposition balanced = rebalance_masks(d, tech());
   EXPECT_EQ(score_decomposition(balanced, tech()).density_balance, 1.0);
+}
+
+// bench_f5's defect design: a routed block with labelled pathologies
+// (odd cycles among them) in a strip below the core.
+Library defect_design(std::uint64_t seed) {
+  DesignParams p;
+  p.seed = seed;
+  p.rows = 2;
+  p.cells_per_row = 8;
+  p.routes = 16;
+  Library lib = generate_design(p);
+  const std::uint32_t top = lib.top_cells()[0];
+  Rng rng(seed ^ 0xD0D0);
+  const Rect core = lib.bbox(top);
+  inject_pathologies(lib.cell(top), rng, p.tech,
+                     Rect{core.lo.x, core.lo.y - 60000, core.hi.x + 60000,
+                          core.lo.y - 4000},
+                     10);
+  return lib;
+}
+
+Library plain_design(std::uint64_t seed) {
+  DesignParams p;
+  p.seed = seed;
+  p.rows = 3;
+  p.cells_per_row = 8;
+  p.routes = 24;
+  return generate_design(p);
+}
+
+// Units decomposed in any order on any number of threads assemble into
+// the layer's decomposition, and the sum of their score partials
+// finishes into the score of the whole masks (whose spacing check runs
+// over both whole masks). The sorted merge of the units' masks is their
+// Boolean union.
+TEST(DptUnits, UnionEqualsWholeLayer) {
+  const Tech& t = tech();
+  bool defects = true;  // the first design has odd cycles and stitches
+  for (const Library& lib : {defect_design(7), plain_design(11)}) {
+    const LayoutSnapshot snap(lib, lib.top_cells()[0]);
+    const LayerComponents& comps = snap.components(layers::kMetal1);
+    const std::vector<std::vector<std::uint32_t>> units =
+        dpt_units(comps, t.dpt_space);
+    ASSERT_GT(units.size(), 1u);
+    const Decomposition whole = decompose_dpt(snap, layers::kMetal1, t);
+    const DptScore whole_score = score_decomposition(whole, t);
+    if (std::exchange(defects, false)) {
+      EXPECT_FALSE(whole.stitches.empty());
+      EXPECT_GT(whole.unresolved, 0);
+    }
+
+    std::vector<std::size_t> order(units.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    Rng rng(20261018);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1],
+                order[static_cast<std::size_t>(
+                    rng.uniform(0, static_cast<Coord>(i) - 1))]);
+    }
+    for (const unsigned threads : {1u, 8u}) {
+      ThreadPool pool(threads);
+      const std::vector<DptUnitResult> shuffled =
+          parallel_map(&pool, order.size(), [&](std::size_t k) {
+            Decomposition d = decompose_dpt_unit(comps, units[order[k]], t);
+            const DptPartial partial = dpt_partial(d, t);
+            return DptUnitResult{std::move(d), partial};
+          });
+      std::vector<const DptUnitResult*> by_unit(units.size());
+      for (std::size_t k = 0; k < order.size(); ++k) {
+        by_unit[order[k]] = &shuffled[k];
+      }
+      std::vector<const Decomposition*> parts;
+      DptPartial sum;
+      Region a, b;
+      for (const DptUnitResult* r : by_unit) {
+        parts.push_back(&r->decomposition);
+        sum += r->partial;
+        a.add(r->decomposition.mask_a);
+        b.add(r->decomposition.mask_b);
+      }
+      const Decomposition assembled = assemble_dpt(parts);
+      EXPECT_EQ(assembled, whole) << threads << " threads";
+      EXPECT_EQ(finish(sum, t), whole_score) << threads << " threads";
+      EXPECT_EQ(assembled.mask_a.rects(), (a | Region{}).rects());
+      EXPECT_EQ(assembled.mask_b.rects(), (b | Region{}).rects());
+    }
+  }
+}
+
+// Corner-touching components share a unit (distance 0 links), so their
+// same-mask spacing is checked within one unit; far ones do not.
+TEST(DptUnits, CornerTouchingComponentsShareAUnit) {
+  Region layer;
+  layer.add(Rect{0, 0, 100, 100});
+  layer.add(Rect{100, 100, 200, 200});  // corner contact only
+  layer.add(Rect{1000, 0, 1100, 100});  // far away
+  const LayerComponents comps = LayerComponents::of(layer);
+  ASSERT_EQ(comps.regions.size(), 3u);
+  const std::vector<std::vector<std::uint32_t>> units =
+      dpt_units(comps, tech().dpt_space);
+  ASSERT_EQ(units.size(), 2u);
+  EXPECT_EQ(units[0], (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(units[1], (std::vector<std::uint32_t>{2}));
+  const Decomposition d = decompose_dpt(layer, tech());
+  EXPECT_EQ(score_decomposition(d, tech()), finish(dpt_partial(d, tech()), tech()));
+}
+
+// An odd cycle no cut can break stops only its own unit: a later unit's
+// cycle still gets its stitch.
+TEST(DptUnits, UnsplittableCycleStopsOnlyItsUnit) {
+  Cell c{"c"};
+  // Three 50-dbu squares pairwise 60 apart: every conflict zone covers a
+  // whole square, so no cut separates two of them.
+  c.add(layers::kMetal1, Rect{0, 0, 50, 50});
+  c.add(layers::kMetal1, Rect{110, 0, 160, 50});
+  c.add(layers::kMetal1, Rect{55, 110, 105, 160});
+  inject_odd_cycle(c, tech(), {5000, 0});
+  const Region layer = c.local_region(layers::kMetal1);
+  const LayerComponents comps = LayerComponents::of(layer);
+  const std::vector<std::vector<std::uint32_t>> units =
+      dpt_units(comps, tech().dpt_space);
+  ASSERT_EQ(units.size(), 2u);
+  EXPECT_EQ(units[0].size(), 3u);
+
+  const Decomposition first = decompose_dpt_unit(comps, units[0], tech());
+  EXPECT_FALSE(first.compliant);
+  EXPECT_TRUE(first.stitches.empty());
+  const Decomposition second = decompose_dpt_unit(comps, units[1], tech());
+  EXPECT_TRUE(second.compliant);
+  ASSERT_FALSE(second.stitches.empty());
+
+  const Decomposition d = decompose_dpt(layer, tech());
+  EXPECT_FALSE(d.compliant);
+  EXPECT_EQ(d.unresolved, first.unresolved);
+  EXPECT_EQ(d.stitches, second.stitches);
+  for (const Stitch& st : d.stitches) EXPECT_GE(st.cut.lo.x, 4000);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include "service/client.h"
 #include "service/trace_merge.h"
 
+#include "temp_file.h"
+
 #include <gtest/gtest.h>
 
 #include <string>
@@ -27,7 +29,7 @@ namespace telem = ::dfm::telemetry;
 const std::vector<std::string> kFastPasses = {"drc", "nets", "vias", "caa"};
 
 std::string demo_gds() {
-  static const std::string path = [] {
+  static const TempFile design = [] {
     DesignParams p;
     p.seed = 3;
     p.rows = 2;
@@ -36,9 +38,9 @@ std::string demo_gds() {
     const std::string out = ::testing::TempDir() + "dfm_obs_demo_" +
                             std::to_string(::getpid()) + ".gds";
     write_gdsii_file(generate_design(p), out);
-    return out;
+    return TempFile{out};
   }();
-  return path;
+  return design.path();
 }
 
 ServiceOptions base_options(const std::string& tag) {

@@ -14,6 +14,8 @@
 #include "gen/generators.h"
 #include "service/client.h"
 
+#include "temp_file.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,7 +37,7 @@ namespace {
 const std::vector<std::string> kFastPasses = {"drc", "nets", "vias", "caa"};
 
 std::string demo_gds() {
-  static const std::string path = [] {
+  static const TempFile design = [] {
     DesignParams p;
     p.seed = 3;
     p.rows = 2;
@@ -45,9 +47,9 @@ std::string demo_gds() {
     const std::string out = ::testing::TempDir() + "dfm_service_demo_" +
                             std::to_string(::getpid()) + ".gds";
     write_gdsii_file(generate_design(p), out);
-    return out;
+    return TempFile{out};
   }();
-  return path;
+  return design.path();
 }
 
 ServiceOptions base_options(const std::string& tag) {
@@ -206,6 +208,7 @@ TEST(Service, FixOpMatchesDirectLoopByteForByte) {
                              std::to_string(seed) + "_" +
                              std::to_string(::getpid()) + ".gds";
     write_gdsii_file(lib, path);
+    const TempFile cleanup{path};
 
     // Direct loop, same schedule the server runs.
     DfmFlowOptions direct_opt;
