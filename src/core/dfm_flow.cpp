@@ -136,14 +136,32 @@ struct PassCounts {
 
 // The state every pass of one run shares, and the decisions they make
 // the same way: whether a pass runs and how it is timed, when a unit is
-// stale, and how stale units are scheduled under a memory budget.
+// stale, how stale units are scheduled under a memory budget, and what
+// a journaled run records of the cache state it displaces.
 class FlowDriver {
  public:
   FlowDriver(DfmFlowReport& rep, const LayoutSnapshot& snap,
              const DfmFlowOptions& options, ThreadPool* pool,
-             const FlowDamage& damage, bool inc)
+             const FlowDamage& damage, bool inc, FlowJournal* journal)
       : rep_(rep), snap_(snap), options_(options), pool_(pool),
-        damage_(damage), inc_(inc) {}
+        damage_(damage), inc_(inc), journal_(journal) {}
+
+  /// Records undo `step` when the run is journaled.
+  template <class F>
+  void journal(F&& step) const {
+    if (journal_ != nullptr) journal_->record(std::forward<F>(step));
+  }
+
+  /// Call before overwriting cache state `value`: a journaled run moves
+  /// it into the journal (leaving `value` moved-from, so scalars keep
+  /// their value), an unjournaled one leaves it to be overwritten.
+  template <class T>
+  void displace(T& value) const {
+    if (journal_ == nullptr) return;
+    journal_->record([&value, old = std::move(value)]() mutable {
+      value = std::move(old);
+    });
+  }
 
   /// Runs `body` as pass "<name>" when the options enable it, under the
   /// flow clock, and appends its PassTrace row with the snapshot cache
@@ -203,7 +221,10 @@ class FlowDriver {
                                 const TileGrid& grid, bool reuse,
                                 const char* span) const {
     reuse = reuse && inc_ && slots.size() == rules.size();
-    if (!reuse) slots.assign(rules.size(), {});
+    if (!reuse) {
+      displace(slots);
+      slots.assign(rules.size(), {});
+    }
     std::vector<std::pair<std::size_t, std::size_t>> units;
     for (std::size_t ri = 0; ri < rules.size(); ++ri) {
       const Rule& rule = rules[ri];
@@ -212,6 +233,7 @@ class FlowDriver {
       std::vector<char> stale(n, 1);
       if (!reuse || slots[ri].size() != n ||
           (!rule_tiled(rule) && damage_.dirty_any(on))) {
+        displace(slots[ri]);
         slots[ri].assign(n, {});
       } else if (!damage_.dirty_any(on)) {
         continue;
@@ -247,7 +269,9 @@ class FlowDriver {
                                   : DrcEngine::run_rule_keyed(snap_, rule);
         },
         [&](const std::pair<std::size_t, std::size_t>& u, auto&& found) {
-          slots[u.first][u.second] = std::move(found);
+          std::vector<KeyedViolation>& slot = slots[u.first][u.second];
+          displace(slot);
+          slot = std::move(found);
         });
     return units.size();
   }
@@ -267,12 +291,17 @@ class FlowDriver {
   /// run, or `reuse` false, e.g. a new grid) the cache is cleared first,
   /// so every unit is stale. Leaves `cache` holding exactly this run's
   /// units. A repeated key is one result, computed once per occurrence
-  /// when stale.
+  /// when stale. A journaled run records the cleared map, each erased
+  /// entry (its extracted node), each overwritten result and each newly
+  /// inserted key.
   template <class K, class R, class Touched, class LayersOf, class Compute>
   Spliced<R> splice(std::map<K, R>& cache, const std::vector<K>& units,
                     bool reuse, Touched&& touched, LayersOf&& layers_of,
                     Compute&& compute) const {
-    if (!reuse || !inc_) cache.clear();
+    if (!reuse || !inc_) {
+      displace(cache);
+      cache.clear();
+    }
     // Walk the units in key order beside the (ordered) cache: keys this
     // run lacks are erased on the way, and a reused result stays in its
     // node, whose address holds until the node is erased.
@@ -294,7 +323,7 @@ class FlowDriver {
         if (out.results[i] == nullptr) stale.push_back(i);
         continue;
       }
-      while (it != cache.end() && it->first < key) it = cache.erase(it);
+      while (it != cache.end() && it->first < key) it = erase(cache, it);
       const bool cached = it != cache.end() && !(key < it->first);
       if (cached && !touched(i)) {
         out.results[i] = &it->second;
@@ -303,17 +332,37 @@ class FlowDriver {
       }
       if (cached) ++it;
     }
-    cache.erase(it, cache.end());
+    while (it != cache.end()) it = erase(cache, it);
     std::sort(stale.begin(), stale.end());
     run_groups(stale, layers_of, compute, [&](std::size_t i, R&& r) {
-      out.results[i] =
-          &cache.insert_or_assign(units[i], std::move(r)).first->second;
+      auto at = cache.lower_bound(units[i]);
+      if (at != cache.end() && !(units[i] < at->first)) {
+        displace(at->second);
+        at->second = std::move(r);
+      } else {
+        at = cache.emplace_hint(at, units[i], std::move(r));
+        journal([&cache, at] { cache.erase(at); });
+      }
+      out.results[i] = &at->second;
     });
     out.recomputed = stale.size();
     return out;
   }
 
  private:
+  /// Erases `it` from `cache` and returns the next entry; a journaled run
+  /// keeps the extracted node for undo.
+  template <class K, class R>
+  typename std::map<K, R>::iterator erase(
+      std::map<K, R>& cache, typename std::map<K, R>::iterator it) const {
+    if (journal_ == nullptr) return cache.erase(it);
+    const auto next = std::next(it);
+    journal_->record([&cache, node = cache.extract(it)]() mutable {
+      cache.insert(std::move(node));
+    });
+    return next;
+  }
+
   /// Computes `compute(u)` for every unit in `units` on the pool and
   /// hands each result to `store(u, result)`. Under a budget the units
   /// run in groups sharing one sorted layer set (layers_of(u): the layers
@@ -370,6 +419,7 @@ class FlowDriver {
   ThreadPool* pool_;
   const FlowDamage& damage_;
   bool inc_;
+  FlowJournal* journal_;
 };
 
 }  // namespace
@@ -378,7 +428,8 @@ namespace detail {
 
 void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
               ThreadPool* pool, FlowCaches& caches, const DfmFlowReport* prev,
-              const std::function<const LayoutSnapshot&()>& snapshot) {
+              const std::function<const LayoutSnapshot&()>& snapshot,
+              FlowJournal* journal) {
   FlowClock flow_clock("flow");
   FlowClock snap_clock("flow/snapshot");
   const LayoutSnapshot& snap = snapshot();
@@ -403,12 +454,13 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // An incremental run may splice cached units only when the damage is
   // partial AND the caches describe the immediately preceding snapshot.
   const bool inc = !damage.full() && caches.valid && prev != nullptr;
-  FlowDriver flow(rep, snap, options, pool, damage, inc);
+  FlowDriver flow(rep, snap, options, pool, damage, inc, journal);
 
   // The spatial splice grid: density_tile cores over the snapshot bbox.
   // Tiled units reuse their caches only on the grid they were made on.
   const TileGrid grid(snap.bbox(), t.density_tile);
   const bool same_grid = caches.grid == grid;
+  flow.displace(caches.grid);
   caches.grid = grid;
 
   // 1. DRC + DRC-Plus. Splice units: one per (DRC rule x grid tile),
@@ -534,6 +586,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // includes kMetal1.
   flow.evict_keeping({layers::kMetal1});
   const NormalizedRegion m1 = snap.layer(layers::kMetal1);
+  flow.displace(caches.litho_valid);
   caches.litho_valid =
       options.run_litho && !m1.empty() && flow.pass("flow/litho", [&] {
         HotspotSimOptions sim{pool};
@@ -547,10 +600,19 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
         sim.kernels = caches.kernels;
         const bool have = inc && caches.litho_valid;
         const Region none;
+        // Carried over, the simulation records what its stale tiles
+        // displace; otherwise it is replaced whole.
+        if (!have) flow.displace(caches.litho);
+        HotspotSimUndo undo;
         caches.litho = resimulate_hotspots(
             snap, layers::kMetal1, m1.bbox(), sim,
             have ? std::move(caches.litho) : HotspotTileSim{},
-            have ? damage.inc->dirty_region(layers::kMetal1) : none);
+            have ? damage.inc->dirty_region(layers::kMetal1) : none,
+            have ? &undo : nullptr);
+        if (have) {
+          flow.journal([&litho = caches.litho, undo = std::move(undo)]()
+                           mutable { undo.restore(litho); });
+        }
         rep.hotspots = caches.litho.merged();
         rep.scorecard.add("litho", score_from_count(rep.hotspots.size()), 3.0,
                           std::to_string(rep.hotspots.size()) + " hotspots");
@@ -567,6 +629,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // finished from the sum of the units' integer partials, bit-identical
   // to scoring the whole layer. An edit that leaves M1 clean carries
   // the whole result over.
+  flow.displace(caches.dpt_valid);
   caches.dpt_valid = flow.pass("flow/dpt", [&] {
     flow.evict_keeping({layers::kMetal1});
     std::size_t dirty_units = 0;
@@ -629,6 +692,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // functions of the counts, so both come out bit-identical either way.
   const std::vector<LayerKey> stack = {layers::kMetal1, layers::kVia1,
                                        layers::kMetal2};
+  flow.displace(caches.vias_valid);
   caches.vias_valid = flow.pass("flow/via_doubling", [&] {
     flow.evict_keeping(stack);
     const LayerComponents& vias = snap.components(layers::kVia1);
@@ -686,6 +750,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // and so do the verdicts of cuts whose bbox the damage misses. A cold
   // run is the case where every net dissolves.
   std::optional<NetSplice> spliced;
+  flow.displace(caches.nets_valid);
   caches.nets_valid = flow.pass("flow/connectivity", [&] {
     flow.evict_keeping(stack);
     const std::vector<StackLayer> net_stack = standard_stack();
@@ -695,9 +760,14 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
       rep.floating_cuts = prev->floating_cuts;
       spliced =
           splice_nets(*damage.inc, net_stack, rep.nets, caches.net_keys);
+      flow.journal([&keys = caches.net_keys,
+                    undo = std::move(spliced->keys_undo)]() mutable {
+        undo.restore(keys);
+      });
       splice_floating_cuts(*damage.inc, net_stack, rep.floating_cuts);
       dissolved = spliced->dissolved.size();
     } else {
+      flow.displace(caches.net_keys);
       rep.nets = extract_nets(snap, net_stack, &caches.net_keys);
       rep.floating_cuts = find_floating_cuts(snap, net_stack);
       dissolved = rep.nets.size();
@@ -718,6 +788,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // stale with the nets the connectivity splice changed. Both tile terms
   // sum integer areas in tile order and integrate them as the
   // whole-layer kernel's integers are, so they are bit-identical to it.
+  flow.displace(caches.caa_valid);
   caches.caa_valid = flow.pass("flow/caa_yield", [&] {
     const std::vector<LayerKey> m1_m2 = {layers::kMetal1, layers::kMetal2};
     flow.evict_keeping(m1_m2);
@@ -810,6 +881,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
     }
     if (flow.stale(cached, {layers::kMetal2})) {
       TELEM_SPAN("caa/m2_opens");
+      flow.displace(caches.caa_m2_opens);
       caches.caa_m2_opens = layer_lambda(snap.layer(layers::kMetal2), defects,
                                          /*shorts=*/false);
       ++dirty_units;
@@ -822,6 +894,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
     return PassCounts{rep.nets.size(), 2 * grid.size() + 1, dirty_units, inc};
   });
 
+  flow.displace(caches.valid);
   caches.valid = true;
   TELEM_GAUGE_SET("snapshot.current_bytes",
                   static_cast<std::int64_t>(snap.budget().current()));

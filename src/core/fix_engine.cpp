@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <map>
+#include <utility>
 
 namespace dfm {
 namespace {
@@ -390,6 +391,10 @@ FixOutcome FixEngine::fix(DfmFlowSession& session, const FixOptions& options) {
     if (plan.empty()) break;
     ++out.iterations;
 
+    // The accept gate's baseline. A rejected candidate is rolled back to
+    // this very report, so only an accept moves it.
+    double pre = session.report().scorecard.composite();
+    std::map<std::string, int> pre_issues = issue_counts(session.report());
     int accepted_this_round = 0;
     for (const FixProposal& prop : plan.proposals) {
       ++out.proposed;
@@ -401,8 +406,7 @@ FixOutcome FixEngine::fix(DfmFlowSession& session, const FixOptions& options) {
 
       // Re-normalize against the layout of the moment: earlier accepted
       // repairs may already cover (or have removed) parts of this
-      // candidate, and exact rollback requires the delta to describe
-      // only real changes.
+      // candidate, and `applied` must describe only real changes.
       const LayoutDelta norm = normalize_delta(prop.delta, session.snapshot());
       if (norm.empty()) {
         step.reject = "noop";
@@ -411,16 +415,17 @@ FixOutcome FixEngine::fix(DfmFlowSession& session, const FixOptions& options) {
         continue;
       }
 
-      const double pre = session.report().scorecard.composite();
-      const std::map<std::string, int> pre_issues =
-          issue_counts(session.report());
       bool ok;
+      std::map<std::string, int> post_issues;
       {
         TELEM_SPAN("fix/verify");
         const DfmFlowReport& rep = session.apply(norm);
         step.gain = rep.scorecard.composite() - pre;
-        ok = step.gain > options.min_gain &&
-             !introduces_issues(pre_issues, issue_counts(rep));
+        ok = step.gain > options.min_gain;
+        if (ok) {
+          post_issues = issue_counts(rep);
+          ok = !introduces_issues(pre_issues, post_issues);
+        }
       }
       if (ok) {
         TELEM_SPAN("fix/accept");
@@ -428,10 +433,15 @@ FixOutcome FixEngine::fix(DfmFlowSession& session, const FixOptions& options) {
         ++out.accepted;
         ++accepted_this_round;
         out.applied.merge(norm);
+        pre = session.report().scorecard.composite();
+        pre_issues = std::move(post_issues);
         TELEM_COUNTER_ADD("fix.accepted", 1);
         TELEM_GAUGE_ADD("fix.score_gain", step.gain);
       } else {
-        session.apply(inverse_delta(norm));
+        {
+          TELEM_SPAN("fix/rollback");
+          session.rollback();
+        }
         step.reject = step.gain > options.min_gain ? "new_issues" : "gain";
         ++out.rejected;
         TELEM_COUNTER_ADD("fix.rejected", 1);

@@ -10,8 +10,9 @@
 // incremental splice and accepts it only if the re-scored composite
 // strictly improves AND no new issue (DRC violation, pattern match,
 // hotspot, floating cut, recommended-rule hit, DPT regression) appears
-// anywhere; rejected candidates roll back via the inverse delta, which
-// restores the pre-candidate report bit for bit.
+// anywhere; a rejected candidate is undone by DfmFlowSession::rollback,
+// which puts back the pre-candidate snapshot, report and unit caches
+// without running a pass.
 //
 // Determinism contract: proposals are generated and evaluated in index
 // order and every underlying pass is thread-count invariant, so the
@@ -61,19 +62,23 @@ class FixEngine {
 
   /// The propose/verify/accept loop over a session. Each accepted
   /// candidate stays applied (the session's report advances); each
-  /// rejected one is rolled back via its inverse delta. The session's
-  /// Tech (options().tech) drives planning.
+  /// rejected one is undone by session.rollback(), so the session ends as
+  /// if it had seen only the accepted ones. The session's Tech
+  /// (options().tech) drives planning.
   static FixOutcome fix(DfmFlowSession& session, const FixOptions& options);
 };
 
 /// Normalizes a candidate delta against the current layout: additions
 /// drop what is already present, removals keep only what actually
 /// exists. The result applies to the same end state as `delta`, and its
-/// inverse_delta() restores the pre-apply layout exactly.
+/// inverse_delta() restores the pre-apply layout exactly. The loop
+/// merges normalized deltas into FixOutcome::applied.
 LayoutDelta normalize_delta(const LayoutDelta& delta,
                             const LayoutSnapshot& snap);
 
-/// The exact undo of a *normalized* delta: swap adds and removes.
+/// The exact undo of a *normalized* delta: swap adds and removes. The
+/// loop itself rolls back with DfmFlowSession::rollback; applying this
+/// instead reaches an equivalent report by a second flow run.
 LayoutDelta inverse_delta(const LayoutDelta& normalized);
 
 /// Deterministic serialization of an outcome (fixed field order, %.17g

@@ -354,17 +354,27 @@ void assemble(HotspotTileSim& sim, const TileGrid& grid, Coord tol) {
 // `prev` is not a simulation of this grid: every tile is stale and none
 // has a cached print. Otherwise only the tiles `dirty` reaches are
 // stale, and the rest carry over from `prev` with their prints. A stale
-// tile splices into its cached print when it has one.
+// tile splices into its cached print when it has one. With `undo`, what
+// the run displaces from `prev` goes there.
 HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
                           const Rect& extent, const HotspotSimOptions& options,
-                          HotspotTileSim prev, const Region& dirty) {
+                          HotspotTileSim prev, const Region& dirty,
+                          HotspotSimUndo* undo) {
   const TileGrid grid(extent, options.tile);
   HotspotTileSim sim;
   std::vector<StaleTile> stale;
   if (prev.same_grid(extent, options.tile)) {
     sim = std::move(prev);
     stale = stale_litho_tiles(sim.tiles, options, dirty);
+    if (undo != nullptr) {
+      undo->prints_size = sim.prints.size();
+      undo->recomputed = sim.recomputed;
+      undo->skipped = sim.skipped;
+    }
   } else {
+    if (undo != nullptr) undo->whole = std::move(prev);
+    undo = nullptr;  // nothing of `prev` is carried over
+
     sim.extent = extent;
     sim.tile = options.tile;
     sim.tiles = grid.cores();
@@ -393,11 +403,21 @@ HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
   sim.skipped = 0;
   for (std::size_t si = 0; si < stale.size(); ++si) {
     TileResult& r = results[si];
-    sim.prints[stale[si].index] = std::move(r.print);
-    sim.risk[stale[si].index] = std::move(r.risk);
+    const std::size_t ti = stale[si].index;
+    std::swap(sim.prints[ti], r.print);
+    std::swap(sim.risk[ti], r.risk);
+    if (undo != nullptr) {
+      undo->tiles.push_back(ti);
+      undo->prints.push_back(std::move(r.print));
+      undo->risk.push_back(std::move(r.risk));
+    }
     if (r.skipped) ++sim.skipped;
   }
   sim.recomputed = stale.size();
+  if (undo != nullptr) {
+    undo->per_tile = std::move(sim.per_tile);
+    sim.per_tile.assign(sim.tiles.size(), {});
+  }
   assemble(sim, grid, options.edge_tolerance);
   return sim;
 }
@@ -426,6 +446,21 @@ std::vector<Hotspot> HotspotTileSim::merged() const {
   return out;
 }
 
+void HotspotSimUndo::restore(HotspotTileSim& sim) {
+  if (whole) {
+    sim = std::move(*whole);
+    return;
+  }
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    sim.prints[tiles[i]] = std::move(prints[i]);
+    sim.risk[tiles[i]] = std::move(risk[i]);
+  }
+  sim.prints.resize(prints_size);
+  sim.per_tile = std::move(per_tile);
+  sim.recomputed = recomputed;
+  sim.skipped = skipped;
+}
+
 bool HotspotTileSim::same_grid(const Rect& e, Coord t) const {
   return extent == e && tile == t && per_tile.size() == tiles.size() &&
          risk.size() == tiles.size();
@@ -450,28 +485,30 @@ std::vector<StaleTile> stale_litho_tiles(const std::vector<Rect>& tiles,
 HotspotTileSim simulate_hotspots_tiled(NormalizedRegion layer,
                                        const Rect& extent,
                                        const HotspotSimOptions& options) {
-  return resim_impl(layer, nullptr, extent, options, {}, Region{});
+  return resim_impl(layer, nullptr, extent, options, {}, Region{}, nullptr);
 }
 
 HotspotTileSim simulate_hotspots_tiled(const LayoutSnapshot& snap,
                                        LayerKey layer, const Rect& extent,
                                        const HotspotSimOptions& options) {
   return resim_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options, {}, Region{});
+                    extent, options, {}, Region{}, nullptr);
 }
 
 HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
                                    const HotspotSimOptions& options,
                                    HotspotTileSim prev, const Region& dirty) {
-  return resim_impl(layer, nullptr, extent, options, std::move(prev), dirty);
+  return resim_impl(layer, nullptr, extent, options, std::move(prev), dirty,
+                    nullptr);
 }
 
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   HotspotTileSim prev, const Region& dirty) {
+                                   HotspotTileSim prev, const Region& dirty,
+                                   HotspotSimUndo* undo) {
   return resim_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options, std::move(prev), dirty);
+                    extent, options, std::move(prev), dirty, undo);
 }
 
 std::vector<Hotspot> simulate_hotspots(NormalizedRegion layer,

@@ -11,6 +11,7 @@
 #include "pattern/clustering.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,24 @@ struct HotspotTileSim {
   bool same_grid(const Rect& extent, Coord tile) const;
 };
 
+/// What resimulate_hotspots displaced from the simulation it was given,
+/// taken by move or swap, never copied: the whole simulation when the
+/// grid changed, else each stale tile's print and risk state, every
+/// tile's hotspot list (seam completion rebuilds them all) and the
+/// counters. restore() turns the result back into the simulation given.
+struct HotspotSimUndo {
+  std::optional<HotspotTileSim> whole;
+  std::vector<std::size_t> tiles;  // the stale tiles, in order
+  std::vector<ColumnRuns> prints;  // aligned with tiles
+  std::vector<TileRisk> risk;      // aligned with tiles
+  std::vector<std::vector<Hotspot>> per_tile;
+  std::size_t prints_size = 0;
+  std::size_t recomputed = 0;
+  std::size_t skipped = 0;
+
+  void restore(HotspotTileSim& sim);
+};
+
 /// A tile an edit makes stale, and the part of the edit its simulation
 /// window sees.
 struct StaleTile {
@@ -199,11 +218,13 @@ HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
 /// Snapshot-native incremental re-simulation: stale tiles go through the
 /// same density-gate + prefilter + convolution path as the snapshot
 /// overload of simulate_hotspots_tiled, so a splice is bit-identical to
-/// the cold snapshot run under every LithoFastMode.
+/// the cold snapshot run under every LithoFastMode. With `undo`, what
+/// the run displaces from `prev` is recorded there.
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   HotspotTileSim prev, const Region& dirty);
+                                   HotspotTileSim prev, const Region& dirty,
+                                   HotspotSimUndo* undo = nullptr);
 
 /// Simulates in tiles (bounded raster size) and returns all hotspots.
 /// Tiles run concurrently on the pool; per-tile results are merged in

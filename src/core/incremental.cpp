@@ -2,6 +2,7 @@
 
 #include "layout/library.h"
 
+#include <stdexcept>
 #include <utility>
 
 namespace dfm {
@@ -47,18 +48,41 @@ DfmFlowSession::DfmFlowSession(std::shared_ptr<const SnapshotSource> source,
                    });
 }
 
+void FlowJournal::undo() {
+  while (!steps_.empty()) {
+    steps_.back()->run();
+    steps_.pop_back();
+  }
+}
+
 const DfmFlowReport& DfmFlowSession::apply(const LayoutDelta& delta) {
+  // The record of the apply before this one goes first, so the run
+  // holds no more state than an unrecorded one would.
+  undo_.reset();
   std::unique_ptr<IncrementalSnapshot> next;
   DfmFlowReport rep;
-  detail::run_flow(rep, options_, pool_.get(), caches_, &report_,
-                   [&]() -> const LayoutSnapshot& {
-                     next = std::make_unique<IncrementalSnapshot>(*snap_,
-                                                                  delta);
-                     return *next;
-                   });
+  FlowJournal journal;
+  detail::run_flow(
+      rep, options_, pool_.get(), caches_, &report_,
+      [&]() -> const LayoutSnapshot& {
+        next = std::make_unique<IncrementalSnapshot>(*snap_, delta);
+        return *next;
+      },
+      &journal);
+  undo_.emplace(Undo{std::move(snap_), std::move(report_), std::move(journal)});
   report_ = std::move(rep);
   snap_ = std::move(next);
   return report_;
+}
+
+void DfmFlowSession::rollback() {
+  if (!undo_) {
+    throw std::logic_error("DfmFlowSession::rollback: no apply to undo");
+  }
+  undo_->journal.undo();
+  report_ = std::move(undo_->report);
+  snap_ = std::move(undo_->snap);
+  undo_.reset();
 }
 
 }  // namespace dfm

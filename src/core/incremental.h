@@ -73,6 +73,14 @@
 //    and integrates them as the whole-layer kernel's integers are. M2
 //    opens (m2) is one unit, cached as a double.
 // A cold run is the case where every unit of every pass is stale.
+//
+// Undo: an apply keeps what it replaced — the previous snapshot object,
+// the previous report, and a FlowJournal of every cache entry the run
+// displaced (taken by move, swap or node extraction, never copied) — so
+// DfmFlowSession::rollback restores the state before the apply exactly,
+// without running a pass. A full-damage run (a bbox-moving edit) clears
+// every cache, so it journals each one whole. Deck state (engine,
+// recommended_rules, kernels) depends only on the Tech and is kept.
 #pragma once
 
 #include "core/delta.h"
@@ -81,6 +89,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <type_traits>
 
 namespace dfm {
 
@@ -132,6 +142,41 @@ struct FlowCaches {
   bool valid = false;
 };
 
+/// What one run displaced from FlowCaches, as undo steps. Each step
+/// holds the displaced state itself, taken by move, swap or node
+/// extraction and never copied, so a journaled run costs what an
+/// unjournaled one does: state the run would have destroyed on the spot
+/// lives on in the journal instead. undo() replays the steps newest
+/// first, which leaves every cache as it was before the run.
+class FlowJournal {
+ public:
+  /// Records `step`, a callable that puts back what the run just
+  /// displaced. Steps may refer to cache members by reference: the
+  /// caches outlive the journal and are restored newest first.
+  template <class F>
+  void record(F&& step) {
+    steps_.push_back(
+        std::make_unique<Step<std::decay_t<F>>>(std::forward<F>(step)));
+  }
+
+  /// Replays every step, newest first, and forgets them.
+  void undo();
+
+ private:
+  struct AnyStep {
+    virtual ~AnyStep() = default;
+    virtual void run() = 0;
+  };
+  template <class F>
+  struct Step final : AnyStep {
+    template <class G>
+    explicit Step(G&& g) : f(std::forward<G>(g)) {}
+    void run() override { f(); }
+    F f;
+  };
+  std::vector<std::unique_ptr<AnyStep>> steps_;
+};
+
 /// Which layers an edit dirtied, as the passes consume it. A null
 /// snapshot (cold run) or a bbox-moving edit damages everything.
 struct FlowDamage {
@@ -155,10 +200,14 @@ namespace detail {
 /// report `caches` describe) and an IncrementalSnapshot, only the units
 /// its damage makes stale recompute and the rest splice in from
 /// `caches`; otherwise the run is cold (full damage). Either way
-/// `caches` is left describing this run.
+/// `caches` is left describing this run. With a `journal`, everything
+/// the run displaces from `caches` is recorded there, so
+/// journal->undo() puts `caches` back as it was; the journal changes
+/// nothing the run computes.
 void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
               ThreadPool* pool, FlowCaches& caches, const DfmFlowReport* prev,
-              const std::function<const LayoutSnapshot&()>& snapshot);
+              const std::function<const LayoutSnapshot&()>& snapshot,
+              FlowJournal* journal = nullptr);
 }  // namespace detail
 
 /// The fix -> recheck loop: build once, edit cheaply.
@@ -167,6 +216,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
 ///   ... inspect session.report() ...
 ///   const ViaDoublingResult& vias = session.report().vias;
 ///   session.apply(to_delta(vias));        // re-analyzes only the damage
+///   session.rollback();                   // ...or takes it back
 ///
 /// Options are fixed for the session's lifetime (the unit caches are
 /// only comparable across runs of the same deck, model and pass set).
@@ -191,15 +241,33 @@ class DfmFlowSession {
   /// Applies `delta`, derives an IncrementalSnapshot, and re-runs the
   /// flow over the damage. Returns the updated report (bit-identical to
   /// a cold run over the edited layout). An empty delta still re-splices
-  /// (cheaply); a bbox-moving delta degrades to a full re-run.
+  /// (cheaply); a bbox-moving delta degrades to a full re-run. Keeps
+  /// the state it replaces for rollback() until the next apply.
   const DfmFlowReport& apply(const LayoutDelta& delta);
 
+  /// Undoes the last apply without running any pass: the snapshot is
+  /// the same object as before it (memoized products intact), the
+  /// report the same value (trace included), and every unit cache holds
+  /// what it held, so every later apply reports exactly what it would
+  /// have had that apply never happened. Costs the displaced units, not
+  /// a flow run. Throws std::logic_error when there is no apply to undo:
+  /// right after construction, or after a rollback.
+  void rollback();
+
  private:
+  /// What the last apply replaced.
+  struct Undo {
+    std::unique_ptr<LayoutSnapshot> snap;
+    DfmFlowReport report;
+    FlowJournal journal;
+  };
+
   DfmFlowOptions options_;
   PassPool pool_;
   std::unique_ptr<LayoutSnapshot> snap_;
   DfmFlowReport report_;
   FlowCaches caches_;
+  std::optional<Undo> undo_;
 };
 
 }  // namespace dfm

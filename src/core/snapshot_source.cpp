@@ -4,6 +4,8 @@
 #include "layout/library.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -83,6 +85,20 @@ std::uint64_t parse_count(const std::string& what, const std::string& text,
   if (!ok) {
     throw std::runtime_error(what + ": expected a whole number from 0 to " +
                              std::to_string(max) + ", got '" + text + "'");
+  }
+  return value;
+}
+
+double parse_threshold(const std::string& what, const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  // strtod skips leading space and reads "nan", "inf" and a sign.
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      end != text.c_str() + text.size() || !std::isfinite(value) ||
+      value < 0) {
+    throw std::runtime_error(what +
+                             ": expected a finite number of at least 0, got '" +
+                             text + "'");
   }
   return value;
 }

@@ -141,4 +141,10 @@ bool parse_byte_size(const std::string& text, std::size_t* out);
 std::uint64_t parse_count(const std::string& what, const std::string& text,
                           std::uint64_t max);
 
+/// Parses a threshold flag such as --min-gain: a finite decimal number
+/// of at least 0 and nothing else. Anything else ("0.1x", "nan", "inf",
+/// "-1", a leading space) throws std::runtime_error "<what>: expected a
+/// finite number of at least 0, got '<text>'".
+double parse_threshold(const std::string& what, const std::string& text);
+
 }  // namespace dfm

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace dfm {
 
@@ -304,14 +305,23 @@ NetSplice splice_nets(const IncrementalSnapshot& snap,
       merged_keys.push_back(std::move(fresh_keys[b]));
       ++b;
     } else {
+      out.keys_undo.carried.emplace_back(a, merged.nets.size());
       merged.nets.push_back(std::move(nets.nets[a]));
       merged_keys.push_back(std::move(keys[a]));
       ++a;
     }
   }
   nets = std::move(merged);
-  keys = std::move(merged_keys);
+  out.keys_undo.keys = std::exchange(keys, std::move(merged_keys));
+  out.keys_undo.replaced = true;
   return out;
+}
+
+void NetKeysUndo::restore(std::vector<NetKey>& spliced) {
+  if (!replaced) return;
+  for (const auto& [from, to] : carried) keys[from] = std::move(spliced[to]);
+  spliced = std::move(keys);
+  replaced = false;
 }
 
 std::vector<FloatingCut> find_floating_cuts(

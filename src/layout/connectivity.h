@@ -76,6 +76,19 @@ Netlist extract_nets(const LayoutSnapshot& snap,
                      const std::vector<StackLayer>& stack,
                      std::vector<NetKey>* keys = nullptr);
 
+/// What splice_nets displaced from the key vector it was given: that
+/// vector, with each carried net's key moved on to its slot in the new
+/// one. restore() moves them back.
+struct NetKeysUndo {
+  bool replaced = false;  // false: the splice left the keys as they were
+  std::vector<NetKey> keys;
+  std::vector<std::pair<std::size_t, std::size_t>> carried;  // (old, new)
+
+  /// Turns `keys`, as splice_nets left them, back into the keys it was
+  /// given, by moves only.
+  void restore(std::vector<NetKey>& keys);
+};
+
 /// What splice_nets changed.
 struct NetSplice {
   /// The cached nets that dissolved, as they were.
@@ -83,6 +96,7 @@ struct NetSplice {
   /// Indices, into the spliced netlist, of the nets re-extracted from
   /// the dissolved ones and the damage.
   std::vector<std::size_t> created;
+  NetKeysUndo keys_undo;
 };
 
 /// Brings `nets` and `keys` (the nets of the snapshot `snap` derives

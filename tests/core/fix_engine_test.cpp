@@ -270,6 +270,54 @@ TEST(FixDelta, NormalizeInverseRestoresReportBitForBit) {
   EXPECT_TRUE(reports_equivalent(session.report(), before));
 }
 
+// The loop rolls a rejected candidate back with DfmFlowSession::rollback.
+// The same loop by hand, rolling back by applying the inverse delta
+// instead (a second flow run), must measure the same gains bit for bit
+// and end on the same report.
+TEST(FixDelta, RollbackMatchesInverseApply) {
+  const Library lib = violation_rich(23);
+  const std::uint32_t top = lib.top_cells()[0];
+  FixOptions fo;
+  fo.max_iters = 2;
+  DfmFlowSession looped(lib, top, fix_flow_options(2));
+  const FixOutcome out = FixEngine::fix(looped, fo);
+  ASSERT_GT(out.accepted, 0);
+  ASSERT_GT(out.rejected, 0);
+
+  DfmFlowSession manual(lib, top, fix_flow_options(2));
+  std::vector<double> gains;
+  for (int iter = 1; iter <= fo.max_iters; ++iter) {
+    const FixPlan plan = FixEngine::run(manual.snapshot(), manual.report(),
+                                        fo, manual.options().tech);
+    if (plan.empty()) break;
+    int accepted = 0;
+    for (const FixProposal& p : plan.proposals) {
+      const std::size_t k = gains.size();
+      const LayoutDelta norm = normalize_delta(p.delta, manual.snapshot());
+      if (norm.empty()) {
+        gains.push_back(0);
+        continue;
+      }
+      const double pre = manual.report().scorecard.composite();
+      gains.push_back(manual.apply(norm).scorecard.composite() - pre);
+      // The accept decision is the loop's; the gains are measured here.
+      ASSERT_LT(k, out.steps.size());
+      if (out.steps[k].accepted) {
+        ++accepted;
+      } else {
+        manual.apply(inverse_delta(norm));
+      }
+    }
+    if (accepted == 0) break;
+  }
+  ASSERT_EQ(gains.size(), out.steps.size());
+  for (std::size_t k = 0; k < gains.size(); ++k) {
+    EXPECT_EQ(gains[k], out.steps[k].gain) << "step " << k;
+  }
+  EXPECT_TRUE(reports_equivalent(manual.report(), looped.report()));
+  EXPECT_EQ(manual.report().scorecard.composite(), out.composite_after);
+}
+
 TEST(FixDelta, NormalizedApplyReachesTheSameEndState) {
   const Library lib = violation_rich(23);
   const std::uint32_t top = lib.top_cells()[0];

@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -57,12 +60,9 @@ Rect interior(const Rect& bb, Coord d = 1500) {
   return Rect{bb.lo.x + dx, bb.lo.y + dy, bb.hi.x - dx, bb.hi.y - dy};
 }
 
-/// A random edit strictly inside `core` (so the joint bbox is stable and
-/// the incremental path never falls back to a full re-run).
-LayoutDelta random_edit(Rng& rng, const Rect& core) {
-  static const std::vector<LayerKey> kEditable = {
-      layers::kMetal1, layers::kMetal2, layers::kVia1};
-  const LayerKey layer = rng.pick(kEditable);
+/// A 40-400 dbu patch on `layer` strictly inside `core`, added or (30%)
+/// removed.
+LayoutDelta patch_on(Rng& rng, const Rect& core, LayerKey layer) {
   const Coord w = rng.uniform(40, 400);
   const Coord h = rng.uniform(40, 400);
   const Coord x = rng.uniform(core.lo.x, core.hi.x - w);
@@ -74,6 +74,15 @@ LayoutDelta random_edit(Rng& rng, const Rect& core) {
     d.add(layer, Rect{x, y, x + w, y + h});
   }
   return d;
+}
+
+/// A random edit strictly inside `core` (so the joint bbox is stable and
+/// the incremental path never falls back to a full re-run).
+LayoutDelta random_edit(Rng& rng, const Rect& core) {
+  static const std::vector<LayerKey> kEditable = {
+      layers::kMetal1, layers::kMetal2, layers::kVia1};
+  const LayerKey layer = rng.pick(kEditable);
+  return patch_on(rng, core, layer);
 }
 
 TEST(LayoutDelta, ApplyMatchesSetAlgebra) {
@@ -672,6 +681,225 @@ TEST(DfmFlowSession, ConcurrentDeltaApplicationIsRaceFree) {
               serial[static_cast<std::size_t>(i)])
         << "delta " << i;
   }
+}
+
+// ---- SessionRollback ---------------------------------------------------
+// rollback() undoes the last apply without running a pass. After it the
+// session must be indistinguishable from one that never saw the undone
+// edit: the same snapshot object and report, and unit caches that make
+// every later apply report exactly what the other session reports: the
+// same canonical bytes, whose trace carries every pass's unit counts.
+
+/// Two sessions over `m` take the same seeded patch stream, rotating M1,
+/// M2 and Via1. Before each step the first also applies a decoy patch
+/// and rolls it back. Both must report the same bytes after every
+/// rollback and after every step.
+void expect_decoys_leave_no_trace(const LayerMap& m, const DfmFlowOptions& opt,
+                                  int steps) {
+  static const LayerKey kLayers[] = {layers::kMetal1, layers::kMetal2,
+                                     layers::kVia1};
+  DfmFlowSession tried(m, opt);
+  DfmFlowSession plain(m, opt);
+  Rng rng(20261018);
+  const Rect core = interior(plain.snapshot().bbox());
+  for (int i = 0; i < steps; ++i) {
+    const LayoutDelta decoy = patch_on(rng, core, kLayers[(i + 1) % 3]);
+    const LayoutDelta step = patch_on(rng, core, kLayers[i % 3]);
+    tried.apply(decoy);
+    tried.rollback();
+    ASSERT_EQ(flow_report_canonical_json(tried.report()),
+              flow_report_canonical_json(plain.report()))
+        << "after decoy " << i;
+    const DfmFlowReport& a = tried.apply(step);
+    const DfmFlowReport& b = plain.apply(step);
+    ASSERT_EQ(flow_report_canonical_json(a), flow_report_canonical_json(b))
+        << "step " << i;
+    ASSERT_TRUE(reports_equivalent(a, b)) << "step " << i;
+  }
+}
+
+/// Each edit of `edits`, added and then removed, first as a decoy that
+/// one session applies and rolls back, then for real on both sessions.
+void expect_edits_roll_back(const LayerMap& m, const DfmFlowOptions& opt,
+                            const std::vector<splice_streams::Edit>& edits) {
+  DfmFlowSession tried(m, opt);
+  DfmFlowSession plain(m, opt);
+  for (const splice_streams::Edit& e : edits) {
+    for (const bool add : {true, false}) {
+      SCOPED_TRACE(std::string(e.what) + (add ? " add" : " remove"));
+      LayoutDelta d;
+      if (add) {
+        d.add(e.layer, e.rect);
+      } else {
+        d.remove(e.layer, e.rect);
+      }
+      tried.apply(d);
+      tried.rollback();
+      ASSERT_EQ(flow_report_canonical_json(tried.report()),
+                flow_report_canonical_json(plain.report()));
+      const DfmFlowReport& a = tried.apply(d);
+      const DfmFlowReport& b = plain.apply(d);
+      ASSERT_EQ(flow_report_canonical_json(a), flow_report_canonical_json(b));
+      ASSERT_TRUE(reports_equivalent(a, b));
+    }
+  }
+}
+
+TEST(SessionRollback, RestoresTheSnapshotAndTheReportExactly) {
+  const LayerMap m = small_design(15);
+  DfmFlowSession session(m, fast_options(2, /*litho=*/true));
+  const Rect core = interior(session.snapshot().bbox());
+  LayoutDelta first;
+  first.add(layers::kMetal2,
+            Rect{core.lo.x, core.lo.y, core.lo.x + 300, core.lo.y + 60});
+  session.apply(first);  // so the report carries an incremental trace
+
+  const LayoutSnapshot* snap = &session.snapshot();
+  std::map<LayerKey, std::vector<Rect>> layers_before;
+  for (const LayerKey k : snap->layer_keys()) {
+    layers_before[k] = snap->layer(k).rects();
+  }
+  const DfmFlowReport before = session.report();
+  const std::string trace = flow_trace_json(before);  // timings included
+  const std::string canonical = flow_report_canonical_json(before);
+
+  LayoutDelta d;
+  d.add(layers::kMetal1, Rect{core.lo.x + 500, core.lo.y + 500,
+                              core.lo.x + 900, core.lo.y + 560});
+  d.remove(layers::kVia1, core);
+  const DfmFlowReport& edited = session.apply(d);
+  ASSERT_NE(flow_report_canonical_json(edited), canonical)
+      << "the edit must show";
+  session.rollback();
+
+  EXPECT_EQ(&session.snapshot(), snap);
+  EXPECT_EQ(flow_trace_json(session.report()), trace);
+  EXPECT_EQ(flow_report_canonical_json(session.report()), canonical);
+  EXPECT_TRUE(reports_equivalent(session.report(), before));
+  for (const auto& [k, rects] : layers_before) {
+    EXPECT_EQ(session.snapshot().layer(k).rects(), rects) << to_string(k);
+  }
+}
+
+TEST(SessionRollback, ThrowsWithoutAnApplyToUndo) {
+  const LayerMap m = small_design(7);
+  DfmFlowSession session(m, fast_options(1));
+  EXPECT_THROW(session.rollback(), std::logic_error);
+  const Rect core = interior(session.snapshot().bbox());
+  LayoutDelta d;
+  d.add(layers::kMetal1,
+        Rect{core.lo.x, core.lo.y, core.lo.x + 200, core.lo.y + 200});
+  session.apply(d);
+  session.rollback();
+  EXPECT_THROW(session.rollback(), std::logic_error);
+  // The session stays usable, and the next apply is undoable again.
+  session.apply(d);
+  EXPECT_NO_THROW(session.rollback());
+}
+
+class SessionRollbackStream : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(SessionRollbackStream, DecoyPatchesLeaveNoTrace) {
+  expect_decoys_leave_no_trace(small_design(16), fast_options(GetParam()), 24);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, SessionRollbackStream,
+                         ::testing::Values(1u, 2u, 8u));
+
+TEST(SessionRollback, DecoyPatchesLeaveNoTraceUnderATightBudget) {
+  DfmFlowOptions opt = fast_options(2);
+  opt.memory_budget = std::size_t{64} << 10;
+  expect_decoys_leave_no_trace(small_design(16), opt, 12);
+}
+
+// Litho on: an M1 decoy re-renders stale tiles into their cached prints,
+// and the rollback must put the old prints and risk state back.
+TEST(SessionRollback, DecoyPatchesLeaveNoTraceWithLitho) {
+  expect_decoys_leave_no_trace(small_design(17),
+                               fast_options(2, /*litho=*/true), 9);
+}
+
+// A stale litho tile re-renders into its cached print only the pixels
+// an edit reaches. A small M1 patch inside the spot of a rolled-back
+// decoy therefore needs the print from before the decoy back, or the
+// decoy's printed metal around the patch shows up as a bridge.
+TEST(SessionRollback, StaleLithoTilesGetTheirOldPrintsBack) {
+  const LayerMap m = small_design(17);
+  const DfmFlowOptions opt = fast_options(2, /*litho=*/true);
+  DfmFlowSession tried(m, opt);
+  DfmFlowSession plain(m, opt);
+  Rng rng(23);
+  const Rect core = interior(plain.snapshot().bbox());
+  for (int i = 0; i < 4; ++i) {
+    const Coord x = rng.uniform(core.lo.x, core.hi.x - 400);
+    const Coord y = rng.uniform(core.lo.y, core.hi.y - 400);
+    LayoutDelta decoy;
+    decoy.add(layers::kMetal1, Rect{x, y, x + 400, y + 400});
+    LayoutDelta step;
+    step.add(layers::kMetal1, Rect{x + 170, y + 170, x + 230, y + 230});
+    tried.apply(decoy);
+    tried.rollback();
+    ASSERT_EQ(flow_report_canonical_json(tried.apply(step)),
+              flow_report_canonical_json(plain.apply(step)))
+        << "spot " << i;
+  }
+  // A decoy that adds a hotspot changes its tile's risk state, which
+  // every later run assembles the hotspots from, even one that leaves
+  // M1 clean.
+  const Coord x = core.lo.x + 1000;
+  const Coord y = core.lo.y + 1000;
+  LayoutDelta sliver;  // too narrow to print: a pinch
+  sliver.add(layers::kMetal1, Rect{x, y, x + 30, y + 800});
+  ASSERT_NE(tried.apply(sliver).hotspots, plain.report().hotspots);
+  tried.rollback();
+  LayoutDelta m2;
+  m2.add(layers::kMetal2, Rect{x + 2000, y, x + 2200, y + 60});
+  EXPECT_EQ(flow_report_canonical_json(tried.apply(m2)),
+            flow_report_canonical_json(plain.apply(m2)));
+  EXPECT_EQ(tried.report().hotspots, plain.report().hotspots);
+}
+
+// A bbox-moving decoy runs with full damage, which clears every cache:
+// the rollback must bring each back for the next apply to splice
+// against.
+TEST(SessionRollback, BboxMovingDecoyRestoresTheWholeCacheSet) {
+  const LayerMap m = small_design(18);
+  DfmFlowSession tried(m, fast_options(2));
+  DfmFlowSession plain(m, fast_options(2));
+  const Rect bb = plain.snapshot().bbox();
+  LayoutDelta grow;
+  grow.add(layers::kMetal1,
+           Rect{bb.hi.x + 5000, bb.lo.y, bb.hi.x + 5400, bb.lo.y + 2000});
+  const PassTrace* drc = tried.apply(grow).trace.find("drc_plus");
+  ASSERT_NE(drc, nullptr);
+  ASSERT_EQ(drc->dirty_units, drc->total_units) << "not a full-damage run";
+  tried.rollback();
+  EXPECT_EQ(flow_report_canonical_json(tried.report()),
+            flow_report_canonical_json(plain.report()));
+  const Rect core = interior(bb);
+  Rng rng(5);
+  for (const LayerKey k :
+       {layers::kMetal1, layers::kMetal2, layers::kVia1}) {
+    const LayoutDelta d = patch_on(rng, core, k);
+    EXPECT_EQ(flow_report_canonical_json(tried.apply(d)),
+              flow_report_canonical_json(plain.apply(d)));
+  }
+}
+
+// The edit cases that create, merge, split or dissolve nets and via
+// clusters, plus a bbox-moving one.
+TEST(SessionRollback, NetAndViaClusterEditsRollBack) {
+  const LayerMap m = splice_streams::design_layers(11, 3, 8);
+  expect_edits_roll_back(m, fast_options(2), splice_streams::edit_cases(m));
+}
+
+// The edit cases that create a conflict edge, close a triangle, grow a
+// unit and cut an odd cycle, on the design that has conflict edges.
+TEST(SessionRollback, DptUnitEditsRollBack) {
+  const LayerMap m = splice_streams::defect_layers();
+  expect_edits_roll_back(
+      m, fast_options(2),
+      splice_streams::dpt_edit_cases(LayoutSnapshot{LayerMap(m)}));
 }
 
 }  // namespace

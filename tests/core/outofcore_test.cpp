@@ -436,6 +436,25 @@ TEST(ParseCount, RejectsSignsJunkAndValuesPastTheMaximum) {
   }
 }
 
+TEST(ParseThreshold, AcceptsOnlyFiniteNonNegativeNumbers) {
+  EXPECT_EQ(parse_threshold("--min-gain", "0"), 0.0);
+  EXPECT_EQ(parse_threshold("--min-gain", "0.25"), 0.25);
+  EXPECT_EQ(parse_threshold("--min-gain", "1e-3"), 1e-3);
+  for (const char* bad : {"", "abc", "0.1x", "nan", "NaN", "inf", "-inf",
+                          "-1", "-0.5", " 1", "1 ", "1e999"}) {
+    EXPECT_THROW(parse_threshold("--min-gain", bad), std::runtime_error)
+        << "'" << bad << "'";
+  }
+  try {
+    parse_threshold("--min-gain", "nan");
+    ADD_FAILURE() << "nan must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "--min-gain: expected a finite number of at least 0, got "
+                 "'nan'");
+  }
+}
+
 // A malformed DFMKIT_SNAPSHOT_BUDGET fails loudly instead of silently
 // meaning "unlimited"; an explicit budget does not read it.
 TEST(ParseByteSize, MalformedBudgetVariableThrows) {

@@ -237,16 +237,11 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
   }
   // Defaults for the "fix" op, per-request overridable — threaded the
   // same way --litho-fast / --memory-budget configure every session.
+  // The fix op's own bound on max_iters.
   opt.flow.fix.max_iters =
-      static_cast<int>(args.num("--fix-max-iters", opt.flow.fix.max_iters));
-  const std::string fix_gain = args.str("--fix-min-gain", "");
-  if (!fix_gain.empty()) {
-    char* end = nullptr;
-    opt.flow.fix.min_gain = std::strtod(fix_gain.c_str(), &end);
-    if (end == fix_gain.c_str() || *end != '\0') {
-      throw std::runtime_error("--fix-min-gain: not a number: '" + fix_gain +
-                               "'");
-    }
+      args.count("--fix-max-iters", opt.flow.fix.max_iters, 1000);
+  if (const std::string* gain = args.get("--fix-min-gain")) {
+    opt.flow.fix.min_gain = parse_threshold("--fix-min-gain", *gain);
   }
   for (const std::string& name : split_commas(args.str("--fix-moves", ""))) {
     if (!parse_fix_kind(name)) {
@@ -399,8 +394,13 @@ int cmd_client(int argc, char** argv) {
     return rep.errors == 0 ? 0 : 1;
   }
 
-  // Edit specs are checked before connecting: a typo never reaches the
-  // server as some other edit.
+  // Edit specs and fix numbers are checked before connecting: a typo
+  // never reaches the server as some other request. Absent fix numbers
+  // (-1) take the server's defaults.
+  const std::int64_t max_iters =
+      args.count<std::int64_t>("--max-iters", -1, 1000);
+  const std::string* gain = args.get("--min-gain");
+  const double min_gain = gain ? parse_threshold("--min-gain", *gain) : -1;
   Json::Array edits;
   if (action == "edit") {
     if (args.positional.size() < 3) throw usage();
@@ -533,11 +533,8 @@ int cmd_client(int argc, char** argv) {
   }
   if (action == "fix") {
     if (args.positional.size() < 2) throw usage();
-    const std::string gain = args.str("--min-gain", "");
-    const Json reply = client.fix(
-        args.positional[1], args.num("--max-iters", -1),
-        gain.empty() ? -1 : std::strtod(gain.c_str(), nullptr),
-        split_commas(args.str("--moves", "")));
+    const Json reply = client.fix(args.positional[1], max_iters, min_gain,
+                                  split_commas(args.str("--moves", "")));
     const std::string outcome = reply.get_string("outcome", "");
     const std::string json_path = args.str("--json", "");
     if (!json_path.empty()) {

@@ -401,14 +401,16 @@ int cmd_fix(int argc, char** argv) {
       for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
       argc -= 1;
     };
+    // The bounds are the service fix op's, checked before the layout is
+    // read.
     if (std::strcmp(argv[i], "--max-iters") == 0 && i + 1 < argc) {
       std::string v;
       eat2(v);
-      fix.max_iters = std::stoi(v);
+      fix.max_iters = static_cast<int>(parse_count("--max-iters", v, 1000));
     } else if (std::strcmp(argv[i], "--min-gain") == 0 && i + 1 < argc) {
       std::string v;
       eat2(v);
-      fix.min_gain = std::stod(v);
+      fix.min_gain = parse_threshold("--min-gain", v);
     } else if (std::strcmp(argv[i], "--moves") == 0 && i + 1 < argc) {
       eat2(moves_arg);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
