@@ -61,16 +61,18 @@ class FlowClock {
   telemetry::Span span_;
 };
 
-using RuleUnits = std::vector<std::vector<std::vector<KeyedViolation>>>;
+using RuleUnits = UnitCache<std::pair<std::size_t, std::size_t>,
+                            std::vector<KeyedViolation>>;
 
-/// A rule's violations from its unit slots: tile lists re-merge in the
-/// component-bbox order check_* emits (stable, so a component's
-/// violations keep their relative order).
+/// A rule's violations from its units' results (`units`, `n` of them, in
+/// tile order): tile lists re-merge in the component-bbox order check_*
+/// emits (stable, so a component's violations keep their relative order).
 std::vector<KeyedViolation> merge_units(
-    const std::vector<std::vector<KeyedViolation>>& units, bool tiled) {
+    const std::vector<KeyedViolation>* const* units, std::size_t n,
+    bool tiled) {
   std::vector<KeyedViolation> out;
-  for (const std::vector<KeyedViolation>& u : units) {
-    out.insert(out.end(), u.begin(), u.end());
+  for (std::size_t t = 0; t < n; ++t) {
+    out.insert(out.end(), units[t]->begin(), units[t]->end());
   }
   if (tiled) {
     std::stable_sort(out.begin(), out.end(),
@@ -136,43 +138,25 @@ struct PassCounts {
 
 // The state every pass of one run shares, and the decisions they make
 // the same way: whether a pass runs and how it is timed, when a unit is
-// stale, how stale units are scheduled under a memory budget, and what
-// a journaled run records of the cache state it displaces.
+// stale, and how stale units are scheduled under a memory budget.
 class FlowDriver {
  public:
   FlowDriver(DfmFlowReport& rep, const LayoutSnapshot& snap,
              const DfmFlowOptions& options, ThreadPool* pool,
-             const FlowDamage& damage, bool inc, FlowJournal* journal)
+             const FlowDamage& damage, bool inc)
       : rep_(rep), snap_(snap), options_(options), pool_(pool),
-        damage_(damage), inc_(inc), journal_(journal) {}
-
-  /// Records undo `step` when the run is journaled.
-  template <class F>
-  void journal(F&& step) const {
-    if (journal_ != nullptr) journal_->record(std::forward<F>(step));
-  }
-
-  /// Call before overwriting cache state `value`: a journaled run moves
-  /// it into the journal (leaving `value` moved-from, so scalars keep
-  /// their value), an unjournaled one leaves it to be overwritten.
-  template <class T>
-  void displace(T& value) const {
-    if (journal_ == nullptr) return;
-    journal_->record([&value, old = std::move(value)]() mutable {
-      value = std::move(old);
-    });
-  }
+        damage_(damage), inc_(inc) {}
 
   /// Runs `body` as pass "<name>" when the options enable it, under the
   /// flow clock, and appends its PassTrace row with the snapshot cache
   /// activity in between (builds happen at most once per derived
   /// product, so the hit/miss split is thread-count invariant).
   /// `span_name` is the string literal "flow/<name>"; `body` returns
-  /// the PassCounts. Returns whether the pass ran.
+  /// the PassCounts.
   template <class Body>
-  bool pass(const char* span_name, Body&& body) {
+  void pass(const char* span_name, Body&& body) {
     const std::string name = span_name + std::strlen("flow/");
-    if (!enabled(name)) return false;
+    if (!enabled(name)) return;
     const SnapshotCacheStats stats0 = snap_.cache_stats();
     FlowClock clock(span_name);
     const PassCounts c = body();
@@ -184,13 +168,13 @@ class FlowDriver {
     TELEM_COUNTER_ADD("flow.units_total", c.total_units);
     TELEM_COUNTER_ADD("flow.units_dirty", c.dirty_units);
     TELEM_COUNTER_ADD("flow.units_reused", c.total_units - c.dirty_units);
-    return true;
   }
 
-  /// A unit reading layers `on` must recompute when it has no result to
-  /// reuse (`cached` false) or the edit dirtied one of those layers.
-  bool stale(bool cached, const std::vector<LayerKey>& on) const {
-    return !cached || damage_.dirty_any(on);
+  /// A whole-pass unit reading layers `on` must recompute when there is
+  /// no previous result to reuse (a cold run) or the edit dirtied one of
+  /// those layers.
+  bool stale(const std::vector<LayerKey>& on) const {
+    return !inc_ || damage_.dirty_any(on);
   }
 
   bool budgeted() const { return snap_.budget().limit() != 0; }
@@ -207,162 +191,129 @@ class FlowDriver {
     if (budgeted()) snap_.evict_to_budget(keep, snap_.budget().limit() / 2);
   }
 
-  /// (rule x tile) splice of `rules` into `slots` ([rule][unit]: one unit
-  /// per grid tile for a rule_tiled rule, one for a density rule). Every
-  /// unit of a rule recomputes when there is nothing to reuse (cold run,
-  /// or the grid changed: `reuse` false) or when the edit dirtied a
-  /// density rule's layer. A tiled rule the edit dirtied recomputes only
-  /// the tiles its damage reaches (mark_damaged_tiles at rule_reach, plus
-  /// every tile under a cached violation within reach of the damage).
-  /// Each unit runs under a `span` span with its tile index. Returns the
-  /// units recomputed.
-  std::size_t splice_rule_tiles(RuleUnits& slots,
-                                const std::vector<Rule>& rules,
-                                const TileGrid& grid, bool reuse,
-                                const char* span) const {
-    reuse = reuse && inc_ && slots.size() == rules.size();
-    if (!reuse) {
-      displace(slots);
-      slots.assign(rules.size(), {});
-    }
-    std::vector<std::pair<std::size_t, std::size_t>> units;
-    for (std::size_t ri = 0; ri < rules.size(); ++ri) {
-      const Rule& rule = rules[ri];
-      const std::size_t n = rule_tiled(rule) ? grid.size() : 1;
-      const std::vector<LayerKey> on = rule_layers(rule);
-      std::vector<char> stale(n, 1);
-      if (!reuse || slots[ri].size() != n ||
-          (!rule_tiled(rule) && damage_.dirty_any(on))) {
-        displace(slots[ri]);
-        slots[ri].assign(n, {});
-      } else if (!damage_.dirty_any(on)) {
-        continue;
-      } else {
-        const Rect dmg = damage_.inc->damage_bbox(on, 0);
-        const Coord reach = rule_reach(rule);
-        stale.assign(n, 0);
-        mark_damaged_tiles(grid, dmg, reach,
-                           &snap_.components(rule_component_layer(rule)),
-                           reach, stale);
-        std::vector<std::size_t> hit;
-        for (const std::vector<KeyedViolation>& unit : slots[ri]) {
-          for (const KeyedViolation& kv : unit) {
-            const Rect ext = kv.extent.expanded(reach);
-            if (ext.touches(dmg)) grid.touching(ext, hit);
-          }
-        }
-        for (const std::size_t t : hit) stale[t] = 1;
-      }
-      for (std::size_t t = 0; t < n; ++t) {
-        if (stale[t] != 0) units.emplace_back(ri, t);
-      }
-    }
-    run_groups(
-        units,
-        [&](const std::pair<std::size_t, std::size_t>& u) {
-          return rule_layers(rules[u.first]);
-        },
-        [&](const std::pair<std::size_t, std::size_t>& u) {
-          TELEM_SPAN_ARG(span, u.second);
-          const Rule& rule = rules[u.first];
-          return rule_tiled(rule) ? run_rule_tile(snap_, rule, grid, u.second)
-                                  : DrcEngine::run_rule_keyed(snap_, rule);
-        },
-        [&](const std::pair<std::size_t, std::size_t>& u, auto&& found) {
-          std::vector<KeyedViolation>& slot = slots[u.first][u.second];
-          displace(slot);
-          slot = std::move(found);
-        });
-    return units.size();
-  }
-
-  /// This run's unit results of a keyed splice, in unit order (pointing
-  /// into the cache), and how many of them recomputed.
-  template <class R>
+  /// A keyed splice's outcome: the new cache (this run's keys only, each
+  /// reused result shared with the previous cache), this run's results
+  /// in unit order (pointing into it), and how many units recomputed.
+  template <class K, class R>
   struct Spliced {
+    UnitCache<K, R> cache;
     std::vector<const R*> results;
     std::size_t recomputed = 0;
   };
 
-  /// Content-keyed splice of `units` into `cache`. A unit whose key the
-  /// cache holds and that `touched(i)` (i its index in `units`) does not
-  /// flag keeps its cached result; every other unit computes `compute(i)`
-  /// through run_groups, grouped by `layers_of(i)`. Without reuse (a cold
-  /// run, or `reuse` false, e.g. a new grid) the cache is cleared first,
-  /// so every unit is stale. Leaves `cache` holding exactly this run's
-  /// units. A repeated key is one result, computed once per occurrence
-  /// when stale. A journaled run records the cleared map, each erased
-  /// entry (its extracted node), each overwritten result and each newly
-  /// inserted key.
+  /// Content-keyed splice of `units` against `prev`, the previous run's
+  /// cache of this pass (null when there is nothing to reuse; a cold run
+  /// reuses nothing either way). A unit whose key `prev` holds and that
+  /// `touched(i)` (i its index in `units`) does not flag shares its cached
+  /// result; every other unit computes `compute(i)` through run_groups,
+  /// grouped by `layers_of(i)`. `prev` is only read. A repeated key is one
+  /// result, computed once per occurrence when stale.
   template <class K, class R, class Touched, class LayersOf, class Compute>
-  Spliced<R> splice(std::map<K, R>& cache, const std::vector<K>& units,
-                    bool reuse, Touched&& touched, LayersOf&& layers_of,
-                    Compute&& compute) const {
-    if (!reuse || !inc_) {
-      displace(cache);
-      cache.clear();
-    }
-    // Walk the units in key order beside the (ordered) cache: keys this
-    // run lacks are erased on the way, and a reused result stays in its
-    // node, whose address holds until the node is erased.
+  Spliced<K, R> splice(const UnitCache<K, R>* prev, const std::vector<K>& units,
+                       Touched&& touched, LayersOf&& layers_of,
+                       Compute&& compute) const {
+    if (!inc_) prev = nullptr;
+    // Walk the units in key order beside the (ordered) previous cache,
+    // building the new one in the same order.
     std::vector<std::size_t> order(units.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return units[a] < units[b];
     });
-    Spliced<R> out;
-    out.results.assign(units.size(), nullptr);
+    Spliced<K, R> out;
+    out.cache.reserve(units.size());
+    std::vector<std::size_t> slot(units.size());  // index into out.cache
     std::vector<std::size_t> stale;
-    auto it = cache.begin();
+    std::size_t j = 0;
     for (std::size_t n = 0; n < order.size(); ++n) {
       const std::size_t i = order[n];
       const K& key = units[i];
       if (n > 0 && !(units[order[n - 1]] < key)) {
         // A repeated key shares its first occurrence's fate.
-        out.results[i] = out.results[order[n - 1]];
-        if (out.results[i] == nullptr) stale.push_back(i);
+        slot[i] = out.cache.size() - 1;
+        if (out.cache.back().second == nullptr) stale.push_back(i);
         continue;
       }
-      while (it != cache.end() && it->first < key) it = erase(cache, it);
-      const bool cached = it != cache.end() && !(key < it->first);
-      if (cached && !touched(i)) {
-        out.results[i] = &it->second;
-      } else {
-        stale.push_back(i);
+      std::shared_ptr<const R> reused;
+      if (prev != nullptr) {
+        while (j < prev->size() && (*prev)[j].first < key) ++j;
+        if (j < prev->size() && !(key < (*prev)[j].first) && !touched(i)) {
+          reused = (*prev)[j].second;
+        }
       }
-      if (cached) ++it;
+      if (reused == nullptr) stale.push_back(i);
+      slot[i] = out.cache.size();
+      out.cache.emplace_back(key, std::move(reused));
     }
-    while (it != cache.end()) it = erase(cache, it);
     std::sort(stale.begin(), stale.end());
     run_groups(stale, layers_of, compute, [&](std::size_t i, R&& r) {
-      auto at = cache.lower_bound(units[i]);
-      if (at != cache.end() && !(units[i] < at->first)) {
-        displace(at->second);
-        at->second = std::move(r);
-      } else {
-        at = cache.emplace_hint(at, units[i], std::move(r));
-        journal([&cache, at] { cache.erase(at); });
-      }
-      out.results[i] = &at->second;
+      out.cache[slot[i]].second = std::make_shared<const R>(std::move(r));
     });
+    out.results.reserve(units.size());
+    for (const std::size_t s : slot) {
+      out.results.push_back(out.cache[s].second.get());
+    }
     out.recomputed = stale.size();
     return out;
   }
 
- private:
-  /// Erases `it` from `cache` and returns the next entry; a journaled run
-  /// keeps the extracted node for undo.
-  template <class K, class R>
-  typename std::map<K, R>::iterator erase(
-      std::map<K, R>& cache, typename std::map<K, R>::iterator it) const {
-    if (journal_ == nullptr) return cache.erase(it);
-    const auto next = std::next(it);
-    journal_->record([&cache, node = cache.extract(it)]() mutable {
-      cache.insert(std::move(node));
-    });
-    return next;
+  /// The (rule x tile) splice of `rules` against `prev` (null: the grid
+  /// changed, nothing to reuse): one unit per grid tile for a rule_tiled
+  /// rule, keyed (rule index, tile index), one for a density rule (tile
+  /// 0). A density rule recomputes when the edit dirtied its layers; a
+  /// tiled rule the edit dirtied recomputes only the tiles its damage
+  /// reaches (mark_damaged_tiles at rule_reach, plus every tile under a
+  /// cached violation within reach of the damage). Each unit runs under a
+  /// `span` span with its tile index. Results come in (rule, tile) order.
+  auto splice_rules(const RuleUnits* prev, const std::vector<Rule>& rules,
+                    const TileGrid& grid, const char* span) const {
+    std::vector<std::pair<std::size_t, std::size_t>> units;
+    std::vector<char> touched;  // aligned with units
+    for (std::size_t ri = 0; ri < rules.size(); ++ri) {
+      const Rule& rule = rules[ri];
+      const std::size_t n = rule_tiled(rule) ? grid.size() : 1;
+      const std::vector<LayerKey> on = rule_layers(rule);
+      std::vector<char> stale(n, 0);
+      if (prev != nullptr && inc_ && damage_.dirty_any(on)) {
+        if (!rule_tiled(rule)) {
+          stale[0] = 1;
+        } else {
+          const Rect dmg = damage_.inc->damage_bbox(on, 0);
+          const Coord reach = rule_reach(rule);
+          mark_damaged_tiles(grid, dmg, reach,
+                             &snap_.components(rule_component_layer(rule)),
+                             reach, stale);
+          std::vector<std::size_t> hit;
+          for (auto it = std::lower_bound(
+                   prev->begin(), prev->end(), std::pair{ri, std::size_t{0}},
+                   [](const auto& e, const auto& k) { return e.first < k; });
+               it != prev->end() && it->first.first == ri; ++it) {
+            for (const KeyedViolation& kv : *it->second) {
+              const Rect ext = kv.extent.expanded(reach);
+              if (ext.touches(dmg)) grid.touching(ext, hit);
+            }
+          }
+          for (const std::size_t t : hit) stale[t] = 1;
+        }
+      }
+      for (std::size_t t = 0; t < n; ++t) {
+        units.emplace_back(ri, t);
+        touched.push_back(stale[t]);
+      }
+    }
+    return splice(
+        prev, units, [&](std::size_t i) { return touched[i] != 0; },
+        [&](std::size_t i) { return rule_layers(rules[units[i].first]); },
+        [&](std::size_t i) {
+          const auto [ri, t] = units[i];
+          TELEM_SPAN_ARG(span, t);
+          const Rule& rule = rules[ri];
+          return rule_tiled(rule) ? run_rule_tile(snap_, rule, grid, t)
+                                  : DrcEngine::run_rule_keyed(snap_, rule);
+        });
   }
 
+ private:
   /// Computes `compute(u)` for every unit in `units` on the pool and
   /// hands each result to `store(u, result)`. Under a budget the units
   /// run in groups sharing one sorted layer set (layers_of(u): the layers
@@ -419,17 +370,16 @@ class FlowDriver {
   ThreadPool* pool_;
   const FlowDamage& damage_;
   bool inc_;
-  FlowJournal* journal_;
 };
 
 }  // namespace
 
 namespace detail {
 
-void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
-              ThreadPool* pool, FlowCaches& caches, const DfmFlowReport* prev,
-              const std::function<const LayoutSnapshot&()>& snapshot,
-              FlowJournal* journal) {
+FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
+                    ThreadPool* pool, const DfmFlowReport* prev,
+                    const FlowCaches& was,
+                    const std::function<const LayoutSnapshot&()>& snapshot) {
   FlowClock flow_clock("flow");
   FlowClock snap_clock("flow/snapshot");
   const LayoutSnapshot& snap = snapshot();
@@ -451,16 +401,17 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   rep.trace.passes.push_back(std::move(snap_pass));
 
   const Tech& t = options.tech;
-  // An incremental run may splice cached units only when the damage is
-  // partial AND the caches describe the immediately preceding snapshot.
-  const bool inc = !damage.full() && caches.valid && prev != nullptr;
-  FlowDriver flow(rep, snap, options, pool, damage, inc, journal);
+  // An incremental run may reuse units only when there is a previous run
+  // and the damage is partial. A session's options are fixed, so every
+  // pass that runs now ran then too.
+  const bool inc = !damage.full();
+  FlowDriver flow(rep, snap, options, pool, damage, inc);
+  FlowCaches caches;
 
   // The spatial splice grid: density_tile cores over the snapshot bbox.
   // Tiled units reuse their caches only on the grid they were made on.
   const TileGrid grid(snap.bbox(), t.density_tile);
-  const bool same_grid = caches.grid == grid;
-  flow.displace(caches.grid);
+  const bool same_grid = was.grid == grid;
   caches.grid = grid;
 
   // 1. DRC + DRC-Plus. Splice units: one per (DRC rule x grid tile),
@@ -468,23 +419,27 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // the dirty region touches the window on a capture layer). A cold run
   // is the case where every unit is stale.
   flow.pass("flow/drc_plus", [&] {
-    if (!caches.engine) {
-      caches.engine = std::make_shared<DrcPlusEngine>(DrcPlusDeck::standard(t));
-    }
+    caches.engine = was.engine != nullptr
+                        ? was.engine
+                        : std::make_shared<const DrcPlusEngine>(
+                              DrcPlusDeck::standard(t));
     const DrcPlusEngine& engine = *caches.engine;
     const RuleDeck& deck = engine.deck().drc;
-    std::size_t dirty_units =
-        flow.splice_rule_tiles(caches.drc_rules, deck.rules, grid, same_grid,
-                               "drc/tile");
-    std::size_t total_units = 0;
+    auto drc = flow.splice_rules(same_grid ? &was.drc_rules : nullptr,
+                                 deck.rules, grid, "drc/tile");
+    std::size_t dirty_units = drc.recomputed;
+    std::size_t total_units = drc.results.size();
     rep.drcplus.drc.violations.clear();
-    for (std::size_t ri = 0; ri < deck.rules.size(); ++ri) {
-      total_units += caches.drc_rules[ri].size();
+    for (std::size_t ri = 0, at = 0; ri < deck.rules.size(); ++ri) {
+      const bool tiled = rule_tiled(deck.rules[ri]);
+      const std::size_t n = tiled ? grid.size() : 1;
       for (const KeyedViolation& kv :
-           merge_units(caches.drc_rules[ri], rule_tiled(deck.rules[ri]))) {
+           merge_units(drc.results.data() + at, n, tiled)) {
         rep.drcplus.drc.violations.push_back(kv.v);
       }
+      at += n;
     }
+    caches.drc_rules = std::move(drc.cache);
 
     // Pattern windows: one unit per (set, anchor window). Sites
     // re-enumerate every run from the anchor layer's memoized labelling,
@@ -507,8 +462,8 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
     // encoder, so the matches are bit-identical. A window therefore
     // needs no layer resident, and its budget group evicts nothing.
     const bool streamed = flow.budgeted();
-    const auto found = flow.splice(
-        caches.pattern_windows, windows, true,
+    auto found = flow.splice(
+        &was.pattern_windows, windows,
         [&](std::size_t i) {
           const Rect& window = windows[i].second.window;
           return std::any_of(
@@ -532,6 +487,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
     }
     total_units += windows.size();
     dirty_units += found.recomputed;
+    caches.pattern_windows = std::move(found.cache);
 
     int geometric = 0;
     for (const Violation& v : rep.drcplus.drc.violations) {
@@ -551,74 +507,64 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // 2. Recommended rules, spliced per (rule x tile) like DRC; a rule's
   // hit count sums its units' owned violations.
   flow.pass("flow/recommended", [&] {
-    if (caches.recommended_rules.empty()) {
-      caches.recommended_rules = standard_recommended_rules(t);
-    }
-    const std::vector<RecommendedRule>& rules = caches.recommended_rules;
+    caches.recommended_rules =
+        was.recommended_rules != nullptr
+            ? was.recommended_rules
+            : std::make_shared<const std::vector<RecommendedRule>>(
+                  standard_recommended_rules(t));
+    const std::vector<RecommendedRule>& rules = *caches.recommended_rules;
     std::vector<Rule> checked;
     checked.reserve(rules.size());
     for (const RecommendedRule& rr : rules) checked.push_back(rr.rule);
-    const std::size_t dirty_units = flow.splice_rule_tiles(
-        caches.recommended_tiles, checked, grid, same_grid, "rec/tile");
+    auto found = flow.splice_rules(
+        same_grid ? &was.recommended_tiles : nullptr, checked, grid,
+        "rec/tile");
     std::vector<std::size_t> hits(rules.size(), 0);
-    std::size_t total_units = 0;
-    for (std::size_t ri = 0; ri < rules.size(); ++ri) {
-      total_units += caches.recommended_tiles[ri].size();
-      for (const std::vector<KeyedViolation>& unit :
-           caches.recommended_tiles[ri]) {
-        hits[ri] += unit.size();
-      }
-    }
+    for (const auto& [key, unit] : found.cache) hits[key.first] += unit->size();
     rep.recommended = assemble_recommended(rules, hits);
     rep.scorecard.add("recommended", rep.recommended.compliance(), 1.0,
                       "rule compliance");
-    return PassCounts{rep.recommended.counts.size(), total_units, dirty_units,
-                      inc};
+    const PassCounts counts{rep.recommended.counts.size(),
+                            found.results.size(), found.recomputed, inc};
+    caches.recommended_tiles = std::move(found.cache);
+    return counts;
   });
 
   // 3. Litho hotspots (tile-simulated). Splice unit: one simulation
   // tile; a tile is stale when the dirty region touches its core
   // expanded by the optical halo, and a stale tile re-renders only the
   // pixels the edit reaches into its cached print. A cold run is the
-  // case where every tile is stale. The cache is valid only while every
-  // run refreshes it, so a skipped pass invalidates it. From here on the
-  // m1 view below stays live, so every keep set through the caa pass
-  // includes kMetal1.
+  // case where every tile is stale. A run that skips the pass (M1
+  // empty) leaves no simulation, so the next run simulates cold. From
+  // here on the m1 view below stays live, so every keep set through the
+  // caa pass includes kMetal1.
   flow.evict_keeping({layers::kMetal1});
   const NormalizedRegion m1 = snap.layer(layers::kMetal1);
-  flow.displace(caches.litho_valid);
-  caches.litho_valid =
-      options.run_litho && !m1.empty() && flow.pass("flow/litho", [&] {
-        HotspotSimOptions sim{pool};
-        sim.model = options.model;
-        sim.edge_tolerance = options.litho_edge_tolerance;
-        sim.tile = options.litho_tile;
-        sim.fast = options.litho_fast;
-        if (caches.kernels == nullptr) {
-          caches.kernels = std::make_shared<KernelSpectrumCache>();
-        }
-        sim.kernels = caches.kernels;
-        const bool have = inc && caches.litho_valid;
-        const Region none;
-        // Carried over, the simulation records what its stale tiles
-        // displace; otherwise it is replaced whole.
-        if (!have) flow.displace(caches.litho);
-        HotspotSimUndo undo;
-        caches.litho = resimulate_hotspots(
-            snap, layers::kMetal1, m1.bbox(), sim,
-            have ? std::move(caches.litho) : HotspotTileSim{},
-            have ? damage.inc->dirty_region(layers::kMetal1) : none,
-            have ? &undo : nullptr);
-        if (have) {
-          flow.journal([&litho = caches.litho, undo = std::move(undo)]()
-                           mutable { undo.restore(litho); });
-        }
-        rep.hotspots = caches.litho.merged();
-        rep.scorecard.add("litho", score_from_count(rep.hotspots.size()), 3.0,
-                          std::to_string(rep.hotspots.size()) + " hotspots");
-        return PassCounts{rep.hotspots.size(), caches.litho.tiles.size(),
-                          caches.litho.recomputed, have};
-      });
+  caches.kernels = was.kernels;
+  if (options.run_litho && !m1.empty()) {
+    flow.pass("flow/litho", [&] {
+      HotspotSimOptions sim{pool};
+      sim.model = options.model;
+      sim.edge_tolerance = options.litho_edge_tolerance;
+      sim.tile = options.litho_tile;
+      sim.fast = options.litho_fast;
+      if (caches.kernels == nullptr) {
+        caches.kernels = std::make_shared<KernelSpectrumCache>();
+      }
+      sim.kernels = caches.kernels;
+      const bool have = inc && !was.litho.tiles.empty();
+      const HotspotTileSim none_sim;
+      const Region none;
+      caches.litho = resimulate_hotspots(
+          snap, layers::kMetal1, m1.bbox(), sim, have ? was.litho : none_sim,
+          have ? damage.inc->dirty_region(layers::kMetal1) : none);
+      rep.hotspots = caches.litho.merged();
+      rep.scorecard.add("litho", score_from_count(rep.hotspots.size()), 3.0,
+                        std::to_string(rep.hotspots.size()) + " hotspots");
+      return PassCounts{rep.hotspots.size(), caches.litho.tiles.size(),
+                        caches.litho.recomputed, have};
+    });
+  }
 
   // 4. Double patterning on Metal 1: one unit per conflict unit
   // (dpt_units), keyed by its member boxes. A unit reuses its cached
@@ -629,13 +575,13 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // finished from the sum of the units' integer partials, bit-identical
   // to scoring the whole layer. An edit that leaves M1 clean carries
   // the whole result over.
-  flow.displace(caches.dpt_valid);
-  caches.dpt_valid = flow.pass("flow/dpt", [&] {
+  flow.pass("flow/dpt", [&] {
     flow.evict_keeping({layers::kMetal1});
     std::size_t dirty_units = 0;
-    if (!flow.stale(inc, {layers::kMetal1})) {
+    if (!flow.stale({layers::kMetal1})) {
       rep.dpt = prev->dpt;
       rep.dpt_score = prev->dpt_score;
+      caches.dpt_units = was.dpt_units;
     } else {
       const LayerComponents& comps = snap.components(layers::kMetal1);
       const std::vector<std::vector<std::uint32_t>> units =
@@ -648,8 +594,8 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
       }
       const std::vector<Rect> dirty =
           inc ? dirty_rects(damage, {layers::kMetal1}) : std::vector<Rect>{};
-      const auto found = flow.splice(
-          caches.dpt_units, keys, caches.dpt_valid,
+      auto found = flow.splice(
+          &was.dpt_units, keys,
           [&](std::size_t u) {
             return std::any_of(
                 keys[u].begin(), keys[u].end(),
@@ -675,6 +621,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
       rep.dpt = assemble_dpt(parts);
       rep.dpt_score = finish(sum, t);
       dirty_units = found.recomputed;
+      caches.dpt_units = std::move(found.cache);
     }
     rep.scorecard.add("dpt", rep.dpt.compliant ? rep.dpt_score.composite : 0.0,
                       2.0,
@@ -692,8 +639,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // functions of the counts, so both come out bit-identical either way.
   const std::vector<LayerKey> stack = {layers::kMetal1, layers::kVia1,
                                        layers::kMetal2};
-  flow.displace(caches.vias_valid);
-  caches.vias_valid = flow.pass("flow/via_doubling", [&] {
+  flow.pass("flow/via_doubling", [&] {
     flow.evict_keeping(stack);
     const LayerComponents& vias = snap.components(layers::kVia1);
     const std::vector<std::vector<std::uint32_t>> clusters =
@@ -707,8 +653,8 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
     const Coord reach = via_reach(t);
     const std::vector<Rect> dirty =
         inc ? dirty_rects(damage, stack) : std::vector<Rect>{};
-    const auto found = flow.splice(
-        caches.via_clusters, keys, caches.vias_valid,
+    auto found = flow.splice(
+        &was.via_clusters, keys,
         [&](std::size_t c) {
           return std::any_of(keys[c].begin(), keys[c].end(),
                              [&](const Rect& box) {
@@ -739,6 +685,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
                       1.0, std::to_string(redundant) + "/" +
                                std::to_string(total) + " redundant, " +
                                std::to_string(doubled) + " insertable");
+    caches.via_clusters = std::move(found.cache);
     return PassCounts{static_cast<std::size_t>(singles), clusters.size(),
                       found.recomputed, inc};
   });
@@ -750,24 +697,18 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // and so do the verdicts of cuts whose bbox the damage misses. A cold
   // run is the case where every net dissolves.
   std::optional<NetSplice> spliced;
-  flow.displace(caches.nets_valid);
-  caches.nets_valid = flow.pass("flow/connectivity", [&] {
+  flow.pass("flow/connectivity", [&] {
     flow.evict_keeping(stack);
     const std::vector<StackLayer> net_stack = standard_stack();
     std::size_t dissolved = 0;
-    if (inc && caches.nets_valid) {
+    if (inc) {
       rep.nets = prev->nets;
       rep.floating_cuts = prev->floating_cuts;
-      spliced =
-          splice_nets(*damage.inc, net_stack, rep.nets, caches.net_keys);
-      flow.journal([&keys = caches.net_keys,
-                    undo = std::move(spliced->keys_undo)]() mutable {
-        undo.restore(keys);
-      });
+      spliced = splice_nets(*damage.inc, net_stack, rep.nets, was.net_keys);
+      caches.net_keys = std::move(spliced->keys);
       splice_floating_cuts(*damage.inc, net_stack, rep.floating_cuts);
       dissolved = spliced->dissolved.size();
     } else {
-      flow.displace(caches.net_keys);
       rep.nets = extract_nets(snap, net_stack, &caches.net_keys);
       rep.floating_cuts = find_floating_cuts(snap, net_stack);
       dissolved = rep.nets.size();
@@ -788,13 +729,11 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // stale with the nets the connectivity splice changed. Both tile terms
   // sum integer areas in tile order and integrate them as the
   // whole-layer kernel's integers are, so they are bit-identical to it.
-  flow.displace(caches.caa_valid);
-  caches.caa_valid = flow.pass("flow/caa_yield", [&] {
+  flow.pass("flow/caa_yield", [&] {
     const std::vector<LayerKey> m1_m2 = {layers::kMetal1, layers::kMetal2};
     flow.evict_keeping(m1_m2);
     const DefectModel& defects = options.defects;
-    const bool cached = inc && caches.caa_valid;
-    const bool tiles_cached = cached && same_grid;
+    const bool tiles_cached = inc && same_grid;
     // Per term, the defect sizes and the tiles the edit touches. M1
     // shorts: (tile x defect size) integer areas of the >= 2-net coverage
     // each tile owns, nets from the global labelling; a tile is touched
@@ -838,8 +777,8 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
     }
     LayerComponents m2_nets;
     std::once_flag m2_gathered;
-    const auto found = flow.splice(
-        caches.caa_tiles, units, tiles_cached,
+    auto found = flow.splice(
+        tiles_cached ? &was.caa_tiles : nullptr, units,
         [&](std::size_t i) {
           return touched[units[i].first][units[i].second] != 0;
         },
@@ -879,9 +818,10 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
       for (Area& a : ca) a /= 4;
       shorts[term] = defects.lambda(integrate_critical_area(ca, defects));
     }
-    if (flow.stale(cached, {layers::kMetal2})) {
+    caches.caa_tiles = std::move(found.cache);
+    caches.caa_m2_opens = was.caa_m2_opens;
+    if (flow.stale({layers::kMetal2})) {
       TELEM_SPAN("caa/m2_opens");
-      flow.displace(caches.caa_m2_opens);
       caches.caa_m2_opens = layer_lambda(snap.layer(layers::kMetal2), defects,
                                          /*shorts=*/false);
       ++dirty_units;
@@ -894,8 +834,6 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
     return PassCounts{rep.nets.size(), 2 * grid.size() + 1, dirty_units, inc};
   });
 
-  flow.displace(caches.valid);
-  caches.valid = true;
   TELEM_GAUGE_SET("snapshot.current_bytes",
                   static_cast<std::int64_t>(snap.budget().current()));
   TELEM_GAUGE_SET("snapshot.peak_bytes",
@@ -905,6 +843,7 @@ void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   TELEM_GAUGE_SET("process.peak_rss_kb", peak_rss_kb());
   rep.trace.cache = snap.cache_stats();
   rep.trace.total_ms = flow_clock.close();
+  return caches;
 }
 
 }  // namespace detail
@@ -945,8 +884,7 @@ DfmFlowReport run_cold(
     const std::function<const LayoutSnapshot&(ThreadPool*)>& build) {
   const PassPool pool(options);
   DfmFlowReport rep;
-  FlowCaches caches;
-  detail::run_flow(rep, options, pool, caches, nullptr,
+  detail::run_flow(rep, options, pool, nullptr, {},
                    [&]() -> const LayoutSnapshot& { return build(pool); });
   return rep;
 }

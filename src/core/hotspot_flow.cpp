@@ -282,14 +282,14 @@ TileRisk compare_tile(const Region& target_z, const Rect& window, Coord px,
 // output is unchanged). `prev_print` is the tile's print from before an
 // edit inside `changed`, or no columns for a full render; the print is
 // bit-identical either way (print_window), so the risk is too.
-// `prev_risk` is the matching risk state, read only when there is a
-// print to splice into.
+// `prev_risk` is the matching risk state (null: none), read only when
+// there is a print to splice into.
 TileResult simulate_tile(const NormalizedRegion& layer, const Rect& core,
                          const Rect& cell, const Rect& extent,
                          const HotspotSimOptions& options, ThreadPool* pool,
                          const PrefilterCalibration* cal, const DensityMap* dm,
-                         const ColumnRuns& prev_print, const TileRisk& prev_risk,
-                         const Rect& changed) {
+                         const ColumnRuns& prev_print,
+                         const TileRisk* prev_risk, const Rect& changed) {
   const Coord margin = 6 * options.model.sigma;
   TileResult out;
   const Rect window = core.expanded(margin);
@@ -313,7 +313,7 @@ TileResult simulate_tile(const NormalizedRegion& layer, const Rect& core,
   const Rect z = core.expanded(margin / 2);
   out.risk = compare_tile(clip.clipped(z), window, options.model.px,
                           print.runs, z, cell, extent, options.edge_tolerance,
-                          pool, splice ? &prev_risk : nullptr, print.rendered,
+                          pool, splice ? prev_risk : nullptr, print.rendered,
                           changed);
   if (print.direct) out.print = std::move(print.runs);
   return out;
@@ -327,8 +327,8 @@ void assemble(HotspotTileSim& sim, const TileGrid& grid, Coord tol) {
   std::vector<std::vector<Hotspot>> seams(sim.tiles.size());
   for (const HotspotKind kind : {HotspotKind::kPinch, HotspotKind::kBridge}) {
     Region all;
-    for (const TileRisk& r : sim.risk) {
-      for (const RiskPiece& p : r.edges) {
+    for (const std::shared_ptr<const TileRisk>& r : sim.risk) {
+      for (const RiskPiece& p : r->edges) {
         if (p.kind == kind) all.add(p.region);
       }
     }
@@ -343,7 +343,7 @@ void assemble(HotspotTileSim& sim, const TileGrid& grid, Coord tol) {
     }
   }
   for (std::size_t t = 0; t < sim.tiles.size(); ++t) {
-    std::vector<Hotspot> hs = sim.risk[t].interior;
+    std::vector<Hotspot> hs = sim.risk[t]->interior;
     hs.insert(hs.end(), seams[t].begin(), seams[t].end());
     sort_hotspots(hs);
     sim.per_tile[t] = std::move(hs);
@@ -353,36 +353,28 @@ void assemble(HotspotTileSim& sim, const TileGrid& grid, Coord tol) {
 // The one tiled run, cold or incremental. A cold run is the case where
 // `prev` is not a simulation of this grid: every tile is stale and none
 // has a cached print. Otherwise only the tiles `dirty` reaches are
-// stale, and the rest carry over from `prev` with their prints. A stale
-// tile splices into its cached print when it has one. With `undo`, what
-// the run displaces from `prev` goes there.
+// stale, and the rest share their state with `prev`. A stale tile
+// splices into its cached print when it has one.
 HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
                           const Rect& extent, const HotspotSimOptions& options,
-                          HotspotTileSim prev, const Region& dirty,
-                          HotspotSimUndo* undo) {
+                          const HotspotTileSim& prev, const Region& dirty) {
   const TileGrid grid(extent, options.tile);
   HotspotTileSim sim;
+  sim.extent = extent;
+  sim.tile = options.tile;
   std::vector<StaleTile> stale;
   if (prev.same_grid(extent, options.tile)) {
-    sim = std::move(prev);
+    sim.tiles = prev.tiles;
+    sim.prints = prev.prints;
+    sim.risk = prev.risk;
     stale = stale_litho_tiles(sim.tiles, options, dirty);
-    if (undo != nullptr) {
-      undo->prints_size = sim.prints.size();
-      undo->recomputed = sim.recomputed;
-      undo->skipped = sim.skipped;
-    }
   } else {
-    if (undo != nullptr) undo->whole = std::move(prev);
-    undo = nullptr;  // nothing of `prev` is carried over
-
-    sim.extent = extent;
-    sim.tile = options.tile;
     sim.tiles = grid.cores();
-    sim.per_tile.resize(sim.tiles.size());
     for (std::size_t ti = 0; ti < sim.tiles.size(); ++ti) {
       stale.push_back({ti, Rect::empty()});
     }
   }
+  sim.per_tile.resize(sim.tiles.size());
   sim.prints.resize(sim.tiles.size());
   sim.risk.resize(sim.tiles.size());
 
@@ -396,28 +388,21 @@ HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
         TELEM_SPAN_ARG("litho/tile", st.index);
         return simulate_tile(layer, sim.tiles[st.index], grid.cell(st.index),
                              extent, options, pool, calp, dm,
-                             sim.prints[st.index], sim.risk[st.index],
+                             sim.print(st.index), sim.risk[st.index].get(),
                              st.changed);
       });
 
-  sim.skipped = 0;
   for (std::size_t si = 0; si < stale.size(); ++si) {
     TileResult& r = results[si];
     const std::size_t ti = stale[si].index;
-    std::swap(sim.prints[ti], r.print);
-    std::swap(sim.risk[ti], r.risk);
-    if (undo != nullptr) {
-      undo->tiles.push_back(ti);
-      undo->prints.push_back(std::move(r.print));
-      undo->risk.push_back(std::move(r.risk));
-    }
+    sim.prints[ti] = r.print.columns() == 0
+                         ? nullptr
+                         : std::make_shared<const ColumnRuns>(
+                               std::move(r.print));
+    sim.risk[ti] = std::make_shared<const TileRisk>(std::move(r.risk));
     if (r.skipped) ++sim.skipped;
   }
   sim.recomputed = stale.size();
-  if (undo != nullptr) {
-    undo->per_tile = std::move(sim.per_tile);
-    sim.per_tile.assign(sim.tiles.size(), {});
-  }
   assemble(sim, grid, options.edge_tolerance);
   return sim;
 }
@@ -446,19 +431,9 @@ std::vector<Hotspot> HotspotTileSim::merged() const {
   return out;
 }
 
-void HotspotSimUndo::restore(HotspotTileSim& sim) {
-  if (whole) {
-    sim = std::move(*whole);
-    return;
-  }
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    sim.prints[tiles[i]] = std::move(prints[i]);
-    sim.risk[tiles[i]] = std::move(risk[i]);
-  }
-  sim.prints.resize(prints_size);
-  sim.per_tile = std::move(per_tile);
-  sim.recomputed = recomputed;
-  sim.skipped = skipped;
+const ColumnRuns& HotspotTileSim::print(std::size_t ti) const {
+  static const ColumnRuns kNone;
+  return ti < prints.size() && prints[ti] ? *prints[ti] : kNone;
 }
 
 bool HotspotTileSim::same_grid(const Rect& e, Coord t) const {
@@ -485,30 +460,30 @@ std::vector<StaleTile> stale_litho_tiles(const std::vector<Rect>& tiles,
 HotspotTileSim simulate_hotspots_tiled(NormalizedRegion layer,
                                        const Rect& extent,
                                        const HotspotSimOptions& options) {
-  return resim_impl(layer, nullptr, extent, options, {}, Region{}, nullptr);
+  return resim_impl(layer, nullptr, extent, options, {}, Region{});
 }
 
 HotspotTileSim simulate_hotspots_tiled(const LayoutSnapshot& snap,
                                        LayerKey layer, const Rect& extent,
                                        const HotspotSimOptions& options) {
   return resim_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options, {}, Region{}, nullptr);
+                    extent, options, {}, Region{});
 }
 
 HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   HotspotTileSim prev, const Region& dirty) {
-  return resim_impl(layer, nullptr, extent, options, std::move(prev), dirty,
-                    nullptr);
+                                   const HotspotTileSim& prev,
+                                   const Region& dirty) {
+  return resim_impl(layer, nullptr, extent, options, prev, dirty);
 }
 
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   HotspotTileSim prev, const Region& dirty,
-                                   HotspotSimUndo* undo) {
+                                   const HotspotTileSim& prev,
+                                   const Region& dirty) {
   return resim_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options, std::move(prev), dirty, undo);
+                    extent, options, prev, dirty);
 }
 
 std::vector<Hotspot> simulate_hotspots(NormalizedRegion layer,

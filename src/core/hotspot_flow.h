@@ -11,7 +11,6 @@
 #include "pattern/clustering.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -124,6 +123,10 @@ struct TileRisk {
 /// step), each merged component owned by the tile holding its marker
 /// centre (half-open). Components centred outside `extent` are dropped.
 /// The result does not depend on the tile size.
+///
+/// A tile's print and risk state are immutable once computed: a
+/// re-simulation shares every clean tile's state with the simulation it
+/// started from instead of copying it.
 struct HotspotTileSim {
   Rect extent;
   Coord tile = 0;
@@ -131,38 +134,22 @@ struct HotspotTileSim {
   std::vector<std::vector<Hotspot>> per_tile;  // aligned with tiles
   /// Aligned with tiles: each directly convolved tile's print as runs of
   /// its window's pixel grid (print_window), which an edit splices into
-  /// instead of re-rendering the tile. No columns for tiles the density
-  /// gate or the prefilter skipped, and for FFT-convolved tiles.
-  std::vector<ColumnRuns> prints;
+  /// instead of re-rendering the tile. Null for tiles the density gate
+  /// or the prefilter skipped, and for FFT-convolved tiles.
+  std::vector<std::shared_ptr<const ColumnRuns>> prints;
   /// Aligned with tiles: each tile's risk state, which a later edit's
   /// windowed compare splices into (and the seam completion reads);
   /// empty for skipped tiles.
-  std::vector<TileRisk> risk;
+  std::vector<std::shared_ptr<const TileRisk>> risk;
   std::size_t recomputed = 0;  // tiles simulated by the producing call
   std::size_t skipped = 0;  // tiles the prefilter proved hotspot-free
 
   std::vector<Hotspot> merged() const;
+  /// Tile `ti`'s print, or no columns when it keeps none.
+  const ColumnRuns& print(std::size_t ti) const;
   /// True when this simulation's tile grid is the one `extent` and `tile`
   /// make, so an incremental run can carry its tiles over.
   bool same_grid(const Rect& extent, Coord tile) const;
-};
-
-/// What resimulate_hotspots displaced from the simulation it was given,
-/// taken by move or swap, never copied: the whole simulation when the
-/// grid changed, else each stale tile's print and risk state, every
-/// tile's hotspot list (seam completion rebuilds them all) and the
-/// counters. restore() turns the result back into the simulation given.
-struct HotspotSimUndo {
-  std::optional<HotspotTileSim> whole;
-  std::vector<std::size_t> tiles;  // the stale tiles, in order
-  std::vector<ColumnRuns> prints;  // aligned with tiles
-  std::vector<TileRisk> risk;      // aligned with tiles
-  std::vector<std::vector<Hotspot>> per_tile;
-  std::size_t prints_size = 0;
-  std::size_t recomputed = 0;
-  std::size_t skipped = 0;
-
-  void restore(HotspotTileSim& sim);
 };
 
 /// A tile an edit makes stale, and the part of the edit its simulation
@@ -205,26 +192,26 @@ HotspotTileSim simulate_hotspots_tiled(const LayoutSnapshot& snap,
                                        const HotspotSimOptions& options);
 
 /// Re-simulates only the stale tiles (stale_litho_tiles); every other
-/// tile is carried over from `prev`. A stale tile with a cached print
-/// re-renders only the pixels the edit can reach and splices them in
-/// (print_window). A tile's output depends only on the layer clipped to
-/// its window, so the result is bit-identical to simulate_hotspots_tiled
-/// over the edited layer. Falls back to a full run when extent or tile
-/// size changed.
+/// tile's state is shared with `prev`, which is only read. A stale tile
+/// with a cached print re-renders only the pixels the edit can reach and
+/// splices them in (print_window). A tile's output depends only on the
+/// layer clipped to its window, so the result is bit-identical to
+/// simulate_hotspots_tiled over the edited layer. Falls back to a full
+/// run when extent or tile size changed.
 HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   HotspotTileSim prev, const Region& dirty);
+                                   const HotspotTileSim& prev,
+                                   const Region& dirty);
 
 /// Snapshot-native incremental re-simulation: stale tiles go through the
 /// same density-gate + prefilter + convolution path as the snapshot
 /// overload of simulate_hotspots_tiled, so a splice is bit-identical to
-/// the cold snapshot run under every LithoFastMode. With `undo`, what
-/// the run displaces from `prev` is recorded there.
+/// the cold snapshot run under every LithoFastMode.
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   HotspotTileSim prev, const Region& dirty,
-                                   HotspotSimUndo* undo = nullptr);
+                                   const HotspotTileSim& prev,
+                                   const Region& dirty);
 
 /// Simulates in tiles (bounded raster size) and returns all hotspots.
 /// Tiles run concurrently on the pool; per-tile results are merged in

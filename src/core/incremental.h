@@ -74,107 +74,74 @@
 //    opens (m2) is one unit, cached as a double.
 // A cold run is the case where every unit of every pass is stale.
 //
-// Undo: an apply keeps what it replaced — the previous snapshot object,
-// the previous report, and a FlowJournal of every cache entry the run
-// displaced (taken by move, swap or node extraction, never copied) — so
-// DfmFlowSession::rollback restores the state before the apply exactly,
-// without running a pass. A full-damage run (a bbox-moving edit) clears
-// every cache, so it journals each one whole. Deck state (engine,
-// recommended_rules, kernels) depends only on the Tech and is kept.
+// Undo: a run never writes the caches it reuses. It reads the previous
+// FlowCaches as const and builds the next one, which shares every reused
+// unit result by pointer and holds only this run's keys. An apply keeps
+// what it replaced — the previous snapshot object, report and caches —
+// so DfmFlowSession::rollback restores the state before the apply
+// exactly, without running a pass, and an apply that throws leaves the
+// session as it was.
 #pragma once
 
 #include "core/delta.h"
 #include "core/dfm_flow.h"
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <type_traits>
+#include <utility>
 
 namespace dfm {
 
-/// What an incremental run may reuse from the previous one. Populated by
-/// every run (cold runs fill it from scratch); `valid` says the unit
-/// caches describe the snapshot the previous report was computed on.
+/// One pass's unit results, keyed and in key order (keys distinct). A
+/// result is immutable once computed, so a later run that reuses it
+/// shares the pointer.
+template <class K, class R>
+using UnitCache = std::vector<std::pair<K, std::shared_ptr<const R>>>;
+
+/// What an incremental run may reuse from the previous one. Every run
+/// (cold runs too) builds a new one; a run never modifies the one it
+/// reads.
 struct FlowCaches {
-  // Deck-derived state, deterministic in the Tech: rebuilt only when
-  // absent so repeated runs skip deck construction entirely.
+  // Deck-derived state, deterministic in the Tech: built by the first
+  // run and shared by every later one, so repeated runs skip deck
+  // construction entirely.
   std::shared_ptr<const DrcPlusEngine> engine;
-  std::vector<RecommendedRule> recommended_rules;
+  std::shared_ptr<const std::vector<RecommendedRule>> recommended_rules;
 
   /// The spatial splice grid the tiled units of the last run used:
   /// Tech::density_tile cores anchored at the snapshot bbox.
   TileGrid grid;
-  // Per-unit results, aligned with the deck: per rule, per unit (one per
-  // grid tile for a rule_tiled rule, one for a density rule), the keyed
-  // violations that unit owns.
-  std::vector<std::vector<std::vector<KeyedViolation>>> drc_rules;
-  std::vector<std::vector<std::vector<KeyedViolation>>> recommended_tiles;
+  /// Per (rule index in the deck, unit): the keyed violations the unit
+  /// owns. A rule_tiled rule has one unit per grid tile, a density rule
+  /// one (unit 0).
+  UnitCache<std::pair<std::size_t, std::size_t>, std::vector<KeyedViolation>>
+      drc_rules, recommended_tiles;
   /// Per (pattern set, anchor window): the window's matches.
-  std::map<std::pair<std::size_t, AnchorWindow>, std::vector<PatternMatch>>
+  UnitCache<std::pair<std::size_t, AnchorWindow>, std::vector<PatternMatch>>
       pattern_windows;
+  /// The litho simulation; its tiles' prints and risk state are shared
+  /// with the simulation of the next run wherever it reuses them. Empty
+  /// (no tiles) when litho did not run, so the next run simulates cold.
   HotspotTileSim litho;
-  bool litho_valid = false;
   /// Kernel spectra for the litho FFT path, shared across runs of a
   /// session (one transform per process corner and raster size).
   std::shared_ptr<KernelSpectrumCache> kernels;
   /// dpt's units: per conflict unit of M1, keyed by its member boxes in
   /// labelling order, the unit's decomposition and score partial.
-  std::map<std::vector<Rect>, DptUnitResult> dpt_units;
-  bool dpt_valid = false;
+  UnitCache<std::vector<Rect>, DptUnitResult> dpt_units;
   /// via_doubling's units: per interaction cluster of single vias,
   /// keyed by its member boxes in labelling order, the cluster's result.
-  std::map<std::vector<Rect>, ViaDoublingResult> via_clusters;
-  bool vias_valid = false;
+  UnitCache<std::vector<Rect>, ViaDoublingResult> via_clusters;
   /// connectivity's: the NetKey of every net of the last report, aligned
   /// with its netlist (the nets themselves splice from that report).
-  std::vector<NetKey> net_keys;
-  bool nets_valid = false;
+  NetKeys net_keys;
   /// caa_yield's per-unit results: per (term, grid tile index), per
   /// defect size, the 2x-grid area of the shorts critical region the tile
   /// owns, for the M1 layer-local term (0) and the M2 net-aware term (1);
   /// M2 opens as a fault rate.
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<Area>> caa_tiles;
+  UnitCache<std::pair<std::size_t, std::size_t>, std::vector<Area>> caa_tiles;
   double caa_m2_opens = 0.0;
-  bool caa_valid = false;
-
-  bool valid = false;
-};
-
-/// What one run displaced from FlowCaches, as undo steps. Each step
-/// holds the displaced state itself, taken by move, swap or node
-/// extraction and never copied, so a journaled run costs what an
-/// unjournaled one does: state the run would have destroyed on the spot
-/// lives on in the journal instead. undo() replays the steps newest
-/// first, which leaves every cache as it was before the run.
-class FlowJournal {
- public:
-  /// Records `step`, a callable that puts back what the run just
-  /// displaced. Steps may refer to cache members by reference: the
-  /// caches outlive the journal and are restored newest first.
-  template <class F>
-  void record(F&& step) {
-    steps_.push_back(
-        std::make_unique<Step<std::decay_t<F>>>(std::forward<F>(step)));
-  }
-
-  /// Replays every step, newest first, and forgets them.
-  void undo();
-
- private:
-  struct AnyStep {
-    virtual ~AnyStep() = default;
-    virtual void run() = 0;
-  };
-  template <class F>
-  struct Step final : AnyStep {
-    template <class G>
-    explicit Step(G&& g) : f(std::forward<G>(g)) {}
-    void run() override { f(); }
-    F f;
-  };
-  std::vector<std::unique_ptr<AnyStep>> steps_;
 };
 
 /// Which layers an edit dirtied, as the passes consume it. A null
@@ -197,17 +164,15 @@ namespace detail {
 /// one) as the "snapshot" pass, applies resolved_memory_budget, and runs
 /// every enabled pass into `rep`. Each pass's PassTrace.ms and its
 /// "flow/<pass>" span are the same two clock reads. With `prev` (the
-/// report `caches` describe) and an IncrementalSnapshot, only the units
-/// its damage makes stale recompute and the rest splice in from
-/// `caches`; otherwise the run is cold (full damage). Either way
-/// `caches` is left describing this run. With a `journal`, everything
-/// the run displaces from `caches` is recorded there, so
-/// journal->undo() puts `caches` back as it was; the journal changes
-/// nothing the run computes.
-void run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
-              ThreadPool* pool, FlowCaches& caches, const DfmFlowReport* prev,
-              const std::function<const LayoutSnapshot&()>& snapshot,
-              FlowJournal* journal = nullptr);
+/// report `was` describes) and an IncrementalSnapshot whose damage is
+/// partial, only the units its damage makes stale recompute and the
+/// rest are shared from `was`; otherwise the run is cold (full damage).
+/// Returns the caches describing this run; `was` is never written, so
+/// it still describes `prev` afterwards.
+FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
+                    ThreadPool* pool, const DfmFlowReport* prev,
+                    const FlowCaches& was,
+                    const std::function<const LayoutSnapshot&()>& snapshot);
 }  // namespace detail
 
 /// The fix -> recheck loop: build once, edit cheaply.
@@ -247,11 +212,11 @@ class DfmFlowSession {
 
   /// Undoes the last apply without running any pass: the snapshot is
   /// the same object as before it (memoized products intact), the
-  /// report the same value (trace included), and every unit cache holds
-  /// what it held, so every later apply reports exactly what it would
-  /// have had that apply never happened. Costs the displaced units, not
-  /// a flow run. Throws std::logic_error when there is no apply to undo:
-  /// right after construction, or after a rollback.
+  /// report the same value (trace included), and the unit caches the
+  /// same objects, so every later apply reports exactly what it would
+  /// have had that apply never happened. Costs three moves, not a flow
+  /// run. Throws std::logic_error when there is no apply to undo: right
+  /// after construction, or after a rollback.
   void rollback();
 
  private:
@@ -259,7 +224,7 @@ class DfmFlowSession {
   struct Undo {
     std::unique_ptr<LayoutSnapshot> snap;
     DfmFlowReport report;
-    FlowJournal journal;
+    FlowCaches caches;
   };
 
   DfmFlowOptions options_;

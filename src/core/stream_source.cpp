@@ -1,6 +1,8 @@
 #include "core/stream_source.h"
 
+#include "gdsii/gdsii.h"
 #include "geometry/normalized_region.h"
+#include "oasis/oasis.h"
 
 #include <cstdio>
 #include <cstring>
@@ -63,21 +65,31 @@ Region OasStreamSource::read_layer_window(LayerKey k,
   return normalized(reader_.read_layer_window(top_, k, window));
 }
 
-std::shared_ptr<const SnapshotSource> open_stream_source(
-    const std::string& path) {
+namespace {
+
+// True when `path` starts with the OASIS magic. Throws
+// std::runtime_error when it cannot be opened.
+bool has_oasis_magic(const std::string& path) {
   static const char kOasMagic[] = "%SEMI-OASIS";
   char head[sizeof kOasMagic] = {};
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    const std::size_t n = std::fread(head, 1, sizeof head - 1, f);
-    std::fclose(f);
-    (void)n;
-  } else {
-    throw std::runtime_error("cannot open " + path);
-  }
-  if (std::memcmp(head, kOasMagic, sizeof kOasMagic - 1) == 0) {
-    return std::make_shared<OasStreamSource>(path);
-  }
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) throw std::runtime_error("cannot open " + path);
+  const std::size_t n = std::fread(head, 1, sizeof head - 1, f);
+  std::fclose(f);
+  return n == sizeof kOasMagic - 1 &&
+         std::memcmp(head, kOasMagic, sizeof kOasMagic - 1) == 0;
+}
+
+}  // namespace
+
+std::shared_ptr<const SnapshotSource> open_stream_source(
+    const std::string& path) {
+  if (has_oasis_magic(path)) return std::make_shared<OasStreamSource>(path);
   return std::make_shared<GdsStreamSource>(path);
+}
+
+Library read_layout_file(const std::string& path) {
+  return has_oasis_magic(path) ? read_oasis_file(path) : read_gdsii_file(path);
 }
 
 }  // namespace dfm

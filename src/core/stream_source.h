@@ -61,4 +61,9 @@ class OasStreamSource : public SnapshotSource {
 std::shared_ptr<const SnapshotSource> open_stream_source(
     const std::string& path);
 
+/// Reads `path` whole into memory, picking GDSII or OASIS by the same
+/// file magic as open_stream_source, so an in-memory and a streamed open
+/// of one file always agree on its format.
+Library read_layout_file(const std::string& path);
+
 }  // namespace dfm

@@ -67,7 +67,7 @@ bool overlap(const Region& cut, const Region& cond) {
 // out in root order.
 void extract(const std::vector<StackLayer>& stack,
              const std::vector<LayerVerts>& verts, Netlist& out,
-             std::vector<NetKey>* keys) {
+             NetKeys* keys) {
   std::vector<std::uint32_t> offset(stack.size() + 1, 0);
   for (std::size_t li = 0; li < stack.size(); ++li) {
     offset[li + 1] =
@@ -116,7 +116,9 @@ void extract(const std::vector<StackLayer>& stack,
       if (root == v) {
         net_of[v] = static_cast<std::uint32_t>(out.nets.size());
         out.nets.emplace_back();
-        if (keys != nullptr) keys->push_back(NetKey{li, region});
+        if (keys != nullptr) {
+          keys->push_back(std::make_shared<const NetKey>(NetKey{li, region}));
+        }
       }
       Net& net = out.nets[net_of[root]];
       if (net.pieces.empty() || net.pieces.back().first != stack[li].key) {
@@ -219,7 +221,7 @@ std::size_t stack_index(const std::vector<StackLayer>& stack, LayerKey k) {
 
 Netlist extract_nets(const LayoutSnapshot& snap,
                      const std::vector<StackLayer>& stack,
-                     std::vector<NetKey>* keys) {
+                     NetKeys* keys) {
   TELEM_SPAN("connectivity/extract");
   std::vector<LayerVerts> verts(stack.size());
   for (std::size_t li = 0; li < stack.size(); ++li) {
@@ -236,11 +238,14 @@ Netlist extract_nets(const LayoutSnapshot& snap,
 
 NetSplice splice_nets(const IncrementalSnapshot& snap,
                       const std::vector<StackLayer>& stack, Netlist& nets,
-                      std::vector<NetKey>& keys) {
+                      const NetKeys& keys) {
   TELEM_SPAN("connectivity/splice");
   NetSplice out;
   const Damage damage(snap, stack);
-  if (damage.rects.empty()) return out;
+  if (damage.rects.empty()) {
+    out.keys = keys;
+    return out;
+  }
 
   // Dissolve every cached net with a piece touching the damage.
   std::vector<char> dissolved(nets.nets.size(), 0);
@@ -283,14 +288,13 @@ NetSplice splice_nets(const IncrementalSnapshot& snap,
     lv.index = &lv.own;
   }
   Netlist fresh;
-  std::vector<NetKey> fresh_keys;
+  NetKeys fresh_keys;
   extract(stack, verts, fresh, &fresh_keys);
 
   // Merge the carried nets and the re-extracted ones in key order.
   Netlist merged;
-  std::vector<NetKey> merged_keys;
   merged.nets.reserve(nets.nets.size() + fresh.nets.size());
-  merged_keys.reserve(merged.nets.capacity());
+  out.keys.reserve(merged.nets.capacity());
   std::size_t a = 0, b = 0;
   while (true) {
     while (a < nets.nets.size() && dissolved[a] != 0) {
@@ -299,29 +303,19 @@ NetSplice splice_nets(const IncrementalSnapshot& snap,
     const bool have_a = a < nets.nets.size();
     const bool have_b = b < fresh.nets.size();
     if (!have_a && !have_b) break;
-    if (have_b && (!have_a || fresh_keys[b] < keys[a])) {
+    if (have_b && (!have_a || *fresh_keys[b] < *keys[a])) {
       out.created.push_back(merged.nets.size());
       merged.nets.push_back(std::move(fresh.nets[b]));
-      merged_keys.push_back(std::move(fresh_keys[b]));
+      out.keys.push_back(std::move(fresh_keys[b]));
       ++b;
     } else {
-      out.keys_undo.carried.emplace_back(a, merged.nets.size());
       merged.nets.push_back(std::move(nets.nets[a]));
-      merged_keys.push_back(std::move(keys[a]));
+      out.keys.push_back(keys[a]);
       ++a;
     }
   }
   nets = std::move(merged);
-  out.keys_undo.keys = std::exchange(keys, std::move(merged_keys));
-  out.keys_undo.replaced = true;
   return out;
-}
-
-void NetKeysUndo::restore(std::vector<NetKey>& spliced) {
-  if (!replaced) return;
-  for (const auto& [from, to] : carried) keys[from] = std::move(spliced[to]);
-  spliced = std::move(keys);
-  replaced = false;
 }
 
 std::vector<FloatingCut> find_floating_cuts(

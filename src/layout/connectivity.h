@@ -7,6 +7,7 @@
 #include "layout/layer_map.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace dfm {
@@ -54,6 +55,10 @@ struct NetKey {
   friend bool operator<(const NetKey& a, const NetKey& b);
 };
 
+/// Net keys aligned with a netlist. A key is immutable once made, so a
+/// splice carries a net's key over by pointer, not by copying its vertex.
+using NetKeys = std::vector<std::shared_ptr<const NetKey>>;
+
 /// Cut shapes not fully covered by both adjacent conductors: open-circuit
 /// risks (manufacturing) or outright extraction errors (design).
 struct FloatingCut {
@@ -74,20 +79,7 @@ struct FloatingCut {
 /// net's key is stored alongside.
 Netlist extract_nets(const LayoutSnapshot& snap,
                      const std::vector<StackLayer>& stack,
-                     std::vector<NetKey>* keys = nullptr);
-
-/// What splice_nets displaced from the key vector it was given: that
-/// vector, with each carried net's key moved on to its slot in the new
-/// one. restore() moves them back.
-struct NetKeysUndo {
-  bool replaced = false;  // false: the splice left the keys as they were
-  std::vector<NetKey> keys;
-  std::vector<std::pair<std::size_t, std::size_t>> carried;  // (old, new)
-
-  /// Turns `keys`, as splice_nets left them, back into the keys it was
-  /// given, by moves only.
-  void restore(std::vector<NetKey>& keys);
-};
+                     NetKeys* keys = nullptr);
 
 /// What splice_nets changed.
 struct NetSplice {
@@ -96,22 +88,25 @@ struct NetSplice {
   /// Indices, into the spliced netlist, of the nets re-extracted from
   /// the dissolved ones and the damage.
   std::vector<std::size_t> created;
-  NetKeysUndo keys_undo;
+  /// The keys of the spliced netlist: every carried net's key shared
+  /// with the keys given, a new one for every created net.
+  NetKeys keys;
 };
 
-/// Brings `nets` and `keys` (the nets of the snapshot `snap` derives
-/// from, in NetKey order) up to date with snap's edit. The damage is the
-/// union of the dirty regions of the stack layers. A net dissolves when
-/// one of its pieces, on any stack layer, touches (closed contact) the
-/// damage; its vertices, plus the components of the edited labelling
-/// that touch the damage, are re-extracted and merged back in key order.
-/// Every other net carries over unchanged: an edit can add or drop a
-/// cut-to-conductor overlap, or merge or split a component, only through
-/// components that touch the damage, and then the nets of both sides
-/// dissolve. The result equals extract_nets(snap, stack).
+/// Brings `nets` (the nets of the snapshot `snap` derives from, in
+/// NetKey order, with their `keys`) up to date with snap's edit. The
+/// damage is the union of the dirty regions of the stack layers. A net
+/// dissolves when one of its pieces, on any stack layer, touches (closed
+/// contact) the damage; its vertices, plus the components of the edited
+/// labelling that touch the damage, are re-extracted and merged back in
+/// key order. Every other net carries over unchanged: an edit can add or
+/// drop a cut-to-conductor overlap, or merge or split a component, only
+/// through components that touch the damage, and then the nets of both
+/// sides dissolve. The result equals extract_nets(snap, stack); `keys`
+/// is only read.
 NetSplice splice_nets(const IncrementalSnapshot& snap,
                       const std::vector<StackLayer>& stack, Netlist& nets,
-                      std::vector<NetKey>& keys);
+                      const NetKeys& keys);
 
 /// The floating cuts of the snapshot, in cut labelling order. Reads the
 /// conductors' memoized R-trees.

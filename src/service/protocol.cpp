@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -209,7 +210,11 @@ class Parser {
     errno = 0;
     char* end = nullptr;
     const double d = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) fail("bad number");
+    // An overflow (1e999) would come back as inf, which dump() cannot
+    // write as JSON.
+    if (end != text.c_str() + text.size() || !std::isfinite(d)) {
+      fail("bad number");
+    }
     return Json(d);
   }
 

@@ -1,14 +1,14 @@
 #include "service/server.h"
 
 #include "core/fix_engine.h"
+#include "core/stream_source.h"
 #include "core/telemetry.h"
 #include "core/version.h"
-#include "gdsii/gdsii.h"
-#include "oasis/oasis.h"
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -30,18 +30,6 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-Library read_layout(const std::string& path) {
-  if (ends_with(path, ".oas") || ends_with(path, ".oasis")) {
-    return read_oasis_file(path);
-  }
-  return read_gdsii_file(path);
 }
 
 void close_fd(int& fd) {
@@ -717,7 +705,7 @@ Json ServiceServer::op_open(std::uint64_t id, const Json& req) {
 
     Library lib = [&] {
       try {
-        return read_layout(path);
+        return read_layout_file(path);
       } catch (const std::exception& e) {
         throw ProtocolError(errc::kBadRequest,
                             "open: " + path + ": " + e.what());
@@ -846,7 +834,14 @@ Json ServiceServer::op_fix(std::uint64_t id, const Json& req) {
     throw ProtocolError(errc::kBadRequest, "fix: bad \"max_iters\"");
   }
   fo.max_iters = static_cast<int>(max_iters);
-  if (const Json* g = req.find("min_gain")) fo.min_gain = g->as_double();
+  if (const Json* g = req.find("min_gain")) {
+    // The accept gate is `gain > min_gain`: a negative floor would accept
+    // candidates that lower the score.
+    fo.min_gain = g->as_double();
+    if (!std::isfinite(fo.min_gain) || fo.min_gain < 0) {
+      throw ProtocolError(errc::kBadRequest, "fix: bad \"min_gain\"");
+    }
+  }
   if (const Json* m = req.find("moves")) {
     fo.moves.clear();
     for (const Json& e : m->as_array()) {

@@ -859,9 +859,9 @@ TEST(SessionRollback, StaleLithoTilesGetTheirOldPrintsBack) {
   EXPECT_EQ(tried.report().hotspots, plain.report().hotspots);
 }
 
-// A bbox-moving decoy runs with full damage, which clears every cache:
-// the rollback must bring each back for the next apply to splice
-// against.
+// A bbox-moving decoy runs with full damage and reuses no cache: the
+// rollback must bring the whole cache set back for the next apply to
+// splice against.
 TEST(SessionRollback, BboxMovingDecoyRestoresTheWholeCacheSet) {
   const LayerMap m = small_design(18);
   DfmFlowSession tried(m, fast_options(2));
@@ -900,6 +900,70 @@ TEST(SessionRollback, DptUnitEditsRollBack) {
   expect_edits_roll_back(
       m, fast_options(2),
       splice_streams::dpt_edit_cases(LayoutSnapshot{LayerMap(m)}));
+}
+
+// ---- SessionLithoRestart -----------------------------------------------
+// A run that skips litho because M1 is empty leaves no simulation, so
+// the run that brings M1 back simulates cold and the one after it
+// splices again. Both M1 edits stay incremental: the design's bbox is
+// pinned by M2 squares at its corners.
+
+/// The report's content as canonical bytes: the trace keeps each pass's
+/// name and item count, not its unit counts, which differ between a
+/// warm session and a cold run by design.
+std::string content_json(DfmFlowReport rep) {
+  for (PassTrace& p : rep.trace.passes) {
+    p.total_units = 0;
+    p.dirty_units = 0;
+    p.incremental = false;
+  }
+  return flow_report_canonical_json(rep);
+}
+
+TEST(SessionLithoRestart, EmptyM1SkipsLithoAndTheNextRunSimulatesCold) {
+  LayerMap m = small_design(19);
+  const Rect bb = LayoutSnapshot(LayerMap(m)).bbox();
+  m[layers::kMetal2].add(Rect{bb.lo.x, bb.lo.y, bb.lo.x + 50, bb.lo.y + 50});
+  m[layers::kMetal2].add(Rect{bb.hi.x - 50, bb.hi.y - 50, bb.hi.x, bb.hi.y});
+  const Region m1 = m.at(layers::kMetal1);
+  const DfmFlowOptions opt = fast_options(2, /*litho=*/true);
+  DfmFlowSession session(m, opt);
+  LayerMap shadow = m;
+
+  const auto expect_cold = [&](const LayoutDelta& d, const char* what) {
+    SCOPED_TRACE(what);
+    d.apply(shadow);
+    const DfmFlowReport& rep = session.apply(d);
+    const DfmFlowReport cold =
+        run_dfm_flow(LayoutSnapshot(LayerMap(shadow)), fast_options(1, true));
+    EXPECT_EQ(content_json(rep), content_json(cold));
+    EXPECT_TRUE(reports_equivalent(rep, cold));
+    const PassTrace* drc = rep.trace.find("drc_plus");
+    EXPECT_TRUE(drc != nullptr && drc->incremental &&
+                drc->dirty_units < drc->total_units)
+        << "the edit must not move the bbox";
+    return rep.trace.find("litho");
+  };
+
+  LayoutDelta clear;
+  clear.remove(layers::kMetal1, m1);
+  EXPECT_EQ(expect_cold(clear, "M1 deleted"), nullptr)
+      << "litho must skip an empty M1";
+
+  LayoutDelta restore;
+  restore.add(layers::kMetal1, m1);
+  const PassTrace* litho = expect_cold(restore, "M1 restored");
+  ASSERT_NE(litho, nullptr);
+  EXPECT_FALSE(litho->incremental) << "no simulation to splice into";
+  EXPECT_EQ(litho->dirty_units, litho->total_units);
+
+  const Rect core = interior(bb);
+  LayoutDelta patch;
+  patch.add(layers::kMetal1, Rect{core.lo.x, core.lo.y, core.lo.x + 200,
+                                  core.lo.y + 60});
+  litho = expect_cold(patch, "M1 patch");
+  ASSERT_NE(litho, nullptr);
+  EXPECT_TRUE(litho->incremental);
 }
 
 }  // namespace

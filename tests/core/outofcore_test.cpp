@@ -214,6 +214,27 @@ TEST(OasStream, ReadLibraryMatchesIstreamReader) {
   }
 }
 
+// The in-memory reader picks the format by file magic, as the streamed
+// open does, so a mis-named file reads the same either way.
+TEST(ReadLayoutFile, PicksTheFormatByMagicNotByName) {
+  const Library lib = make_design(13);
+  const TempFile oas_as_gds("outofcore_misnamed.gds", oas_bytes(lib));
+  const TempFile gds_as_oas("outofcore_misnamed.oas", gds_bytes(lib));
+  const Library want = read_oasis_file(oas_as_gds.path);
+  const Library got = read_layout_file(oas_as_gds.path);
+  ASSERT_EQ(got.cell_count(), want.cell_count());
+  const std::uint32_t top = want.top_cells().front();
+  for (const LayerKey k : want.layers()) {
+    EXPECT_EQ(got.flatten(top, k), want.flatten(top, k));
+  }
+  const Library gds = read_layout_file(gds_as_oas.path);
+  for (const LayerKey k : want.layers()) {
+    EXPECT_EQ(gds.flatten(gds.top_cells().front(), k), want.flatten(top, k));
+  }
+  EXPECT_THROW(read_layout_file(::testing::TempDir() + "outofcore_absent.gds"),
+               std::runtime_error);
+}
+
 std::shared_ptr<const SnapshotSource> gds_source(const Library& lib) {
   return std::make_shared<GdsStreamSource>(
       GdsStreamReader::from_bytes(gds_bytes(lib)));

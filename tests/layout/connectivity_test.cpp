@@ -90,7 +90,7 @@ TEST(Connectivity, NetOrderIsCanonical) {
   for (const StackLayer& s : stack) {
     m.emplace(s.key, lib.flatten(lib.top_cells()[0], s.key));
   }
-  std::vector<NetKey> keys;
+  NetKeys keys;
   const Netlist nets = extract_nets(LayoutSnapshot(LayerMap(m)), stack, &keys);
   ASSERT_GT(nets.size(), 10u);
   ASSERT_EQ(keys.size(), nets.size());
@@ -122,10 +122,10 @@ TEST(Connectivity, NetOrderIsCanonical) {
     const auto& [key, lowest] = nets.nets[i].pieces.front();
     std::size_t layer = 0;
     while (stack[layer].key != key) ++layer;
-    EXPECT_EQ(keys[i].layer, layer);
-    EXPECT_EQ(keys[i].vertex, lowest.components().front());
+    EXPECT_EQ(keys[i]->layer, layer);
+    EXPECT_EQ(keys[i]->vertex, lowest.components().front());
     if (i > 0) {
-      EXPECT_TRUE(keys[i - 1] < keys[i]) << "net " << i;
+      EXPECT_TRUE(*keys[i - 1] < *keys[i]) << "net " << i;
     }
   }
 }

@@ -307,7 +307,7 @@ void expect_matches_cold(const HotspotTileSim& sim, const Region& layer,
   EXPECT_EQ(sim.per_tile, cold.per_tile) << what;
   ASSERT_EQ(sim.prints.size(), cold.prints.size()) << what;
   for (std::size_t ti = 0; ti < cold.prints.size(); ++ti) {
-    EXPECT_TRUE(same_runs(sim.prints[ti], cold.prints[ti]))
+    EXPECT_TRUE(same_runs(sim.print(ti), cold.print(ti)))
         << what << ", tile " << ti;
   }
 }
@@ -371,7 +371,7 @@ TEST_P(LithoWindowStream, SplicedTilesMatchColdAfterEveryEdit) {
       const Region d = stream_edit(rng, i % 6, extent, options.tile, margin);
       layer = rng.chance(0.4) ? layer - d : layer | d;
       for (const StaleTile& st : stale_litho_tiles(sim.tiles, options, d)) {
-        if (sim.prints[st.index].columns() > 0) ++spliced;
+        if (sim.print(st.index).columns() > 0) ++spliced;
       }
       sim = resimulate_hotspots(layer, extent, options, std::move(sim), d);
       expect_matches_cold(sim, layer, extent, options,
@@ -419,7 +419,7 @@ TEST(LithoWindowStreamSnapshot, MatchesColdSnapshotRuns) {
         simulate_hotspots_tiled(snap, layers::kMetal1, extent, options);
     EXPECT_EQ(sim.per_tile, cold.per_tile) << "edit " << i;
     for (std::size_t ti = 0; ti < cold.prints.size(); ++ti) {
-      EXPECT_TRUE(same_runs(sim.prints[ti], cold.prints[ti]))
+      EXPECT_TRUE(same_runs(sim.print(ti), cold.print(ti)))
           << "edit " << i << ", tile " << ti;
     }
   }
@@ -440,7 +440,9 @@ TEST(LithoWindowFallback, FftTilesKeepNoPrints) {
     const Region d = stream_edit(rng, i, extent, options.tile, 120);
     layer = layer | d;
     sim = resimulate_hotspots(layer, extent, options, std::move(sim), d);
-    for (const ColumnRuns& p : sim.prints) EXPECT_EQ(p.columns(), 0u);
+    for (std::size_t ti = 0; ti < sim.tiles.size(); ++ti) {
+      EXPECT_EQ(sim.print(ti).columns(), 0u);
+    }
     expect_matches_cold(sim, layer, extent, options,
                         "edit " + std::to_string(i));
   }
@@ -502,8 +504,8 @@ TEST(LithoWindowFallback, PrintlessTilesRenderInFullThenSplice) {
     EXPECT_EQ(sim.per_tile, cold.per_tile) << "edit " << i;
     // Tiles no edit has reached yet carry no print; the rest match cold.
     for (std::size_t ti = 0; ti < cold.prints.size(); ++ti) {
-      if (sim.prints[ti].columns() == 0) continue;
-      EXPECT_TRUE(same_runs(sim.prints[ti], cold.prints[ti]))
+      if (sim.print(ti).columns() == 0) continue;
+      EXPECT_TRUE(same_runs(sim.print(ti), cold.print(ti)))
           << "edit " << i << ", tile " << ti;
     }
   }

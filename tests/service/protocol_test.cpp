@@ -62,6 +62,16 @@ TEST(Json, RejectsMalformed) {
   EXPECT_THROW(Json::parse("{\"a\" 1}"), JsonError); // missing colon
 }
 
+TEST(Json, RejectsNumbersThatOverflowADouble) {
+  EXPECT_THROW(Json::parse("1e999"), JsonError);
+  EXPECT_THROW(Json::parse("-1e999"), JsonError);
+  EXPECT_THROW(Json::parse("{\"min_gain\": 1e999}"), JsonError);
+  for (const double d : {0.1, -2.5e-300, 1.7976931348623157e308, 3.0}) {
+    const std::string dumped = Json(d).dump();
+    EXPECT_EQ(Json::parse(dumped).as_double(), d) << dumped;
+  }
+}
+
 TEST(Json, RejectsRunawayNesting) {
   std::string deep;
   for (int i = 0; i < 200; ++i) deep += "[";

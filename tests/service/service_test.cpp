@@ -254,6 +254,35 @@ TEST(Service, FixOpMatchesDirectLoopByteForByte) {
   client.close_session(session);
 }
 
+/// The fix op's accept gate is `gain > min_gain`, so a negative floor
+/// would accept candidates that lower the score: the op refuses one, as
+/// the CLI's --min-gain does.
+TEST(Service, FixOpRejectsNegativeMinGain) {
+  ServiceServer server(base_options("fix_gain"));
+  server.start();
+  ServiceClient client =
+      ServiceClient::connect_unix(server.options().unix_path);
+  const std::string session =
+      client.open(demo_gds()).get_string("session", "");
+  ASSERT_FALSE(session.empty());
+  for (const double gain : {-0.5, -1e-9}) {
+    SCOPED_TRACE("min_gain " + std::to_string(gain));
+    Json::Object req;
+    req["op"] = Json("fix");
+    req["session"] = Json(session);
+    req["min_gain"] = Json(gain);
+    try {
+      client.call_ok(Json(std::move(req)));
+      FAIL() << "a negative min_gain must be rejected";
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code(), errc::kBadRequest);
+    }
+  }
+  // The session survives the refusals.
+  EXPECT_NO_THROW(client.fix(session, 0));
+  client.close_session(session);
+}
+
 /// v2 clients refuse to talk to servers that greet with a different
 /// protocol revision — before any request crosses the wire.
 TEST(Service, ClientRejectsProtocolMismatch) {

@@ -115,14 +115,6 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Reads .gds or .oas by extension.
-Library read_layout(const std::string& path) {
-  if (ends_with(path, ".oas") || ends_with(path, ".oasis")) {
-    return read_oasis_file(path);
-  }
-  return read_gdsii_file(path);
-}
-
 void write_layout(const Library& lib, const std::string& path) {
   if (ends_with(path, ".oas") || ends_with(path, ".oasis")) {
     write_oasis_file(lib, path);
@@ -156,7 +148,7 @@ int cmd_gen(int argc, char** argv) {
 
 int cmd_info(int argc, char** argv) {
   if (argc < 3) throw std::runtime_error("usage: dfmkit info <in.gds>");
-  const Library lib = read_layout(argv[2]);
+  const Library lib = read_layout_file(argv[2]);
   std::printf("library '%s'  dbu/uu=%.0f\n", lib.name().c_str(),
               lib.dbu_per_uu());
   Table t("cells");
@@ -175,7 +167,7 @@ int cmd_info(int argc, char** argv) {
 
 int cmd_drc(int argc, char** argv, bool plus) {
   if (argc < 3) throw std::runtime_error("usage: dfmkit drc <in.gds> [top]");
-  const Library lib = read_layout(argv[2]);
+  const Library lib = read_layout_file(argv[2]);
   const std::uint32_t top = pick_top(lib, argc, argv, 3);
   const Tech& tech = Tech::standard();
   ThreadPool pool(g_threads);
@@ -368,7 +360,7 @@ int cmd_flow(int argc, char** argv) {
     return 0;
   }
 
-  const Library lib = read_layout(argv[2]);
+  const Library lib = read_layout_file(argv[2]);
   const std::uint32_t top = pick_top(lib, argc, argv, 3);
   if (edits.empty()) {
     const DfmFlowReport rep = run_dfm_flow(lib, top, opt);
@@ -452,7 +444,7 @@ int cmd_fix(int argc, char** argv) {
   opt.threads = g_threads;
   opt.fix = fix;
 
-  const Library lib = read_layout(argv[2]);
+  const Library lib = read_layout_file(argv[2]);
   const std::uint32_t top = pick_top(lib, argc, argv, 3);
   DfmFlowSession session(lib, top, opt);
   print_flow_report("before fix: " + lib.cell(top).name(), session.report());
@@ -506,7 +498,7 @@ int cmd_fix(int argc, char** argv) {
 
 int cmd_catalog(int argc, char** argv) {
   if (argc < 3) throw std::runtime_error("usage: dfmkit catalog <in.gds> [top]");
-  const Library lib = read_layout(argv[2]);
+  const Library lib = read_layout_file(argv[2]);
   const std::uint32_t top = pick_top(lib, argc, argv, 3);
   const std::vector<LayerKey> on = {layers::kVia1, layers::kMetal1,
                                     layers::kMetal2};
@@ -530,7 +522,7 @@ int cmd_svg(int argc, char** argv) {
   if (argc < 4) {
     throw std::runtime_error("usage: dfmkit svg <in.gds> <out.svg> [top]");
   }
-  const Library lib = read_layout(argv[2]);
+  const Library lib = read_layout_file(argv[2]);
   const std::uint32_t top = pick_top(lib, argc, argv, 4);
   const std::vector<LayerKey> order = lib.layers();
   const LayoutSnapshot snap(lib, top, order);
