@@ -10,40 +10,41 @@ namespace dfm {
 DfmFlowSession::DfmFlowSession(const Library& lib, std::uint32_t top,
                                DfmFlowOptions options)
     : options_(std::move(options)), pool_(options_) {
-  caches_ = detail::run_flow(
-      report_, options_, pool_.get(), nullptr, {},
+  state_.caches = detail::run_flow(
+      state_.report, options_, pool_.get(), nullptr, {},
       [&]() -> const LayoutSnapshot& {
         // Out-of-core mode hydrates lazily from a copy of the library:
         // the session outlives the caller's reference.
-        snap_ = resolved_memory_budget(options_) != 0
-                    ? std::make_unique<LayoutSnapshot>(
-                          std::make_shared<LibrarySource>(
-                              std::make_shared<Library>(lib), top),
-                          LayoutSnapshot::standard_flow_layers())
-                    : std::make_unique<LayoutSnapshot>(lib, top, pool_.get());
-        return *snap_;
+        state_.snap =
+            resolved_memory_budget(options_) != 0
+                ? std::make_shared<LayoutSnapshot>(
+                      std::make_shared<LibrarySource>(
+                          std::make_shared<Library>(lib), top),
+                      LayoutSnapshot::standard_flow_layers())
+                : std::make_shared<LayoutSnapshot>(lib, top, pool_.get());
+        return *state_.snap;
       });
 }
 
 DfmFlowSession::DfmFlowSession(LayerMap layers, DfmFlowOptions options)
     : options_(std::move(options)), pool_(options_) {
-  caches_ = detail::run_flow(
-      report_, options_, pool_.get(), nullptr, {},
+  state_.caches = detail::run_flow(
+      state_.report, options_, pool_.get(), nullptr, {},
       [&]() -> const LayoutSnapshot& {
-        snap_ = std::make_unique<LayoutSnapshot>(std::move(layers));
-        return *snap_;
+        state_.snap = std::make_shared<LayoutSnapshot>(std::move(layers));
+        return *state_.snap;
       });
 }
 
 DfmFlowSession::DfmFlowSession(std::shared_ptr<const SnapshotSource> source,
                                DfmFlowOptions options)
     : options_(std::move(options)), pool_(options_) {
-  caches_ = detail::run_flow(
-      report_, options_, pool_.get(), nullptr, {},
+  state_.caches = detail::run_flow(
+      state_.report, options_, pool_.get(), nullptr, {},
       [&]() -> const LayoutSnapshot& {
-        snap_ = std::make_unique<LayoutSnapshot>(
+        state_.snap = std::make_shared<LayoutSnapshot>(
             std::move(source), LayoutSnapshot::standard_flow_layers());
-        return *snap_;
+        return *state_.snap;
       });
 }
 
@@ -51,28 +52,22 @@ const DfmFlowReport& DfmFlowSession::apply(const LayoutDelta& delta) {
   // The record of the apply before this one goes first, so the run
   // holds no more state than an unrecorded one would.
   undo_.reset();
-  std::unique_ptr<IncrementalSnapshot> next;
-  DfmFlowReport rep;
-  FlowCaches caches = detail::run_flow(
-      rep, options_, pool_.get(), &report_, caches_,
+  State next;
+  next.caches = detail::run_flow(
+      next.report, options_, pool_.get(), &state_.report, state_.caches,
       [&]() -> const LayoutSnapshot& {
-        next = std::make_unique<IncrementalSnapshot>(*snap_, delta);
-        return *next;
+        next.snap = std::make_shared<IncrementalSnapshot>(*state_.snap, delta);
+        return *next.snap;
       });
-  undo_.emplace(Undo{std::move(snap_), std::move(report_), std::move(caches_)});
-  snap_ = std::move(next);
-  report_ = std::move(rep);
-  caches_ = std::move(caches);
-  return report_;
+  undo_ = std::exchange(state_, std::move(next));
+  return state_.report;
 }
 
 void DfmFlowSession::rollback() {
   if (!undo_) {
     throw std::logic_error("DfmFlowSession::rollback: no apply to undo");
   }
-  snap_ = std::move(undo_->snap);
-  report_ = std::move(undo_->report);
-  caches_ = std::move(undo_->caches);
+  state_ = std::move(*undo_);
   undo_.reset();
 }
 

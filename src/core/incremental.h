@@ -76,11 +76,13 @@
 //
 // Undo: a run never writes the caches it reuses. It reads the previous
 // FlowCaches as const and builds the next one, which shares every reused
-// unit result by pointer and holds only this run's keys. An apply keeps
-// what it replaced — the previous snapshot object, report and caches —
-// so DfmFlowSession::rollback restores the state before the apply
-// exactly, without running a pass, and an apply that throws leaves the
-// session as it was.
+// unit result by pointer and holds only this run's keys. The snapshot
+// chain shares the same way: a derived snapshot shares every clean
+// layer's slot with the one before it. An apply keeps the state it
+// replaced — snapshot, report and caches, one value — so
+// DfmFlowSession::rollback restores the state before the apply exactly,
+// without running a pass, and an apply that throws leaves the session as
+// it was.
 #pragma once
 
 #include "core/delta.h"
@@ -200,8 +202,8 @@ class DfmFlowSession {
                  DfmFlowOptions options);
 
   const DfmFlowOptions& options() const { return options_; }
-  const LayoutSnapshot& snapshot() const { return *snap_; }
-  const DfmFlowReport& report() const { return report_; }
+  const LayoutSnapshot& snapshot() const { return *state_.snap; }
+  const DfmFlowReport& report() const { return state_.report; }
 
   /// Applies `delta`, derives an IncrementalSnapshot, and re-runs the
   /// flow over the damage. Returns the updated report (bit-identical to
@@ -214,25 +216,23 @@ class DfmFlowSession {
   /// the same object as before it (memoized products intact), the
   /// report the same value (trace included), and the unit caches the
   /// same objects, so every later apply reports exactly what it would
-  /// have had that apply never happened. Costs three moves, not a flow
+  /// have had that apply never happened. Costs one move, not a flow
   /// run. Throws std::logic_error when there is no apply to undo: right
   /// after construction, or after a rollback.
   void rollback();
 
  private:
-  /// What the last apply replaced.
-  struct Undo {
-    std::unique_ptr<LayoutSnapshot> snap;
+  /// Everything an apply replaces.
+  struct State {
+    std::shared_ptr<const LayoutSnapshot> snap;
     DfmFlowReport report;
     FlowCaches caches;
   };
 
   DfmFlowOptions options_;
   PassPool pool_;
-  std::unique_ptr<LayoutSnapshot> snap_;
-  DfmFlowReport report_;
-  FlowCaches caches_;
-  std::optional<Undo> undo_;
+  State state_;
+  std::optional<State> undo_;  // what the last apply replaced
 };
 
 }  // namespace dfm

@@ -5,27 +5,144 @@
 #include "core/telemetry.h"
 #include "layout/library.h"
 
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
 namespace dfm {
 
+namespace {
+
+// What a memoized value holds resident, and the item count its build
+// span carries.
+struct Footprint {
+  std::size_t bytes;
+  std::uint64_t items;
+};
+
+Footprint footprint(const Region& r) {
+  return {r.rects().size() * sizeof(Rect), r.rects().size()};
+}
+Footprint footprint(const RTree& t) { return {t.memory_bytes(), t.size()}; }
+Footprint footprint(const std::vector<BoundaryEdge>& e) {
+  return {e.size() * sizeof(BoundaryEdge), e.size()};
+}
+Footprint footprint(const DensityMap& d) {
+  return {d.values.size() * sizeof(double), d.values.size()};
+}
+Footprint footprint(const LayerComponents& c) {
+  return {c.memory_bytes(), c.regions.size()};
+}
+
+// One memoized value of a layer: its geometry or one derived product.
+// The first reader after construction or an eviction builds it under the
+// mutex; every later reader takes the lock-free fast path. The release
+// store of `built` publishes the value, and eviction only runs at
+// quiescent points, so an acquire load of true keeps the value valid for
+// the read. `ever` records a first build, so a rebuild counts as a
+// budget re-hydration; `bytes` is charged to the budget while built.
+template <class T>
+struct Memo {
+  Memo(const char* build_span, const char* bytes_gauge)
+      : span(build_span), gauge(bytes_gauge) {}
+
+  const char* const span;   // recorded around each build
+  const char* const gauge;  // accumulates the bytes each build charges
+  std::mutex mu;
+  std::atomic<bool> built{false};
+  bool ever = false;
+  std::size_t bytes = 0;
+  T value{};
+
+  /// The value, built first when absent: `build()` returns it, and
+  /// `first()` runs on a first build. Products build their layer's
+  /// geometry inside `build`, so locks nest in one order only: a
+  /// product's, then its layer's geometry's.
+  template <class Build, class First>
+  const T& get(SnapshotBudget& budget, Build&& build, First&& first) {
+    if (built.load(std::memory_order_acquire)) return value;
+    std::lock_guard<std::mutex> lock(mu);
+    if (!built.load(std::memory_order_relaxed)) {
+      if (ever) {
+        budget.count_rehydration();
+      } else {
+        first();
+      }
+      const std::uint64_t t0 = telemetry::now_ns();
+      T fresh = build();
+      telemetry::record_span(span, t0, telemetry::now_ns(),
+                             footprint(fresh).items);
+      put(budget, std::move(fresh));
+    }
+    return value;
+  }
+
+  /// Stores `fresh` as the built value and charges it to `budget`.
+  void put(SnapshotBudget& budget, T fresh) {
+    value = std::move(fresh);
+    bytes = footprint(value).bytes;
+    budget.charge(bytes);
+    telemetry::gauge(gauge).add(static_cast<double>(bytes));
+    ever = true;
+    built.store(true, std::memory_order_release);
+  }
+
+  /// Drops the value, returning its bytes to `budget` and adding them to
+  /// `freed`. False when nothing was built.
+  bool evict(SnapshotBudget& budget, std::size_t& freed) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!built.load(std::memory_order_relaxed)) return false;
+    budget.release(bytes);
+    freed += bytes;
+    bytes = 0;
+    value = T{};
+    built.store(false, std::memory_order_relaxed);
+    return true;
+  }
+};
+
+}  // namespace
+
+// One layer's state, shared by every snapshot of a chain that has the
+// layer clean: each snapshot holds it by shared_ptr, so it is charged to
+// the budget once, and whoever drops it last returns its bytes.
+struct LayoutSnapshot::Layer {
+  /// Source-backed: nothing resident until the first read.
+  Layer(std::shared_ptr<SnapshotBudget> b,
+        std::shared_ptr<const SnapshotSource> s, Rect box)
+      : budget(std::move(b)), source(std::move(s)), bbox(box) {}
+  /// Owns `region`, normalized here: the one normalization point for
+  /// eagerly built and edited geometry.
+  Layer(std::shared_ptr<SnapshotBudget> b, Region region)
+      : budget(std::move(b)) {
+    (void)NormalizedRegion{region};
+    bbox = region.bbox();
+    geometry.put(*budget, std::move(region));
+    budget->count_hydration();
+  }
+  ~Layer() {
+    std::size_t held =
+        geometry.bytes + rtree.bytes + edges.bytes + components.bytes;
+    for (const auto& tile_grid : density) held += tile_grid.second.bytes;
+    budget->release(held);
+  }
+
+  std::shared_ptr<SnapshotBudget> budget;
+  std::shared_ptr<const SnapshotSource> source;  // null: geometry owned
+  Rect bbox = Rect::empty();  // of the geometry, known without hydrating
+  Memo<Region> geometry{"snapshot/hydrate", "snapshot.geometry_bytes"};
+  Memo<RTree> rtree{"snapshot/rtree_build", "snapshot.rtree_bytes"};
+  Memo<std::vector<BoundaryEdge>> edges{"snapshot/edges_build",
+                                        "snapshot.edge_bytes"};
+  Memo<LayerComponents> components{"snapshot/components_build",
+                                   "snapshot.components_bytes"};
+  std::mutex density_mu;  // guards the map's nodes; each grid is a Memo
+  std::map<Coord, Memo<DensityMap>> density;  // keyed by tile edge
+};
+
 std::vector<LayerKey> LayoutSnapshot::standard_flow_layers() {
   return {layers::kMetal1, layers::kMetal2, layers::kVia1,
           layers::kPoly,   layers::kContact, layers::kDiff};
-}
-
-std::size_t LayoutSnapshot::region_bytes(const Region& r) {
-  return r.rects().size() * sizeof(Rect);
-}
-
-LayoutSnapshot::Derived::~Derived() {
-  // The slot may outlive the snapshot that built it (shared with an
-  // IncrementalSnapshot); whoever holds it last returns the bytes.
-  if (budget) {
-    budget->release(rtree_bytes + edges_bytes + density_bytes +
-                    components_bytes);
-  }
 }
 
 LayoutSnapshot::LayoutSnapshot(const Library& lib, std::uint32_t top,
@@ -39,224 +156,132 @@ LayoutSnapshot::LayoutSnapshot(const Library& lib, std::uint32_t top,
         return lib.flatten(top, layer_keys[i]);
       });
   for (std::size_t i = 0; i < layer_keys.size(); ++i) {
-    layers_.emplace(layer_keys[i], std::move(flats[i]));
+    if (!has(layer_keys[i])) own(layer_keys[i], std::move(flats[i]));
   }
-  finalize();
+  index();
 }
 
 LayoutSnapshot::LayoutSnapshot(const Library& lib, std::uint32_t top,
                                ThreadPool* pool)
     : LayoutSnapshot(lib, top, standard_flow_layers(), pool) {}
 
-LayoutSnapshot::LayoutSnapshot(const LayerMap& layers) : layers_(layers) {
-  finalize();
+LayoutSnapshot::LayoutSnapshot(const LayerMap& layers) {
+  for (const auto& [key, region] : layers) own(key, region);
+  index();
 }
 
-LayoutSnapshot::LayoutSnapshot(LayerMap&& layers) : layers_(std::move(layers)) {
-  finalize();
+LayoutSnapshot::LayoutSnapshot(LayerMap&& layers) {
+  for (auto& [key, region] : layers) own(key, std::move(region));
+  index();
 }
 
 LayoutSnapshot::LayoutSnapshot(std::shared_ptr<const SnapshotSource> source,
-                               std::vector<LayerKey> layer_keys)
-    : source_(std::move(source)) {
-  for (const LayerKey k : layer_keys) layers_.emplace(k, Region{});
-  keys_.reserve(layers_.size());
-  for (const auto& [key, region] : layers_) {
-    (void)region;
-    keys_.push_back(key);
+                               std::vector<LayerKey> layer_keys) {
+  for (const LayerKey k : layer_keys) {
     // The source's index gives the exact bbox of the flattened layer, so
     // bbox() matches an eager build bit for bit without hydrating.
-    bbox_ = bbox_.join(source_->layer_bbox(key));
-    auto& slot = derived_[key];
-    slot = std::make_shared<Derived>();
-    slot->budget = budget_;
-    geo_[key] = std::make_shared<GeoSlot>();  // hydrated = false
+    slots_.try_emplace(k, std::make_shared<Layer>(budget_, source,
+                                                   source->layer_bbox(k)));
   }
+  index();
 }
 
-LayoutSnapshot::~LayoutSnapshot() {
-  for (const auto& [key, g] : geo_) {
-    (void)key;
-    if (g->hydrated) budget_->release(g->bytes);
-  }
+LayoutSnapshot::~LayoutSnapshot() = default;
+
+void LayoutSnapshot::own(LayerKey k, Region region) {
+  slots_[k] = std::make_shared<Layer>(budget_, std::move(region));
 }
 
-void LayoutSnapshot::finalize() {
-  keys_.reserve(layers_.size());
-  for (auto& [key, region] : layers_) {
-    // The one normalization point for the whole flow: the view's
-    // constructor materializes the canonical form.
-    (void)NormalizedRegion{region};
+void LayoutSnapshot::index() {
+  keys_.reserve(slots_.size());
+  for (const auto& [key, layer] : slots_) {
     keys_.push_back(key);
-    bbox_ = bbox_.join(region.bbox());
-    auto& slot = derived_[key];  // create the memoization slot
-    if (!slot) {
-      slot = std::make_shared<Derived>();
-      slot->budget = budget_;
-    }
-    auto& g = geo_[key];
-    if (!g) g = std::make_shared<GeoSlot>();
-    g->hydrated = g->ever = true;
-    g->bytes = region_bytes(region);
-    budget_->charge(g->bytes);
-    budget_->count_hydration();
-    TELEM_GAUGE_ADD("snapshot.geometry_bytes", g->bytes);
+    bbox_ = bbox_.join(layer->bbox);
   }
 }
 
-LayoutSnapshot::Derived* LayoutSnapshot::derived_of(LayerKey k) const {
-  const auto it = derived_.find(k);
-  if (it == derived_.end()) {
+LayoutSnapshot::Layer& LayoutSnapshot::slot(LayerKey k) const {
+  const auto it = slots_.find(k);
+  if (it == slots_.end()) {
     throw std::out_of_range("LayoutSnapshot: no layer " + to_string(k));
   }
-  return it->second.get();
+  return *it->second;
 }
 
 const Region& LayoutSnapshot::hydrated_region(LayerKey k) const {
-  const auto git = geo_.find(k);
-  if (git == geo_.end()) {
-    throw std::out_of_range("LayoutSnapshot: no layer " + to_string(k));
-  }
-  GeoSlot& g = *git->second;
-  // Lock-free fast path for the common already-resident case (every
-  // read in an in-memory snapshot, and every read between evictions in
-  // a budgeted one). Eviction only runs at quiescent points, so a
-  // resident layer cannot be cleared out from under this read.
-  if (g.hydrated.load(std::memory_order_acquire)) return layers_.at(k);
-  std::lock_guard<std::mutex> lock(g.mu);
-  Region& r = layers_.at(k);
-  if (!g.hydrated.load(std::memory_order_relaxed)) {
-    // Hydration is a pure function of the source: a re-hydrated layer is
-    // canonically identical to its first hydration.
-    const std::uint64_t t0 = telemetry::now_ns();
-    Region fresh = source_->read_layer(k);
-    (void)NormalizedRegion{fresh};
-    r = std::move(fresh);
-    telemetry::record_span("snapshot/hydrate", t0, telemetry::now_ns(),
-                           r.rect_count());
-    g.bytes = region_bytes(r);
-    budget_->charge(g.bytes);
-    if (g.ever) {
-      budget_->count_rehydration();
-    } else {
-      budget_->count_hydration();
-    }
-    g.ever = true;
-    // Publishes the region to lock-free readers of the fast path above.
-    g.hydrated.store(true, std::memory_order_release);
-    TELEM_GAUGE_ADD("snapshot.geometry_bytes", g.bytes);
-  }
-  return r;
+  Layer& l = slot(k);
+  // An owned layer is built from construction and never evicted, so only
+  // a source-backed one reaches the build. Hydration is a pure function
+  // of the source: a re-hydrated layer is canonically identical to its
+  // first hydration.
+  return l.geometry.get(
+      *l.budget,
+      [&] {
+        Region fresh = l.source->read_layer(k);
+        (void)NormalizedRegion{fresh};
+        return fresh;
+      },
+      [&] { l.budget->count_hydration(); });
 }
 
-const LayerMap& LayoutSnapshot::layers() const {
-  for (const LayerKey k : keys_) (void)hydrated_region(k);
-  return layers_;
+LayerMap LayoutSnapshot::layers() const {
+  LayerMap out;
+  for (const LayerKey k : keys_) out.emplace(k, hydrated_region(k));
+  return out;
 }
 
 NormalizedRegion LayoutSnapshot::layer(LayerKey k) const {
-  if (layers_.count(k) == 0) return NormalizedRegion{};
+  if (!has(k)) return NormalizedRegion{};
   return NormalizedRegion{hydrated_region(k)};
 }
 
 Region LayoutSnapshot::read_layer_window(LayerKey k,
                                          const Rect& window) const {
-  const auto git = geo_.find(k);
-  if (git == geo_.end()) return Region{};
-  if (source_ != nullptr) {
-    const bool resident =
-        git->second->hydrated.load(std::memory_order_acquire);
-    // Eviction requires quiescence (no concurrent accessors), so the
-    // residency answer cannot flip to false before the clip below.
-    if (!resident) return source_->read_layer_window(k, window);
+  const auto it = slots_.find(k);
+  if (it == slots_.end()) return Region{};
+  const Layer& l = *it->second;
+  // Eviction requires quiescence (no concurrent accessors), so the
+  // residency answer cannot flip to false before the clip below.
+  if (l.source != nullptr &&
+      !l.geometry.built.load(std::memory_order_acquire)) {
+    return l.source->read_layer_window(k, window);
   }
   return hydrated_region(k).clipped(window);
 }
 
 const RTree& LayoutSnapshot::rtree(LayerKey k) const {
-  Derived* d = derived_of(k);
+  Layer& l = slot(k);
   rtree_reads_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(d->rtree_mu);
-    if (d->rtree_built) return d->rtree;
-  }
-  // Hydrate outside the product lock (locks never nest: geometry slot
-  // first, then the product slot).
-  const Region& reg = hydrated_region(k);
-  std::lock_guard<std::mutex> lock(d->rtree_mu);
-  if (!d->rtree_built) {
-    if (d->rtree_ever) {
-      d->budget->count_rehydration();
-    } else {
-      rtree_builds_.fetch_add(1, std::memory_order_relaxed);
-    }
-    const std::uint64_t t0 = telemetry::now_ns();
-    d->rtree.build(reg.rects());
-    telemetry::record_span("snapshot/rtree_build", t0, telemetry::now_ns(),
-                           d->rtree.size());
-    d->rtree_bytes = d->rtree.memory_bytes();
-    d->budget->charge(d->rtree_bytes);
-    TELEM_GAUGE_ADD("snapshot.rtree_bytes", d->rtree_bytes);
-    d->rtree_built = d->rtree_ever = true;
-  }
-  return d->rtree;
+  return l.rtree.get(
+      *l.budget, [&] { return RTree(hydrated_region(k).rects()); },
+      [&] { rtree_builds_.fetch_add(1, std::memory_order_relaxed); });
 }
 
 const std::vector<BoundaryEdge>& LayoutSnapshot::edges(LayerKey k) const {
-  Derived* d = derived_of(k);
+  Layer& l = slot(k);
   edge_reads_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(d->edges_mu);
-    if (d->edges_built) return d->edges;
-  }
-  const Region& reg = hydrated_region(k);
-  std::lock_guard<std::mutex> lock(d->edges_mu);
-  if (!d->edges_built) {
-    if (d->edges_ever) {
-      d->budget->count_rehydration();
-    } else {
-      edge_builds_.fetch_add(1, std::memory_order_relaxed);
-    }
-    const std::uint64_t t0 = telemetry::now_ns();
-    d->edges = boundary_edges(reg);
-    telemetry::record_span("snapshot/edges_build", t0, telemetry::now_ns(),
-                           d->edges.size());
-    d->edges_bytes = d->edges.size() * sizeof(BoundaryEdge);
-    d->budget->charge(d->edges_bytes);
-    TELEM_GAUGE_ADD("snapshot.edge_bytes", d->edges_bytes);
-    d->edges_built = d->edges_ever = true;
-  }
-  return d->edges;
+  return l.edges.get(
+      *l.budget, [&] { return boundary_edges(hydrated_region(k)); },
+      [&] { edge_builds_.fetch_add(1, std::memory_order_relaxed); });
 }
 
 const DensityMap& LayoutSnapshot::density(LayerKey k, Coord tile) const {
-  Derived* d = derived_of(k);
+  Layer& l = slot(k);
   density_reads_.fetch_add(1, std::memory_order_relaxed);
+  Memo<DensityMap>* grid = nullptr;
   {
-    std::lock_guard<std::mutex> lock(d->density_mu);
-    const auto it = d->density.find(tile);
-    if (it != d->density.end()) return it->second;
+    std::lock_guard<std::mutex> lock(l.density_mu);
+    grid = &l.density
+                .try_emplace(tile, "snapshot/density_build",
+                             "snapshot.density_bytes")
+                .first->second;
   }
-  const Region& reg = hydrated_region(k);
-  std::lock_guard<std::mutex> lock(d->density_mu);
-  const auto it = d->density.find(tile);
-  if (it != d->density.end()) return it->second;
-  if (d->density_ever[tile]) {
-    d->budget->count_rehydration();
-  } else {
-    density_builds_.fetch_add(1, std::memory_order_relaxed);
-    d->density_ever[tile] = true;
-  }
-  const std::uint64_t t0 = telemetry::now_ns();
-  const DensityMap& built =
-      d->density.emplace(tile, density_map(reg, bbox_, tile)).first->second;
-  telemetry::record_span("snapshot/density_build", t0, telemetry::now_ns(),
-                         built.values.size());
-  const std::size_t bytes = built.values.size() * sizeof(double);
-  d->density_bytes += bytes;
-  d->budget->charge(bytes);
-  TELEM_GAUGE_ADD("snapshot.density_bytes", bytes);
-  return built;
+  // Every snapshot sharing the slot has this bbox: an edit that moves it
+  // gives clean layers fresh slots.
+  return grid->get(
+      *l.budget,
+      [&] { return density_map(hydrated_region(k), bbox_, tile); },
+      [&] { density_builds_.fetch_add(1, std::memory_order_relaxed); });
 }
 
 LayerComponents LayerComponents::of(const Region& layer) {
@@ -279,92 +304,48 @@ std::size_t LayerComponents::memory_bytes() const {
 
 const LayerComponents& LayoutSnapshot::components(LayerKey k) const {
   static const LayerComponents kNone;
-  if (layers_.count(k) == 0) return kNone;
-  Derived* d = derived_of(k);
-  {
-    std::lock_guard<std::mutex> lock(d->components_mu);
-    if (d->components_built) return d->components;
+  if (!has(k)) return kNone;
+  Layer& l = slot(k);
+  return l.components.get(
+      *l.budget, [&] { return LayerComponents::of(hydrated_region(k)); },
+      [] {});
+}
+
+bool LayoutSnapshot::evictable() const {
+  for (const auto& [key, layer] : slots_) {
+    (void)key;
+    if (layer->source != nullptr) return true;
   }
-  const Region& reg = hydrated_region(k);
-  std::lock_guard<std::mutex> lock(d->components_mu);
-  if (!d->components_built) {
-    if (d->components_ever) d->budget->count_rehydration();
-    const std::uint64_t t0 = telemetry::now_ns();
-    LayerComponents& c = d->components;
-    c = LayerComponents::of(reg);
-    telemetry::record_span("snapshot/components_build", t0,
-                           telemetry::now_ns(), c.regions.size());
-    d->components_bytes = c.memory_bytes();
-    d->budget->charge(d->components_bytes);
-    TELEM_GAUGE_ADD("snapshot.components_bytes", d->components_bytes);
-    d->components_built = d->components_ever = true;
-  }
-  return d->components;
+  return false;
 }
 
 std::size_t LayoutSnapshot::evict_derived(LayerKey k) const {
-  Derived* d = derived_of(k);
+  Layer& l = slot(k);
+  SnapshotBudget& budget = *l.budget;
   std::size_t freed = 0;
+  // One eviction per product, however many density grids it holds.
+  if (l.components.evict(budget, freed)) budget.count_eviction();
   {
-    std::lock_guard<std::mutex> lock(d->components_mu);
-    if (d->components_built) {
-      freed += d->components_bytes;
-      d->budget->release(d->components_bytes);
-      d->budget->count_eviction();
-      d->components_bytes = 0;
-      d->components = LayerComponents{};
-      d->components_built = false;
+    std::lock_guard<std::mutex> lock(l.density_mu);
+    bool any = false;
+    for (auto& tile_grid : l.density) {
+      any = tile_grid.second.evict(budget, freed) || any;
     }
+    if (any) budget.count_eviction();
   }
-  {
-    std::lock_guard<std::mutex> lock(d->density_mu);
-    if (!d->density.empty()) {
-      freed += d->density_bytes;
-      d->budget->release(d->density_bytes);
-      d->budget->count_eviction();
-      d->density_bytes = 0;
-      d->density.clear();
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(d->edges_mu);
-    if (d->edges_built) {
-      freed += d->edges_bytes;
-      d->budget->release(d->edges_bytes);
-      d->budget->count_eviction();
-      d->edges_bytes = 0;
-      std::vector<BoundaryEdge>().swap(d->edges);
-      d->edges_built = false;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(d->rtree_mu);
-    if (d->rtree_built) {
-      freed += d->rtree_bytes;
-      d->budget->release(d->rtree_bytes);
-      d->budget->count_eviction();
-      d->rtree_bytes = 0;
-      d->rtree = RTree{};
-      d->rtree_built = false;
-    }
-  }
+  if (l.edges.evict(budget, freed)) budget.count_eviction();
+  if (l.rtree.evict(budget, freed)) budget.count_eviction();
   if (freed != 0) TELEM_GAUGE_ADD("snapshot.evicted_bytes", freed);
   return freed;
 }
 
 std::size_t LayoutSnapshot::evict_geometry(LayerKey k) const {
-  if (source_ == nullptr) return 0;
-  const auto git = geo_.find(k);
-  if (git == geo_.end()) return 0;
-  GeoSlot& g = *git->second;
-  std::lock_guard<std::mutex> lock(g.mu);
-  if (!g.hydrated) return 0;
-  layers_.at(k) = Region{};
-  const std::size_t freed = g.bytes;
-  budget_->release(freed);
-  budget_->count_eviction();
-  g.bytes = 0;
-  g.hydrated = false;
+  const auto it = slots_.find(k);
+  if (it == slots_.end() || it->second->source == nullptr) return 0;
+  Layer& l = *it->second;
+  std::size_t freed = 0;
+  if (!l.geometry.evict(*l.budget, freed)) return 0;
+  l.budget->count_eviction();
   if (freed != 0) TELEM_GAUGE_ADD("snapshot.evicted_bytes", freed);
   return freed;
 }
@@ -419,38 +400,28 @@ IncrementalSnapshot::IncrementalSnapshot(const LayoutSnapshot& base,
   // Charge to the same budget as the base, so a session's accounting is
   // continuous across its snapshot chain.
   budget_ = base.budget_;
-  for (const LayerKey key : base.keys_) {
-    // hydrated_region: a source-backed base materializes here — the
-    // delta applies to concrete geometry.
-    const Region& old_region = base.hydrated_region(key);
-    const LayerDelta* d = delta.find(key);
-    if (d == nullptr || d->empty()) {
-      // Clean layer: the copy carries the base's canonical rects, so
-      // finalize()'s normalization below is a no-op for it.
-      layers_.emplace(key, old_region);
-      continue;
-    }
+  slots_ = base.slots_;  // every clean layer shares the base's slot
+  for (const auto& [key, d] : delta.layers()) {
+    if (d.empty()) continue;
     // Dirty layer: boolean results are canonical by construction and
     // equal what a cold flatten+normalize of the edited design yields.
-    layers_.emplace(key, (old_region - d->removed) | d->added);
-    dirty_.emplace(key, d->added | d->removed);
-  }
-  // Layers the delta introduces that the base never had.
-  for (const auto& [key, d] : delta.layers()) {
-    if (d.empty() || layers_.count(key) != 0) continue;
-    layers_.emplace(key, d.added);  // (empty - removed) | added
+    // A layer the base never had is (empty - removed) | added.
+    own(key, base.has(key) ? (base.hydrated_region(key) - d.removed) | d.added
+                           : d.added);
     dirty_.emplace(key, d.added | d.removed);
   }
-  finalize();
+  index();
   bbox_changed_ = bbox_ != base.bbox_;
-  if (!bbox_changed_) {
-    // Share the base's memoized products for clean layers. Density grids
-    // anchor at bbox(), which is unchanged, so every shared product is
-    // exactly what this snapshot would compute itself.
-    for (const auto& [key, slot] : base.derived_) {
-      if (dirty_.count(key) == 0 && derived_.count(key) != 0) {
-        derived_[key] = slot;
-      }
+  if (!bbox_changed_) return;
+  // Density grids anchor at bbox(), which moved: no clean layer's
+  // products carry over, so each gets a fresh slot over the same
+  // geometry — lazily re-read from its source, or copied when owned.
+  for (auto& [key, layer] : slots_) {
+    if (layer_dirty(key)) continue;
+    if (layer->source != nullptr) {
+      layer = std::make_shared<Layer>(budget_, layer->source, layer->bbox);
+    } else {
+      own(key, base.hydrated_region(key));
     }
   }
 }

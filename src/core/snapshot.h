@@ -7,6 +7,12 @@
 // density grids, connected components, joint bbox) that are computed at
 // most once per flow instead of once per pass.
 //
+// Each layer is one shared slot: its geometry, its four memoized
+// products, the budget they are charged to and the source the geometry
+// rehydrates from (none when the slot owns its geometry). Snapshots
+// derived by an edit share the slots of the layers it leaves clean, so a
+// clean layer is stored, built and charged once for the whole chain.
+//
 // Out-of-core mode: a snapshot built over a SnapshotSource starts with
 // no geometry resident. Layer regions hydrate on first access (from an
 // mmap-backed streaming reader or a Library),
@@ -18,8 +24,9 @@
 // NormalizedRegion views and derived-product references are non-owning.
 //
 // Thread safety: bbox and the key set are finalized in the constructor;
-// geometry hydration and derived products initialize under per-slot
-// mutexes, so concurrent first access from any number of passes is
+// geometry and every derived product initialize under their own mutex,
+// and once built are read lock-free, so concurrent first access from any
+// number of passes — through any snapshot sharing the slot — is
 // race-free and every caller sees the same object. Cache accounting
 // (reads vs builds) uses relaxed atomics and is deterministic for a
 // deterministic call pattern, which the flow tracer relies on; a rebuild
@@ -43,7 +50,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace dfm {
@@ -122,16 +128,15 @@ class LayoutSnapshot {
   LayoutSnapshot(const LayoutSnapshot&) = delete;
   LayoutSnapshot& operator=(const LayoutSnapshot&) = delete;
 
-  // DfmFlowSession owns an IncrementalSnapshot through a LayoutSnapshot
-  // pointer; destruction through the base must reach the derived dtor.
+  // Virtual: the flow driver finds an edit's damage by dynamic_cast.
   virtual ~LayoutSnapshot();
 
-  /// The normalized layer regions, keyed as requested at construction.
-  /// On a source-backed snapshot this hydrates every layer — prefer
-  /// layer(k) where the consumer's key set is known.
-  const LayerMap& layers() const;
+  /// Copies of the normalized layer regions, keyed as requested at
+  /// construction. On a source-backed snapshot this hydrates every layer
+  /// — prefer layer(k) where the consumer's key set is known.
+  LayerMap layers() const;
   const std::vector<LayerKey>& layer_keys() const { return keys_; }
-  bool has(LayerKey k) const { return layers_.count(k) != 0; }
+  bool has(LayerKey k) const { return slots_.count(k) != 0; }
   /// View of one layer (hydrating it if needed); a shared empty region
   /// when the key is absent.
   NormalizedRegion layer(LayerKey k) const;
@@ -146,19 +151,18 @@ class LayoutSnapshot {
   /// Density grid of the layer over bbox() with square tiles of edge
   /// `tile`; one grid per (layer, tile) pair, built on first access.
   const DensityMap& density(LayerKey k, Coord tile) const;
-  /// Connected components of the layer; built on first access. Charged to
-  /// the budget like the R-tree, shared with clean layers of an
-  /// IncrementalSnapshot, and rebuilt for dirty ones. Not counted in
+  /// Connected components of the layer; built on first access and
+  /// charged to the budget like the R-tree. Not counted in
   /// cache_stats(), which keeps its historical three products. Empty
   /// when the key is absent.
   const LayerComponents& components(LayerKey k) const;
 
   /// The layer's geometry clipped to `window`, WITHOUT hydrating the
   /// layer: a resident layer is clipped in place; an evicted (or
-  /// never-read) layer on a source-backed snapshot decodes only the
-  /// records intersecting `window`, transiently — nothing is charged to
-  /// the budget and nothing stays resident. Both paths cover the same
-  /// point set and Region is canonical by point set, so the result is
+  /// never-read) source-backed layer decodes only the records
+  /// intersecting `window`, transiently — nothing is charged to the
+  /// budget and nothing stays resident. Both paths cover the same point
+  /// set and Region is canonical by point set, so the result is
   /// bit-identical either way. This is the accessor budgeted passes use
   /// for window-local work (pattern capture) so their working set is
   /// bounded by the window, not the layer. Unknown keys yield an empty
@@ -171,16 +175,17 @@ class LayoutSnapshot {
   /// present; limit 0 means nothing is ever required to be evicted but
   /// current/peak still measure the hydrated footprint.
   SnapshotBudget& budget() const { return *budget_; }
-  /// True when geometry can be dropped and re-hydrated (source-backed).
-  bool evictable() const { return source_ != nullptr; }
+  /// True when some layer's geometry can be dropped and re-hydrated
+  /// (its slot is source-backed).
+  bool evictable() const;
 
   // Eviction. Callers must guarantee quiescence: no other thread is
-  // inside an accessor and no NormalizedRegion / derived-product
-  // reference obtained earlier will be used again before re-access. The
-  // flow driver calls these between passes only. All return the bytes
-  // released.
+  // inside an accessor of any snapshot sharing the layer, and no
+  // NormalizedRegion / derived-product reference obtained earlier will be
+  // used again before re-access. The flow driver calls these between
+  // passes only. All return the bytes released.
   std::size_t evict_derived(LayerKey k) const;
-  /// Drops the layer's region (source-backed snapshots only; a no-op —
+  /// Drops the layer's region (source-backed layers only; a no-op —
   /// returns 0 — otherwise or when not hydrated).
   std::size_t evict_geometry(LayerKey k) const;
   /// Releases state in deterministic order until current() <= limit():
@@ -202,78 +207,28 @@ class LayoutSnapshot {
   // constructor reads its base snapshot, so it is a friend.
   friend class IncrementalSnapshot;
 
-  // Derived-product slots are heap-allocated and shared: an
-  // IncrementalSnapshot aliases its base's slots for clean layers, so an
-  // R-tree (or edge list, or density grid) built under either snapshot
-  // is visible — and built at most once — under both. Each product is a
-  // mutex-guarded build/evict slot; `*_ever` remembers a product was
-  // built once so a rebuild is classified as a re-hydration. The slot
-  // releases its outstanding bytes to `budget` on destruction.
-  struct Derived {
-    std::shared_ptr<SnapshotBudget> budget;
+  /// One layer's shared slot (snapshot.cpp).
+  struct Layer;
 
-    std::mutex rtree_mu;
-    bool rtree_built = false, rtree_ever = false;
-    std::size_t rtree_bytes = 0;
-    RTree rtree;
-
-    std::mutex edges_mu;
-    bool edges_built = false, edges_ever = false;
-    std::size_t edges_bytes = 0;
-    std::vector<BoundaryEdge> edges;
-
-    std::mutex density_mu;
-    std::map<Coord, DensityMap> density;  // keyed by tile edge
-    std::map<Coord, bool> density_ever;
-    std::size_t density_bytes = 0;
-
-    std::mutex components_mu;
-    bool components_built = false, components_ever = false;
-    std::size_t components_bytes = 0;
-    LayerComponents components;
-
-    ~Derived();
-  };
-
-  // Per-layer geometry hydration state (per-snapshot: unlike Derived,
-  // the regions in layers_ are never shared between snapshots).
-  // `hydrated` is atomic so readers of an already-resident layer take no
-  // lock: the release store in hydrated_region publishes the region, and
-  // eviction (which clears it) only runs at quiescent points where no
-  // reader is in flight, so an acquire load of `true` guarantees the
-  // region stays valid for the read.
-  struct GeoSlot {
-    std::mutex mu;
-    std::atomic<bool> hydrated{false};
-    bool ever = false;
-    std::size_t bytes = 0;
-  };
-
-  /// For IncrementalSnapshot, which fills layers_ itself.
+  /// For IncrementalSnapshot, which fills slots_ itself.
   LayoutSnapshot() = default;
 
-  /// Normalizes every region, records keys_ and bbox_, creates the
-  /// per-layer slots (where not already shared in), and charges the
-  /// resident geometry to the budget. Called once, from constructors.
-  void finalize();
-  Derived* derived_of(LayerKey k) const;
-  /// The layer's region with hydration guaranteed (hydrates from
-  /// source_ under the geometry slot's mutex when evicted or never yet
-  /// read). Throws std::out_of_range for an unknown key.
+  /// Adds `region` as a layer whose slot owns it (normalized and charged
+  /// to the budget).
+  void own(LayerKey k, Region region);
+  /// Records keys_ and bbox_ from slots_. Called once, from
+  /// constructors.
+  void index();
+  Layer& slot(LayerKey k) const;
+  /// The layer's region with hydration guaranteed (hydrates from the
+  /// slot's source when evicted or never yet read). Throws
+  /// std::out_of_range for an unknown key.
   const Region& hydrated_region(LayerKey k) const;
 
-  static std::size_t region_bytes(const Region& r);
-
-  // layers_ is mutable because hydration materializes regions through
-  // const accessors; the map structure itself is fixed at construction.
-  mutable LayerMap layers_;
+  std::map<LayerKey, std::shared_ptr<Layer>> slots_;
   std::vector<LayerKey> keys_;
   Rect bbox_ = Rect::empty();
-  std::shared_ptr<const SnapshotSource> source_;
-  mutable std::shared_ptr<SnapshotBudget> budget_ =
-      std::make_shared<SnapshotBudget>();
-  mutable std::map<LayerKey, std::shared_ptr<Derived>> derived_;
-  mutable std::map<LayerKey, std::shared_ptr<GeoSlot>> geo_;
+  std::shared_ptr<SnapshotBudget> budget_ = std::make_shared<SnapshotBudget>();
 
   mutable std::atomic<std::uint64_t> rtree_reads_{0}, rtree_builds_{0};
   mutable std::atomic<std::uint64_t> edge_reads_{0}, edge_builds_{0};
@@ -283,27 +238,24 @@ class LayoutSnapshot {
 /// A LayoutSnapshot derived from a previous one by a LayoutDelta, paying
 /// only for what the edit touched:
 ///
-///  * clean layers copy the base's already-canonical region (cheap rect
-///    vector copy; no re-normalization) and *share* the base's memoized
-///    derived products, so an R-tree the base already built is a cache
-///    hit here too;
-///  * dirty layers are recomputed as (base - removed) | added — whose
-///    canonical decomposition equals a from-scratch flatten+normalize of
-///    the edited design — and get fresh derived slots.
+///  * clean layers share the base's slot — its geometry and memoized
+///    products — so nothing is copied or charged again, an R-tree the
+///    base already built is a cache hit here too, and a source-backed
+///    clean layer stays unhydrated and evictable;
+///  * dirty layers get a fresh slot owning (base - removed) | added —
+///    whose canonical decomposition equals a from-scratch
+///    flatten+normalize of the edited design — with fresh products.
 ///
 /// When the edit moves the joint bbox, density grids (anchored at
-/// bbox()) would shift for every layer, so sharing is disabled and all
-/// derived products rebuild lazily; bbox_changed() reports this so the
-/// flow can fall back to a full re-run.
+/// bbox()) would shift for every layer, so clean layers get fresh slots
+/// over the same geometry (re-read from the source, or copied when
+/// owned) and every product rebuilds lazily; bbox_changed() reports
+/// this so the flow can fall back to a full re-run.
 ///
-/// The shared slots keep the base's products alive independently of the
-/// base snapshot itself, so a chain of IncrementalSnapshots may drop
-/// each predecessor after deriving from it.
-///
-/// Deriving from a source-backed base hydrates the base fully (the delta
-/// applies to materialized geometry); the result owns its regions and is
-/// not itself geometry-evictable, but shares the base's budget so the
-/// session's accounting stays continuous.
+/// The slots keep their state alive independently of the base snapshot,
+/// so a chain of IncrementalSnapshots may drop each predecessor after
+/// deriving from it. Every snapshot of a chain charges the base's budget,
+/// so a session's accounting stays continuous.
 class IncrementalSnapshot : public LayoutSnapshot {
  public:
   IncrementalSnapshot(const LayoutSnapshot& base, const LayoutDelta& delta);

@@ -130,6 +130,31 @@ TEST(IncrementalSnapshot, CleanLayersShareDerivedProducts) {
       << "clean layer must reuse the base's memoized R-tree";
 }
 
+// A clean layer is the base's slot itself: the same region object, not a
+// copy, charged to the budget once. Only the dirty layer is new state.
+TEST(IncrementalSnapshot, CleanLayersShareTheSlot) {
+  const LayoutSnapshot base(small_design(5));
+  const std::size_t bytes = base.budget().current();
+  const std::uint64_t hydrations = base.budget().hydrations();
+  LayoutDelta d;
+  const Rect inside = base.bbox().expanded(-1000);
+  d.add(layers::kMetal1, Rect{inside.lo.x, inside.lo.y, inside.lo.x + 100,
+                              inside.lo.y + 100});
+  const IncrementalSnapshot inc(base, d);
+  ASSERT_FALSE(inc.bbox_changed());
+  for (const LayerKey k : base.layer_keys()) {
+    if (inc.layer_dirty(k)) continue;
+    EXPECT_EQ(&inc.layer(k).region(), &base.layer(k).region())
+        << to_string(k);
+  }
+  EXPECT_NE(&inc.layer(layers::kMetal1).region(),
+            &base.layer(layers::kMetal1).region());
+  EXPECT_EQ(base.budget().current() - bytes,
+            inc.layer(layers::kMetal1).rects().size() * sizeof(Rect))
+      << "only the dirty layer is charged";
+  EXPECT_EQ(base.budget().hydrations() - hydrations, 1u);
+}
+
 TEST(IncrementalSnapshot, DirtyLayerEqualsColdNormalization) {
   LayerMap m = small_design(4);
   const Rect inside = interior(Region(m.at(layers::kMetal1)).bbox(), 2000);

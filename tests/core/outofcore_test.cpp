@@ -401,6 +401,54 @@ TEST(OutOfCoreFlow, SessionEditsBitIdenticalUnderBudget) {
   }
 }
 
+// Edits keep a streamed session out-of-core: every derived snapshot
+// shares the slots of its clean layers, which stay source-backed, so
+// under a tight budget the flow keeps evicting clean geometry and
+// re-reading it from the source. Every report is byte-identical to an
+// unlimited in-memory session taking the same edits, and equivalent to
+// a cold run over the edited layout.
+TEST(OutOfCoreFlow, EditedSessionStaysEvictable) {
+  const Library lib = make_design();
+  LayerMap shadow = LayoutSnapshot(lib, lib.top_cells().front()).layers();
+  const LayoutSnapshot probe(gds_source(lib),
+                             LayoutSnapshot::standard_flow_layers());
+  (void)run_dfm_flow(probe, flow_options(1, 0));
+  const std::size_t tight = probe.budget().peak() / 4;
+
+  DfmFlowSession session(gds_source(lib), flow_options(1, tight));
+  DfmFlowSession unlimited(shadow, flow_options(1, 0));
+  const Rect bb = session.snapshot().bbox();
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    const LayerKey k = i % 2 == 0 ? layers::kMetal1 : layers::kMetal2;
+    const Coord x = bb.lo.x + (bb.hi.x - bb.lo.x) * (i + 1) / 6;
+    const Coord y = bb.lo.y + (bb.hi.y - bb.lo.y) * (4 - i) / 6;
+    LayoutDelta d;
+    d.add(k, Rect{x, y, x + 200, y + 200});
+    const SnapshotBudget& budget = session.snapshot().budget();
+    const std::uint64_t evictions = budget.evictions();
+    const std::uint64_t rehydrations = budget.rehydrations();
+    const DfmFlowReport& rep = session.apply(d);
+    d.apply(shadow);
+
+    const LayoutSnapshot& snap = session.snapshot();
+    EXPECT_TRUE(snap.evictable());
+    EXPECT_GT(budget.evictions(), evictions);
+    EXPECT_GT(budget.rehydrations(), rehydrations);
+    EXPECT_EQ(flow_report_canonical_json(rep),
+              flow_report_canonical_json(unlimited.apply(d)));
+    EXPECT_TRUE(reports_equivalent(
+        rep, run_dfm_flow(LayoutSnapshot(shadow), flow_options(1, 0))));
+
+    // The never-edited poly layer drops and re-reads from the source.
+    (void)snap.layer(layers::kPoly);
+    EXPECT_GT(snap.evict_geometry(layers::kPoly), 0u);
+    const std::uint64_t before = budget.rehydrations();
+    EXPECT_EQ(snap.layer(layers::kPoly).region(), shadow.at(layers::kPoly));
+    EXPECT_EQ(budget.rehydrations(), before + 1);
+  }
+}
+
 TEST(ParseByteSize, AcceptsHumanSizes) {
   std::size_t v = 0;
   EXPECT_TRUE(parse_byte_size("123", &v));

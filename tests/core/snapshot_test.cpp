@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -214,6 +216,72 @@ TEST(LayoutSnapshot, ConcurrentFirstAccessYieldsOneSharedObject) {
   EXPECT_EQ(s.rtree_reads, static_cast<std::uint64_t>(kThreads));
   EXPECT_EQ(s.edge_reads, static_cast<std::uint64_t>(kThreads));
   EXPECT_EQ(s.density_reads, static_cast<std::uint64_t>(kThreads));
+}
+
+// A derived snapshot shares each clean layer's slot with its base, so
+// readers racing through both reach one memo per product: one hydration
+// of the source-backed geometry, one build of each product, one object.
+TEST(LayoutSnapshot, ConcurrentFirstAccessThroughSharedSlot) {
+  const Library lib = small_design(507);
+  const LayoutSnapshot base(
+      std::make_shared<LibrarySource>(std::make_shared<Library>(lib),
+                                      lib.top_cells().front()),
+      LayoutSnapshot::standard_flow_layers());
+  const Rect bb = base.bbox();
+  LayoutDelta d;
+  d.add(layers::kMetal1, Rect{bb.lo.x + 10, bb.lo.y + 10, bb.lo.x + 60,
+                              bb.lo.y + 60});
+  const IncrementalSnapshot inc(base, d);
+  ASSERT_FALSE(inc.layer_dirty(layers::kMetal2));
+  ASSERT_FALSE(inc.bbox_changed());
+  const std::uint64_t hydrations = base.budget().hydrations();
+
+  const LayerKey k = layers::kMetal2;
+  constexpr int kThreads = 8;
+  struct Seen {
+    const Region* region = nullptr;
+    const RTree* tree = nullptr;
+    const std::vector<BoundaryEdge>* edges = nullptr;
+    const DensityMap* grid = nullptr;
+    const LayerComponents* components = nullptr;
+  };
+  std::vector<Seen> seen(kThreads);
+  std::atomic<int> ready{0};
+  {
+    std::vector<std::thread> pack;
+    pack.reserve(kThreads);
+    for (int i = 0; i < kThreads; ++i) {
+      pack.emplace_back([&, i] {
+        const LayoutSnapshot& snap = i % 2 == 0 ? base : inc;
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        Seen& s = seen[static_cast<std::size_t>(i)];
+        s.region = &snap.layer(k).region();
+        s.tree = &snap.rtree(k);
+        s.edges = &snap.edges(k);
+        s.grid = &snap.density(k, 3000);
+        s.components = &snap.components(k);
+      });
+    }
+    for (std::thread& t : pack) t.join();
+  }
+  for (int i = 1; i < kThreads; ++i) {
+    const Seen& s = seen[static_cast<std::size_t>(i)];
+    EXPECT_EQ(s.region, seen[0].region);
+    EXPECT_EQ(s.tree, seen[0].tree);
+    EXPECT_EQ(s.edges, seen[0].edges);
+    EXPECT_EQ(s.grid, seen[0].grid);
+    EXPECT_EQ(s.components, seen[0].components);
+  }
+  EXPECT_EQ(base.budget().hydrations(), hydrations + 1);
+  EXPECT_EQ(base.budget().rehydrations(), 0u);
+  const SnapshotCacheStats a = base.cache_stats();
+  const SnapshotCacheStats b = inc.cache_stats();
+  EXPECT_EQ(a.rtree_builds + b.rtree_builds, 1u);
+  EXPECT_EQ(a.edge_builds + b.edge_builds, 1u);
+  EXPECT_EQ(a.density_builds + b.density_builds, 1u);
+  EXPECT_EQ(a.reads() + b.reads(), 3u * kThreads);
+  EXPECT_EQ(seen[0].components->regions, seen[0].region->components());
 }
 
 TEST(LayoutSnapshot, LayerMapConstructorsMatchLibraryConstructor) {

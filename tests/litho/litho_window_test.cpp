@@ -27,19 +27,22 @@
 namespace dfm {
 namespace {
 
+// Byte equality of two vectors. memcmp only runs on non-empty ones: the
+// data() of an empty vector may be null, which memcmp must not receive.
+template <class T>
+bool same_memory(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
 bool same_runs(const ColumnRuns& a, const ColumnRuns& b) {
-  return a.start.size() == b.start.size() && a.runs.size() == b.runs.size() &&
-         std::memcmp(a.start.data(), b.start.data(),
-                     a.start.size() * sizeof(std::uint32_t)) == 0 &&
-         std::memcmp(a.runs.data(), b.runs.data(),
-                     a.runs.size() * sizeof(PixelRun)) == 0;
+  return same_memory(a.start, b.start) && same_memory(a.runs, b.runs);
 }
 
 bool same_bytes(const Raster& a, const Raster& b) {
   return a.nx == b.nx && a.ny == b.ny && a.window == b.window &&
-         a.px == b.px && a.values.size() == b.values.size() &&
-         std::memcmp(a.values.data(), b.values.data(),
-                     a.values.size() * sizeof(float)) == 0;
+         a.px == b.px && same_memory(a.values, b.values);
 }
 
 OpticalModel model_of(Coord sigma, Coord px) {

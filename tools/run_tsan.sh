@@ -3,7 +3,8 @@
 #
 # Usage: tools/run_tsan.sh [address]
 #   no argument  -> -DDFMKIT_SANITIZE=thread  (data races, lock order)
-#   "address"    -> -DDFMKIT_SANITIZE=address (heap misuse in the fuzz corpus)
+#   "address"    -> -DDFMKIT_SANITIZE=address (ASan: heap misuse in the
+#                   fuzz corpus; UBSan: undefined behaviour, fatal)
 #
 # The sanitizer build lives in its own tree (build-tsan/ or build-asan/)
 # so the regular build/ stays untouched. Run from the repository root.
