@@ -23,10 +23,11 @@ using namespace dfm::bench;
 
 namespace {
 
-// The f1 runtime-scaling design family at scale 8.
-Library scaling_design(int scale) {
+// The f1 runtime-scaling design family: `scale` rows of 4 * scale cells,
+// 10 * scale routes and `scale` via fields of 64 vias.
+Library scaling_design(std::uint64_t seed, int scale) {
   DesignParams p;
-  p.seed = static_cast<std::uint64_t>(scale);
+  p.seed = seed;
   p.name = "s" + std::to_string(scale);
   p.rows = scale;
   p.cells_per_row = 4 * scale;
@@ -53,24 +54,66 @@ double median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
+const char* const kPasses[] = {"snapshot",     "drc_plus",     "recommended",
+                               "litho",        "dpt",          "via_doubling",
+                               "connectivity", "caa_yield"};
+
+// A seeded 200 x 200 patch on `layer` in empty space: a 100-dbu margin
+// to every shape and 800 dbu inside the bbox, so no edit moves the
+// extent.
+Rect empty_patch(const LayoutSnapshot& index, LayerKey layer, Rng& rng) {
+  const Rect box = index.bbox().expanded(-800);
+  while (true) {
+    const Coord x = rng.uniform(box.lo.x, box.hi.x - 200);
+    const Coord y = rng.uniform(box.lo.y, box.hi.y - 200);
+    const Rect r{x, y, x + 200, y + 200};
+    if (index.rtree(layer).query(r.expanded(100)).empty()) return r;
+  }
+}
+
+// Adds `patch` to the session's design and removes it again. Each apply
+// is one sample of "apply" and of every pass's PassTrace ms in `ms`.
+// With `cold_check`, the report after the add is compared with a cold
+// run over the edited layout; returns false when they differ.
+bool add_then_remove(DfmFlowSession& session, const Library& lib,
+                     std::uint32_t top, LayerKey layer, const Rect& patch,
+                     bool cold_check,
+                     std::map<std::string, std::vector<double>>& ms) {
+  bool equal = true;
+  for (const bool add : {true, false}) {
+    LayoutDelta d;
+    if (add) {
+      d.add(layer, patch);
+    } else {
+      d.remove(layer, patch);
+    }
+    Stopwatch t;
+    const DfmFlowReport& rep = session.apply(d);
+    ms["apply"].push_back(t.ms());
+    for (const PassTrace& pt : rep.trace.passes) {
+      ms[pt.name].push_back(pt.ms);
+    }
+    if (cold_check && add) {
+      LayerMap edited;
+      for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+        edited.emplace(k, lib.flatten(top, k));
+      }
+      d.apply(edited);
+      const LayoutSnapshot snap{edited};
+      equal = reports_equivalent(rep, run_dfm_flow(snap, session.options()));
+    }
+  }
+  return equal;
+}
+
 // The edit probe: perfbench's scale-8 design (seed 7) under a warm
 // session at default options and 4 threads. Each layer gets `per_layer`
-// seeded 200 x 200 patches in empty space (a 100-dbu margin to every
-// shape and 800 dbu inside the bbox, so no edit moves the extent), each
-// added and then removed; every apply is one sample. Prints the cold
-// flow time, the per-layer apply medians and, per layer, the median of
-// every pass's PassTrace ms. Returns false when a spliced report
-// diverges from a cold run over the same layout.
+// empty_patch()es, each added and then removed; every apply is one
+// sample. Prints the cold flow time, the per-layer apply medians and,
+// per layer, the median of every pass's PassTrace ms. Returns false when
+// a spliced report diverges from a cold run over the same layout.
 bool edit_probe(int per_layer) {
-  DesignParams p;
-  p.seed = 7;
-  p.name = "f1_s8";
-  p.rows = 8;
-  p.cells_per_row = 32;
-  p.routes = 80;
-  p.via_fields = 8;
-  p.vias_per_field = 64;
-  const Library lib = generate_design(p);
+  const Library lib = scaling_design(7, 8);
   const std::uint32_t top = lib.top_cells()[0];
   DfmFlowOptions options;
   options.threads = 4;
@@ -85,43 +128,16 @@ bool edit_probe(int per_layer) {
   const LayoutSnapshot index(lib, top,
                              std::vector<LayerKey>(std::begin(layers_),
                                                    std::end(layers_)));
-  const Rect box = index.bbox().expanded(-800);
   Rng rng(7);
   std::map<std::string, std::vector<double>> apply_ms[3];
   bool equal = true;
   for (int n = 0; n < 3 * per_layer; ++n) {
     const int l = n % 3;
-    Rect patch = Rect::empty();
-    while (patch.is_empty()) {
-      const Coord x = rng.uniform(box.lo.x, box.hi.x - 200);
-      const Coord y = rng.uniform(box.lo.y, box.hi.y - 200);
-      const Rect r{x, y, x + 200, y + 200};
-      if (index.rtree(layers_[l]).query(r.expanded(100)).empty()) patch = r;
-    }
-    for (const bool add : {true, false}) {
-      LayoutDelta d;
-      if (add) {
-        d.add(layers_[l], patch);
-      } else {
-        d.remove(layers_[l], patch);
-      }
-      Stopwatch t;
-      const DfmFlowReport& rep = session.apply(d);
-      apply_ms[l]["apply"].push_back(t.ms());
-      for (const PassTrace& pt : rep.trace.passes) {
-        apply_ms[l][pt.name].push_back(pt.ms);
-      }
-      // One cold check per layer keeps the probe's own cost bounded.
-      if (n < 3 && add) {
-        LayerMap edited;
-        for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
-          edited.emplace(k, lib.flatten(top, k));
-        }
-        d.apply(edited);
-        const LayoutSnapshot snap{edited};
-        equal = equal && reports_equivalent(rep, run_dfm_flow(snap, options));
-      }
-    }
+    const Rect patch = empty_patch(index, layers_[l], rng);
+    // One cold check per layer keeps the probe's own cost bounded.
+    equal = add_then_remove(session, lib, top, layers_[l], patch, n < 3,
+                            apply_ms[l]) &&
+            equal;
   }
 
   std::printf("\nEdit probe: scale-8 (seed 7), default options, 4 threads, "
@@ -130,17 +146,89 @@ bool edit_probe(int per_layer) {
   std::printf("cold flow: %.1f ms\n", cold_ms);
   Table table("edit probe: per-layer medians (ms)");
   std::vector<std::string> header = {"layer", "apply"};
-  const char* passes[] = {"snapshot",     "drc_plus",     "recommended",
-                          "litho",        "dpt",          "via_doubling",
-                          "connectivity", "caa_yield"};
-  for (const char* pass : passes) header.emplace_back(pass);
+  for (const char* pass : kPasses) header.emplace_back(pass);
   table.set_header(header);
   for (int l = 0; l < 3; ++l) {
     std::vector<std::string> row = {names[l],
                                     Table::num(median(apply_ms[l]["apply"]), 1)};
-    for (const char* pass : passes) {
+    for (const char* pass : kPasses) {
       row.push_back(Table::num(median(apply_ms[l][pass]), 1));
     }
+    table.add_row(row);
+  }
+  table.print();
+  std::printf("spliced reports equal a cold run: %s\n", equal ? "yes" : "NO");
+  return equal;
+}
+
+// The M1 sweep: how an M1 edit's cost grows with the chip. For each of
+// perfbench's designs at scale 4, 8 and 16 (seed 7), a session at
+// default options and 4 threads takes `patches` M1 empty_patch()es, each
+// added and then removed. Prints, per scale, the M1 rect count, the
+// session's cold open, and the medians of the apply and of each pass
+// over every apply. The patches touch no shape, so the damage is the
+// same at every scale and whatever grows is a whole-layer cost. Returns
+// false when the one cold check per scale diverges.
+bool m1_sweep(int patches) {
+  const int scales[] = {4, 8, 16};
+  std::vector<std::vector<std::string>> columns;
+  bool equal = true;
+  for (const int scale : scales) {
+    const Library lib = scaling_design(7, scale);
+    const std::uint32_t top = lib.top_cells()[0];
+    DfmFlowOptions options;
+    options.threads = 4;
+    Stopwatch t_cold;
+    DfmFlowSession session(lib, top, options);
+    const double cold_ms = t_cold.ms();
+
+    const LayoutSnapshot index(lib, top, {layers::kMetal1});
+    Rng rng(7);
+    std::map<std::string, std::vector<double>> ms;
+    for (int n = 0; n < patches; ++n) {
+      const Rect patch = empty_patch(index, layers::kMetal1, rng);
+      equal = add_then_remove(session, lib, top, layers::kMetal1, patch,
+                              n == 0, ms) &&
+              equal;
+    }
+    // Per apply, the time outside every pass and the apply without dpt.
+    std::vector<double> outside, without_dpt;
+    for (std::size_t i = 0; i < ms["apply"].size(); ++i) {
+      double passes = 0;
+      for (const char* pass : kPasses) {
+        if (ms[pass].size() > i) passes += ms[pass][i];
+      }
+      outside.push_back(ms["apply"][i] - passes);
+      without_dpt.push_back(ms["apply"][i] -
+                            (ms["dpt"].size() > i ? ms["dpt"][i] : 0.0));
+    }
+    std::vector<std::string> col = {
+        std::to_string(index.layer(layers::kMetal1).rect_count()),
+        Table::num(cold_ms, 0), Table::num(median(ms["apply"]), 1),
+        Table::num(median(without_dpt), 1)};
+    for (const char* pass : kPasses) {
+      col.push_back(Table::num(median(ms[pass]), 2));
+    }
+    col.push_back(Table::num(median(outside), 2));
+    columns.push_back(col);
+  }
+
+  std::printf("\nM1 sweep: perfbench designs (seed 7), default options, "
+              "4 threads, %d M1 patches each added then removed\n",
+              patches);
+  Table table("M1 sweep: medians over every apply (ms)");
+  std::vector<std::string> header = {""};
+  for (const int scale : scales) {
+    header.push_back("scale " + std::to_string(scale));
+  }
+  table.set_header(header);
+  std::vector<std::string> rows = {"M1 rects", "cold session open", "apply",
+                                   "apply without dpt"};
+  for (const char* pass : kPasses) rows.emplace_back(pass);
+  rows.emplace_back("outside every pass");
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::vector<std::string> row = {rows[r]};
+    for (const auto& col : columns) row.push_back(col[r]);
     table.add_row(row);
   }
   table.print();
@@ -152,7 +240,7 @@ bool edit_probe(int per_layer) {
 
 int main() {
   const int scale = 8;
-  const Library lib = scaling_design(scale);
+  const Library lib = scaling_design(scale, scale);
   const std::uint32_t top = lib.top_cells()[0];
 
   // The edit: one small M1 patch in the middle of the core — the shape a
@@ -234,7 +322,8 @@ int main() {
   // DFMKIT_BENCH_SPEEDUP_MIN relaxes (or tightens) only that threshold;
   // the default stays the paper's 5x.
   const bool probe_equal = edit_probe(30);
-  all_equal = all_equal && probe_equal;
+  const bool sweep_equal = m1_sweep(20);
+  all_equal = all_equal && probe_equal && sweep_equal;
 
   double speedup_min = 5.0;
   if (const char* env = std::getenv("DFMKIT_BENCH_SPEEDUP_MIN")) {

@@ -5,6 +5,7 @@
 #include "core/telemetry.h"
 #include "layout/library.h"
 
+#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -136,6 +137,15 @@ struct LayoutSnapshot::Layer {
                                         "snapshot.edge_bytes"};
   Memo<LayerComponents> components{"snapshot/components_build",
                                    "snapshot.components_bytes"};
+  // A dirty layer's edit and the slot it was derived from, kept while the
+  // labelling has not been built: the first build splices it from that
+  // slot's labelling when it is resident there, and drops this either
+  // way, so a chain of edits holds no history. Guarded by components.mu.
+  struct Splice {
+    std::shared_ptr<const Layer> base;
+    std::vector<Rect> replaced, local;  // RegionEdit's
+  };
+  std::unique_ptr<Splice> splice;
   std::mutex density_mu;  // guards the map's nodes; each grid is a Memo
   std::map<Coord, Memo<DensityMap>> density;  // keyed by tile edge
 };
@@ -286,14 +296,73 @@ const DensityMap& LayoutSnapshot::density(LayerKey k, Coord tile) const {
 
 LayerComponents LayerComponents::of(const Region& layer) {
   LayerComponents c;
+  // Components come back normalized, so units that read the labelling on
+  // the pool (DPT conflict units, via clusters, nets) share it without
+  // touching its lazy, mutable state.
   c.regions = layer.components();
   c.boxes.reserve(c.regions.size());
-  // bbox() normalizes each region here, so units that read the labelling
-  // on the pool (DPT conflict units, via clusters, nets) share it
-  // without touching its lazy, mutable state.
   for (const Region& r : c.regions) c.boxes.push_back(r.bbox());
   c.index.build(c.boxes);
   return c;
+}
+
+LayerComponents LayerComponents::spliced(const LayerComponents& base,
+                                         const std::vector<Rect>& replaced,
+                                         const std::vector<Rect>& local) {
+  TELEM_SPAN("snapshot/components_splice");
+  // A component holding a replaced rect dissolves. Every other one is a
+  // component of the edited layer still: its rects are bands of it, and
+  // the local rects lie within the replaced rects and the edit, none of
+  // which meets it along an edge.
+  std::vector<bool> dissolved(base.regions.size(), false);
+  for (const Rect& r : replaced) {
+    base.index.visit(r, [&](std::uint32_t c) {
+      const std::vector<Rect>& rs = base.regions[c].rects();
+      if (std::binary_search(rs.begin(), rs.end(), r)) dissolved[c] = true;
+    });
+  }
+  // What is left of the dissolved components, with the local rects, is
+  // the canonical form of the layer minus its kept components, so it
+  // relabels as it stands.
+  std::vector<Rect> loose = local;
+  for (std::size_t c = 0; c < base.regions.size(); ++c) {
+    if (!dissolved[c]) continue;
+    for (const Rect& r : base.regions[c].rects()) {
+      if (!std::binary_search(replaced.begin(), replaced.end(), r)) {
+        loose.push_back(r);
+      }
+    }
+  }
+  std::sort(loose.begin(), loose.end());
+  std::vector<Region> fresh = components_of(loose);
+
+  // Merge the kept components and the fresh ones in component_less order.
+  LayerComponents out;
+  out.regions.reserve(base.regions.size() + fresh.size());
+  out.boxes.reserve(base.regions.size() + fresh.size());
+  const auto keep = [&](std::size_t c) {
+    out.regions.push_back(base.regions[c]);
+    out.boxes.push_back(base.boxes[c]);
+  };
+  std::size_t c = 0;
+  for (Region& f : fresh) {
+    const Rect box = f.bbox();
+    for (; c < base.regions.size(); ++c) {
+      if (dissolved[c]) continue;
+      const Rect& kept = base.boxes[c];
+      if (box != kept ? box < kept : f.rects() < base.regions[c].rects()) {
+        break;
+      }
+      keep(c);
+    }
+    out.regions.push_back(std::move(f));
+    out.boxes.push_back(box);
+  }
+  for (; c < base.regions.size(); ++c) {
+    if (!dissolved[c]) keep(c);
+  }
+  out.index.build(out.boxes);
+  return out;
 }
 
 std::size_t LayerComponents::memory_bytes() const {
@@ -307,7 +376,18 @@ const LayerComponents& LayoutSnapshot::components(LayerKey k) const {
   if (!has(k)) return kNone;
   Layer& l = slot(k);
   return l.components.get(
-      *l.budget, [&] { return LayerComponents::of(hydrated_region(k)); },
+      *l.budget,
+      [&] {
+        const std::unique_ptr<Layer::Splice> edit = std::move(l.splice);
+        // Read only while resident there: an evicted labelling is not
+        // rehydrated for this, the whole-layer build below is as exact.
+        if (edit != nullptr &&
+            edit->base->components.built.load(std::memory_order_acquire)) {
+          return LayerComponents::spliced(edit->base->components.value,
+                                          edit->replaced, edit->local);
+        }
+        return LayerComponents::of(hydrated_region(k));
+      },
       [] {});
 }
 
@@ -403,12 +483,23 @@ IncrementalSnapshot::IncrementalSnapshot(const LayoutSnapshot& base,
   slots_ = base.slots_;  // every clean layer shares the base's slot
   for (const auto& [key, d] : delta.layers()) {
     if (d.empty()) continue;
-    // Dirty layer: boolean results are canonical by construction and
-    // equal what a cold flatten+normalize of the edited design yields.
-    // A layer the base never had is (empty - removed) | added.
-    own(key, base.has(key) ? (base.hydrated_region(key) - d.removed) | d.added
-                           : d.added);
     dirty_.emplace(key, d.added | d.removed);
+    // A layer the base never had is (empty - removed) | added.
+    if (!base.has(key)) {
+      own(key, d.added);
+      continue;
+    }
+    // Dirty layer: the edit spliced into the base's canonical rects,
+    // which equals what a cold flatten+normalize of the edited design
+    // yields.
+    const std::shared_ptr<Layer>& was = base.slots_.at(key);
+    RegionEdit edit =
+        edit_region(base.hydrated_region(key), d.removed, d.added);
+    own(key, std::move(edit.result));
+    if (was->components.built.load(std::memory_order_acquire)) {
+      slots_[key]->splice = std::make_unique<Layer::Splice>(
+          was, std::move(edit.replaced), std::move(edit.local));
+    }
   }
   index();
   bbox_changed_ = bbox_ != base.bbox_;

@@ -89,6 +89,10 @@ struct SnapshotCacheStats {
 /// vertices of net extraction and the vias of via doubling, and the
 /// global net identity the spatial tile units need (a tile cannot see
 /// whether two pieces connect outside it).
+///
+/// An edited layer's labelling is spliced from the labelling before the
+/// edit when that one is resident: only the components the edit reaches
+/// are relabelled, and the result equals of() of the edited layer.
 struct LayerComponents {
   std::vector<Region> regions;
   std::vector<Rect> boxes;  // aligned with regions
@@ -96,6 +100,14 @@ struct LayerComponents {
 
   /// The labelling of `layer`.
   static LayerComponents of(const Region& layer);
+  /// The labelling of an edited layer, from `base`, the labelling of the
+  /// layer before the edit, and the edit_region() that made it: the
+  /// components holding a `replaced` rect dissolve, what is left of them
+  /// is relabelled with the `local` rects, and the rest keep their
+  /// regions and boxes. Equal to of() of the edited layer.
+  static LayerComponents spliced(const LayerComponents& base,
+                                 const std::vector<Rect>& replaced,
+                                 const std::vector<Rect>& local);
 
   std::size_t memory_bytes() const;
 };
@@ -244,7 +256,16 @@ class LayoutSnapshot {
 ///    clean layer stays unhydrated and evictable;
 ///  * dirty layers get a fresh slot owning (base - removed) | added —
 ///    whose canonical decomposition equals a from-scratch
-///    flatten+normalize of the edited design — with fresh products.
+///    flatten+normalize of the edited design — with fresh products. The
+///    geometry is spliced (edit_region): a band of the canonical form
+///    depends only on the points near it, so the base's rects that do
+///    not touch the edit are kept as they are, and only the rects that
+///    do are re-swept with it. When the base slot holds its labelling,
+///    the new slot keeps a reference to it until its own labelling is
+///    first built, and splices that labelling too
+///    (LayerComponents::spliced): components away from the edit keep
+///    their regions and boxes, the rest are relabelled. An evicted
+///    labelling is not rehydrated for this; the layer is labelled whole.
 ///
 /// When the edit moves the joint bbox, density grids (anchored at
 /// bbox()) would shift for every layer, so clean layers get fresh slots

@@ -245,6 +245,40 @@ Region union_of_apart(const std::vector<const Region*>& parts) {
   return reg;
 }
 
+RegionEdit edit_region(const Region& base, const Region& removed,
+                       const Region& added) {
+  // The shapes as added: the same closed point set as the canonical
+  // rects, read without normalizing the caller's regions.
+  std::vector<Rect> edit = removed.raw_;
+  edit.insert(edit.end(), added.raw_.begin(), added.raw_.end());
+  const Rect reach = bounding_box(edit);
+  const auto touches_edit = [&](const Rect& r) {
+    if (!r.touches(reach)) return false;
+    for (const Rect& e : edit) {
+      if (r.touches(e)) return true;
+    }
+    return false;
+  };
+  RegionEdit out;
+  std::vector<Rect> far;
+  far.reserve(base.rects().size());
+  for (const Rect& r : base.rects()) {
+    (touches_edit(r) ? out.replaced : far).push_back(r);
+  }
+  // The replaced rects are bands of `base`, so they cover their point set
+  // without overlap and the sweep reads them as they are.
+  out.local =
+      sweep_boolean(sweep_boolean(out.replaced, removed.raw_, BoolOp::kSub),
+                    added.raw_, BoolOp::kOr);
+  // What remains of the edited layer beyond the far bands is exactly the
+  // local region, and its bands are the result's other bands.
+  out.result.raw_.resize(far.size() + out.local.size());
+  std::merge(far.begin(), far.end(), out.local.begin(), out.local.end(),
+             out.result.raw_.begin());
+  out.result.normalized_ = true;
+  return out;
+}
+
 Region boolean_op(const Region& a, const Region& b, BoolOp op) {
   Region r;
   r.raw_ = sweep_boolean(a.raw_, b.raw_, op);

@@ -127,7 +127,11 @@ Coord region_distance(const Region& a, const Region& b, Coord cap) {
 
 std::vector<Region> Region::components() const {
   normalize();
-  const std::size_t n = raw_.size();
+  return components_of(raw_);
+}
+
+std::vector<Region> components_of(const std::vector<Rect>& rects) {
+  const std::size_t n = rects.size();
   if (n == 0) return {};
 
   // Union-find over rects; adjacency = closed touch with positive-length
@@ -148,12 +152,12 @@ std::vector<Region> Region::components() const {
     if (a != b) parent[a] = b;
   };
 
-  RTree tree(raw_);
+  RTree tree(rects);
   for (std::uint32_t i = 0; i < n; ++i) {
-    tree.visit(raw_[i], [&](std::uint32_t j) {
+    tree.visit(rects[i], [&](std::uint32_t j) {
       if (j <= i) return;
-      const Rect& a = raw_[i];
-      const Rect& b = raw_[j];
+      const Rect& a = rects[i];
+      const Rect& b = rects[j];
       const Coord ox = std::min(a.hi.x, b.hi.x) - std::max(a.lo.x, b.lo.x);
       const Coord oy = std::min(a.hi.y, b.hi.y) - std::max(a.lo.y, b.lo.y);
       if ((ox > 0 && oy >= 0) || (oy > 0 && ox >= 0)) unite(i, j);
@@ -162,12 +166,13 @@ std::vector<Region> Region::components() const {
 
   std::map<std::uint32_t, Region> groups;  // ordered for determinism
   for (std::uint32_t i = 0; i < n; ++i) {
-    groups[find(i)].raw_.push_back(raw_[i]);
+    groups[find(i)].raw_.push_back(rects[i]);
   }
   std::vector<Region> out;
   out.reserve(groups.size());
   for (auto& [root, reg] : groups) {
-    reg.normalized_ = reg.raw_.size() <= 1;
+    // A subset of sorted rects, and canonical on its own (see region.h).
+    reg.normalized_ = true;
     out.push_back(std::move(reg));
   }
   std::sort(out.begin(), out.end(), component_less);

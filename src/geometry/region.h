@@ -44,6 +44,8 @@ struct ColumnRuns {
   }
 };
 
+struct RegionEdit;
+
 class Region {
  public:
   Region() = default;
@@ -99,6 +101,9 @@ class Region {
   friend Region grid_region(const Rect& window, Coord px,
                             const ColumnRuns& columns);
   friend Region union_of_apart(const std::vector<const Region*>& parts);
+  friend RegionEdit edit_region(const Region& base, const Region& removed,
+                                const Region& added);
+  friend std::vector<Region> components_of(const std::vector<Rect>& rects);
 
   Region operator|(const Region& o) const { return boolean_op(*this, o, BoolOp::kOr); }
   Region operator&(const Region& o) const { return boolean_op(*this, o, BoolOp::kAnd); }
@@ -113,6 +118,14 @@ class Region {
   mutable std::vector<Rect> raw_;      // as-added shapes (rect-decomposed)
   mutable bool normalized_ = true;     // raw_ is canonical when true
 };
+
+/// The canonical rects of `rects`'s connected components, in
+/// component_less order: Region::components() of the region whose
+/// canonical form is `rects` (sorted), for a caller that holds such a set
+/// without a Region around it. Each component's rects are its own
+/// canonical form: a band of the whole is a maximal interval run of one
+/// component, since two bands that share an edge connect.
+std::vector<Region> components_of(const std::vector<Rect>& rects);
 
 /// The labelling order of Region::components(): bbox lo, then bbox hi,
 /// then the canonical rects. It depends only on each component's point
@@ -152,5 +165,22 @@ Region grid_region(const Rect& window, Coord px, const ColumnRuns& columns);
 /// one part's own, so the canonical form is the sorted merge of the
 /// parts' forms and no sweep runs.
 Region union_of_apart(const std::vector<const Region*>& parts);
+
+/// (base - removed) | added, computed around the edit. A band of the
+/// canonical form is a maximal run of one maximal interval, which is
+/// decided by the points within any positive distance of the band; so a
+/// rect of `base` whose closed extent touches no rect of `removed` or
+/// `added` is a band of the result too. Those rects are copied, the few
+/// that touch the edit (`replaced`) are re-swept with it into `local`,
+/// and the result is the sorted merge of the two: no sweep runs over the
+/// rest of `base`, and the result is canonical, equal rect for rect to
+/// the whole-layer Boolean.
+struct RegionEdit {
+  Region result;
+  std::vector<Rect> replaced;  // rects of base touching the edit, sorted
+  std::vector<Rect> local;     // rects of result replacing them, sorted
+};
+RegionEdit edit_region(const Region& base, const Region& removed,
+                       const Region& added);
 
 }  // namespace dfm

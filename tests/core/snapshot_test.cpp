@@ -11,13 +11,16 @@
 
 #include "core/dfm_flow.h"
 #include "core/parallel.h"
+#include "core/telemetry.h"
 #include "gen/generators.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -300,6 +303,296 @@ TEST(LayoutSnapshot, LayerMapConstructorsMatchLibraryConstructor) {
     EXPECT_TRUE(from_copy.layer(k).region() == from_lib.layer(k).region());
     EXPECT_TRUE(from_move.layer(k).region() == from_lib.layer(k).region());
   }
+}
+
+// ---- SnapshotSplice ---------------------------------------------------------
+//
+// An edited layer is spliced: its geometry is the base's rects away from
+// the edit merged with a local re-sweep (edit_region), and its labelling
+// keeps the base's components away from the edit and relabels the rest
+// (LayerComponents::spliced). Both must equal the whole-layer results
+// exactly, whatever the edit does to the canonical bands around it.
+
+void expect_same_labelling(const LayerComponents& got,
+                           const LayerComponents& want) {
+  ASSERT_EQ(got.regions.size(), want.regions.size());
+  for (std::size_t i = 0; i < want.regions.size(); ++i) {
+    ASSERT_EQ(got.regions[i].rects(), want.regions[i].rects()) << i;
+  }
+  EXPECT_EQ(got.boxes, want.boxes);
+  EXPECT_EQ(got.index.size(), want.index.size());
+  EXPECT_EQ(got.index.memory_bytes(), want.index.memory_bytes());
+  for (const Rect& box : want.boxes) {
+    EXPECT_EQ(got.index.query(box), want.index.query(box));
+  }
+}
+
+/// Splices the edit into `base` (whose labelling is `labels`), checks
+/// the geometry and the labelling against the whole-layer results, and
+/// returns the edited layer and its labelling for the next edit.
+std::pair<Region, LayerComponents> expect_exact_splice(
+    const Region& base, const LayerComponents& labels, const Region& removed,
+    const Region& added) {
+  const Region whole = (base - removed) | added;
+  RegionEdit edit = edit_region(base, removed, added);
+  EXPECT_EQ(edit.result.rects(), whole.rects());
+  // The replaced rects are the base rects touching the edit, and the
+  // local rects are the rest of the result.
+  std::vector<Rect> kept;
+  std::set_difference(base.rects().begin(), base.rects().end(),
+                      edit.replaced.begin(), edit.replaced.end(),
+                      std::back_inserter(kept));
+  std::vector<Rect> rest;
+  std::set_difference(whole.rects().begin(), whole.rects().end(),
+                      kept.begin(), kept.end(), std::back_inserter(rest));
+  EXPECT_EQ(edit.local, rest);
+  LayerComponents spliced =
+      LayerComponents::spliced(labels, edit.replaced, edit.local);
+  expect_same_labelling(spliced, LayerComponents::of(whole));
+  return {whole, std::move(spliced)};
+}
+
+Rect random_rect(std::mt19937_64& rng, const Rect& within, Coord max_side) {
+  std::uniform_int_distribution<Coord> x(within.lo.x, within.hi.x);
+  std::uniform_int_distribution<Coord> y(within.lo.y, within.hi.y);
+  std::uniform_int_distribution<Coord> side(1, max_side);
+  const Coord x0 = x(rng), y0 = y(rng);
+  return Rect{x0, y0, x0 + side(rng), y0 + side(rng)};
+}
+
+const Rect& random_band(std::mt19937_64& rng, const Region& layer) {
+  std::uniform_int_distribution<std::size_t> pick(0, layer.rects().size() - 1);
+  return layer.rects()[pick(rng)];
+}
+
+// Every kind of edit, at random places of generated designs, chained so
+// that later edits splice from spliced labellings.
+TEST(SnapshotSplice, RandomEditsMatchTheWholeLayer) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    const Library lib = small_design(seed);
+    const LayoutSnapshot snap(lib, lib.top_cells().front());
+    std::mt19937_64 rng(seed);
+    for (const LayerKey k :
+         {layers::kMetal1, layers::kMetal2, layers::kVia1}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " " + to_string(k));
+      Region layer = snap.layer(k).region();
+      LayerComponents labels = LayerComponents::of(layer);
+      const Rect bb = layer.bbox();
+      std::uniform_int_distribution<int> kind(0, 5);
+      for (int step = 0; step < 24 && !layer.empty(); ++step) {
+        const Rect& r = random_band(rng, layer);
+        const Coord w = 1 + static_cast<Coord>(rng() % 200);
+        const Coord h = 1 + static_cast<Coord>(rng() % 200);
+        Region removed, added;
+        switch (kind(rng)) {
+          case 0:  // plain adds
+            added.add(random_rect(rng, bb, 300));
+            added.add(random_rect(rng, bb, 300));
+            break;
+          case 1:  // a vertical and a horizontal cut through a band
+            if (r.width() > 2) {
+              const Coord x =
+                  r.lo.x + 1 + static_cast<Coord>(
+                                   rng() % static_cast<std::uint64_t>(
+                                               r.width() - 2));
+              removed.add(Rect{x, r.lo.y - 5, x + 1, r.hi.y + 5});
+            }
+            if (r.height() > 2) {
+              const Coord y =
+                  r.lo.y + 1 + static_cast<Coord>(
+                                   rng() % static_cast<std::uint64_t>(
+                                               r.height() - 2));
+              removed.add(Rect{r.lo.x, y, r.hi.x, y + 1});
+            }
+            break;
+          case 2:  // touches a band at its corner only
+            added.add(Rect{r.hi.x, r.hi.y, r.hi.x + w, r.hi.y + h});
+            break;
+          case 3:  // abuts a band with its y-interval: the bands may fuse
+            added.add(Rect{r.hi.x, r.lo.y, r.hi.x + w, r.hi.y});
+            break;
+          case 4:  // removes a corner beside a band
+            removed.add(Rect{r.hi.x, r.hi.y - h, r.hi.x + w, r.hi.y + h});
+            break;
+          default:  // removes a whole band and adds part of it back
+            removed.add(r);
+            added.add(Rect{r.lo.x, r.lo.y, r.lo.x + (r.width() + 1) / 2,
+                           r.hi.y});
+            break;
+        }
+        if (removed.empty() && added.empty()) continue;
+        auto next = expect_exact_splice(layer, labels, removed, added);
+        layer = std::move(next.first);
+        labels = std::move(next.second);
+      }
+    }
+  }
+}
+
+// Hand-made cases where the edit changes bands it does not overlap.
+TEST(SnapshotSplice, BandsFuseAndSplitAroundTheEdit) {
+  const Region far(Rect{0, 500, 40, 540});
+  {  // an abutting add with the same y-interval fuses into one band
+    Region base = far;
+    base.add(Rect{0, 0, 10, 10});
+    const Region added(Rect{10, 0, 20, 10});
+    expect_exact_splice(base, LayerComponents::of(base), Region{}, added);
+    EXPECT_EQ(((base - Region{}) | added).rect_count(), 2u);
+  }
+  {  // a remove leaves an interval equal to its x-neighbour's: they fuse
+    Region base = far;
+    base.add(Rect{0, 0, 10, 10});
+    base.add(Rect{10, 0, 20, 20});
+    const Region removed(Rect{10, 10, 20, 20});
+    ASSERT_EQ(base.rect_count(), 3u);
+    expect_exact_splice(base, LayerComponents::of(base), removed, Region{});
+    EXPECT_EQ((base - removed).rect_count(), 2u);
+  }
+  {  // a remove splits one band, and its component, in two
+    Region base = far;
+    base.add(Rect{0, 0, 30, 10});
+    const Region removed(Rect{10, 0, 20, 10});
+    const auto next =
+        expect_exact_splice(base, LayerComponents::of(base), removed, Region{});
+    EXPECT_EQ(next.second.regions.size(), 3u);
+  }
+  {  // a corner-touching add stays its own component
+    Region base = far;
+    base.add(Rect{0, 0, 10, 10});
+    const Region added(Rect{10, 10, 20, 20});
+    const auto next =
+        expect_exact_splice(base, LayerComponents::of(base), Region{}, added);
+    EXPECT_EQ(next.second.regions.size(), 3u);
+  }
+  {  // an add bridging two components merges them
+    Region base = far;
+    base.add(Rect{0, 0, 10, 10});
+    base.add(Rect{20, 0, 30, 10});
+    const Region added(Rect{10, 2, 20, 8});
+    const auto next =
+        expect_exact_splice(base, LayerComponents::of(base), Region{}, added);
+    EXPECT_EQ(next.second.regions.size(), 2u);
+  }
+  // an edit of an empty layer
+  expect_exact_splice(Region{}, LayerComponents{}, Region(Rect{0, 0, 5, 5}),
+                      Region(Rect{3, 3, 9, 9}));
+}
+
+/// How many labellings `read` spliced rather than built whole.
+template <class Read>
+std::size_t splices_during(Read&& read) {
+  namespace telem = ::dfm::telemetry;
+  telem::set_enabled(false);
+  telem::clear();
+  telem::set_enabled(true);
+  read();
+  telem::set_enabled(false);
+  std::size_t n = 0;
+  for (const telem::ThreadTrace& t : telem::drain().threads) {
+    for (const telem::SpanEvent& e : t.events) {
+      if (std::string(e.name) == "snapshot/components_splice") ++n;
+    }
+  }
+  telem::clear();
+  return n;
+}
+
+// Through the snapshot: the derived layer and its labelling equal the
+// whole-layer results for edits that move the bbox and edits of a layer
+// the base lacks, and the splice path runs only when the base holds its
+// labelling.
+TEST(SnapshotSplice, DerivedLayersMatchTheWholeLayer) {
+  const Library lib = small_design(21);
+  const LayoutSnapshot base(lib, lib.top_cells().front());
+  const LayerKey absent{99, 0};
+  ASSERT_FALSE(base.has(absent));
+  const Rect bb = base.bbox();
+  base.components(layers::kMetal1);
+  LayoutDelta d;
+  d.add(layers::kMetal1, Rect{bb.hi.x - 50, bb.hi.y - 50, bb.hi.x + 300,
+                              bb.hi.y + 20});  // moves the bbox
+  d.remove(layers::kMetal1, Rect{bb.lo.x, bb.lo.y, bb.lo.x + 400,
+                                 bb.lo.y + 400});
+  d.remove(layers::kMetal2, Rect{bb.lo.x, bb.lo.y, bb.lo.x + 400,
+                                 bb.lo.y + 400});  // labelling not built
+  d.add(absent, Rect{0, 0, 100, 100});
+  const IncrementalSnapshot inc(base, d);
+  ASSERT_TRUE(inc.bbox_changed());
+  for (const LayerKey k : {layers::kMetal1, layers::kMetal2, absent}) {
+    SCOPED_TRACE(to_string(k));
+    const LayerDelta& e = *d.find(k);
+    const Region whole = (base.layer(k).region() - e.removed) | e.added;
+    EXPECT_EQ(inc.layer(k).rects(), whole.rects());
+    const std::size_t splices = splices_during([&] {
+      expect_same_labelling(inc.components(k), LayerComponents::of(whole));
+    });
+    EXPECT_EQ(splices, k == layers::kMetal1 ? 1u : 0u);
+  }
+}
+
+// The splice never rehydrates the base's labelling: evicted there, the
+// dirty slot builds whole, with the same result.
+TEST(SnapshotSplice, EvictedBaseLabellingBuildsWhole) {
+  const Library lib = small_design(22);
+  const LayoutSnapshot base(
+      std::make_shared<LibrarySource>(std::make_shared<Library>(lib),
+                                      lib.top_cells().front()),
+      LayoutSnapshot::standard_flow_layers());
+  const LayerKey k = layers::kMetal1;
+  const Rect bb = base.bbox();
+  LayoutDelta d;
+  d.add(k, Rect{bb.lo.x + 10, bb.lo.y + 10, bb.lo.x + 260, bb.lo.y + 60});
+  base.components(k);
+  const IncrementalSnapshot evicted(base, d);
+  base.budget().set_limit(1);
+  base.evict_to_budget({});  // drops the base's labelling and geometry
+  ASSERT_EQ(base.budget().rehydrations(), 0u);
+  base.budget().set_limit(0);
+  const LayerComponents want =
+      LayerComponents::of(evicted.layer(k).region());
+  EXPECT_EQ(splices_during([&] { expect_same_labelling(evicted.components(k),
+                                                       want); }),
+            0u);
+  EXPECT_EQ(base.budget().rehydrations(), 0u);
+  // Derived after the eviction: no splice is kept at all.
+  const IncrementalSnapshot later(base, d);
+  const std::uint64_t geometry_only = base.budget().rehydrations();
+  EXPECT_EQ(splices_during([&] { expect_same_labelling(later.components(k),
+                                                       want); }),
+            0u);
+  EXPECT_EQ(base.budget().rehydrations(), geometry_only);
+
+  // With the labelling resident again, a fresh derive splices.
+  base.components(k);
+  const IncrementalSnapshot again(base, d);
+  EXPECT_EQ(splices_during([&] { expect_same_labelling(again.components(k),
+                                                       want); }),
+            1u);
+}
+
+// Eight pool threads race to the first read of a spliced labelling: one
+// splice runs, and every reader gets the one object it built.
+TEST(SnapshotSplice, ConcurrentFirstAccessSplicesOnce) {
+  const Library lib = small_design(23);
+  const LayoutSnapshot base(lib, lib.top_cells().front());
+  const LayerKey k = layers::kMetal1;
+  const Rect bb = base.bbox();
+  base.components(k);
+  LayoutDelta d;
+  d.add(k, Rect{bb.lo.x + 10, bb.lo.y + 10, bb.lo.x + 260, bb.lo.y + 60});
+  const IncrementalSnapshot inc(base, d);
+
+  constexpr unsigned kThreads = 8;
+  ThreadPool pool(kThreads);
+  std::vector<const LayerComponents*> seen(kThreads, nullptr);
+  const std::size_t splices = splices_during([&] {
+    pool.parallel_for(kThreads,
+                      [&](std::size_t i) { seen[i] = &inc.components(k); });
+  });
+  EXPECT_EQ(splices, 1u);
+  for (const LayerComponents* c : seen) EXPECT_EQ(c, seen[0]);
+  expect_same_labelling(*seen[0],
+                        LayerComponents::of(inc.layer(k).region()));
 }
 
 // ---- Flow over a snapshot -------------------------------------------------

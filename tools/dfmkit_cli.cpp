@@ -133,7 +133,11 @@ std::uint32_t pick_top(const Library& lib, int argc, char** argv, int index) {
 int cmd_gen(int argc, char** argv) {
   if (argc < 3) throw std::runtime_error("usage: dfmkit gen <out.gds> [seed]");
   DesignParams p;
-  p.seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
+  // A seed that is not a whole number is an error, not seed 0, and "-1"
+  // does not wrap to the largest seed.
+  p.seed = argc > 3 ? parse_count("seed", argv[3],
+                                  std::numeric_limits<std::uint64_t>::max())
+                     : 1;
   p.name = "dfmkit_demo";
   p.rows = 4;
   p.cells_per_row = 10;
