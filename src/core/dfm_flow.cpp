@@ -4,6 +4,7 @@
 #include "core/parallel.h"
 #include "core/telemetry.h"
 #include "litho/fft.h"
+#include "litho/prefilter.h"
 
 #include <algorithm>
 #include <cstdlib>
@@ -120,14 +121,6 @@ std::vector<Rect> dirty_rects(const FlowDamage& damage,
   return out;
 }
 
-/// True when `r` shares a point (closed) with one of `rects`.
-bool touches_any(const Rect& r, const std::vector<Rect>& rects) {
-  for (const Rect& d : rects) {
-    if (r.touches(d)) return true;
-  }
-  return false;
-}
-
 /// What a pass reports for its trace row.
 struct PassCounts {
   std::size_t items = 0;        // result items
@@ -189,6 +182,34 @@ class FlowDriver {
   /// the ceiling and overshooting mid-pass.
   void evict_keeping(const std::vector<LayerKey>& keep) const {
     if (budgeted()) snap_.evict_to_budget(keep, snap_.budget().limit() / 2);
+  }
+
+  /// Units keyed by their member boxes (DPT conflict units, via
+  /// clusters): per group of component indices into `comps`, the
+  /// members' boxes in order, and whether one of them grown by `reach`
+  /// touches a dirty rect on `on` (never on a cold run).
+  struct MemberKeys {
+    std::vector<std::vector<Rect>> keys;
+    std::vector<char> touched;  // aligned with keys
+  };
+  MemberKeys member_keys(const LayerComponents& comps,
+                         const std::vector<std::vector<std::uint32_t>>& groups,
+                         const std::vector<LayerKey>& on, Coord reach) const {
+    const std::vector<Rect> dirty =
+        inc_ ? dirty_rects(damage_, on) : std::vector<Rect>{};
+    MemberKeys out;
+    out.keys.resize(groups.size());
+    out.touched.assign(groups.size(), 0);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (const std::uint32_t m : groups[g]) {
+        out.keys[g].push_back(comps.boxes[m]);
+        const Rect probe = comps.boxes[m].expanded(reach);
+        for (const Rect& d : dirty) {
+          if (probe.touches(d)) out.touched[g] = 1;
+        }
+      }
+    }
+    return out;
   }
 
   /// A keyed splice's outcome: the new cache (this run's keys only, each
@@ -531,13 +552,15 @@ FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   });
 
   // 3. Litho hotspots (tile-simulated). Splice unit: one simulation
-  // tile; a tile is stale when the dirty region touches its core
-  // expanded by the optical halo, and a stale tile re-renders only the
-  // pixels the edit reaches into its cached print. A cold run is the
-  // case where every tile is stale. A run that skips the pass (M1
-  // empty) leaves no simulation, so the next run simulates cold. From
-  // here on the m1 view below stays live, so every keep set through the
-  // caa pass includes kMetal1.
+  // tile of TileGrid(m1.bbox(), litho_tile), keyed by its index. A tile
+  // is stale when an M1 dirty rect overlaps its window (the core
+  // expanded by the 6-sigma optical halo) with positive area, and a
+  // stale tile re-renders only the pixels the edit reaches into its
+  // previous print (same index, same grid). A cold run or a new grid is
+  // the case where every tile is stale. A run that skips the pass (M1
+  // empty) leaves no tiles, so the next run simulates cold. From here on
+  // the m1 view below stays live, so every keep set through the caa
+  // pass includes kMetal1.
   flow.evict_keeping({layers::kMetal1});
   const NormalizedRegion m1 = snap.layer(layers::kMetal1);
   caches.kernels = was.kernels;
@@ -552,17 +575,52 @@ FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
         caches.kernels = std::make_shared<KernelSpectrumCache>();
       }
       sim.kernels = caches.kernels;
-      const bool have = inc && !was.litho.tiles.empty();
-      const HotspotTileSim none_sim;
-      const Region none;
-      caches.litho = resimulate_hotspots(
-          snap, layers::kMetal1, m1.bbox(), sim, have ? was.litho : none_sim,
-          have ? damage.inc->dirty_region(layers::kMetal1) : none);
-      rep.hotspots = caches.litho.merged();
+      const TileGrid tiles(m1.bbox(), options.litho_tile);
+      const bool have = inc && !was.litho.empty();
+      const auto* before =
+          have && was.litho_grid == tiles ? &was.litho : nullptr;
+      caches.litho_grid = tiles;
+      std::vector<std::size_t> units(tiles.size());
+      std::iota(units.begin(), units.end(), std::size_t{0});
+      // Per tile, the bbox of the dirty region inside its window.
+      std::vector<Rect> changed(tiles.size(), Rect::empty());
+      if (before != nullptr) {
+        const Coord margin = 6 * options.model.sigma;
+        for (const Rect& d : dirty_rects(damage, {layers::kMetal1})) {
+          for (std::size_t ti = 0; ti < tiles.size(); ++ti) {
+            const Rect window = tiles.core(ti).expanded(margin);
+            if (d.overlaps(window)) {
+              changed[ti] = changed[ti].join(d.intersect(window));
+            }
+          }
+        }
+      }
+      const DensityMap* density = litho_density(snap, layers::kMetal1, sim);
+      // Resolved by the first stale tile, so a run with none skips it.
+      PrefilterCalibration cal;
+      std::once_flag calibrated;
+      auto found = flow.splice(
+          before, units,
+          [&](std::size_t ti) { return !changed[ti].is_empty(); },
+          // Litho reads only the M1 view the pass evicted to keep.
+          [](std::size_t) { return std::vector<LayerKey>{}; },
+          [&](std::size_t ti) {
+            std::call_once(calibrated,
+                           [&] { cal = resolve_litho_calibration(sim); });
+            return simulate_litho_tile(
+                m1, density, tiles, ti, sim, pool, cal.valid ? &cal : nullptr,
+                before != nullptr ? (*before)[ti].second.get() : nullptr,
+                changed[ti]);
+          });
+      for (const std::vector<Hotspot>& hs :
+           assemble_hotspots(tiles, found.results, sim.edge_tolerance)) {
+        rep.hotspots.insert(rep.hotspots.end(), hs.begin(), hs.end());
+      }
+      caches.litho = std::move(found.cache);
       rep.scorecard.add("litho", score_from_count(rep.hotspots.size()), 3.0,
                         std::to_string(rep.hotspots.size()) + " hotspots");
-      return PassCounts{rep.hotspots.size(), caches.litho.tiles.size(),
-                        caches.litho.recomputed, have};
+      return PassCounts{rep.hotspots.size(), tiles.size(), found.recomputed,
+                        have};
     });
   }
 
@@ -586,21 +644,11 @@ FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
       const LayerComponents& comps = snap.components(layers::kMetal1);
       const std::vector<std::vector<std::uint32_t>> units =
           dpt_units(comps, t.dpt_space);
-      std::vector<std::vector<Rect>> keys(units.size());
-      for (std::size_t u = 0; u < units.size(); ++u) {
-        for (const std::uint32_t c : units[u]) {
-          keys[u].push_back(comps.boxes[c]);
-        }
-      }
-      const std::vector<Rect> dirty =
-          inc ? dirty_rects(damage, {layers::kMetal1}) : std::vector<Rect>{};
+      const auto units_keyed =
+          flow.member_keys(comps, units, {layers::kMetal1}, 0);
       auto found = flow.splice(
-          &was.dpt_units, keys,
-          [&](std::size_t u) {
-            return std::any_of(
-                keys[u].begin(), keys[u].end(),
-                [&](const Rect& box) { return touches_any(box, dirty); });
-          },
+          &was.dpt_units, units_keyed.keys,
+          [&](std::size_t u) { return units_keyed.touched[u] != 0; },
           // A unit reads only the M1 labelling the partition just built
           // in the working set the pass evicted to, so its budget group
           // evicts nothing and `comps` stays resident.
@@ -644,23 +692,11 @@ FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
     const LayerComponents& vias = snap.components(layers::kVia1);
     const std::vector<std::vector<std::uint32_t>> clusters =
         via_clusters(vias, t);
-    std::vector<std::vector<Rect>> keys(clusters.size());
-    for (std::size_t c = 0; c < clusters.size(); ++c) {
-      for (const std::uint32_t v : clusters[c]) {
-        keys[c].push_back(vias.boxes[v]);
-      }
-    }
-    const Coord reach = via_reach(t);
-    const std::vector<Rect> dirty =
-        inc ? dirty_rects(damage, stack) : std::vector<Rect>{};
+    const auto clusters_keyed =
+        flow.member_keys(vias, clusters, stack, via_reach(t));
     auto found = flow.splice(
-        &was.via_clusters, keys,
-        [&](std::size_t c) {
-          return std::any_of(keys[c].begin(), keys[c].end(),
-                             [&](const Rect& box) {
-                               return touches_any(box.expanded(reach), dirty);
-                             });
-        },
+        &was.via_clusters, clusters_keyed.keys,
+        [&](std::size_t c) { return clusters_keyed.touched[c] != 0; },
         [&](std::size_t) { return stack; },
         [&](std::size_t c) {
           TELEM_SPAN_ARG("vias/cluster", c);

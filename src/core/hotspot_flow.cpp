@@ -66,17 +66,6 @@ std::vector<HotspotMatch> scan_impl(const std::vector<Rect>& rects,
   return out;
 }
 
-// Resolves the prefilter calibration a tiled run should use; an invalid
-// calibration (returned when the prefilter is off, forced off by kOff,
-// or unprovable for this model) disables skipping entirely.
-PrefilterCalibration resolve_calibration(const HotspotSimOptions& options) {
-  if (!options.prefilter || options.fast == LithoFastMode::kOff) return {};
-  return prefilter_calibration(options.model, options.edge_tolerance,
-                               options.prefilter_window.empty()
-                                   ? default_process_window()
-                                   : options.prefilter_window);
-}
-
 // Density-grid gate (snapshot path only): true when every grid cell the
 // simulation window touches has zero coverage, i.e. the clip is provably
 // empty before it is even built. Cells outside the analysed area hold no
@@ -95,13 +84,6 @@ bool density_gate_empty(const DensityMap& dm, const Rect& window) {
   }
   return true;
 }
-
-// What one tile simulation produces.
-struct TileResult {
-  TileRisk risk;         // the tile's risk state
-  ColumnRuns print;  // the tile's print, kept when directly convolved
-  bool skipped = false;  // the prefilter proved the tile hotspot-free
-};
 
 // The print inside `w` (a sub-box of `window`), from the window's runs.
 Region print_in(const Rect& window, Coord px, const ColumnRuns& runs,
@@ -274,26 +256,62 @@ TileRisk compare_tile(const Region& target_z, const Rect& window, Coord px,
   return out;
 }
 
-// One tile of the tiled simulation: clip the layer to the 6-sigma halo
-// window around the core, simulate, and compare print and target inside
-// the core grown by half the margin (compare_tile). With a valid
-// calibration, tiles the prefilter proves hotspot-free skip the
-// simulation (their risk state is provably hotspot-free, so the merged
-// output is unchanged). `prev_print` is the tile's print from before an
-// edit inside `changed`, or no columns for a full render; the print is
-// bit-identical either way (print_window), so the risk is too.
-// `prev_risk` is the matching risk state (null: none), read only when
-// there is a print to splice into.
-TileResult simulate_tile(const NormalizedRegion& layer, const Rect& core,
-                         const Rect& cell, const Rect& extent,
-                         const HotspotSimOptions& options, ThreadPool* pool,
-                         const PrefilterCalibration* cal, const DensityMap* dm,
-                         const ColumnRuns& prev_print,
-                         const TileRisk* prev_risk, const Rect& changed) {
+// The cold tiled run: every tile of the grid simulated, then the seams
+// completed.
+HotspotTileSim simulate_tiled(const NormalizedRegion& layer,
+                              const DensityMap* density, const Rect& extent,
+                              const HotspotSimOptions& options) {
+  const TileGrid grid(extent, options.tile);
+  const PrefilterCalibration cal = grid.size() == 0
+                                       ? PrefilterCalibration{}
+                                       : resolve_litho_calibration(options);
+  const PassPool pool(options);
+  const std::vector<LithoTile> results =
+      parallel_map(pool, grid.size(), [&](std::size_t ti) {
+        return simulate_litho_tile(layer, density, grid, ti, options, pool,
+                                   cal.valid ? &cal : nullptr);
+      });
+  HotspotTileSim sim;
+  sim.tiles = grid.cores();
+  std::vector<const LithoTile*> tiles;
+  tiles.reserve(results.size());
+  for (const LithoTile& r : results) {
+    tiles.push_back(&r);
+    if (r.skipped) ++sim.skipped;
+  }
+  sim.per_tile = assemble_hotspots(grid, tiles, options.edge_tolerance);
+  return sim;
+}
+
+}  // namespace
+
+PrefilterCalibration resolve_litho_calibration(
+    const HotspotSimOptions& options) {
+  if (!options.prefilter || options.fast == LithoFastMode::kOff) return {};
+  return prefilter_calibration(options.model, options.edge_tolerance,
+                               options.prefilter_window.empty()
+                                   ? default_process_window()
+                                   : options.prefilter_window);
+}
+
+const DensityMap* litho_density(const LayoutSnapshot& snap, LayerKey layer,
+                                const HotspotSimOptions& options) {
+  if (!options.prefilter || options.fast == LithoFastMode::kOff) return nullptr;
+  if (!snap.has(layer)) return nullptr;
+  return &snap.density(layer, options.tile);
+}
+
+LithoTile simulate_litho_tile(const NormalizedRegion& layer,
+                              const DensityMap* density, const TileGrid& grid,
+                              std::size_t ti, const HotspotSimOptions& options,
+                              ThreadPool* pool, const PrefilterCalibration* cal,
+                              const LithoTile* prev, const Rect& changed) {
+  TELEM_SPAN_ARG("litho/tile", ti);
   const Coord margin = 6 * options.model.sigma;
-  TileResult out;
+  const Rect core = grid.core(ti);
+  LithoTile out;
   const Rect window = core.expanded(margin);
-  if (dm != nullptr && density_gate_empty(*dm, window)) return out;
+  if (density != nullptr && density_gate_empty(*density, window)) return out;
   const Region clip = layer.clipped(window);
   if (clip.empty()) return out;
   if (cal != nullptr) {
@@ -306,121 +324,49 @@ TileResult simulate_tile(const NormalizedRegion& layer, const Rect& core,
       return out;
     }
   }
-  const bool splice = prev_print.columns() != 0;
+  const bool splice = prev != nullptr && prev->print.columns() != 0;
   WindowPrint print = print_window(clip, window, options.model, {}, pool,
                                    options.fast, options.kernels.get(),
-                                   splice ? &prev_print : nullptr, changed);
+                                   splice ? &prev->print : nullptr, changed);
   const Rect z = core.expanded(margin / 2);
   out.risk = compare_tile(clip.clipped(z), window, options.model.px,
-                          print.runs, z, cell, extent, options.edge_tolerance,
-                          pool, splice ? prev_risk : nullptr, print.rendered,
+                          print.runs, z, grid.cell(ti), grid.extent(),
+                          options.edge_tolerance, pool,
+                          splice ? &prev->risk : nullptr, print.rendered,
                           changed);
   if (print.direct) out.print = std::move(print.runs);
   return out;
 }
 
-// Seam completion: merges every tile's edge pieces (per kind) into whole
-// components and rebuilds each locally compared tile's hotspot list from
-// its interior hotspots plus the merged components it owns.
-void assemble(HotspotTileSim& sim, const TileGrid& grid, Coord tol) {
+std::vector<std::vector<Hotspot>> assemble_hotspots(
+    const TileGrid& grid, const std::vector<const LithoTile*>& tiles,
+    Coord tol) {
   const Area min_severity = static_cast<Area>(tol) * tol;
-  std::vector<std::vector<Hotspot>> seams(sim.tiles.size());
+  std::vector<std::vector<Hotspot>> out(tiles.size());
   for (const HotspotKind kind : {HotspotKind::kPinch, HotspotKind::kBridge}) {
     Region all;
-    for (const std::shared_ptr<const TileRisk>& r : sim.risk) {
-      for (const RiskPiece& p : r->edges) {
+    for (const LithoTile* t : tiles) {
+      for (const RiskPiece& p : t->risk.edges) {
         if (p.kind == kind) all.add(p.region);
       }
     }
     for (const Region& comp : all.components()) {
       const Area area = comp.area();
       const Rect marker = comp.bbox().expanded(tol);
-      if (area < min_severity || !sim.extent.contains(marker.center())) {
+      if (area < min_severity || !grid.extent().contains(marker.center())) {
         continue;
       }
-      seams[grid.owner(marker.center())].push_back(
+      out[grid.owner(marker.center())].push_back(
           Hotspot{kind, marker, static_cast<double>(area)});
     }
   }
-  for (std::size_t t = 0; t < sim.tiles.size(); ++t) {
-    std::vector<Hotspot> hs = sim.risk[t]->interior;
-    hs.insert(hs.end(), seams[t].begin(), seams[t].end());
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    std::vector<Hotspot> hs = tiles[t]->risk.interior;
+    hs.insert(hs.end(), out[t].begin(), out[t].end());
     sort_hotspots(hs);
-    sim.per_tile[t] = std::move(hs);
+    out[t] = std::move(hs);
   }
-}
-
-// The one tiled run, cold or incremental. A cold run is the case where
-// `prev` is not a simulation of this grid: every tile is stale and none
-// has a cached print. Otherwise only the tiles `dirty` reaches are
-// stale, and the rest share their state with `prev`. A stale tile
-// splices into its cached print when it has one.
-HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
-                          const Rect& extent, const HotspotSimOptions& options,
-                          const HotspotTileSim& prev, const Region& dirty) {
-  const TileGrid grid(extent, options.tile);
-  HotspotTileSim sim;
-  sim.extent = extent;
-  sim.tile = options.tile;
-  std::vector<StaleTile> stale;
-  if (prev.same_grid(extent, options.tile)) {
-    sim.tiles = prev.tiles;
-    sim.prints = prev.prints;
-    sim.risk = prev.risk;
-    stale = stale_litho_tiles(sim.tiles, options, dirty);
-  } else {
-    sim.tiles = grid.cores();
-    for (std::size_t ti = 0; ti < sim.tiles.size(); ++ti) {
-      stale.push_back({ti, Rect::empty()});
-    }
-  }
-  sim.per_tile.resize(sim.tiles.size());
-  sim.prints.resize(sim.tiles.size());
-  sim.risk.resize(sim.tiles.size());
-
-  const PrefilterCalibration cal =
-      stale.empty() ? PrefilterCalibration{} : resolve_calibration(options);
-  const PrefilterCalibration* calp = cal.valid ? &cal : nullptr;
-  const PassPool pool(options);
-  std::vector<TileResult> results =
-      parallel_map(pool, stale.size(), [&](std::size_t si) {
-        const StaleTile& st = stale[si];
-        TELEM_SPAN_ARG("litho/tile", st.index);
-        return simulate_tile(layer, sim.tiles[st.index], grid.cell(st.index),
-                             extent, options, pool, calp, dm,
-                             sim.print(st.index), sim.risk[st.index].get(),
-                             st.changed);
-      });
-
-  for (std::size_t si = 0; si < stale.size(); ++si) {
-    TileResult& r = results[si];
-    const std::size_t ti = stale[si].index;
-    sim.prints[ti] = r.print.columns() == 0
-                         ? nullptr
-                         : std::make_shared<const ColumnRuns>(
-                               std::move(r.print));
-    sim.risk[ti] = std::make_shared<const TileRisk>(std::move(r.risk));
-    if (r.skipped) ++sim.skipped;
-  }
-  sim.recomputed = stale.size();
-  assemble(sim, grid, options.edge_tolerance);
-  return sim;
-}
-
-// The snapshot overloads gate on the memoized density grid only when the
-// prefilter is active: kOff must stay byte-for-byte the historical path.
-const DensityMap* density_for(const LayoutSnapshot& snap, LayerKey layer,
-                              const HotspotSimOptions& options) {
-  if (!options.prefilter || options.fast == LithoFastMode::kOff) return nullptr;
-  if (!snap.has(layer)) return nullptr;
-  return &snap.density(layer, options.tile);
-}
-
-}  // namespace
-
-PrefilterCalibration resolve_litho_calibration(
-    const HotspotSimOptions& options) {
-  return resolve_calibration(options);
+  return out;
 }
 
 std::vector<Hotspot> HotspotTileSim::merged() const {
@@ -431,59 +377,17 @@ std::vector<Hotspot> HotspotTileSim::merged() const {
   return out;
 }
 
-const ColumnRuns& HotspotTileSim::print(std::size_t ti) const {
-  static const ColumnRuns kNone;
-  return ti < prints.size() && prints[ti] ? *prints[ti] : kNone;
-}
-
-bool HotspotTileSim::same_grid(const Rect& e, Coord t) const {
-  return extent == e && tile == t && per_tile.size() == tiles.size() &&
-         risk.size() == tiles.size();
-}
-
-std::vector<StaleTile> stale_litho_tiles(const std::vector<Rect>& tiles,
-                                         const HotspotSimOptions& options,
-                                         const Region& dirty) {
-  const Coord margin = 6 * options.model.sigma;
-  std::vector<StaleTile> out;
-  for (std::size_t ti = 0; ti < tiles.size(); ++ti) {
-    const Rect window = tiles[ti].expanded(margin);
-    Rect changed = Rect::empty();
-    for (const Rect& d : dirty.rects()) {
-      if (d.overlaps(window)) changed = changed.join(d.intersect(window));
-    }
-    if (!changed.is_empty()) out.push_back({ti, changed});
-  }
-  return out;
-}
-
 HotspotTileSim simulate_hotspots_tiled(NormalizedRegion layer,
                                        const Rect& extent,
                                        const HotspotSimOptions& options) {
-  return resim_impl(layer, nullptr, extent, options, {}, Region{});
+  return simulate_tiled(layer, nullptr, extent, options);
 }
 
 HotspotTileSim simulate_hotspots_tiled(const LayoutSnapshot& snap,
                                        LayerKey layer, const Rect& extent,
                                        const HotspotSimOptions& options) {
-  return resim_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options, {}, Region{});
-}
-
-HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
-                                   const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty) {
-  return resim_impl(layer, nullptr, extent, options, prev, dirty);
-}
-
-HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
-                                   const Rect& extent,
-                                   const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty) {
-  return resim_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options, prev, dirty);
+  return simulate_tiled(snap.layer(layer), litho_density(snap, layer, options),
+                        extent, options);
 }
 
 std::vector<Hotspot> simulate_hotspots(NormalizedRegion layer,

@@ -7,6 +7,7 @@
 
 #include "core/engine_api.h"
 #include "geometry/normalized_region.h"
+#include "layout/tile_grid.h"
 #include "litho/litho.h"
 #include "pattern/clustering.h"
 
@@ -17,6 +18,7 @@
 namespace dfm {
 
 class LayoutSnapshot;  // core/snapshot.h
+struct DensityMap;     // layout/density.h
 
 struct HotspotFlowOptions : PassOptions {
   using PassOptions::PassOptions;
@@ -101,6 +103,8 @@ struct RiskPiece {
   HotspotKind kind;
   Region region;
   Rect bbox;
+
+  friend bool operator==(const RiskPiece&, const RiskPiece&) = default;
 };
 
 /// What a tile's compare keeps for later runs: the hotspots of risk
@@ -109,63 +113,40 @@ struct RiskPiece {
 struct TileRisk {
   std::vector<Hotspot> interior;
   std::vector<RiskPiece> edges;
+
+  friend bool operator==(const TileRisk&, const TileRisk&) = default;
 };
 
-/// A tiled simulation with its per-tile hotspot lists kept separate —
-/// the splice unit of incremental litho. merged() is exactly the
-/// row-major tile-order concatenation simulate_hotspots returns.
+/// One simulation tile's result: the splice unit of incremental litho.
+struct LithoTile {
+  /// The print as runs of the window's pixel grid (print_window), which
+  /// an edit splices into instead of re-rendering the tile. Kept only
+  /// for directly convolved tiles: no columns for tiles the density gate
+  /// or the prefilter skipped, and for FFT-convolved tiles.
+  ColumnRuns print;
+  TileRisk risk;  // empty for skipped tiles
+  bool skipped = false;  // the prefilter proved the tile hotspot-free
+};
+
+/// A tiled simulation with its per-tile hotspot lists kept separate.
+/// merged() is exactly the row-major tile-order concatenation
+/// simulate_hotspots returns.
 ///
 /// A hotspot is one connected component of the risk region, wherever the
 /// tile seams cut it. Each tile compares print and target inside its
 /// core grown by half the optical margin; components wholly inside its
 /// cell (TileGrid ownership over `extent`) are its own, and pieces that
 /// reach a shared side are re-merged across tiles (the seam-completion
-/// step), each merged component owned by the tile holding its marker
-/// centre (half-open). Components centred outside `extent` are dropped.
-/// The result does not depend on the tile size.
-///
-/// A tile's print and risk state are immutable once computed: a
-/// re-simulation shares every clean tile's state with the simulation it
-/// started from instead of copying it.
+/// step, assemble_hotspots), each merged component owned by the tile
+/// holding its marker centre (half-open). Components centred outside
+/// `extent` are dropped. The result does not depend on the tile size.
 struct HotspotTileSim {
-  Rect extent;
-  Coord tile = 0;
   std::vector<Rect> tiles;  // TileGrid(extent, tile).cores(), row-major
   std::vector<std::vector<Hotspot>> per_tile;  // aligned with tiles
-  /// Aligned with tiles: each directly convolved tile's print as runs of
-  /// its window's pixel grid (print_window), which an edit splices into
-  /// instead of re-rendering the tile. Null for tiles the density gate
-  /// or the prefilter skipped, and for FFT-convolved tiles.
-  std::vector<std::shared_ptr<const ColumnRuns>> prints;
-  /// Aligned with tiles: each tile's risk state, which a later edit's
-  /// windowed compare splices into (and the seam completion reads);
-  /// empty for skipped tiles.
-  std::vector<std::shared_ptr<const TileRisk>> risk;
-  std::size_t recomputed = 0;  // tiles simulated by the producing call
   std::size_t skipped = 0;  // tiles the prefilter proved hotspot-free
 
   std::vector<Hotspot> merged() const;
-  /// Tile `ti`'s print, or no columns when it keeps none.
-  const ColumnRuns& print(std::size_t ti) const;
-  /// True when this simulation's tile grid is the one `extent` and `tile`
-  /// make, so an incremental run can carry its tiles over.
-  bool same_grid(const Rect& extent, Coord tile) const;
 };
-
-/// A tile an edit makes stale, and the part of the edit its simulation
-/// window sees.
-struct StaleTile {
-  std::size_t index;  // into HotspotTileSim::tiles
-  Rect changed;       // bbox of the dirty region inside the tile's window
-};
-
-/// The tiles whose simulation window — the core expanded by the 6-sigma
-/// optical halo — `dirty` touches, in tile order. Every other tile's
-/// output is unchanged by the edit (it depends only on the layer clipped
-/// to its window).
-std::vector<StaleTile> stale_litho_tiles(const std::vector<Rect>& tiles,
-                                         const HotspotSimOptions& options,
-                                         const Region& dirty);
 
 struct PrefilterCalibration;  // litho/prefilter.h
 
@@ -175,6 +156,45 @@ struct PrefilterCalibration;  // litho/prefilter.h
 /// prefilter_window).
 PrefilterCalibration resolve_litho_calibration(const HotspotSimOptions& options);
 
+/// The density grid a snapshot run gates its tiles on: the snapshot's
+/// memoized grid of `layer` at the tile pitch. Null when the prefilter
+/// is off or forced off by kOff (that path reads nothing from the
+/// snapshot beyond the layer, as it historically did) and when the
+/// snapshot lacks the layer.
+const DensityMap* litho_density(const LayoutSnapshot& snap, LayerKey layer,
+                                const HotspotSimOptions& options);
+
+/// Simulates tile `ti` of `grid` (TileGrid(extent, options.tile)) over
+/// `layer` under a "litho/tile" span: clips the layer to the tile's
+/// window (the core expanded by the 6-sigma optical halo), simulates,
+/// and compares print and target inside the core grown by half the
+/// margin. A tile whose window covers only zero-density cells of
+/// `density` (may be null) is provably empty and skips even the clip;
+/// with a valid calibration `cal` (may be null), a tile the prefilter
+/// proves hotspot-free skips the simulation. `pool` runs the tile's
+/// inner parallelism.
+///
+/// The tile's output depends only on the layer clipped to its window.
+/// `prev` is the tile's result before an edit that changed the layer
+/// inside the window only within `changed`; when it keeps a print, only
+/// the pixels the edit can reach re-render and splice into it
+/// (print_window), and only a window around them is recompared. The
+/// result is bit-identical to simulating the tile with no `prev`.
+LithoTile simulate_litho_tile(const NormalizedRegion& layer,
+                              const DensityMap* density, const TileGrid& grid,
+                              std::size_t ti, const HotspotSimOptions& options,
+                              ThreadPool* pool, const PrefilterCalibration* cal,
+                              const LithoTile* prev = nullptr,
+                              const Rect& changed = Rect::empty());
+
+/// Seam completion over every tile of `grid` (`tiles` aligned with it,
+/// none null): merges the tiles' edge pieces (per kind) into whole
+/// components and returns each tile's hotspot list, its interior
+/// hotspots plus the merged components it owns, in find_hotspots' order.
+std::vector<std::vector<Hotspot>> assemble_hotspots(
+    const TileGrid& grid, const std::vector<const LithoTile*>& tiles,
+    Coord edge_tolerance);
+
 /// Simulates every tile of `extent`. Tiles run concurrently on the
 /// options pool; each tile's hotspot list is independent of the others
 /// (core-ownership rule), so the structure is thread-count invariant.
@@ -183,35 +203,12 @@ HotspotTileSim simulate_hotspots_tiled(NormalizedRegion layer,
                                        const HotspotSimOptions& options);
 
 /// Snapshot-native tiled simulation: additionally consults the
-/// snapshot's memoized density grid (at the simulation tile pitch) as a
-/// zero-cost first prefilter stage — tiles whose halo window covers
-/// only zero-density cells are provably empty and skip even the clip.
-/// Hotspot output is bit-identical to the region overload.
+/// snapshot's memoized density grid (litho_density) as a zero-cost
+/// first prefilter stage. Hotspot output is bit-identical to the region
+/// overload.
 HotspotTileSim simulate_hotspots_tiled(const LayoutSnapshot& snap,
                                        LayerKey layer, const Rect& extent,
                                        const HotspotSimOptions& options);
-
-/// Re-simulates only the stale tiles (stale_litho_tiles); every other
-/// tile's state is shared with `prev`, which is only read. A stale tile
-/// with a cached print re-renders only the pixels the edit can reach and
-/// splices them in (print_window). A tile's output depends only on the
-/// layer clipped to its window, so the result is bit-identical to
-/// simulate_hotspots_tiled over the edited layer. Falls back to a full
-/// run when extent or tile size changed.
-HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
-                                   const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty);
-
-/// Snapshot-native incremental re-simulation: stale tiles go through the
-/// same density-gate + prefilter + convolution path as the snapshot
-/// overload of simulate_hotspots_tiled, so a splice is bit-identical to
-/// the cold snapshot run under every LithoFastMode.
-HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
-                                   const Rect& extent,
-                                   const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty);
 
 /// Simulates in tiles (bounded raster size) and returns all hotspots.
 /// Tiles run concurrently on the pool; per-tile results are merged in

@@ -122,10 +122,13 @@ struct FlowCaches {
   /// Per (pattern set, anchor window): the window's matches.
   UnitCache<std::pair<std::size_t, AnchorWindow>, std::vector<PatternMatch>>
       pattern_windows;
-  /// The litho simulation; its tiles' prints and risk state are shared
-  /// with the simulation of the next run wherever it reuses them. Empty
-  /// (no tiles) when litho did not run, so the next run simulates cold.
-  HotspotTileSim litho;
+  /// The litho simulation tiles the last run used: TileGrid(M1 bbox,
+  /// litho_tile), default when litho did not run.
+  TileGrid litho_grid;
+  /// Per litho tile index: the tile's print, risk state and prefilter
+  /// skip bit. Empty when litho did not run, so the next run simulates
+  /// cold.
+  UnitCache<std::size_t, LithoTile> litho;
   /// Kernel spectra for the litho FFT path, shared across runs of a
   /// session (one transform per process corner and raster size).
   std::shared_ptr<KernelSpectrumCache> kernels;

@@ -34,6 +34,7 @@ class TileGrid {
   std::size_t size() const {
     return static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
   }
+  const Rect& extent() const { return extent_; }
   Coord tile() const { return tile_; }
   int nx() const { return nx_; }
   int ny() const { return ny_; }

@@ -9,12 +9,14 @@
 #include "splice_streams.h"
 
 #include "core/hotspot_flow.h"
+#include "core/incremental.h"
 #include "core/telemetry.h"
 #include "gen/rng.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -259,6 +261,84 @@ class HotspotSplice : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(HotspotSplice, EditStreamsMatchColdFlow) {
   run_streams(GetParam(), "litho");
+}
+
+// The flow keeps each litho tile's print, risk state and skip bit. After
+// every edit each kept tile must equal the one a cold run computes, byte
+// for byte, including tiles whose core the edit misses but whose 6-sigma
+// window it reaches: their prints change even where no hotspot does.
+TEST(HotspotSplice, KeptTilesMatchColdTileForTile) {
+  const DfmFlowOptions opt = splice_options(2, "litho");
+  const PassPool pool(opt);
+  LayerMap shadow = design_layers(11, 3, 8);
+  std::vector<Edit> edits = edit_cases(shadow);
+  const Coord margin = 6 * opt.model.sigma;
+  const TileGrid tiles(shadow.at(layers::kMetal1).bbox(), opt.litho_tile);
+  for (std::size_t ti = 0; ti + 1 < tiles.size(); ti += 2) {
+    const Rect core = tiles.core(ti);
+    if (core.hi.x >= tiles.extent().hi.x) continue;
+    edits.push_back({"halo ring", layers::kMetal1,
+                     Rect{core.hi.x + margin / 2, core.lo.y + 800,
+                          core.hi.x + margin / 2 + 60, core.lo.y + 1000}});
+  }
+  const auto run = [&](DfmFlowReport& rep, const DfmFlowReport* prev,
+                       const FlowCaches& was, const LayoutSnapshot& snap) {
+    return detail::run_flow(rep, opt, pool, prev, was,
+                            [&]() -> const LayoutSnapshot& { return snap; });
+  };
+  std::shared_ptr<const LayoutSnapshot> snap =
+      std::make_shared<LayoutSnapshot>(LayerMap(shadow));
+  DfmFlowReport rep;
+  FlowCaches caches = run(rep, nullptr, {}, *snap);
+  const auto same_runs = [](const ColumnRuns& a, const ColumnRuns& b) {
+    return a.start == b.start &&
+           std::equal(a.runs.begin(), a.runs.end(), b.runs.begin(),
+                      b.runs.end(), [](const PixelRun& x, const PixelRun& y) {
+                        return x.lo == y.lo && x.hi == y.hi;
+                      });
+  };
+  std::size_t ring_tiles = 0;
+  for (const Edit& e : edits) {
+    for (const bool add : {true, false}) {
+      SCOPED_TRACE(std::string(e.what) + (add ? " add" : " remove"));
+      LayoutDelta d;
+      if (add) {
+        d.add(e.layer, e.rect);
+      } else {
+        d.remove(e.layer, e.rect);
+      }
+      d.apply(shadow);
+      auto next = std::make_shared<IncrementalSnapshot>(*snap, d);
+      DfmFlowReport next_rep;
+      FlowCaches next_caches = run(next_rep, &rep, caches, *next);
+      const LayoutSnapshot cold_snap{LayerMap(shadow)};
+      DfmFlowReport cold_rep;
+      const FlowCaches cold = run(cold_rep, nullptr, {}, cold_snap);
+      ASSERT_EQ(next_caches.litho.size(), cold.litho.size());
+      for (std::size_t ti = 0; ti < cold.litho.size(); ++ti) {
+        const LithoTile& warm = *next_caches.litho[ti].second;
+        const LithoTile& want = *cold.litho[ti].second;
+        EXPECT_TRUE(same_runs(warm.print, want.print)) << "tile " << ti;
+        EXPECT_TRUE(warm.risk == want.risk) << "tile " << ti;
+        EXPECT_EQ(warm.skipped, want.skipped) << "tile " << ti;
+        if (std::string(e.what) == "halo ring" &&
+            !tiles.core(ti).overlaps(e.rect) &&
+            tiles.core(ti).expanded(margin).overlaps(e.rect) &&
+            warm.print.columns() > 0) {
+          ++ring_tiles;
+        }
+      }
+      snap = std::move(next);
+      rep = std::move(next_rep);
+      caches = std::move(next_caches);
+    }
+  }
+  EXPECT_GT(ring_tiles, 0u) << "some edit must reach a tile only by its halo";
+}
+
+// Litho tiles splice through the same budget groups as every other pass.
+TEST(HotspotSplice, TightBudgetStreamMatchesColdFlow) {
+  run_budgeted_stream("litho");
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, HotspotSplice, ::testing::Values(1u, 2u, 8u));

@@ -12,6 +12,7 @@
 #include "core/snapshot.h"
 #include "gen/generators.h"
 #include "gen/rng.h"
+#include "layout/tile_grid.h"
 #include "litho/litho.h"
 #include "litho/prefilter.h"
 
@@ -300,19 +301,76 @@ void PrintTo(const StreamCase& c, std::ostream* os) {
   *os << "sigma " << c.sigma << " px " << c.px << " tile " << c.tile;
 }
 
-// Checks `sim` against a cold run over `layer`: hotspots per tile, and
-// every tile's print memcmp-equal.
-void expect_matches_cold(const HotspotTileSim& sim, const Region& layer,
-                         const Rect& extent, const HotspotSimOptions& options,
-                         const std::string& what) {
-  const HotspotTileSim cold = simulate_hotspots_tiled(layer, extent, options);
-  ASSERT_EQ(sim.tiles, cold.tiles) << what;
-  EXPECT_EQ(sim.per_tile, cold.per_tile) << what;
-  ASSERT_EQ(sim.prints.size(), cold.prints.size()) << what;
-  for (std::size_t ti = 0; ti < cold.prints.size(); ++ti) {
-    EXPECT_TRUE(same_runs(sim.print(ti), cold.print(ti)))
-        << what << ", tile " << ti;
+// A tiled run kept tile by tile, as the flow's litho pass keeps it.
+using Tiles = std::vector<LithoTile>;
+
+// Every tile of `grid` over `layer`, simulated cold.
+Tiles cold_tiles(const NormalizedRegion& layer, const DensityMap* density,
+                 const TileGrid& grid, const HotspotSimOptions& options) {
+  const PrefilterCalibration cal = resolve_litho_calibration(options);
+  const PassPool pool(options);
+  Tiles out;
+  for (std::size_t ti = 0; ti < grid.size(); ++ti) {
+    out.push_back(simulate_litho_tile(layer, density, grid, ti, options, pool,
+                                      cal.valid ? &cal : nullptr));
   }
+  return out;
+}
+
+// Re-runs each tile whose window (core grown by the 6-sigma halo) the
+// edit `d` overlaps with positive area, from its previous result, as the
+// flow does. Returns how many of them had a print to splice into.
+std::size_t resimulate(Tiles& tiles, const NormalizedRegion& layer,
+                       const DensityMap* density, const TileGrid& grid,
+                       const HotspotSimOptions& options, const Region& d) {
+  const PrefilterCalibration cal = resolve_litho_calibration(options);
+  const PassPool pool(options);
+  const Coord margin = 6 * options.model.sigma;
+  std::size_t spliced = 0;
+  for (std::size_t ti = 0; ti < grid.size(); ++ti) {
+    const Rect window = grid.core(ti).expanded(margin);
+    Rect changed = Rect::empty();
+    for (const Rect& r : d.rects()) {
+      if (r.overlaps(window)) changed = changed.join(r.intersect(window));
+    }
+    if (changed.is_empty()) continue;
+    if (tiles[ti].print.columns() > 0) ++spliced;
+    LithoTile next =
+        simulate_litho_tile(layer, density, grid, ti, options, pool,
+                            cal.valid ? &cal : nullptr, &tiles[ti], changed);
+    tiles[ti] = std::move(next);
+  }
+  return spliced;
+}
+
+std::vector<std::vector<Hotspot>> assembled(const Tiles& tiles,
+                                            const TileGrid& grid,
+                                            const HotspotSimOptions& options) {
+  std::vector<const LithoTile*> all;
+  for (const LithoTile& t : tiles) all.push_back(&t);
+  return assemble_hotspots(grid, all, options.edge_tolerance);
+}
+
+// Checks `tiles` against a cold run over `layer`: every tile's print
+// memcmp-equal and its risk and skip bit equal, and the assembled
+// hotspots equal `cold_hotspots` (a simulate_hotspots_tiled run's). With
+// `printless_ok`, a tile that keeps no print is not compared by print.
+void expect_matches_cold(const Tiles& tiles, const NormalizedRegion& layer,
+                         const DensityMap* density, const TileGrid& grid,
+                         const HotspotSimOptions& options,
+                         const std::vector<std::vector<Hotspot>>& cold_hotspots,
+                         const std::string& what, bool printless_ok = false) {
+  const Tiles cold = cold_tiles(layer, density, grid, options);
+  ASSERT_EQ(tiles.size(), cold.size()) << what;
+  for (std::size_t ti = 0; ti < cold.size(); ++ti) {
+    if (!printless_ok || tiles[ti].print.columns() > 0) {
+      EXPECT_TRUE(same_runs(tiles[ti].print, cold[ti].print))
+          << what << ", tile " << ti;
+    }
+    EXPECT_TRUE(tiles[ti].risk == cold[ti].risk) << what << ", tile " << ti;
+    EXPECT_EQ(tiles[ti].skipped, cold[ti].skipped) << what << ", tile " << ti;
+  }
+  EXPECT_EQ(assembled(tiles, grid, options), cold_hotspots) << what;
 }
 
 // One edit of a stream over `extent` tiled by `tile` with halo `margin`.
@@ -367,19 +425,19 @@ TEST_P(LithoWindowStream, SplicedTilesMatchColdAfterEveryEdit) {
   for (const std::uint64_t seed : {3u, 8u}) {
     Region layer = small_m1(seed);
     const Rect extent = layer.bbox();
-    HotspotTileSim sim = simulate_hotspots_tiled(layer, extent, options);
-    expect_matches_cold(sim, layer, extent, options, "cold");
+    const TileGrid grid(extent, options.tile);
+    Tiles tiles = cold_tiles(layer, nullptr, grid, options);
+    EXPECT_EQ(assembled(tiles, grid, options),
+              simulate_hotspots_tiled(layer, extent, options).per_tile);
     Rng rng(seed * 7 + static_cast<std::uint64_t>(options.model.px));
     for (int i = 0; i < 12; ++i) {
       const Region d = stream_edit(rng, i % 6, extent, options.tile, margin);
       layer = rng.chance(0.4) ? layer - d : layer | d;
-      for (const StaleTile& st : stale_litho_tiles(sim.tiles, options, d)) {
-        if (sim.print(st.index).columns() > 0) ++spliced;
-      }
-      sim = resimulate_hotspots(layer, extent, options, std::move(sim), d);
-      expect_matches_cold(sim, layer, extent, options,
-                          "seed " + std::to_string(seed) + " edit " +
-                              std::to_string(i));
+      spliced += resimulate(tiles, layer, nullptr, grid, options, d);
+      expect_matches_cold(
+          tiles, layer, nullptr, grid, options,
+          simulate_hotspots_tiled(layer, extent, options).per_tile,
+          "seed " + std::to_string(seed) + " edit " + std::to_string(i));
     }
   }
   EXPECT_GT(spliced, 10u) << "the streams must exercise the splice";
@@ -395,7 +453,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.param.tile);
     });
 
-// The snapshot overload (density gate on) splices the same way.
+// Over a snapshot (density gate on) tiles splice the same way.
 TEST(LithoWindowStreamSnapshot, MatchesColdSnapshotRuns) {
   HotspotSimOptions options;
   options.model = model_of(25, 5);
@@ -403,28 +461,29 @@ TEST(LithoWindowStreamSnapshot, MatchesColdSnapshotRuns) {
   options.threads = 2;
   Region layer = small_m1(5);
   const Rect extent = layer.bbox().expanded(4000);  // empty, gated tiles
+  const TileGrid grid(extent, options.tile);
   const auto snapshot = [](const Region& m1) {
     LayerMap map;
     map.emplace(layers::kMetal1, m1);
     return LayoutSnapshot(std::move(map));
   };
-  HotspotTileSim sim = simulate_hotspots_tiled(snapshot(layer),
-                                               layers::kMetal1, extent, options);
+  const LayoutSnapshot first = snapshot(layer);
+  Tiles tiles = cold_tiles(first.layer(layers::kMetal1),
+                           litho_density(first, layers::kMetal1, options),
+                           grid, options);
   Rng rng(9);
   for (int i = 0; i < 6; ++i) {
     const Region d = stream_edit(rng, 5, layer.bbox(), options.tile,
                                  6 * options.model.sigma);
     layer = layer | d;
     const LayoutSnapshot snap = snapshot(layer);
-    sim = resimulate_hotspots(snap, layers::kMetal1, extent, options,
-                              std::move(sim), d);
-    const HotspotTileSim cold =
-        simulate_hotspots_tiled(snap, layers::kMetal1, extent, options);
-    EXPECT_EQ(sim.per_tile, cold.per_tile) << "edit " << i;
-    for (std::size_t ti = 0; ti < cold.prints.size(); ++ti) {
-      EXPECT_TRUE(same_runs(sim.print(ti), cold.print(ti)))
-          << "edit " << i << ", tile " << ti;
-    }
+    const DensityMap* density = litho_density(snap, layers::kMetal1, options);
+    resimulate(tiles, snap.layer(layers::kMetal1), density, grid, options, d);
+    expect_matches_cold(
+        tiles, snap.layer(layers::kMetal1), density, grid, options,
+        simulate_hotspots_tiled(snap, layers::kMetal1, extent, options)
+            .per_tile,
+        "edit " + std::to_string(i));
   }
 }
 
@@ -437,16 +496,18 @@ TEST(LithoWindowFallback, FftTilesKeepNoPrints) {
   options.fast = LithoFastMode::kFft;
   Region layer = small_m1(4);
   const Rect extent = layer.bbox();
-  HotspotTileSim sim = simulate_hotspots_tiled(layer, extent, options);
+  const TileGrid grid(extent, options.tile);
+  Tiles tiles = cold_tiles(layer, nullptr, grid, options);
   Rng rng(4);
   for (int i = 0; i < 6; ++i) {
     const Region d = stream_edit(rng, i, extent, options.tile, 120);
     layer = layer | d;
-    sim = resimulate_hotspots(layer, extent, options, std::move(sim), d);
-    for (std::size_t ti = 0; ti < sim.tiles.size(); ++ti) {
-      EXPECT_EQ(sim.print(ti).columns(), 0u);
+    EXPECT_EQ(resimulate(tiles, layer, nullptr, grid, options, d), 0u);
+    for (std::size_t ti = 0; ti < tiles.size(); ++ti) {
+      EXPECT_EQ(tiles[ti].print.columns(), 0u);
     }
-    expect_matches_cold(sim, layer, extent, options,
+    expect_matches_cold(tiles, layer, nullptr, grid, options,
+                        simulate_hotspots_tiled(layer, extent, options).per_tile,
                         "edit " + std::to_string(i));
   }
 }
@@ -459,10 +520,12 @@ TEST(LithoWindowFallback, TileMovesIntoAndOutOfPrefilterSkip) {
   options.model = model_of(25, 5);
   options.tile = 2000;
   const Rect extent{0, 0, 6000, 6000};
+  const TileGrid grid(extent, options.tile);
   Region layer;
   layer.add(Rect{2600, 2600, 3000, 3000});  // one fat block, skippable
-  HotspotTileSim sim = simulate_hotspots_tiled(layer, extent, options);
-  const std::size_t skipped_before = sim.skipped;
+  Tiles tiles = cold_tiles(layer, nullptr, grid, options);
+  const std::size_t skipped_before =
+      simulate_hotspots_tiled(layer, extent, options).skipped;
   ASSERT_GT(skipped_before, 0u);
 
   const Region wire{Rect{3080, 2700, 3100, 2950}};
@@ -476,42 +539,39 @@ TEST(LithoWindowFallback, TileMovesIntoAndOutOfPrefilterSkip) {
   std::vector<std::size_t> skipped;
   for (std::size_t i = 0; i < steps.size(); ++i) {
     layer = steps[i].add ? layer | steps[i].delta : layer - steps[i].delta;
-    sim = resimulate_hotspots(layer, extent, options, std::move(sim),
-                              steps[i].delta);
-    expect_matches_cold(sim, layer, extent, options,
+    resimulate(tiles, layer, nullptr, grid, options, steps[i].delta);
+    const HotspotTileSim cold = simulate_hotspots_tiled(layer, extent, options);
+    expect_matches_cold(tiles, layer, nullptr, grid, options, cold.per_tile,
                         "step " + std::to_string(i));
-    skipped.push_back(
-        simulate_hotspots_tiled(layer, extent, options).skipped);
+    skipped.push_back(cold.skipped);
   }
   EXPECT_LT(skipped[0], skipped_before) << "the wire must defeat the skip";
   EXPECT_EQ(skipped[3], skipped_before) << "removing it must restore the skip";
 }
 
-// A tile simulation without prints — what FFT-convolved tiles leave —
-// makes its stale tiles render in full; later edits splice into those
-// renders.
+// Tiles without prints — what FFT-convolved tiles leave — render in
+// full when an edit reaches them; later edits splice into those renders.
 TEST(LithoWindowFallback, PrintlessTilesRenderInFullThenSplice) {
   HotspotSimOptions options;
   options.model = model_of(20, 10);
   options.tile = 3000;
   Region layer = small_m1(6);
   const Rect extent = layer.bbox();
-  HotspotTileSim sim = simulate_hotspots_tiled(layer, extent, options);
-  sim.prints.clear();
+  const TileGrid grid(extent, options.tile);
+  Tiles tiles = cold_tiles(layer, nullptr, grid, options);
+  for (LithoTile& t : tiles) t.print = ColumnRuns{};
   Rng rng(6);
+  std::size_t spliced = 0;
   for (int i = 0; i < 8; ++i) {
     const Region d = stream_edit(rng, 5, extent, options.tile, 120);
     layer = rng.chance(0.4) ? layer - d : layer | d;
-    sim = resimulate_hotspots(layer, extent, options, std::move(sim), d);
-    const HotspotTileSim cold = simulate_hotspots_tiled(layer, extent, options);
-    EXPECT_EQ(sim.per_tile, cold.per_tile) << "edit " << i;
+    spliced += resimulate(tiles, layer, nullptr, grid, options, d);
     // Tiles no edit has reached yet carry no print; the rest match cold.
-    for (std::size_t ti = 0; ti < cold.prints.size(); ++ti) {
-      if (sim.print(ti).columns() == 0) continue;
-      EXPECT_TRUE(same_runs(sim.print(ti), cold.print(ti)))
-          << "edit " << i << ", tile " << ti;
-    }
+    expect_matches_cold(tiles, layer, nullptr, grid, options,
+                        simulate_hotspots_tiled(layer, extent, options).per_tile,
+                        "edit " + std::to_string(i), /*printless_ok=*/true);
   }
+  EXPECT_GT(spliced, 0u) << "a re-rendered tile must splice on a later edit";
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "cli_service.h"
 
 #include "core/report.h"
+#include "core/snapshot_source.h"
 #include "core/telemetry.h"
 #include "service/client.h"
 #include "service/loadgen.h"
@@ -173,6 +174,24 @@ CliEdit parse_edit(const std::string& spec) {
   return e;
 }
 
+LithoFastMode parse_litho_fast(const std::string& s) {
+  if (s == "auto") return LithoFastMode::kAuto;
+  if (s == "fft") return LithoFastMode::kFft;
+  if (s == "direct") return LithoFastMode::kDirect;
+  if (s == "off") return LithoFastMode::kOff;
+  throw std::runtime_error("--litho-fast: expected auto|fft|direct|off, got '" +
+                           s + "'");
+}
+
+std::size_t parse_memory_budget(const std::string& s) {
+  std::size_t bytes = 0;
+  if (!parse_byte_size(s, &bytes)) {
+    throw std::runtime_error(
+        "--memory-budget: expected a byte size like 64M, got '" + s + "'");
+  }
+  return bytes;
+}
+
 int cmd_serve(int argc, char** argv, unsigned threads) {
   const Args args = Args::parse(
       argc, argv, 2,
@@ -229,12 +248,7 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
   // Per-session hydrated snapshot byte budget; every session the daemon
   // opens runs its flow out-of-core under it.
   const std::string budget = args.str("--memory-budget", "");
-  if (!budget.empty() &&
-      !parse_byte_size(budget, &opt.flow.memory_budget)) {
-    throw std::runtime_error(
-        "--memory-budget: expected a byte size like 64M, got '" + budget +
-        "'");
-  }
+  if (!budget.empty()) opt.flow.memory_budget = parse_memory_budget(budget);
   // Defaults for the "fix" op, per-request overridable — threaded the
   // same way --litho-fast / --memory-budget configure every session.
   // The fix op's own bound on max_iters.
@@ -250,21 +264,7 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
     opt.flow.fix.moves.push_back(name);
   }
   const std::string litho_fast = args.str("--litho-fast", "");
-  if (!litho_fast.empty()) {
-    if (litho_fast == "auto") {
-      opt.flow.litho_fast = LithoFastMode::kAuto;
-    } else if (litho_fast == "fft") {
-      opt.flow.litho_fast = LithoFastMode::kFft;
-    } else if (litho_fast == "direct") {
-      opt.flow.litho_fast = LithoFastMode::kDirect;
-    } else if (litho_fast == "off") {
-      opt.flow.litho_fast = LithoFastMode::kOff;
-    } else {
-      throw std::runtime_error(
-          "--litho-fast: expected auto|fft|direct|off, got '" + litho_fast +
-          "'");
-    }
-  }
+  if (!litho_fast.empty()) opt.flow.litho_fast = parse_litho_fast(litho_fast);
 
   const std::string trace_path = args.str("--trace-out", "");
   if (!trace_path.empty()) {

@@ -9,7 +9,9 @@
 
 #include "geometry/rect.h"
 #include "layout/layer_map.h"
+#include "litho/litho.h"
 
+#include <cstddef>
 #include <string>
 
 namespace dfm::cli {
@@ -27,6 +29,14 @@ struct CliEdit {
 /// a tail other than ":remove", a coordinate that is not an integer, or
 /// an empty rect.
 CliEdit parse_edit(const std::string& spec);
+
+/// Parses a --litho-fast value (auto|fft|direct|off); throws
+/// std::runtime_error on anything else.
+LithoFastMode parse_litho_fast(const std::string& s);
+
+/// Parses a --memory-budget value (a byte size parse_byte_size accepts);
+/// throws std::runtime_error on anything else.
+std::size_t parse_memory_budget(const std::string& s);
 
 /// `dfmkit serve ...`; argv/argc are main()'s (argv[1] == "serve").
 /// `threads` is the global --threads value (compute pool size).

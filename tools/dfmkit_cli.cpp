@@ -205,15 +205,6 @@ int cmd_drc(int argc, char** argv, bool plus) {
   return 0;
 }
 
-LithoFastMode parse_litho_fast(const std::string& s) {
-  if (s == "auto") return LithoFastMode::kAuto;
-  if (s == "fft") return LithoFastMode::kFft;
-  if (s == "direct") return LithoFastMode::kDirect;
-  if (s == "off") return LithoFastMode::kOff;
-  throw std::runtime_error("--litho-fast: expected auto|fft|direct|off, got '" +
-                           s + "'");
-}
-
 void print_flow_report(const std::string& title, const DfmFlowReport& rep) {
   Table t(title);
   t.set_header({"technique", "score", "signal"});
@@ -283,12 +274,11 @@ int cmd_flow(int argc, char** argv) {
   opt.model.sigma = 25;
   opt.model.px = 5;
   opt.threads = g_threads;
-  if (!litho_fast_arg.empty()) opt.litho_fast = parse_litho_fast(litho_fast_arg);
-  if (!budget_arg.empty() &&
-      !parse_byte_size(budget_arg, &opt.memory_budget)) {
-    throw std::runtime_error("--memory-budget: expected a byte size like "
-                             "64M, got '" +
-                             budget_arg + "'");
+  if (!litho_fast_arg.empty()) {
+    opt.litho_fast = cli::parse_litho_fast(litho_fast_arg);
+  }
+  if (!budget_arg.empty()) {
+    opt.memory_budget = cli::parse_memory_budget(budget_arg);
   }
   for (std::size_t pos = 0; pos < passes_arg.size();) {
     std::size_t comma = passes_arg.find(',', pos);
