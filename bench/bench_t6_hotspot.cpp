@@ -9,10 +9,11 @@
 // work-stealing pool, and the table reports the wall-clock speedup (the
 // outputs are bit-identical by the deterministic-merge contract).
 // The second half benches the litho fast path itself: the same tiled
-// simulation run direct (historical path), with FFT convolution, and
-// with FFT + the conservative hotspot prefilter, on a skip-heavy
-// design. The three hotspot sets must be identical; the run exits
-// nonzero if the fast path clears less than 3x over direct.
+// simulation run with every tile simulated (kOff, the historical path)
+// and with the density gate and the conservative hotspot prefilter
+// (kAuto), on a skip-heavy design. The two hotspot sets must be
+// identical; the run exits nonzero if the fast path clears less than 3x
+// over kOff.
 #include "bench_common.h"
 
 #include "core/hotspot_flow.h"
@@ -142,7 +143,7 @@ int main() {
       "column is the\ntile scheduler at 4 threads on the same training "
       "simulation (1.0x on a single core).\n");
 
-  // ---- Litho fast path: FFT tiles + conservative prefilter ---------------
+  // ---- Litho fast path: conservative prefilter ----------------------------
   // A skip-heavy but non-trivial target: a clustered corner of weak
   // constructs (real hotspots every mode must find), a sea of fat
   // isolated blocks (provably clean — prefilter fodder), and a band of
@@ -159,7 +160,7 @@ int main() {
                    : inject_bridge_candidate(c, t, at);
     }
     fast_layer = c.local_region(layers::kMetal1);
-    // Geometry that definitely fails at these optics, so the three modes
+    // Geometry that definitely fails at these optics, so the two modes
     // have a real hotspot set to agree on: 30nm lines vanish entirely
     // (pinch) and 30nm gaps between fat plates print across (bridge).
     for (Coord i = 0; i < 3; ++i) {
@@ -187,40 +188,37 @@ int main() {
   prefilter_calibration(sim.model, sim.edge_tolerance,
                         default_process_window());
 
-  const auto timed = [&](LithoFastMode mode, bool prefilter, double& ms) {
+  const auto timed = [&](LithoFastMode mode, double& ms) {
     HotspotSimOptions o = sim;
     o.fast = mode;
-    o.prefilter = prefilter;
     Stopwatch t;
     HotspotTileSim s = simulate_hotspots_tiled(fast_layer, fast_extent, o);
     ms = t.ms();
     return s;
   };
-  double direct_ms = 0, fft_ms = 0, fast_ms = 0;
-  const HotspotTileSim direct = timed(LithoFastMode::kOff, false, direct_ms);
-  const HotspotTileSim fft = timed(LithoFastMode::kFft, false, fft_ms);
-  const HotspotTileSim fast = timed(LithoFastMode::kAuto, true, fast_ms);
+  double direct_ms = 0, fast_ms = 0;
+  const HotspotTileSim direct = timed(LithoFastMode::kOff, direct_ms);
+  const HotspotTileSim fast = timed(LithoFastMode::kAuto, fast_ms);
 
-  if (fft.merged() != direct.merged() || fast.merged() != direct.merged()) {
+  if (fast.merged() != direct.merged()) {
     std::printf("EQUIVALENCE VIOLATION: fast-path hotspot set diverged\n");
     return 1;
   }
   const double skip_ratio =
       static_cast<double>(fast.skipped) / static_cast<double>(fast.tiles.size());
-  const double fft_speedup = fft_ms > 0 ? direct_ms / fft_ms : 0;
   const double fast_speedup = fast_ms > 0 ? direct_ms / fast_ms : 0;
   // Parseable: tools/run_benches.sh greps this LITHO line.
   std::printf(
-      "\nLITHO tiles=%zu hotspots=%zu direct_ms=%.1f fft_ms=%.1f fast_ms=%.1f "
-      "skipped=%zu skip_ratio=%.3f fft_speedup=%.2f fast_speedup=%.2f\n",
-      fast.tiles.size(), direct.merged().size(), direct_ms, fft_ms, fast_ms,
-      fast.skipped, skip_ratio, fft_speedup, fast_speedup);
+      "\nLITHO tiles=%zu hotspots=%zu direct_ms=%.1f fast_ms=%.1f "
+      "skipped=%zu skip_ratio=%.3f fast_speedup=%.2f\n",
+      fast.tiles.size(), direct.merged().size(), direct_ms, fast_ms,
+      fast.skipped, skip_ratio, fast_speedup);
   std::printf(
       "verdict: the litho fast path is a HIT when the design is sparse — "
-      "identical hotspots at\n%.1fx (target 5x, floor 3x): FFT alone buys "
-      "%.1fx and the prefilter retires %.0f%% of the\ntiles without "
-      "rasterizing them.\n",
-      fast_speedup, fft_speedup, 100.0 * skip_ratio);
+      "identical hotspots at\n%.1fx (target 5x, floor 3x): the density gate "
+      "and the prefilter retire %.0f%% of the\ntiles without rasterizing "
+      "them.\n",
+      fast_speedup, 100.0 * skip_ratio);
   if (fast_speedup < 3.0) {
     std::printf("FAST PATH REGRESSION: %.2fx is below the 3x floor\n",
                 fast_speedup);

@@ -3,7 +3,6 @@
 #include "core/incremental.h"
 #include "core/parallel.h"
 #include "core/telemetry.h"
-#include "litho/fft.h"
 #include "litho/prefilter.h"
 
 #include <algorithm>
@@ -563,7 +562,6 @@ FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // pass includes kMetal1.
   flow.evict_keeping({layers::kMetal1});
   const NormalizedRegion m1 = snap.layer(layers::kMetal1);
-  caches.kernels = was.kernels;
   if (options.run_litho && !m1.empty()) {
     flow.pass("flow/litho", [&] {
       HotspotSimOptions sim{pool};
@@ -571,10 +569,6 @@ FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
       sim.edge_tolerance = options.litho_edge_tolerance;
       sim.tile = options.litho_tile;
       sim.fast = options.litho_fast;
-      if (caches.kernels == nullptr) {
-        caches.kernels = std::make_shared<KernelSpectrumCache>();
-      }
-      sim.kernels = caches.kernels;
       const TileGrid tiles(m1.bbox(), options.litho_tile);
       const bool have = inc && !was.litho.empty();
       const auto* before =

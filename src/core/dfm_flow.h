@@ -80,9 +80,9 @@ struct DfmFlowOptions : PassOptions {
   bool run_litho = true;      // tile-simulated hotspot scan (slowest step)
   Coord litho_tile = 20000;
   Coord litho_edge_tolerance = 12;
-  /// Litho fast path (--litho-fast): kAuto/kFft/kDirect enable the
-  /// conservative prefilter and pick the convolution strategy; kOff is
-  /// the historical direct path, bit for bit.
+  /// Litho fast path (--litho-fast): kAuto enables the density gate and
+  /// the conservative prefilter; kOff simulates every tile, bit for bit
+  /// the same hotspots.
   LithoFastMode litho_fast = LithoFastMode::kAuto;
   double via_fail_rate = 1e-4;
   /// Pass subset to run (canonical names or their aliases, see

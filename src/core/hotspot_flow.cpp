@@ -5,7 +5,6 @@
 #include "core/telemetry.h"
 #include "geometry/rtree.h"
 #include "layout/tile_grid.h"
-#include "litho/fft.h"
 #include "litho/prefilter.h"
 
 #include <algorithm>
@@ -287,7 +286,7 @@ HotspotTileSim simulate_tiled(const NormalizedRegion& layer,
 
 PrefilterCalibration resolve_litho_calibration(
     const HotspotSimOptions& options) {
-  if (!options.prefilter || options.fast == LithoFastMode::kOff) return {};
+  if (options.fast == LithoFastMode::kOff) return {};
   return prefilter_calibration(options.model, options.edge_tolerance,
                                options.prefilter_window.empty()
                                    ? default_process_window()
@@ -296,7 +295,7 @@ PrefilterCalibration resolve_litho_calibration(
 
 const DensityMap* litho_density(const LayoutSnapshot& snap, LayerKey layer,
                                 const HotspotSimOptions& options) {
-  if (!options.prefilter || options.fast == LithoFastMode::kOff) return nullptr;
+  if (options.fast == LithoFastMode::kOff) return nullptr;
   if (!snap.has(layer)) return nullptr;
   return &snap.density(layer, options.tile);
 }
@@ -326,7 +325,6 @@ LithoTile simulate_litho_tile(const NormalizedRegion& layer,
   }
   const bool splice = prev != nullptr && prev->print.columns() != 0;
   WindowPrint print = print_window(clip, window, options.model, {}, pool,
-                                   options.fast, options.kernels.get(),
                                    splice ? &prev->print : nullptr, changed);
   const Rect z = core.expanded(margin / 2);
   out.risk = compare_tile(clip.clipped(z), window, options.model.px,
@@ -334,7 +332,7 @@ LithoTile simulate_litho_tile(const NormalizedRegion& layer,
                           options.edge_tolerance, pool,
                           splice ? &prev->risk : nullptr, print.rendered,
                           changed);
-  if (print.direct) out.print = std::move(print.runs);
+  out.print = std::move(print.runs);
   return out;
 }
 

@@ -17,8 +17,9 @@
 
 namespace dfm {
 
-class LayoutSnapshot;  // core/snapshot.h
-struct DensityMap;     // layout/density.h
+class LayoutSnapshot;       // core/snapshot.h
+struct DensityMap;          // layout/density.h
+class KernelSpectrumCache;  // litho/fft.h
 
 struct HotspotFlowOptions : PassOptions {
   using PassOptions::PassOptions;
@@ -79,19 +80,16 @@ struct HotspotSimOptions : PassOptions {
   Coord edge_tolerance = 12;
   Coord tile = 20000;  // core edge of one simulation tile
 
-  /// Convolution strategy per tile (litho fast path). kOff restores the
-  /// historical behaviour exactly: direct convolution, no prefilter.
+  /// The litho fast path. kAuto skips tiles the density gate or the
+  /// conservative prefilter proves hotspot-free: tiles whose geometry
+  /// provably cannot print a hotspot anywhere in `prefilter_window`
+  /// bypass simulation entirely, so the merged hotspot set is unchanged.
+  /// kOff simulates every tile.
   LithoFastMode fast = LithoFastMode::kAuto;
-  /// Conservative prefilter: tiles whose geometry provably cannot print
-  /// a hotspot anywhere in `prefilter_window` bypass simulation
-  /// entirely. Only removes provably-empty tile results, so the merged
-  /// hotspot set is unchanged. Forced off by fast == kOff.
-  bool prefilter = true;
   /// Process window the prefilter must be safe across; empty means
   /// default_process_window() (litho/prefilter.h).
   std::vector<ProcessCondition> prefilter_window;
-  /// Shared kernel-spectrum memo for the FFT path; null falls back to
-  /// the process-global cache. FlowCaches keeps one per session.
+  /// Read by nothing; goes with ROADMAP item 8's benchmark revision.
   std::shared_ptr<KernelSpectrumCache> kernels;
 };
 
@@ -120,9 +118,9 @@ struct TileRisk {
 /// One simulation tile's result: the splice unit of incremental litho.
 struct LithoTile {
   /// The print as runs of the window's pixel grid (print_window), which
-  /// an edit splices into instead of re-rendering the tile. Kept only
-  /// for directly convolved tiles: no columns for tiles the density gate
-  /// or the prefilter skipped, and for FFT-convolved tiles.
+  /// an edit splices into instead of re-rendering the tile. Every tile
+  /// that renders keeps it; tiles the density gate or the prefilter
+  /// skipped have no columns.
   ColumnRuns print;
   TileRisk risk;  // empty for skipped tiles
   bool skipped = false;  // the prefilter proved the tile hotspot-free
@@ -151,16 +149,14 @@ struct HotspotTileSim {
 struct PrefilterCalibration;  // litho/prefilter.h
 
 /// The prefilter calibration a tiled run with `options` uses; invalid
-/// (never skips) when the prefilter is off, forced off by kOff, or
-/// unprovable for this model. Pure in (model, edge_tolerance,
-/// prefilter_window).
+/// (never skips) under kOff, or when the prefilter is unprovable for this
+/// model. Pure in (model, edge_tolerance, prefilter_window).
 PrefilterCalibration resolve_litho_calibration(const HotspotSimOptions& options);
 
 /// The density grid a snapshot run gates its tiles on: the snapshot's
-/// memoized grid of `layer` at the tile pitch. Null when the prefilter
-/// is off or forced off by kOff (that path reads nothing from the
-/// snapshot beyond the layer, as it historically did) and when the
-/// snapshot lacks the layer.
+/// memoized grid of `layer` at the tile pitch. Null under kOff (that
+/// path reads nothing from the snapshot beyond the layer, as it
+/// historically did) and when the snapshot lacks the layer.
 const DensityMap* litho_density(const LayoutSnapshot& snap, LayerKey layer,
                                 const HotspotSimOptions& options);
 

@@ -129,9 +129,6 @@ struct FlowCaches {
   /// skip bit. Empty when litho did not run, so the next run simulates
   /// cold.
   UnitCache<std::size_t, LithoTile> litho;
-  /// Kernel spectra for the litho FFT path, shared across runs of a
-  /// session (one transform per process corner and raster size).
-  std::shared_ptr<KernelSpectrumCache> kernels;
   /// dpt's units: per conflict unit of M1, keyed by its member boxes in
   /// labelling order, the unit's decomposition and score partial.
   UnitCache<std::vector<Rect>, DptUnitResult> dpt_units;

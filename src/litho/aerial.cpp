@@ -1,4 +1,3 @@
-#include "litho/fft.h"
 #include "litho/kernel_detail.h"
 #include "litho/litho.h"
 
@@ -167,7 +166,6 @@ struct PaddedGrid {
   Rect padded;
   int nx = 0, ny = 0;  // window grid
   int pnx = 0, pny = 0;  // padded grid
-  bool fft = false;  // convolve by FFT (over the whole padded raster)
 };
 
 int pixels_over(Coord extent, Coord px) {
@@ -175,7 +173,7 @@ int pixels_over(Coord extent, Coord px) {
 }
 
 PaddedGrid padded_grid(const Rect& window, const OpticalModel& model,
-                       Coord defocus, LithoFastMode mode) {
+                       Coord defocus) {
   const Coord px = model.px;
   const double s = model.sigma_at_nm(defocus);
   PaddedGrid g;
@@ -188,9 +186,6 @@ PaddedGrid padded_grid(const Rect& window, const OpticalModel& model,
   g.ny = pixels_over(window.height(), px);
   g.pnx = g.nx + 2 * g.off;
   g.pny = g.ny + 2 * g.off;
-  g.fft = mode == LithoFastMode::kFft ||
-          (mode == LithoFastMode::kAuto &&
-           fftconv::fft_beats_direct(g.taps.size(), g.pnx, g.pny));
   return g;
 }
 
@@ -214,30 +209,25 @@ Rect box_rect(const Rect& window, Coord px, const PixelBox& b) {
 }
 
 // The aerial image over the window pixels of `box` — each pixel
-// bit-identical to the same pixel of the whole-window image. The direct
-// convolution renders only the padded pixels the box's taps read (the box
-// grown by the tap radius): the raster is exact per pixel (rasterize),
-// and a box pixel sums the same products in the same order, skipping the
-// same out-of-range taps, as in the whole padded raster. The FFT mixes
-// every pixel into every other, so it renders the whole padded raster.
+// bit-identical to the same pixel of the whole-window image. Only the
+// padded pixels the box's taps read (the box grown by the tap radius) are
+// rendered: the raster is exact per pixel (rasterize), and a box pixel
+// sums the same products in the same order, skipping the same
+// out-of-range taps, as in the whole padded raster.
 Raster aerial_box(const Region& mask, const Rect& window,
                   const OpticalModel& model, const PaddedGrid& g,
-                  ThreadPool* pool, KernelSpectrumCache* kernels,
-                  const PixelBox& box) {
+                  ThreadPool* pool, const PixelBox& box) {
   const Coord px = model.px;
-  const PixelBox src =
-      g.fft ? PixelBox{0, 0, g.pnx, g.pny}
-            : PixelBox{std::max(0, box.x0 + g.off - g.radius),
-                       std::max(0, box.y0 + g.off - g.radius),
-                       std::min(g.pnx, box.x1 + g.off + g.radius),
-                       std::min(g.pny, box.y1 + g.off + g.radius)};
+  const PixelBox src{std::max(0, box.x0 + g.off - g.radius),
+                     std::max(0, box.y0 + g.off - g.radius),
+                     std::min(g.pnx, box.x1 + g.off + g.radius),
+                     std::min(g.pny, box.y1 + g.off + g.radius)};
   Raster img;
   {
     TELEM_SPAN("litho/raster");
     img = rasterize(mask, box_rect(g.padded, px, src), px, pool);
   }
-  img = g.fft ? fftconv::fft_convolve_separable(img, g.taps, kernels, pool)
-              : detail::separable_convolve(std::move(img), g.taps, pool);
+  img = detail::separable_convolve(std::move(img), g.taps, pool);
 
   // Crop to the box in place, one row copy at a time: row y moves from
   // (y + cy) * img.nx + cx down to y * out.nx, which never overwrites a row
@@ -349,20 +339,11 @@ ColumnRuns splice_runs(const ColumnRuns& base, const ColumnRuns& sub,
 
 }  // namespace
 
-Raster aerial_image_ex(const Region& mask, const Rect& window,
-                       const OpticalModel& model, Coord defocus,
-                       ThreadPool* pool, LithoFastMode mode,
-                       KernelSpectrumCache* kernels) {
-  const PaddedGrid g = padded_grid(window, model, defocus, mode);
-  return aerial_box(mask, window, model, g, pool, kernels,
-                    PixelBox{0, 0, g.nx, g.ny});
-}
-
 Raster aerial_image(const Region& mask, const Rect& window,
                     const OpticalModel& model, Coord defocus,
                     ThreadPool* pool) {
-  return aerial_image_ex(mask, window, model, defocus, pool,
-                         LithoFastMode::kOff);
+  const PaddedGrid g = padded_grid(window, model, defocus);
+  return aerial_box(mask, window, model, g, pool, PixelBox{0, 0, g.nx, g.ny});
 }
 
 Region printed_region(const Raster& aerial, const OpticalModel& model,
@@ -374,15 +355,13 @@ Region printed_region(const Raster& aerial, const OpticalModel& model,
 WindowPrint print_window(const Region& mask, const Rect& window,
                          const OpticalModel& model,
                          const ProcessCondition& cond, ThreadPool* pool,
-                         LithoFastMode mode, KernelSpectrumCache* kernels,
                          const ColumnRuns* prev, const Rect& changed) {
-  const PaddedGrid g = padded_grid(window, model, cond.defocus, mode);
+  const PaddedGrid g = padded_grid(window, model, cond.defocus);
   const Coord px = model.px;
   WindowPrint out;
-  out.direct = !g.fft;
   PixelBox box{0, 0, g.nx, g.ny};
-  const bool splice = out.direct && prev != nullptr &&
-                      prev->columns() == static_cast<std::size_t>(g.nx);
+  const bool splice =
+      prev != nullptr && prev->columns() == static_cast<std::size_t>(g.nx);
   if (splice) {
     // The pixels the change can reach: the padded pixels it touches (the
     // mask counts out to the padded window), grown by the tap radius and
@@ -408,13 +387,11 @@ WindowPrint print_window(const Region& mask, const Rect& window,
             .intersect(window);
   }
   // Render the box in row strips, each spliced onto the print so far: a
-  // direct render then holds one strip's raster (grown by the tap
-  // radius) at a time instead of the whole tile's. The FFT renders the
-  // whole padded raster at once anyway, so it takes the box in one strip.
+  // render then holds one strip's raster (grown by the tap radius) at a
+  // time instead of the whole tile's.
   constexpr int kStripPixels = 1 << 22;
   const int rows =
-      g.fft ? std::max(1, box.y1 - box.y0)
-            : std::max(1, kStripPixels / (box.x1 - box.x0 + 2 * g.radius));
+      std::max(1, kStripPixels / (box.x1 - box.x0 + 2 * g.radius));
   if (!splice) {
     for (int x = 0; x < g.nx; ++x) out.runs.end_column();
   }
@@ -423,7 +400,7 @@ WindowPrint print_window(const Region& mask, const Rect& window,
     const PixelBox strip{box.x0, y, box.x1, std::min(y + rows, box.y1)};
     out.runs = splice_runs(
         *base,
-        threshold_runs(aerial_box(mask, window, model, g, pool, kernels, strip),
+        threshold_runs(aerial_box(mask, window, model, g, pool, strip),
                        model.threshold / cond.dose, pool),
         strip);
     base = &out.runs;
@@ -435,17 +412,8 @@ WindowPrint print_window(const Region& mask, const Rect& window,
 Region simulate_print(const Region& mask, const Rect& window,
                       const OpticalModel& model, const ProcessCondition& cond,
                       ThreadPool* pool) {
-  return simulate_print_ex(mask, window, model, cond, pool,
-                           LithoFastMode::kOff);
-}
-
-Region simulate_print_ex(const Region& mask, const Rect& window,
-                         const OpticalModel& model,
-                         const ProcessCondition& cond, ThreadPool* pool,
-                         LithoFastMode mode, KernelSpectrumCache* kernels) {
-  return grid_region(
-      window, model.px,
-      print_window(mask, window, model, cond, pool, mode, kernels).runs);
+  return grid_region(window, model.px,
+                     print_window(mask, window, model, cond, pool).runs);
 }
 
 }  // namespace dfm

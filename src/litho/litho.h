@@ -18,15 +18,13 @@
 
 namespace dfm {
 
-class ThreadPool;           // core/parallel.h
-class KernelSpectrumCache;  // litho/fft.h
+class ThreadPool;  // core/parallel.h
 
-/// Convolution strategy for the litho fast path (PR: litho fast path).
-/// kAuto picks FFT vs the direct separable loop per tile by the
-/// kernel-radius/raster-size crossover; kOff is the conservative
-/// everything-direct, no-prefilter mode matching the historical
-/// behaviour bit for bit.
-enum class LithoFastMode { kAuto, kFft, kDirect, kOff };
+/// The litho fast path (--litho-fast). kAuto gates tiles on the layer
+/// density and the conservative hotspot prefilter; kOff simulates every
+/// tile, as the flow historically did. Both convolve directly, so the
+/// hotspots are the same either way.
+enum class LithoFastMode { kAuto, kOff };
 
 /// Sampled scalar field over a window (row-major, origin at window.lo).
 struct Raster {
@@ -71,23 +69,12 @@ struct ProcessCondition {
   Coord defocus = 0;   // nm
 };
 
-/// Aerial image: Gaussian-convolved rasterized mask. Row-parallel with a
-/// pool (each output pixel is independent), deterministic either way.
-/// Always uses the direct separable convolution.
+/// Aerial image: Gaussian-convolved rasterized mask, by the direct
+/// separable convolution. Row-parallel with a pool (each output pixel is
+/// independent), bit-identical either way.
 Raster aerial_image(const Region& mask, const Rect& window,
                     const OpticalModel& model, Coord defocus = 0,
                     ThreadPool* pool = nullptr);
-
-/// aerial_image with an explicit convolution strategy. kFft (or kAuto
-/// past the crossover) computes the same separable convolution through
-/// per-row FFTs — equal to the direct path within float round-off, and
-/// bit-identical to itself at any thread count. `kernels` memoizes the
-/// kernel spectra across tiles/corners; null falls back to a process
-/// global cache.
-Raster aerial_image_ex(const Region& mask, const Rect& window,
-                       const OpticalModel& model, Coord defocus,
-                       ThreadPool* pool, LithoFastMode mode,
-                       KernelSpectrumCache* kernels = nullptr);
 
 /// Printed contours at a process condition: pixels with dose*I >= threshold,
 /// returned as a normalized region (pixel-grid resolution, the last
@@ -99,34 +86,29 @@ Region printed_region(const Raster& aerial, const OpticalModel& model,
 
 /// The print of a simulation window as per-column runs of its pixel grid
 /// (anchored at window.lo, pitch model.px): grid_region(window, model.px,
-/// runs) is simulate_print_ex's region, rect for rect.
+/// runs) is simulate_print's region, rect for rect.
 struct WindowPrint {
   ColumnRuns runs;
-  /// Convolved directly (not by FFT): the runs can seed a later splice.
-  bool direct = false;
   /// The part of the window whose pixels this call rendered: the whole
   /// window, or just the spliced pixels (empty when none changed).
   Rect rendered = Rect::empty();
 };
 
-/// simulate_print_ex as runs. `prev` and `changed` turn a re-simulation
-/// into a splice: when `prev` is the direct print of this window for a
-/// mask that differs from `mask` only inside `changed`, and this print
-/// convolves directly too, only the pixels the change can reach (those
-/// `changed` touches inside the padded window, grown by the tap radius,
-/// kept to the window's grid) are re-rendered, from a raster of those
-/// pixels grown by the tap radius again, and spliced into `prev`. Raster
-/// pixels are exact and each re-rendered pixel sums the same products in
-/// the same order as in the whole window, so the runs are bit-identical
-/// to a full print. A direct render works in row strips of a few million
-/// pixels, each spliced onto the print so far, so it never holds a whole
-/// large window's raster. A span `litho/window` carries the number of
-/// pixels re-rendered.
+/// simulate_print as runs. `prev` and `changed` turn a re-simulation
+/// into a splice: when `prev` is the print of this window for a mask
+/// that differs from `mask` only inside `changed`, only the pixels the
+/// change can reach (those `changed` touches inside the padded window,
+/// grown by the tap radius, kept to the window's grid) are re-rendered,
+/// from a raster of those pixels grown by the tap radius again, and
+/// spliced into `prev`. Raster pixels are exact and each re-rendered
+/// pixel sums the same products in the same order as in the whole
+/// window, so the runs are bit-identical to a full print. A render works
+/// in row strips of a few million pixels, each spliced onto the print so
+/// far, so it never holds a whole large window's raster. A span
+/// `litho/window` carries the number of pixels re-rendered.
 WindowPrint print_window(const Region& mask, const Rect& window,
                          const OpticalModel& model,
                          const ProcessCondition& cond, ThreadPool* pool,
-                         LithoFastMode mode,
-                         KernelSpectrumCache* kernels = nullptr,
                          const ColumnRuns* prev = nullptr,
                          const Rect& changed = Rect::empty());
 
@@ -135,14 +117,6 @@ Region simulate_print(const Region& mask, const Rect& window,
                       const OpticalModel& model,
                       const ProcessCondition& cond = {},
                       ThreadPool* pool = nullptr);
-
-/// simulate_print with an explicit convolution strategy (see
-/// aerial_image_ex).
-Region simulate_print_ex(const Region& mask, const Rect& window,
-                         const OpticalModel& model,
-                         const ProcessCondition& cond, ThreadPool* pool,
-                         LithoFastMode mode,
-                         KernelSpectrumCache* kernels = nullptr);
 
 // ---- CD gauges -----------------------------------------------------------
 

@@ -335,42 +335,6 @@ TEST(DfmFlowSession, LithoTileSplicingMatchesCold) {
   EXPECT_TRUE(litho->incremental);
 }
 
-// The litho fast path must survive tile splicing too: an incremental
-// session running FFT convolution (prefilter and all) stays equivalent
-// to a cold FFT run AND to the historical direct path after every edit —
-// spliced tiles and freshly simulated ones must agree on the hotspot
-// set regardless of which convolution produced them.
-TEST(DfmFlowSession, FftFastPathSplicingMatchesColdAndDirect) {
-  DfmFlowOptions fft = fast_options(1, /*litho=*/true);
-  fft.litho_fast = LithoFastMode::kFft;
-  DfmFlowOptions off = fft;
-  off.litho_fast = LithoFastMode::kOff;
-
-  const LayerMap base = small_design(21);
-  LayerMap shadow = base;
-  DfmFlowSession sess(base, fft);
-  Rng rng(99);
-  const Rect core = interior(sess.snapshot().bbox());
-  for (int i = 0; i < 6; ++i) {
-    LayoutDelta d = random_edit(rng, core);
-    if (i % 2 == 0) {
-      d = LayoutDelta{};
-      const Coord span = core.hi.x - core.lo.x - 200;
-      const Coord x = core.lo.x + (i * 1100) % span;
-      d.add(layers::kMetal1, Rect{x, core.lo.y, x + 200, core.hi.y});
-    }
-    d.apply(shadow);
-    const DfmFlowReport& warm = sess.apply(d);
-    if (i % 2 == 1) {
-      const LayoutSnapshot snap{LayerMap(shadow)};
-      const DfmFlowReport cold_fft = run_dfm_flow(snap, fft);
-      const DfmFlowReport cold_off = run_dfm_flow(snap, off);
-      ASSERT_TRUE(reports_equivalent(warm, cold_fft)) << "after edit " << i;
-      ASSERT_TRUE(reports_equivalent(warm, cold_off)) << "after edit " << i;
-    }
-  }
-}
-
 TEST(DfmFlowSession, BboxMovingEditFallsBackToFullRun) {
   const LayerMap base = small_design(13);
   LayerMap shadow = base;

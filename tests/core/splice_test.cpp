@@ -336,6 +336,89 @@ TEST(HotspotSplice, KeptTilesMatchColdTileForTile) {
   EXPECT_GT(ring_tiles, 0u) << "some edit must reach a tile only by its halo";
 }
 
+// Under default litho options every tile that renders keeps its print,
+// so an M1 patch re-renders only the pixels it reaches, not the tile.
+// scaling_design(7, 2) (2 rows of 8 cells, 20 routes, 2 via fields of 64
+// vias) fits in one default 20000-dbu tile.
+TEST(HotspotSplice, DefaultOptionsKeepEveryRenderedPrint) {
+  DesignParams p;
+  p.seed = 7;
+  p.rows = 2;
+  p.cells_per_row = 8;
+  p.routes = 20;
+  p.via_fields = 2;
+  p.vias_per_field = 64;
+  const Library lib = generate_design(p);
+  LayerMap shadow;
+  for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+    shadow.emplace(k, lib.flatten(lib.top_cells()[0], k));
+  }
+  DfmFlowOptions opt;
+  opt.threads = 2;
+  opt.passes = {"litho"};
+  const PassPool pool(opt);
+  const auto run = [&](DfmFlowReport& rep, const DfmFlowReport* prev,
+                       const FlowCaches& was, const LayoutSnapshot& snap) {
+    return detail::run_flow(rep, opt, pool, prev, was,
+                            [&]() -> const LayoutSnapshot& { return snap; });
+  };
+  const LayoutSnapshot snap{LayerMap(shadow)};
+  DfmFlowReport rep;
+  const FlowCaches caches = run(rep, nullptr, {}, snap);
+
+  const NormalizedRegion m1 = snap.layer(layers::kMetal1);
+  const TileGrid grid(m1.bbox(), opt.litho_tile);
+  ASSERT_EQ(grid.size(), 1u);
+  ASSERT_EQ(caches.litho.size(), 1u);
+  const Rect window = grid.core(0).expanded(6 * opt.model.sigma);
+  // Neither density-gated (its window holds M1) nor prefilter-skipped.
+  ASSERT_FALSE(m1.clipped(window).empty());
+  ASSERT_FALSE(caches.litho[0].second->skipped);
+  EXPECT_NE(caches.litho[0].second->print.columns(), 0u);
+
+  // One 200x200 M1 patch in empty space inside the bbox.
+  const Rect bb = m1.bbox();
+  Rect patch = Rect::empty();
+  for (Coord y = bb.lo.y + 400; patch.is_empty() && y + 600 < bb.hi.y;
+       y += 400) {
+    for (Coord x = bb.lo.x + 400; x + 600 < bb.hi.x; x += 400) {
+      const Rect r{x, y, x + 200, y + 200};
+      if (m1.clipped(r.expanded(100)).empty()) {
+        patch = r;
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(patch.is_empty());
+  LayoutDelta d;
+  d.add(layers::kMetal1, patch);
+  const IncrementalSnapshot next(snap, d);
+  namespace telem = ::dfm::telemetry;
+  telem::set_enabled(false);
+  telem::clear();
+  telem::set_enabled(true);
+  DfmFlowReport next_rep;
+  const FlowCaches next_caches = run(next_rep, &rep, caches, next);
+  telem::set_enabled(false);
+  std::vector<std::uint64_t> window_pixels;
+  for (const telem::ThreadTrace& t : telem::drain().threads) {
+    for (const telem::SpanEvent& e : t.events) {
+      if (std::string(e.name) == "litho/window") window_pixels.push_back(e.arg);
+    }
+  }
+  telem::clear();
+  ASSERT_EQ(next_caches.litho_grid, grid);
+  ASSERT_EQ(window_pixels.size(), 1u);
+  const std::uint64_t whole =
+      static_cast<std::uint64_t>((window.width() + opt.model.px - 1) /
+                                 opt.model.px) *
+      static_cast<std::uint64_t>((window.height() + opt.model.px - 1) /
+                                 opt.model.px);
+  EXPECT_GT(window_pixels.front(), 0u);
+  EXPECT_LT(window_pixels.front(), whole);
+  EXPECT_NE(next_caches.litho[0].second->print.columns(), 0u);
+}
+
 // Litho tiles splice through the same budget groups as every other pass.
 TEST(HotspotSplice, TightBudgetStreamMatchesColdFlow) {
   run_budgeted_stream("litho");

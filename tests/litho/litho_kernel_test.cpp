@@ -67,7 +67,7 @@ Raster reference_convolve(const Raster& in, const std::vector<float>& taps,
   return out;
 }
 
-// The direct arm of aerial_image_ex over the reference convolution.
+// aerial_image over the reference convolution.
 Raster reference_aerial_image(const Region& mask, const Rect& window,
                               const OpticalModel& model, Coord defocus) {
   const double s = model.sigma_at_nm(defocus);
@@ -302,14 +302,9 @@ TEST(LithoKernelTiles, DirectAerialMatchesReferenceOnEveryTile) {
     const Region clip = m1.clipped(window);
     for (const Coord defocus : {0, 20}) {
       const Raster want = reference_aerial_image(clip, window, m, defocus);
-      for (const LithoFastMode mode :
-           {LithoFastMode::kOff, LithoFastMode::kDirect}) {
-        const Raster got =
-            aerial_image_ex(clip, window, m, defocus, &pool, mode);
-        EXPECT_TRUE(same_bytes(got, want))
-            << "tile " << tiles << ", defocus " << defocus << ", mode "
-            << static_cast<int>(mode);
-      }
+      EXPECT_TRUE(same_bytes(aerial_image(clip, window, m, defocus, &pool),
+                             want))
+          << "tile " << tiles << ", defocus " << defocus;
       for (const double dose : {0.95, 1.05}) {
         const ProcessCondition cond{dose, defocus};
         EXPECT_EQ(printed_region(want, m, cond, &pool).rects(),

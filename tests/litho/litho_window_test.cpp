@@ -3,8 +3,8 @@
 // splice must be exact, so every check here is equality: a spliced
 // print's runs memcmp-equal a cold render's, and the hotspot lists are
 // equal, after every edit of seeded add/remove streams. The fallbacks
-// (FFT tiles and other tiles without a print, tiles entering or leaving
-// the prefilter skip) must stay exact too. Underneath, the raster is a
+// (tiles without a print, tiles entering or leaving the prefilter skip)
+// must stay exact too. Underneath, the raster is a
 // pure function of the point set inside each pixel, and the simulation
 // grid stays on the window's pixel lattice at every defocus.
 #include "core/hotspot_flow.h"
@@ -196,9 +196,7 @@ TEST_P(LithoWindowPrint, SpliceEqualsFullRender) {
   for (const Coord defocus : {Coord{0}, Coord{40}}) {
     const ProcessCondition cond{1.0, defocus};
     Region mask = random_rects(rng, window.expanded(60), 40, 20, 300);
-    WindowPrint print = print_window(mask, window, m, cond, &pool,
-                                     LithoFastMode::kDirect);
-    ASSERT_TRUE(print.direct);
+    WindowPrint print = print_window(mask, window, m, cond, &pool);
     for (int i = 0; i < 24; ++i) {
       Region delta;
       switch (i % 6) {
@@ -227,11 +225,9 @@ TEST_P(LithoWindowPrint, SpliceEqualsFullRender) {
           break;
       }
       mask = rng.chance(0.4) ? mask - delta : mask | delta;
-      const WindowPrint full = print_window(mask, window, m, cond, &pool,
-                                            LithoFastMode::kDirect);
-      const WindowPrint spliced =
-          print_window(mask, window, m, cond, &pool, LithoFastMode::kDirect,
-                       nullptr, &print.runs, delta.bbox());
+      const WindowPrint full = print_window(mask, window, m, cond, &pool);
+      const WindowPrint spliced = print_window(mask, window, m, cond, &pool,
+                                               &print.runs, delta.bbox());
       ASSERT_TRUE(same_runs(spliced.runs, full.runs))
           << "edit " << i << " defocus " << defocus;
       EXPECT_EQ(grid_region(window, m.px, spliced.runs),
@@ -260,33 +256,12 @@ TEST(LithoWindowPrintStrips, StackedStripsEqualWholeRaster) {
   ThreadPool pool(4);
   for (const Coord defocus : {Coord{0}, Coord{40}}) {
     const ProcessCondition cond{1.0, defocus};
-    const WindowPrint print =
-        print_window(mask, window, m, cond, &pool, LithoFastMode::kDirect);
+    const WindowPrint print = print_window(mask, window, m, cond, &pool);
     EXPECT_EQ(grid_region(window, m.px, print.runs),
-              printed_region(aerial_image_ex(mask, window, m, defocus, &pool,
-                                             LithoFastMode::kDirect),
-                             m, cond, &pool))
+              printed_region(aerial_image(mask, window, m, defocus, &pool), m,
+                             cond, &pool))
         << "defocus " << defocus;
   }
-}
-
-// The FFT mixes every pixel into every other, so it never splices: a
-// previous print is ignored and the result is the full FFT print.
-TEST(LithoWindowPrintFallback, FftIgnoresThePreviousPrint) {
-  const OpticalModel m = model_of(25, 5);
-  const Rect window{0, 0, 1200, 900};
-  Rng rng(11);
-  const Region mask = random_rects(rng, window, 20, 30, 200);
-  const WindowPrint direct =
-      print_window(mask, window, m, {}, nullptr, LithoFastMode::kDirect);
-  const Region patched = mask | Region(Rect{500, 400, 600, 500});
-  const WindowPrint fft =
-      print_window(patched, window, m, {}, nullptr, LithoFastMode::kFft,
-                   nullptr, &direct.runs, Rect{500, 400, 600, 500});
-  EXPECT_FALSE(fft.direct);
-  EXPECT_TRUE(same_runs(
-      fft.runs,
-      print_window(patched, window, m, {}, nullptr, LithoFastMode::kFft).runs));
 }
 
 // ---- Tiled streams ---------------------------------------------------------
@@ -489,29 +464,6 @@ TEST(LithoWindowStreamSnapshot, MatchesColdSnapshotRuns) {
 
 // ---- Fallbacks -------------------------------------------------------------
 
-TEST(LithoWindowFallback, FftTilesKeepNoPrints) {
-  HotspotSimOptions options;
-  options.model = model_of(20, 10);
-  options.tile = 3000;
-  options.fast = LithoFastMode::kFft;
-  Region layer = small_m1(4);
-  const Rect extent = layer.bbox();
-  const TileGrid grid(extent, options.tile);
-  Tiles tiles = cold_tiles(layer, nullptr, grid, options);
-  Rng rng(4);
-  for (int i = 0; i < 6; ++i) {
-    const Region d = stream_edit(rng, i, extent, options.tile, 120);
-    layer = layer | d;
-    EXPECT_EQ(resimulate(tiles, layer, nullptr, grid, options, d), 0u);
-    for (std::size_t ti = 0; ti < tiles.size(); ++ti) {
-      EXPECT_EQ(tiles[ti].print.columns(), 0u);
-    }
-    expect_matches_cold(tiles, layer, nullptr, grid, options,
-                        simulate_hotspots_tiled(layer, extent, options).per_tile,
-                        "edit " + std::to_string(i));
-  }
-}
-
 // A tile the prefilter skips keeps no print. A thin wire added next to a
 // fat block makes it simulate (a full render: no print to splice into),
 // a second edit then splices, and removing the wire skips it again.
@@ -549,8 +501,8 @@ TEST(LithoWindowFallback, TileMovesIntoAndOutOfPrefilterSkip) {
   EXPECT_EQ(skipped[3], skipped_before) << "removing it must restore the skip";
 }
 
-// Tiles without prints — what FFT-convolved tiles leave — render in
-// full when an edit reaches them; later edits splice into those renders.
+// Tiles without prints — what skipped tiles leave — render in full when
+// an edit reaches them; later edits splice into those renders.
 TEST(LithoWindowFallback, PrintlessTilesRenderInFullThenSplice) {
   HotspotSimOptions options;
   options.model = model_of(20, 10);

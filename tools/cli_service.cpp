@@ -176,11 +176,8 @@ CliEdit parse_edit(const std::string& spec) {
 
 LithoFastMode parse_litho_fast(const std::string& s) {
   if (s == "auto") return LithoFastMode::kAuto;
-  if (s == "fft") return LithoFastMode::kFft;
-  if (s == "direct") return LithoFastMode::kDirect;
   if (s == "off") return LithoFastMode::kOff;
-  throw std::runtime_error("--litho-fast: expected auto|fft|direct|off, got '" +
-                           s + "'");
+  throw std::runtime_error("--litho-fast: expected auto|off, got '" + s + "'");
 }
 
 std::size_t parse_memory_budget(const std::string& s) {
@@ -205,7 +202,7 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
         "usage: dfmkit serve [--socket <path>] [--tcp <port>] [--workers N] "
         "[--pool-threads N] [--max-sessions N] [--max-queue N] "
         "[--idle-timeout-ms N] [--deadline-ms N] [--passes a,b,...] "
-        "[--litho-tile N] [--litho-fast auto|fft|direct|off] "
+        "[--litho-tile N] [--litho-fast auto|off] "
         "[--memory-budget <size>] "
         "[--fix-max-iters N] [--fix-min-gain G] [--fix-moves a,b,...] "
         "[--trace-out <path>] [--flight-records N] [--slow-ms MS] "

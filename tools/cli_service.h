@@ -30,7 +30,7 @@ struct CliEdit {
 /// an empty rect.
 CliEdit parse_edit(const std::string& spec);
 
-/// Parses a --litho-fast value (auto|fft|direct|off); throws
+/// Parses a --litho-fast value (auto|off); throws
 /// std::runtime_error on anything else.
 LithoFastMode parse_litho_fast(const std::string& s);
 

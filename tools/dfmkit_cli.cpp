@@ -7,7 +7,7 @@
 //   dfmkit drc <in.gds> [top]          run the standard DRC deck
 //   dfmkit drcplus <in.gds> [top]      DRC + pattern rules
 //   dfmkit flow [--json <path>] [--trace-out <path>] [--passes a,b,...]
-//               [--litho-fast auto|fft|direct|off]
+//               [--litho-fast auto|off]
 //               [--memory-budget <size>] [--stream]
 //               [--edit <spec>]... <in.gds> [top]
 //                                      full DFM flow + scoreboard; --json
@@ -20,11 +20,11 @@
 //                                      Perfetto / chrome://tracing).
 //                                      --passes runs a subset (drc, litho,
 //                                      vias, nets, caa, ...); --litho-fast
-//                                      picks the litho convolution: auto
-//                                      (default) chooses FFT vs direct per
-//                                      tile and enables the conservative
-//                                      hotspot prefilter, off is the
-//                                      historical path bit for bit; --edit
+//                                      auto (default) skips the litho
+//                                      tiles the density gate and the
+//                                      conservative hotspot prefilter
+//                                      prove hotspot-free, off simulates
+//                                      every tile (same hotspots); --edit
 //                                      <layer>:<x0>,<y0>,<x1>,<y1>[:remove]
 //                                      applies rect edits one by one
 //                                      through the incremental session
@@ -259,7 +259,7 @@ int cmd_flow(int argc, char** argv) {
   if (argc < 3) {
     throw std::runtime_error(
         "usage: dfmkit flow [--json <path>] [--trace-out <path>] "
-        "[--passes a,b,...] [--litho-fast auto|fft|direct|off] "
+        "[--passes a,b,...] [--litho-fast auto|off] "
         "[--memory-budget <bytes|K|M|G>] [--stream] "
         "[--edit <layer>:<x0>,<y0>,<x1>,<y1>[:remove]]... <in.gds> [top]");
   }

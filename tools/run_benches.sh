@@ -10,8 +10,8 @@
 # "benches", the machine the numbers came from under "host", and the
 # telemetry overhead series (parsed from bench_o1_telemetry's TELEM
 # lines) under "telemetry_overhead", the litho fast-path numbers
-# (parsed from bench_t6_hotspot's LITHO line: direct vs FFT vs
-# FFT+prefilter ms, skip ratio, speedups) under "litho", and the
+# (parsed from bench_t6_hotspot's LITHO line: every tile simulated vs
+# density gate + prefilter ms, skip ratio, speedup) under "litho", and the
 # served-flow latency series (parsed from bench_s2_service's SERVICE
 # lines) under "service", and the out-of-core memory numbers under
 # "memory" (bench_f4_outofcore's MEMORY lines — hydrated/budget/peak
@@ -122,32 +122,29 @@ if [ -f "$telem_log" ]; then
 fi
 
 # Litho fast-path numbers: bench_t6_hotspot prints one parseable
-# "LITHO key=value ..." line (direct vs FFT vs FFT+prefilter, skip
-# ratio, speedups).
+# "LITHO key=value ..." line (every tile simulated vs density gate +
+# prefilter, skip ratio, speedup).
 litho_rows=""
 litho_log="$logdir/bench_t6_hotspot.log"
 if [ -f "$litho_log" ]; then
   while IFS= read -r line; do
     case "$line" in LITHO\ *) ;; *) continue ;; esac
-    tiles=0 hotspots=0 direct=0 fft=0 fast=0 skipped=0
-    ratio=0 fft_sp=0 fast_sp=0
+    tiles=0 hotspots=0 direct=0 fast=0 skipped=0 ratio=0 fast_sp=0
     for tok in $line; do
       case "$tok" in
         tiles=*)        tiles="${tok#tiles=}" ;;
         hotspots=*)     hotspots="${tok#hotspots=}" ;;
         direct_ms=*)    direct="${tok#direct_ms=}" ;;
-        fft_ms=*)       fft="${tok#fft_ms=}" ;;
         fast_ms=*)      fast="${tok#fast_ms=}" ;;
         skipped=*)      skipped="${tok#skipped=}" ;;
         skip_ratio=*)   ratio="${tok#skip_ratio=}" ;;
-        fft_speedup=*)  fft_sp="${tok#fft_speedup=}" ;;
         fast_speedup=*) fast_sp="${tok#fast_speedup=}" ;;
       esac
     done
     row="    {\"tiles\": $tiles, \"hotspots\": $hotspots,"
-    row="$row \"direct_ms\": $direct, \"fft_ms\": $fft, \"fast_ms\": $fast,"
+    row="$row \"direct_ms\": $direct, \"fast_ms\": $fast,"
     row="$row \"skipped\": $skipped, \"skip_ratio\": $ratio,"
-    row="$row \"fft_speedup\": $fft_sp, \"fast_speedup\": $fast_sp}"
+    row="$row \"fast_speedup\": $fast_sp}"
     litho_rows="${litho_rows:+$litho_rows,
 }$row"
   done < "$litho_log"
