@@ -42,14 +42,6 @@ const LayerDelta* LayoutDelta::find(LayerKey k) const {
   return it == layers_.end() ? nullptr : &it->second;
 }
 
-std::vector<LayerKey> LayoutDelta::dirty_layers() const {
-  std::vector<LayerKey> out;
-  for (const auto& [k, d] : layers_) {
-    if (!d.empty()) out.push_back(k);
-  }
-  return out;
-}
-
 Region LayoutDelta::dirty_region(LayerKey k) const {
   const LayerDelta* d = find(k);
   return d == nullptr ? Region{} : d->added | d->removed;

@@ -40,7 +40,6 @@ class LayoutDelta {
   /// True when the delta touches layer `k` at all.
   bool dirties(LayerKey k) const;
   const LayerDelta* find(LayerKey k) const;
-  std::vector<LayerKey> dirty_layers() const;
   /// added | removed on layer `k`: every point whose membership may have
   /// changed. Empty when the layer is clean.
   Region dirty_region(LayerKey k) const;

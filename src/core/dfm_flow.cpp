@@ -893,6 +893,15 @@ std::string canonical_flow_pass(const std::string& name) {
   return it == kNames.end() ? std::string{} : it->second;
 }
 
+void check_flow_passes(const std::string& what,
+                       const std::vector<std::string>& passes) {
+  for (const std::string& name : passes) {
+    if (canonical_flow_pass(name).empty()) {
+      throw std::invalid_argument(what + ": unknown pass '" + name + "'");
+    }
+  }
+}
+
 std::size_t resolved_memory_budget(const DfmFlowOptions& options) {
   if (options.memory_budget != 0) return options.memory_budget;
   const char* env = std::getenv("DFMKIT_SNAPSHOT_BUDGET");

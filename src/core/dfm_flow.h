@@ -113,6 +113,13 @@ std::size_t resolved_memory_budget(const DfmFlowOptions& options);
 /// canonical flow pass name; empty when unknown.
 std::string canonical_flow_pass(const std::string& name);
 
+/// Checks a user-supplied pass list (`dfmkit flow --passes`, `serve
+/// --passes`, the service `open` op's "passes"): throws
+/// std::invalid_argument "<what>: unknown pass '<name>'" at the first
+/// name canonical_flow_pass does not know.
+void check_flow_passes(const std::string& what,
+                       const std::vector<std::string>& passes);
+
 struct DfmFlowReport {
   DrcPlusResult drcplus;
   Netlist nets;

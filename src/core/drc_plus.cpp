@@ -3,8 +3,6 @@
 #include "core/snapshot.h"
 #include "gen/generators.h"
 
-#include <set>
-
 namespace dfm {
 
 TopologicalPattern capture_reference_pattern(const LayerMap& layers,
@@ -117,19 +115,6 @@ DrcPlusEngine::DrcPlusEngine(DrcPlusDeck deck) : deck_(std::move(deck)) {
   for (const PatternRuleSet& set : deck_.pattern_sets) {
     matchers_.emplace_back(set.rules);
   }
-}
-
-std::vector<LayerKey> DrcPlusEngine::layers_used() const {
-  std::set<LayerKey> needed;
-  for (const Rule& r : deck_.drc.rules) {
-    needed.insert(r.layer);
-    if (r.kind == RuleKind::kMinEnclosure) needed.insert(r.inner);
-  }
-  for (const PatternRuleSet& set : deck_.pattern_sets) {
-    needed.insert(set.capture_layers.begin(), set.capture_layers.end());
-    needed.insert(set.anchor_layer);
-  }
-  return {needed.begin(), needed.end()};
 }
 
 DrcPlusResult DrcPlusEngine::run(const LayoutSnapshot& snap,

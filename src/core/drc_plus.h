@@ -62,10 +62,6 @@ class DrcPlusEngine {
   /// individual capture windows against it and splices the results.
   const PatternMatcher& matcher(std::size_t i) const { return matchers_[i]; }
 
-  /// Every layer the deck reads (DRC layers + capture + anchor layers) —
-  /// the layer set to build a snapshot from.
-  std::vector<LayerKey> layers_used() const;
-
  private:
   DrcPlusDeck deck_;
   std::vector<PatternMatcher> matchers_;  // one per pattern set

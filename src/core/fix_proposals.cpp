@@ -1,6 +1,7 @@
 #include "core/fix_proposals.h"
 
 #include <array>
+#include <stdexcept>
 
 namespace dfm {
 namespace {
@@ -33,6 +34,20 @@ std::optional<FixKind> parse_fix_kind(const std::string& name) {
     if (name == k.name) return k.kind;
   }
   return std::nullopt;
+}
+
+void check_fix_moves(const std::string& what,
+                     const std::vector<std::string>& moves) {
+  for (const std::string& name : moves) {
+    if (parse_fix_kind(name)) continue;
+    std::string known;
+    for (const KindName& k : kKindNames) {
+      if (!known.empty()) known += '|';
+      known += k.name;
+    }
+    throw std::invalid_argument(what + ": unknown move '" + name + "' (" +
+                                known + ")");
+  }
 }
 
 bool FixOptions::enabled(FixKind kind) const {

@@ -35,6 +35,18 @@ const char* fix_kind_name(FixKind kind);
 /// Inverse of fix_kind_name; nullopt for unknown names.
 std::optional<FixKind> parse_fix_kind(const std::string& name);
 
+/// Checks a user-supplied move list (`dfmkit fix --moves`, `serve
+/// --fix-moves`, the service `fix` op's "moves"): throws
+/// std::invalid_argument "<what>: unknown move '<name>'
+/// (pattern_via|...)" at the first name parse_fix_kind does not know.
+void check_fix_moves(const std::string& what,
+                     const std::vector<std::string>& moves);
+
+/// The most rounds a user may ask of the fix loop: `dfmkit fix
+/// --max-iters`, `serve --fix-max-iters`, `client fix --max-iters` and
+/// the service `fix` op's "max_iters" all stop here.
+inline constexpr int kMaxFixIters = 1000;
+
 /// Knobs of the fix loop, threaded from `dfmkit fix` flags and
 /// `dfmkit serve --fix-*` into DfmFlowOptions::fix.
 struct FixOptions {

@@ -4,8 +4,6 @@
 #include "core/snapshot.h"
 #include "core/telemetry.h"
 
-#include <set>
-
 namespace dfm {
 
 std::map<std::string, int> DrcResult::count_by_rule() const {
@@ -20,20 +18,6 @@ int DrcResult::count(const std::string& rule) const {
     if (v.rule == rule) ++n;
   }
   return n;
-}
-
-LayerMap flatten_for_deck(const Library& lib, std::uint32_t top,
-                          const RuleDeck& deck) {
-  std::set<LayerKey> needed;
-  for (const Rule& r : deck.rules) {
-    needed.insert(r.layer);
-    if (r.kind == RuleKind::kMinEnclosure) needed.insert(r.inner);
-  }
-  LayerMap out;
-  for (const LayerKey k : needed) {
-    out.emplace(k, lib.flatten(top, k));
-  }
-  return out;
 }
 
 std::vector<LayerKey> rule_layers(const Rule& rule) {

@@ -64,10 +64,6 @@ struct DrcOptions : PassOptions {
   using PassOptions::PassOptions;
 };
 
-/// Flattens every layer a deck needs from a cell.
-LayerMap flatten_for_deck(const Library& lib, std::uint32_t top,
-                          const RuleDeck& deck);
-
 /// Every layer one rule reads (primary layer, plus the inner layer of an
 /// enclosure rule) — the dependency set incremental re-analysis keys a
 /// rule's staleness on.

@@ -83,7 +83,6 @@ class Cell {
   Rect local_bbox() const;
 
   std::size_t shape_count() const;
-  bool has_refs() const { return !refs_.empty(); }
 
  private:
   std::string name_;

@@ -35,11 +35,6 @@ struct PatternEncoding {
   std::vector<Coord> dims_y;         // ny cell heights
 
   friend auto operator<=>(const PatternEncoding&, const PatternEncoding&) = default;
-
-  bool same_topology(const PatternEncoding& o) const {
-    return nx == o.nx && ny == o.ny && pattern_layers == o.pattern_layers &&
-           bitmap == o.bitmap;
-  }
 };
 
 /// One layer's clipped geometry inside a capture window.

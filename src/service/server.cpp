@@ -554,6 +554,9 @@ void ServiceServer::executor_loop(unsigned index) {
           response = make_error(job.id, pe.code(), pe.what());
         } catch (const JsonError& je) {
           response = make_error(job.id, errc::kBadRequest, je.what());
+        } catch (const std::invalid_argument& e) {
+          // A run option the shared checks (check_flow_passes, ...) refuse.
+          response = make_error(job.id, errc::kBadRequest, e.what());
         } catch (const std::exception& e) {
           response = make_error(job.id, errc::kInternal, e.what());
         }
@@ -667,16 +670,13 @@ Json ServiceServer::op_open(std::uint64_t id, const Json& req) {
   const std::string top_name = req.get_string("top", "");
   std::vector<std::string> passes;
   if (const Json* p = req.find("passes")) {
-    for (const Json& e : p->as_array()) {
-      const std::string& name = e.as_string();
-      if (canonical_flow_pass(name).empty()) {
-        throw ProtocolError(errc::kBadRequest,
-                            "open: unknown pass '" + name + "'");
-      }
-      passes.push_back(name);
-    }
+    for (const Json& e : p->as_array()) passes.push_back(e.as_string());
   }
+  check_flow_passes("open", passes);
   const std::int64_t litho_tile = req.get_int("litho_tile", 0);
+  if (litho_tile < 0) {
+    throw ProtocolError(errc::kBadRequest, "open: bad \"litho_tile\"");
+  }
 
   // Reserve the registry slot up front: the max-sessions limit is
   // enforced before any expensive work, and concurrent opens cannot
@@ -830,7 +830,7 @@ Json ServiceServer::op_fix(std::uint64_t id, const Json& req) {
   // (`dfmkit serve --fix-*`), exactly how "open" treats passes/litho_tile.
   FixOptions fo = options_.flow.fix;
   const std::int64_t max_iters = req.get_int("max_iters", fo.max_iters);
-  if (max_iters < 0 || max_iters > 1000) {
+  if (max_iters < 0 || max_iters > kMaxFixIters) {
     throw ProtocolError(errc::kBadRequest, "fix: bad \"max_iters\"");
   }
   fo.max_iters = static_cast<int>(max_iters);
@@ -844,14 +844,8 @@ Json ServiceServer::op_fix(std::uint64_t id, const Json& req) {
   }
   if (const Json* m = req.find("moves")) {
     fo.moves.clear();
-    for (const Json& e : m->as_array()) {
-      const std::string& name = e.as_string();
-      if (!parse_fix_kind(name)) {
-        throw ProtocolError(errc::kBadRequest,
-                            "fix: unknown move '" + name + "'");
-      }
-      fo.moves.push_back(name);
-    }
+    for (const Json& e : m->as_array()) fo.moves.push_back(e.as_string());
+    check_fix_moves("fix", fo.moves);
   }
 
   std::string outcome;

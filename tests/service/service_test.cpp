@@ -283,6 +283,33 @@ TEST(Service, FixOpRejectsNegativeMinGain) {
   client.close_session(session);
 }
 
+/// The open op checks its run options with the CLI's shared checks:
+/// an unknown pass and a negative litho tile are bad requests, refused
+/// before a session slot is taken.
+TEST(Service, OpenRejectsBadPassesAndLithoTile) {
+  ServiceServer server(base_options("open_checks"));
+  server.start();
+  ServiceClient client =
+      ServiceClient::connect_unix(server.options().unix_path);
+  try {
+    client.open(demo_gds(), "", {"drc", "warp_drive"});
+    FAIL() << "an unknown pass must be rejected";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.code(), errc::kBadRequest);
+  }
+  try {
+    Json::Object req;
+    req["op"] = Json("open");
+    req["path"] = Json(demo_gds());
+    req["litho_tile"] = Json(-5);
+    client.call_ok(Json(std::move(req)));
+    FAIL() << "a negative litho_tile must be rejected";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.code(), errc::kBadRequest);
+  }
+  EXPECT_EQ(client.stats().get_int("active_sessions", -1), 0);
+}
+
 /// v2 clients refuse to talk to servers that greet with a different
 /// protocol revision — before any request crosses the wire.
 TEST(Service, ClientRejectsProtocolMismatch) {

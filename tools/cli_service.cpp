@@ -12,11 +12,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -36,77 +35,25 @@ using service::ServiceClient;
 using service::ServiceOptions;
 using service::ServiceServer;
 
-/// Tiny argv walker: collects positionals, resolves --flag / --flag value.
-struct Args {
-  std::vector<std::string> positional;
-  std::vector<std::pair<std::string, std::string>> flags;
+/// Whether an ArgSpec entry ("--json <path>", "--stream") declares `flag`.
+bool declares(const std::vector<std::string>& entries,
+              const std::string& flag) {
+  return std::any_of(entries.begin(), entries.end(), [&](const auto& e) {
+    return e.substr(0, e.find(' ')) == flag;
+  });
+}
 
-  static Args parse(int argc, char** argv, int start,
-                    const std::vector<std::string>& value_flags) {
-    Args out;
-    for (int i = start; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a.rfind("--", 0) != 0) {
-        out.positional.push_back(a);
-        continue;
-      }
-      const bool takes_value =
-          std::find(value_flags.begin(), value_flags.end(), a) !=
-          value_flags.end();
-      if (takes_value) {
-        if (i + 1 >= argc) throw std::runtime_error(a + " needs a value");
-        out.flags.emplace_back(a, argv[++i]);
-      } else {
-        out.flags.emplace_back(a, "");
-      }
-    }
-    return out;
-  }
+/// The unix socket to serve on or connect to: --socket, else
+/// dfmkit.sock in the cwd unless --tcp is given ("" then).
+std::string unix_socket(const Args& args) {
+  const std::string path = args.str("--socket");
+  return path.empty() && !args.has("--tcp") ? "dfmkit.sock" : path;
+}
 
-  const std::string* get(const std::string& name) const {
-    for (const auto& [k, v] : flags) {
-      if (k == name) return &v;
-    }
-    return nullptr;
-  }
-  bool has(const std::string& name) const { return get(name) != nullptr; }
-  std::string str(const std::string& name, const std::string& dflt) const {
-    const std::string* v = get(name);
-    return v ? *v : dflt;
-  }
-  long num(const std::string& name, long dflt) const {
-    const std::string* v = get(name);
-    if (!v) return dflt;
-    char* end = nullptr;
-    const long n = std::strtol(v->c_str(), &end, 10);
-    if (end == v->c_str() || *end != '\0') {
-      throw std::runtime_error(name + ": not a number: '" + *v + "'");
-    }
-    return n;
-  }
-  /// Count flags (threads, limits, ports) go through parse_count, so a
-  /// sign or an oversized value is an error instead of a wrapped number.
-  template <typename T>
-  T count(const std::string& name, T dflt,
-          std::uint64_t max = std::numeric_limits<T>::max()) const {
-    const std::string* v = get(name);
-    return v ? static_cast<T>(parse_count(name, *v, max)) : dflt;
-  }
-  /// --tcp <port>, or -1 when absent.
-  int tcp_port() const {
-    return has("--tcp") ? count("--tcp", 0, 65535) : -1;
-  }
-};
-
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> out;
-  for (std::size_t pos = 0; pos < s.size();) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > pos) out.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return out;
+ServiceClient connect(const Args& args) {
+  const std::string path = unix_socket(args);
+  return path.empty() ? ServiceClient::connect_tcp(args.tcp_port())
+                      : ServiceClient::connect_unix(path);
 }
 
 // SIGTERM/SIGINT land on a self-pipe (the only async-signal-safe way to
@@ -133,6 +80,157 @@ void print_loadgen(const LoadGenReport& rep, const LoadGenOptions& opt) {
 }
 
 }  // namespace
+
+std::string ArgSpec::synopsis() const {
+  std::string out = name;
+  const auto add = [&](const std::string& part) {
+    if (!out.empty() && !part.empty()) out += ' ';
+    out += part;
+  };
+  for (const std::string& v : values) add("[" + v + "]");
+  for (const std::string& s : switches) add("[" + s + "]");
+  add(args);
+  return out;
+}
+
+std::string ArgSpec::usage() const {
+  return "usage: dfmkit " + synopsis() + (notes.empty() ? "" : "\n" + notes);
+}
+
+Args Args::parse(const ArgSpec& spec, const std::vector<std::string>& words,
+                 std::size_t* command) {
+  const std::string who = spec.name.empty() ? "" : spec.name + ": ";
+  const auto refuse = [&](const std::string& what) {
+    return std::runtime_error(who + what + "\n" + spec.usage());
+  };
+  Args out;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const std::string& w = words[i];
+    if (!w.starts_with("--")) {
+      if (command != nullptr) {
+        *command = i;
+        return out;
+      }
+      out.positional.push_back(w);
+      continue;
+    }
+    const std::size_t eq = w.find('=');
+    const std::string flag = w.substr(0, eq);
+    if (flag == "--threads" || declares(spec.values, flag)) {
+      if (eq == std::string::npos && i + 1 >= words.size()) {
+        throw std::runtime_error(flag + " needs a value");
+      }
+      out.flags.emplace_back(
+          flag, eq == std::string::npos ? words[++i] : w.substr(eq + 1));
+      if (flag == "--threads") {
+        out.threads = static_cast<unsigned>(
+            parse_count(flag, out.flags.back().second,
+                        std::numeric_limits<unsigned>::max()));
+      }
+    } else if (declares(spec.switches, flag)) {
+      if (eq != std::string::npos) throw refuse(flag + " takes no value");
+      out.flags.emplace_back(flag, "");
+    } else {
+      throw refuse("unknown option '" + w + "'");
+    }
+  }
+  if (command != nullptr) {
+    *command = words.size();
+    return out;
+  }
+  constexpr std::size_t kAny = std::numeric_limits<std::size_t>::max();
+  std::size_t min_args = 0;
+  std::size_t max_args = 0;
+  std::istringstream synopsis(spec.args);
+  for (std::string a; synopsis >> a;) {
+    if (a[0] == '<') ++min_args;
+    max_args = a.ends_with("...") || max_args == kAny ? kAny : max_args + 1;
+  }
+  if (out.positional.size() < min_args) throw std::runtime_error(spec.usage());
+  if (out.positional.size() > max_args) {
+    throw refuse("too many arguments ('" + out.positional[max_args] + "')");
+  }
+  return out;
+}
+
+const std::string* Args::get(const std::string& name) const {
+  for (auto it = flags.rbegin(); it != flags.rend(); ++it) {
+    if (it->first == name) return &it->second;
+  }
+  return nullptr;
+}
+
+std::vector<std::string> split_commas(const std::string& s) {
+  std::vector<std::string> out;
+  for (std::size_t pos = 0; pos < s.size();) {
+    std::size_t comma = s.find(',', pos);
+    if (comma == std::string::npos) comma = s.size();
+    if (comma > pos) out.push_back(s.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return out;
+}
+
+DfmFlowOptions flow_options(const Args& args, const std::string& fix_prefix) {
+  DfmFlowOptions opt;
+  opt.model.sigma = 25;
+  opt.threads = args.threads;
+  opt.passes = split_commas(args.str("--passes"));
+  check_flow_passes("--passes", opt.passes);
+  // 0 keeps the default tile edge.
+  const Coord litho_tile = args.count<Coord>("--litho-tile", 0);
+  if (litho_tile > 0) opt.litho_tile = litho_tile;
+  if (const std::string* v = args.get("--litho-fast")) {
+    if (*v != "auto" && *v != "off") {
+      throw std::runtime_error("--litho-fast: expected auto|off, got '" + *v +
+                               "'");
+    }
+    opt.litho_fast = *v == "off" ? LithoFastMode::kOff : LithoFastMode::kAuto;
+  }
+  const std::string* budget = args.get("--memory-budget");
+  if (budget != nullptr && !parse_byte_size(*budget, &opt.memory_budget)) {
+    throw std::runtime_error(
+        "--memory-budget: expected a byte size like 64M, got '" + *budget +
+        "'");
+  }
+  const std::string iters = fix_prefix + "max-iters";
+  opt.fix.max_iters = args.count(iters, opt.fix.max_iters, kMaxFixIters);
+  const std::string gain = fix_prefix + "min-gain";
+  if (const std::string* v = args.get(gain)) {
+    opt.fix.min_gain = parse_threshold(gain, *v);
+  }
+  const std::string moves = fix_prefix + "moves";
+  opt.fix.moves = split_commas(args.str(moves));
+  check_fix_moves(moves, opt.fix.moves);
+  return opt;
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot write " + path);
+  out << text;
+  std::printf("wrote %s\n", path.c_str());
+}
+
+void start_trace(const Args& args, const char* thread_name) {
+  if (!args.has("--trace-out")) return;
+  telemetry::set_thread_name(thread_name);
+  telemetry::set_enabled(true);
+}
+
+void write_trace(const Args& args) {
+  const std::string* path = args.get("--trace-out");
+  if (path == nullptr) return;
+  telemetry::set_enabled(false);
+  const telemetry::MetricsSnapshot metrics = telemetry::metrics_snapshot();
+  const telemetry::TraceSnapshot trace = telemetry::drain();
+  std::ofstream out(*path);
+  if (!out) throw std::runtime_error("cannot write " + *path);
+  out << telemetry::chrome_trace_json(trace, metrics);
+  std::printf("wrote %s (%zu spans, %u threads, max depth %u)\n",
+              path->c_str(), trace.total_events(),
+              static_cast<unsigned>(trace.threads.size()), trace.max_depth());
+}
 
 CliEdit parse_edit(const std::string& spec) {
   const auto bad = [&] {
@@ -174,100 +272,38 @@ CliEdit parse_edit(const std::string& spec) {
   return e;
 }
 
-LithoFastMode parse_litho_fast(const std::string& s) {
-  if (s == "auto") return LithoFastMode::kAuto;
-  if (s == "off") return LithoFastMode::kOff;
-  throw std::runtime_error("--litho-fast: expected auto|off, got '" + s + "'");
-}
-
-std::size_t parse_memory_budget(const std::string& s) {
-  std::size_t bytes = 0;
-  if (!parse_byte_size(s, &bytes)) {
-    throw std::runtime_error(
-        "--memory-budget: expected a byte size like 64M, got '" + s + "'");
-  }
-  return bytes;
-}
-
-int cmd_serve(int argc, char** argv, unsigned threads) {
+int cmd_serve(const std::vector<std::string>& words) {
   const Args args = Args::parse(
-      argc, argv, 2,
-      {"--socket", "--tcp", "--workers", "--pool-threads", "--max-sessions",
-       "--max-queue", "--idle-timeout-ms", "--deadline-ms", "--passes",
-       "--litho-tile", "--litho-fast", "--memory-budget",
-       "--fix-max-iters", "--fix-min-gain", "--fix-moves", "--trace-out",
-       "--flight-records", "--slow-ms"});
-  if (!args.positional.empty()) {
-    throw std::runtime_error(
-        "usage: dfmkit serve [--socket <path>] [--tcp <port>] [--workers N] "
-        "[--pool-threads N] [--max-sessions N] [--max-queue N] "
-        "[--idle-timeout-ms N] [--deadline-ms N] [--passes a,b,...] "
-        "[--litho-tile N] [--litho-fast auto|off] "
-        "[--memory-budget <size>] "
-        "[--fix-max-iters N] [--fix-min-gain G] [--fix-moves a,b,...] "
-        "[--trace-out <path>] [--flight-records N] [--slow-ms MS] "
-        "[--debug-ops]");
-  }
+      {.name = "serve",
+       .values = {"--socket <path>", "--tcp <port>", "--workers N",
+                  "--pool-threads N", "--max-sessions N", "--max-queue N",
+                  "--idle-timeout-ms N", "--deadline-ms N",
+                  "--passes a,b,...", "--litho-tile N",
+                  "--litho-fast auto|off", "--memory-budget <size>",
+                  "--fix-max-iters N", "--fix-min-gain G",
+                  "--fix-moves a,b,...", "--trace-out <path>",
+                  "--flight-records N", "--slow-ms MS"},
+       .switches = {"--debug-ops"}},
+      words);
 
   ServiceOptions opt;
-  opt.unix_path = args.str("--socket", "");
+  opt.unix_path = unix_socket(args);
   opt.tcp_port = args.tcp_port();
-  if (opt.unix_path.empty() && opt.tcp_port < 0) {
-    opt.unix_path = "dfmkit.sock";  // default: unix socket in the cwd
-  }
   opt.workers = args.count("--workers", 2u);
-  opt.pool_threads = args.count("--pool-threads", threads);
+  opt.pool_threads = args.count("--pool-threads", args.threads);
   opt.max_sessions = args.count<std::size_t>("--max-sessions", 8);
   opt.max_queue = args.count<std::size_t>("--max-queue", 16);
   opt.idle_timeout_ms = args.count<std::uint64_t>("--idle-timeout-ms", 0);
   opt.default_deadline_ms = args.count<std::uint64_t>("--deadline-ms", 0);
   opt.enable_debug_ops = args.has("--debug-ops");
   opt.flight_records = args.count<std::size_t>("--flight-records", 256);
-  const std::string slow_ms = args.str("--slow-ms", "");
-  if (!slow_ms.empty()) {
-    char* end = nullptr;
-    opt.slow_request_ms = std::strtod(slow_ms.c_str(), &end);
-    if (end == slow_ms.c_str() || *end != '\0') {
-      throw std::runtime_error("--slow-ms: not a number: '" + slow_ms + "'");
-    }
+  if (const std::string* ms = args.get("--slow-ms")) {
+    opt.slow_request_ms = parse_threshold("--slow-ms", *ms);
   }
-  opt.flow.tech = Tech::standard();
-  opt.flow.model.sigma = 25;
-  opt.flow.model.px = 5;
-  for (const std::string& name : split_commas(args.str("--passes", ""))) {
-    if (canonical_flow_pass(name).empty()) {
-      throw std::runtime_error("--passes: unknown pass '" + name + "'");
-    }
-    opt.flow.passes.push_back(name);
-  }
-  const long litho_tile = args.num("--litho-tile", 0);
-  if (litho_tile > 0) opt.flow.litho_tile = litho_tile;
-  // Per-session hydrated snapshot byte budget; every session the daemon
-  // opens runs its flow out-of-core under it.
-  const std::string budget = args.str("--memory-budget", "");
-  if (!budget.empty()) opt.flow.memory_budget = parse_memory_budget(budget);
-  // Defaults for the "fix" op, per-request overridable — threaded the
-  // same way --litho-fast / --memory-budget configure every session.
-  // The fix op's own bound on max_iters.
-  opt.flow.fix.max_iters =
-      args.count("--fix-max-iters", opt.flow.fix.max_iters, 1000);
-  if (const std::string* gain = args.get("--fix-min-gain")) {
-    opt.flow.fix.min_gain = parse_threshold("--fix-min-gain", *gain);
-  }
-  for (const std::string& name : split_commas(args.str("--fix-moves", ""))) {
-    if (!parse_fix_kind(name)) {
-      throw std::runtime_error("--fix-moves: unknown move '" + name + "'");
-    }
-    opt.flow.fix.moves.push_back(name);
-  }
-  const std::string litho_fast = args.str("--litho-fast", "");
-  if (!litho_fast.empty()) opt.flow.litho_fast = parse_litho_fast(litho_fast);
-
-  const std::string trace_path = args.str("--trace-out", "");
-  if (!trace_path.empty()) {
-    telemetry::set_thread_name("main");
-    telemetry::set_enabled(true);
-  }
+  // Every session the daemon opens runs under these; the --fix-* values
+  // are the "fix" op's per-request-overridable defaults.
+  opt.flow = flow_options(args, "--fix-");
+  start_trace(args, "main");
 
   ServiceServer server(std::move(opt));
   server.start();
@@ -308,100 +344,93 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
   ::close(g_signal_pipe[0]);
   ::close(g_signal_pipe[1]);
 
-  if (!trace_path.empty()) {
-    telemetry::set_enabled(false);
-    const telemetry::MetricsSnapshot metrics = telemetry::metrics_snapshot();
-    const telemetry::TraceSnapshot trace = telemetry::drain();
-    std::ofstream out(trace_path);
-    if (!out) throw std::runtime_error("cannot write " + trace_path);
-    out << telemetry::chrome_trace_json(trace, metrics);
-    std::printf("wrote %s (%zu spans, %u threads)\n", trace_path.c_str(),
-                trace.total_events(),
-                static_cast<unsigned>(trace.threads.size()));
-  }
+  write_trace(args);
   return 0;
 }
 
-int cmd_client(int argc, char** argv) {
-  std::vector<std::string> value_flags = {
-      "--socket", "--tcp", "--json", "--top", "--passes", "--litho-tile",
-      "--clients", "--requests", "--mode", "--patch", "--max-iters",
-      "--min-gain", "--moves", "--trace-out", "--n"};
-  // For the table-rendering actions --json is a boolean toggle (print
-  // the raw reply), not a path; the walker needs the arity up front.
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "stats" || a == "metrics" || a == "debug") {
-      value_flags.erase(
-          std::remove(value_flags.begin(), value_flags.end(), "--json"),
-          value_flags.end());
-      break;
-    }
+int cmd_client(const std::vector<std::string>& words) {
+  // Each action's own vocabulary; the connection flags are added to
+  // every one. --json is a switch (print the raw reply) for the
+  // table-rendering actions and an output path for flow and fix.
+  static const std::vector<ArgSpec> kActions = {
+      {"ping"},
+      {"version"},
+      {"shutdown"},
+      {"stats", {}, {"--json"}},
+      {"metrics", {}, {"--json"}},
+      {"debug", {"--n N"}, {"--json"}},
+      {"open", {"--top <cell>", "--passes a,b,...", "--litho-tile N"}, {},
+       "<layout>"},
+      {"edit", {}, {}, "<session> <layer>:<x0>,<y0>,<x1>,<y1>[:remove]..."},
+      {"flow", {"--json <path>"}, {}, "<session>"},
+      {"fix",
+       {"--max-iters N", "--min-gain G", "--moves a,b,...", "--json <path>"},
+       {},
+       "<session>"},
+      {"close", {}, {}, "<session>"},
+      {"bench",
+       {"--clients N", "--requests N", "--mode inc|cold|flow", "--patch N",
+        "--top <cell>", "--passes a,b,...", "--litho-tile N"},
+       {},
+       "<layout>"},
+  };
+  ArgSpec connection{"client",
+                     {"--socket <path>", "--tcp <port>", "--trace-out <path>"},
+                     {},
+                     "<action>",
+                     "  actions:"};
+  for (const ArgSpec& a : kActions) {
+    connection.notes += "\n    " + a.synopsis();
   }
-  const Args args = Args::parse(argc, argv, 2, value_flags);
-  const auto usage = [] {
-    return std::runtime_error(
-        "usage: dfmkit client [--socket <path> | --tcp <port>] "
-        "[--trace-out <path>] <action>\n"
-        "  actions:\n"
-        "    ping | version | shutdown\n"
-        "    stats [--json]\n"
-        "    metrics [--json]\n"
-        "    debug [--n N] [--json]\n"
-        "    open <layout> [--top <cell>] [--passes a,b,...] "
-        "[--litho-tile N]\n"
-        "    edit <session> <layer>:<x0>,<y0>,<x1>,<y1>[:remove]...\n"
-        "    flow <session> [--json <path>]\n"
-        "    fix <session> [--max-iters N] [--min-gain G] [--moves a,b,...] "
-        "[--json <path>]\n"
-        "    close <session>\n"
-        "    bench <layout> [--clients N] [--requests N] "
-        "[--mode inc|cold|flow] [--patch N] [--top <cell>] "
-        "[--passes a,b,...] [--litho-tile N]");
-  };
-  if (args.positional.empty()) throw usage();
-  const std::string action = args.positional[0];
-  const std::string socket = args.str("--socket", "");
-  const int tcp = args.tcp_port();
-
-  const auto connect = [&]() -> ServiceClient {
-    if (!socket.empty()) return ServiceClient::connect_unix(socket);
-    if (tcp >= 0) return ServiceClient::connect_tcp(tcp);
-    return ServiceClient::connect_unix("dfmkit.sock");
-  };
+  std::size_t at = 0;
+  Args::parse(connection, words, &at);
+  const auto found =
+      at == words.size()
+          ? kActions.end()
+          : std::find_if(kActions.begin(), kActions.end(),
+                         [&](const ArgSpec& a) { return a.name == words[at]; });
+  if (found == kActions.end()) throw std::runtime_error(connection.usage());
+  const std::string action = found->name;
+  ArgSpec spec = *found;
+  spec.name = "client " + action;
+  spec.values.insert(spec.values.end(), connection.values.begin(),
+                     connection.values.end());
+  std::vector<std::string> rest = words;
+  rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(at));
+  const Args args = Args::parse(spec, rest);
 
   // Every action returns through run_action so --trace-out can close
   // the recording epoch afterwards and write the client-side trace.
   const auto run_action = [&]() -> int {
   if (action == "bench") {
-    if (args.positional.size() < 2) throw usage();
     LoadGenOptions opt;
-    opt.unix_path = (socket.empty() && tcp < 0) ? "dfmkit.sock" : socket;
-    opt.tcp_port = tcp;
-    opt.layout_path = args.positional[1];
-    opt.top = args.str("--top", "");
-    opt.passes = split_commas(args.str("--passes", ""));
-    opt.litho_tile = args.num("--litho-tile", 0);
+    opt.unix_path = unix_socket(args);
+    opt.tcp_port = args.tcp_port();
+    opt.layout_path = args.positional[0];
+    opt.top = args.str("--top");
+    opt.passes = split_commas(args.str("--passes"));
+    opt.litho_tile = args.count<std::int64_t>("--litho-tile", 0);
     opt.clients = args.count("--clients", 4u);
     opt.requests_per_client = args.count("--requests", 16u);
     opt.mode = args.str("--mode", "inc");
-    opt.patch = args.num("--patch", 400);
+    opt.patch = args.count<std::int64_t>("--patch", 400);
     const LoadGenReport rep = service::run_load(opt);
     print_loadgen(rep, opt);
     return rep.errors == 0 ? 0 : 1;
   }
 
-  // Edit specs and fix numbers are checked before connecting: a typo
-  // never reaches the server as some other request. Absent fix numbers
-  // (-1) take the server's defaults.
+  // Edit specs and numbers are checked before connecting: a typo never
+  // reaches the server as some other request. Absent fix numbers (-1)
+  // take the server's defaults.
+  const std::int64_t litho_tile = args.count<std::int64_t>("--litho-tile", 0);
+  const std::int64_t debug_n = args.count<std::int64_t>("--n", 32);
   const std::int64_t max_iters =
-      args.count<std::int64_t>("--max-iters", -1, 1000);
+      args.count<std::int64_t>("--max-iters", -1, kMaxFixIters);
   const std::string* gain = args.get("--min-gain");
   const double min_gain = gain ? parse_threshold("--min-gain", *gain) : -1;
   Json::Array edits;
   if (action == "edit") {
-    if (args.positional.size() < 3) throw usage();
-    for (std::size_t i = 2; i < args.positional.size(); ++i) {
+    for (std::size_t i = 1; i < args.positional.size(); ++i) {
       const CliEdit e = parse_edit(args.positional[i]);
       edits.push_back(ServiceClient::make_edit(e.layer_name, e.rect.lo.x,
                                                e.rect.lo.y, e.rect.hi.x,
@@ -409,7 +438,7 @@ int cmd_client(int argc, char** argv) {
     }
   }
 
-  ServiceClient client = connect();
+  ServiceClient client = connect(args);
   if (action == "ping") {
     client.ping();
     std::printf("ok\n");
@@ -423,12 +452,16 @@ int cmd_client(int argc, char** argv) {
                 static_cast<long long>(reply.get_int("protocol", 0)));
     return 0;
   }
+  if (args.has("--json") &&
+      (action == "stats" || action == "metrics" || action == "debug")) {
+    const Json reply = action == "stats"     ? client.stats()
+                       : action == "metrics" ? client.metrics()
+                                             : client.debug(debug_n);
+    std::printf("%s\n", reply.dump().c_str());
+    return 0;
+  }
   if (action == "stats") {
     const Json reply = client.stats();
-    if (args.has("--json")) {
-      std::printf("%s\n", reply.dump().c_str());
-      return 0;
-    }
     // Same aligned Table the flow CLI renders its summaries with.
     Table table("server stats");
     table.set_header({"stat", "value"});
@@ -453,20 +486,12 @@ int cmd_client(int argc, char** argv) {
   }
   if (action == "metrics") {
     const Json reply = client.metrics();
-    if (args.has("--json")) {
-      std::printf("%s\n", reply.dump().c_str());
-      return 0;
-    }
     // Prometheus text exposition, verbatim (already newline-terminated).
     std::fputs(reply.get_string("text", "").c_str(), stdout);
     return 0;
   }
   if (action == "debug") {
-    const Json reply = client.debug(args.num("--n", 32));
-    if (args.has("--json")) {
-      std::printf("%s\n", reply.dump().c_str());
-      return 0;
-    }
+    const Json reply = client.debug(debug_n);
     Table table("flight recorder (newest first)");
     table.set_header({"seq", "id", "op", "session", "trace", "queue_ms",
                       "total_ms", "outcome"});
@@ -494,85 +519,56 @@ int cmd_client(int argc, char** argv) {
                 static_cast<long long>(reply.get_int("capacity", 0)));
     return 0;
   }
-  if (action == "shutdown") {
-    client.shutdown_server();
-    std::printf("shutdown requested\n");
-    return 0;
-  }
   if (action == "open") {
-    if (args.positional.size() < 2) throw usage();
     const Json reply =
-        client.open(args.positional[1], args.str("--top", ""),
-                    split_commas(args.str("--passes", "")),
-                    args.num("--litho-tile", 0));
+        client.open(args.positional[0], args.str("--top"),
+                    split_commas(args.str("--passes")), litho_tile);
     std::printf("session %s\n", reply.get_string("session", "?").c_str());
     return 0;
   }
   if (action == "edit") {
-    const Json reply = client.edit(args.positional[1], std::move(edits));
+    const Json reply = client.edit(args.positional[0], std::move(edits));
     std::printf("ok %s\n", reply.get_string("session", "?").c_str());
     return 0;
   }
   if (action == "flow") {
-    if (args.positional.size() < 2) throw usage();
-    const Json reply = client.flow(args.positional[1]);
+    const Json reply = client.flow(args.positional[0]);
     const std::string report = reply.get_string("report", "");
-    const std::string json_path = args.str("--json", "");
-    if (!json_path.empty()) {
-      std::ofstream out(json_path);
-      if (!out) throw std::runtime_error("cannot write " + json_path);
-      out << report;
-      std::printf("wrote %s\n", json_path.c_str());
+    if (args.has("--json")) {
+      write_file(args.str("--json"), report);
     } else {
       std::printf("%s\n", report.c_str());
     }
     return 0;
   }
   if (action == "fix") {
-    if (args.positional.size() < 2) throw usage();
-    const Json reply = client.fix(args.positional[1], max_iters, min_gain,
-                                  split_commas(args.str("--moves", "")));
+    const Json reply = client.fix(args.positional[0], max_iters, min_gain,
+                                  split_commas(args.str("--moves")));
     const std::string outcome = reply.get_string("outcome", "");
-    const std::string json_path = args.str("--json", "");
-    if (!json_path.empty()) {
-      std::ofstream out(json_path);
-      if (!out) throw std::runtime_error("cannot write " + json_path);
-      out << outcome;
-      std::printf("wrote %s\n", json_path.c_str());
+    if (args.has("--json")) {
+      write_file(args.str("--json"), outcome);
     } else {
       std::printf("%s", outcome.c_str());
     }
     return 0;
   }
   if (action == "close") {
-    if (args.positional.size() < 2) throw usage();
-    client.close_session(args.positional[1]);
-    std::printf("closed %s\n", args.positional[1].c_str());
+    client.close_session(args.positional[0]);
+    std::printf("closed %s\n", args.positional[0].c_str());
     return 0;
   }
-  throw usage();
+  // The one action left: shutdown.
+  client.shutdown_server();
+  std::printf("shutdown requested\n");
+  return 0;
   };  // run_action
 
   // --trace-out opens a recording epoch around the whole action, so
   // every ServiceClient call records a client/request span and stamps
   // trace context on the wire (see `dfmkit trace-merge`).
-  const std::string trace_path = args.str("--trace-out", "");
-  if (!trace_path.empty()) {
-    telemetry::set_thread_name("client");
-    telemetry::set_enabled(true);
-  }
+  start_trace(args, "client");
   const int rc = run_action();
-  if (!trace_path.empty()) {
-    telemetry::set_enabled(false);
-    const telemetry::MetricsSnapshot metrics = telemetry::metrics_snapshot();
-    const telemetry::TraceSnapshot trace = telemetry::drain();
-    std::ofstream out(trace_path);
-    if (!out) throw std::runtime_error("cannot write " + trace_path);
-    out << telemetry::chrome_trace_json(trace, metrics);
-    std::printf("wrote %s (%zu spans, %u threads)\n", trace_path.c_str(),
-                trace.total_events(),
-                static_cast<unsigned>(trace.threads.size()));
-  }
+  write_trace(args);
   return rc;
 }
 
@@ -596,30 +592,21 @@ telemetry::HistogramSnapshot parse_histogram(const Json& h) {
 
 }  // namespace
 
-int cmd_top(int argc, char** argv) {
-  const Args args = Args::parse(argc, argv, 2,
-                                {"--socket", "--tcp", "--interval-ms",
-                                 "--count"});
-  if (!args.positional.empty()) {
-    throw std::runtime_error(
-        "usage: dfmkit top [--socket <path> | --tcp <port>] "
-        "[--interval-ms N] [--count N] [--no-clear]\n"
-        "  Polls a running daemon's stats and metrics ops and renders\n"
-        "  queue depth, sessions, and per-op latency percentiles.\n"
-        "  --count 0 (the default) polls until interrupted.");
-  }
-  const std::string socket = args.str("--socket", "");
-  const int tcp = args.tcp_port();
-  const long interval_ms = std::max(1L, args.num("--interval-ms", 1000));
+int cmd_top(const std::vector<std::string>& words) {
+  const Args args = Args::parse(
+      {.name = "top",
+       .values = {"--socket <path>", "--tcp <port>", "--interval-ms N",
+                  "--count N"},
+       .switches = {"--no-clear"},
+       .notes = "  Polls a running daemon's stats and metrics ops and renders\n"
+                "  queue depth, sessions, and per-op latency percentiles.\n"
+                "  --count 0 (the default) polls until interrupted."},
+      words);
+  const std::uint32_t interval_ms =
+      std::max(1u, args.count<std::uint32_t>("--interval-ms", 1000));
   const std::uint64_t count = args.count<std::uint64_t>("--count", 0);
   const bool clear = !args.has("--no-clear") && ::isatty(STDOUT_FILENO);
-
-  const auto connect = [&]() -> ServiceClient {
-    if (!socket.empty()) return ServiceClient::connect_unix(socket);
-    if (tcp >= 0) return ServiceClient::connect_tcp(tcp);
-    return ServiceClient::connect_unix("dfmkit.sock");
-  };
-  ServiceClient client = connect();
+  ServiceClient client = connect(args);
 
   for (std::uint64_t tick = 0; count == 0 || tick < count; ++tick) {
     if (tick > 0) {
@@ -688,18 +675,18 @@ int cmd_top(int argc, char** argv) {
   return 0;
 }
 
-int cmd_trace_merge(int argc, char** argv) {
-  const Args args = Args::parse(argc, argv, 2, {"--out"});
-  if (args.positional.size() < 2) {
-    throw std::runtime_error(
-        "usage: dfmkit trace-merge <client_trace.json> <server_trace.json> "
-        "[more_server_traces.json ...] [--out <merged.json>]\n"
-        "  Stitches --trace-out files into one Chrome trace: the client\n"
-        "  process plus every server process on a shared timeline, with\n"
-        "  flow arrows linking each client/request span to the\n"
-        "  service/request span it parented (protocol v3 trace\n"
-        "  context).");
-  }
+int cmd_trace_merge(const std::vector<std::string>& words) {
+  const Args args = Args::parse(
+      {.name = "trace-merge",
+       .values = {"--out <merged.json>"},
+       .args = "<client_trace.json> <server_trace.json>...",
+       .notes =
+           "  Stitches --trace-out files into one Chrome trace: the client\n"
+           "  process plus every server process on a shared timeline, with\n"
+           "  flow arrows linking each client/request span to the\n"
+           "  service/request span it parented (protocol v3 trace\n"
+           "  context)."},
+      words);
   const auto slurp = [](const std::string& path) {
     std::ifstream in(path);
     if (!in) throw std::runtime_error("cannot read " + path);

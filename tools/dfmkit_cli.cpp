@@ -78,9 +78,14 @@
 //   dfmkit --version                   build stamp: git revision +
 //                                      build configuration
 //
-// --threads N caps the parallelism of the heavy passes (0, the default,
-// means hardware concurrency; 1 forces the serial path). Results are
-// bit-identical for every N.
+// --threads N (or --threads=N, before or after the command) caps the
+// parallelism of the heavy passes (0, the default, means hardware
+// concurrency; 1 forces the serial path). Results are bit-identical for
+// every N.
+//
+// Every command declares its flags and how many arguments it takes
+// (cli::Args): an unknown option or a surplus argument is refused with
+// an error before any layout is read, pool built or socket opened.
 #include "cli_service.h"
 #include "core/dfm_flow.h"
 #include "core/fix_engine.h"
@@ -98,61 +103,62 @@
 #include "pattern/catalog.h"
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace {
 
 using namespace dfm;
-
-unsigned g_threads = 0;  // --threads; 0 = hardware concurrency
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
+using cli::Args;
+using Words = std::vector<std::string>;
 
 void write_layout(const Library& lib, const std::string& path) {
-  if (ends_with(path, ".oas") || ends_with(path, ".oasis")) {
+  if (path.ends_with(".oas") || path.ends_with(".oasis")) {
     write_oasis_file(lib, path);
   } else {
     write_gdsii_file(lib, path);
   }
 }
 
-std::uint32_t pick_top(const Library& lib, int argc, char** argv, int index) {
-  if (argc > index) return lib.index_of(argv[index]);
+/// The [top] argument at `index`, else the library's first top cell.
+std::uint32_t pick_top(const Library& lib, const Args& args,
+                       std::size_t index) {
+  if (args.positional.size() > index) {
+    return lib.index_of(args.positional[index]);
+  }
   const auto tops = lib.top_cells();
   if (tops.empty()) throw std::runtime_error("library has no cells");
   return tops.front();
 }
 
-int cmd_gen(int argc, char** argv) {
-  if (argc < 3) throw std::runtime_error("usage: dfmkit gen <out.gds> [seed]");
+int cmd_gen(const Words& words) {
+  const Args args = Args::parse({"gen", {}, {}, "<out.gds> [seed]"}, words);
+  const std::string& out = args.positional[0];
   DesignParams p;
   // A seed that is not a whole number is an error, not seed 0, and "-1"
   // does not wrap to the largest seed.
-  p.seed = argc > 3 ? parse_count("seed", argv[3],
-                                  std::numeric_limits<std::uint64_t>::max())
-                     : 1;
+  p.seed = args.positional.size() > 1
+               ? parse_count("seed", args.positional[1],
+                             std::numeric_limits<std::uint64_t>::max())
+               : 1;
   p.name = "dfmkit_demo";
   p.rows = 4;
   p.cells_per_row = 10;
   p.routes = 30;
   const Library lib = generate_design(p);
-  write_layout(lib, argv[2]);
-  std::printf("wrote %s: %zu cells, %zu flat shapes\n", argv[2],
+  write_layout(lib, out);
+  std::printf("wrote %s: %zu cells, %zu flat shapes\n", out.c_str(),
               lib.cell_count(),
               lib.flat_shape_count(lib.top_cells().front()));
   return 0;
 }
 
-int cmd_info(int argc, char** argv) {
-  if (argc < 3) throw std::runtime_error("usage: dfmkit info <in.gds>");
-  const Library lib = read_layout_file(argv[2]);
+int cmd_info(const Words& words) {
+  const Args args = Args::parse({"info", {}, {}, "<in.gds>"}, words);
+  const Library lib = read_layout_file(args.positional[0]);
   std::printf("library '%s'  dbu/uu=%.0f\n", lib.name().c_str(),
               lib.dbu_per_uu());
   Table t("cells");
@@ -169,12 +175,13 @@ int cmd_info(int argc, char** argv) {
   return 0;
 }
 
-int cmd_drc(int argc, char** argv, bool plus) {
-  if (argc < 3) throw std::runtime_error("usage: dfmkit drc <in.gds> [top]");
-  const Library lib = read_layout_file(argv[2]);
-  const std::uint32_t top = pick_top(lib, argc, argv, 3);
+int cmd_drc(const Words& words, bool plus) {
+  const Args args =
+      Args::parse({plus ? "drcplus" : "drc", {}, {}, "<in.gds> [top]"}, words);
+  const Library lib = read_layout_file(args.positional[0]);
+  const std::uint32_t top = pick_top(lib, args, 1);
   const Tech& tech = Tech::standard();
-  ThreadPool pool(g_threads);
+  ThreadPool pool(args.threads);
   const LayoutSnapshot snap(lib, top, &pool);
   if (!plus) {
     const DrcEngine engine{RuleDeck::standard(tech)};
@@ -216,104 +223,40 @@ void print_flow_report(const std::string& title, const DfmFlowReport& rep) {
   std::printf("composite: %.3f\n", rep.scorecard.composite());
 }
 
-int cmd_flow(int argc, char** argv) {
-  // Strip the flow-local options.
-  std::string json_path;
-  std::string trace_path;
-  std::string passes_arg;
-  std::string litho_fast_arg;
-  std::string budget_arg;
-  bool stream = false;
+int cmd_flow(const Words& words) {
+  const Args args = Args::parse(
+      {"flow",
+       {"--json <path>", "--trace-out <path>", "--passes a,b,...",
+        "--litho-fast auto|off", "--memory-budget <bytes|K|M|G>",
+        "--edit <layer>:<x0>,<y0>,<x1>,<y1>[:remove]"},
+       {"--stream"},
+       "<in.gds> [top]"},
+      words);
+  const std::string& path = args.positional[0];
+  const bool stream = args.has("--stream");
+  // The streamed top cell comes from the stream index.
+  if (stream && args.positional.size() > 1) {
+    throw std::runtime_error("flow: --stream takes no [top] argument, got '" +
+                             args.positional[1] + "'");
+  }
   std::vector<cli::CliEdit> edits;
-  for (int i = 2; i < argc;) {
-    const auto eat2 = [&](std::string& into) {
-      into = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-    };
-    const auto eat1 = [&] {
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      argc -= 1;
-    };
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      eat2(json_path);
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      eat2(trace_path);
-    } else if (std::strcmp(argv[i], "--passes") == 0 && i + 1 < argc) {
-      eat2(passes_arg);
-    } else if (std::strcmp(argv[i], "--litho-fast") == 0 && i + 1 < argc) {
-      eat2(litho_fast_arg);
-    } else if (std::strcmp(argv[i], "--memory-budget") == 0 && i + 1 < argc) {
-      eat2(budget_arg);
-    } else if (std::strcmp(argv[i], "--stream") == 0) {
-      stream = true;
-      eat1();
-    } else if (std::strcmp(argv[i], "--edit") == 0 && i + 1 < argc) {
-      std::string spec;
-      eat2(spec);
-      edits.push_back(cli::parse_edit(spec));
-    } else {
-      ++i;
-    }
+  for (const auto& [flag, value] : args.flags) {
+    if (flag == "--edit") edits.push_back(cli::parse_edit(value));
   }
-  if (argc < 3) {
-    throw std::runtime_error(
-        "usage: dfmkit flow [--json <path>] [--trace-out <path>] "
-        "[--passes a,b,...] [--litho-fast auto|off] "
-        "[--memory-budget <bytes|K|M|G>] [--stream] "
-        "[--edit <layer>:<x0>,<y0>,<x1>,<y1>[:remove]]... <in.gds> [top]");
-  }
+  const DfmFlowOptions opt = cli::flow_options(args);
   // Span recording only pays for itself when someone asked for output;
   // metrics counters are always live (they are the cheap part).
-  if (!trace_path.empty()) {
-    telemetry::set_thread_name("main");
-    telemetry::set_enabled(true);
-  }
-  DfmFlowOptions opt;
-  opt.tech = Tech::standard();
-  opt.model.sigma = 25;
-  opt.model.px = 5;
-  opt.threads = g_threads;
-  if (!litho_fast_arg.empty()) {
-    opt.litho_fast = cli::parse_litho_fast(litho_fast_arg);
-  }
-  if (!budget_arg.empty()) {
-    opt.memory_budget = cli::parse_memory_budget(budget_arg);
-  }
-  for (std::size_t pos = 0; pos < passes_arg.size();) {
-    std::size_t comma = passes_arg.find(',', pos);
-    if (comma == std::string::npos) comma = passes_arg.size();
-    const std::string name = passes_arg.substr(pos, comma - pos);
-    if (!name.empty()) {
-      if (canonical_flow_pass(name).empty()) {
-        throw std::runtime_error("--passes: unknown pass '" + name + "'");
-      }
-      opt.passes.push_back(name);
-    }
-    pos = comma + 1;
-  }
+  cli::start_trace(args, "main");
 
   // Shared tail for both modes: the metrics snapshot rides along in the
   // --json document, and --trace-out gets the drained span timeline.
   const auto write_outputs = [&](const DfmFlowReport& rep) {
-    const telemetry::MetricsSnapshot metrics = telemetry::metrics_snapshot();
-    if (!json_path.empty()) {
-      std::ofstream out(json_path);
-      if (!out) throw std::runtime_error("cannot write " + json_path);
-      out << flow_trace_json(rep, metrics.empty() ? nullptr : &metrics);
-      std::printf("wrote %s\n", json_path.c_str());
+    if (const std::string* json = args.get("--json")) {
+      const telemetry::MetricsSnapshot metrics = telemetry::metrics_snapshot();
+      cli::write_file(*json,
+                      flow_trace_json(rep, metrics.empty() ? nullptr : &metrics));
     }
-    if (!trace_path.empty()) {
-      telemetry::set_enabled(false);
-      const telemetry::TraceSnapshot trace = telemetry::drain();
-      std::ofstream out(trace_path);
-      if (!out) throw std::runtime_error("cannot write " + trace_path);
-      out << telemetry::chrome_trace_json(trace, metrics);
-      std::printf("wrote %s (%zu spans, %u threads, max depth %u)\n",
-                  trace_path.c_str(), trace.total_events(),
-                  static_cast<unsigned>(trace.threads.size()),
-                  trace.max_depth());
-    }
+    cli::write_trace(args);
   };
 
   const auto print_budget = [&](const SnapshotBudget& b) {
@@ -346,16 +289,14 @@ int cmd_flow(int argc, char** argv) {
 
   if (stream) {
     // Out-of-core mode: never materializes the cell hierarchy — the
-    // snapshot hydrates windows straight from the mmap'd file. The top
-    // cell comes from the stream index, so the [top] argument does not
-    // apply here.
-    DfmFlowSession session(open_stream_source(argv[2]), opt);
-    run_edits(session, std::string(argv[2]) + " (stream)");
+    // snapshot hydrates windows straight from the mmap'd file.
+    DfmFlowSession session(open_stream_source(path), opt);
+    run_edits(session, path + " (stream)");
     return 0;
   }
 
-  const Library lib = read_layout_file(argv[2]);
-  const std::uint32_t top = pick_top(lib, argc, argv, 3);
+  const Library lib = read_layout_file(path);
+  const std::uint32_t top = pick_top(lib, args, 1);
   if (edits.empty()) {
     const DfmFlowReport rep = run_dfm_flow(lib, top, opt);
     print_flow_report("DFM scoreboard: " + lib.cell(top).name(), rep);
@@ -371,75 +312,17 @@ int cmd_flow(int argc, char** argv) {
   return 0;
 }
 
-int cmd_fix(int argc, char** argv) {
-  std::string json_path;
-  std::string out_path;
-  std::string moves_arg;
-  bool expect_improvement = false;
-  FixOptions fix;
-  for (int i = 2; i < argc;) {
-    const auto eat2 = [&](std::string& into) {
-      into = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-    };
-    const auto eat1 = [&] {
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      argc -= 1;
-    };
-    // The bounds are the service fix op's, checked before the layout is
-    // read.
-    if (std::strcmp(argv[i], "--max-iters") == 0 && i + 1 < argc) {
-      std::string v;
-      eat2(v);
-      fix.max_iters = static_cast<int>(parse_count("--max-iters", v, 1000));
-    } else if (std::strcmp(argv[i], "--min-gain") == 0 && i + 1 < argc) {
-      std::string v;
-      eat2(v);
-      fix.min_gain = parse_threshold("--min-gain", v);
-    } else if (std::strcmp(argv[i], "--moves") == 0 && i + 1 < argc) {
-      eat2(moves_arg);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      eat2(json_path);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      eat2(out_path);
-    } else if (std::strcmp(argv[i], "--expect-improvement") == 0) {
-      expect_improvement = true;
-      eat1();
-    } else {
-      ++i;
-    }
-  }
-  if (argc < 3) {
-    throw std::runtime_error(
-        "usage: dfmkit fix [--max-iters N] [--min-gain G] "
-        "[--moves pattern_via,via_double,...] [--json <path>] "
-        "[--out <path>] [--expect-improvement] <in.gds> [top]");
-  }
-  for (std::size_t pos = 0; pos < moves_arg.size();) {
-    std::size_t comma = moves_arg.find(',', pos);
-    if (comma == std::string::npos) comma = moves_arg.size();
-    const std::string name = moves_arg.substr(pos, comma - pos);
-    if (!name.empty()) {
-      if (!parse_fix_kind(name)) {
-        throw std::runtime_error(
-            "--moves: unknown move '" + name +
-            "' (pattern_via|pattern_pinch|via_double|spread|retarget|fill)");
-      }
-      fix.moves.push_back(name);
-    }
-    pos = comma + 1;
-  }
-
-  DfmFlowOptions opt;
-  opt.tech = Tech::standard();
-  opt.model.sigma = 25;
-  opt.model.px = 5;
-  opt.threads = g_threads;
-  opt.fix = fix;
-
-  const Library lib = read_layout_file(argv[2]);
-  const std::uint32_t top = pick_top(lib, argc, argv, 3);
+int cmd_fix(const Words& words) {
+  const Args args = Args::parse(
+      {"fix",
+       {"--max-iters N", "--min-gain G", "--moves pattern_via,via_double,...",
+        "--json <path>", "--out <path>"},
+       {"--expect-improvement"},
+       "<in.gds> [top]"},
+      words);
+  const DfmFlowOptions opt = cli::flow_options(args);
+  const Library lib = read_layout_file(args.positional[0]);
+  const std::uint32_t top = pick_top(lib, args, 1);
   DfmFlowSession session(lib, top, opt);
   print_flow_report("before fix: " + lib.cell(top).name(), session.report());
 
@@ -462,13 +345,10 @@ int cmd_fix(int argc, char** argv) {
       out.iterations, out.proposed, out.accepted, out.rejected,
       out.composite_before, out.composite_after);
 
-  if (!json_path.empty()) {
-    std::ofstream o(json_path);
-    if (!o) throw std::runtime_error("cannot write " + json_path);
-    o << fix_outcome_json(out);
-    std::printf("wrote %s\n", json_path.c_str());
+  if (const std::string* json = args.get("--json")) {
+    cli::write_file(*json, fix_outcome_json(out));
   }
-  if (!out_path.empty()) {
+  if (const std::string* out_path = args.get("--out")) {
     // The repaired layout, flat: the post-fix snapshot's layers as one
     // cell (references were flattened when the session snapshot was
     // built).
@@ -479,10 +359,10 @@ int cmd_fix(int argc, char** argv) {
     }
     Library fixed(lib.name());
     fixed.add_cell(std::move(cell));
-    write_layout(fixed, out_path);
-    std::printf("wrote %s\n", out_path.c_str());
+    write_layout(fixed, *out_path);
+    std::printf("wrote %s\n", out_path->c_str());
   }
-  if (expect_improvement &&
+  if (args.has("--expect-improvement") &&
       !(out.accepted > 0 && out.composite_after > out.composite_before)) {
     std::fprintf(stderr, "dfmkit fix: composite did not improve\n");
     return 1;
@@ -490,13 +370,13 @@ int cmd_fix(int argc, char** argv) {
   return 0;
 }
 
-int cmd_catalog(int argc, char** argv) {
-  if (argc < 3) throw std::runtime_error("usage: dfmkit catalog <in.gds> [top]");
-  const Library lib = read_layout_file(argv[2]);
-  const std::uint32_t top = pick_top(lib, argc, argv, 3);
+int cmd_catalog(const Words& words) {
+  const Args args = Args::parse({"catalog", {}, {}, "<in.gds> [top]"}, words);
+  const Library lib = read_layout_file(args.positional[0]);
+  const std::uint32_t top = pick_top(lib, args, 1);
   const std::vector<LayerKey> on = {layers::kVia1, layers::kMetal1,
                                     layers::kMetal2};
-  ThreadPool pool(g_threads);
+  ThreadPool pool(args.threads);
   const LayoutSnapshot snap(lib, top, on, &pool);
   const PatternCatalog cat = build_catalog(snap, on, layers::kVia1, 120, &pool);
   std::printf("windows=%llu classes=%zu top-10=%.1f%%\n",
@@ -512,78 +392,70 @@ int cmd_catalog(int argc, char** argv) {
   return 0;
 }
 
-int cmd_svg(int argc, char** argv) {
-  if (argc < 4) {
-    throw std::runtime_error("usage: dfmkit svg <in.gds> <out.svg> [top]");
-  }
-  const Library lib = read_layout_file(argv[2]);
-  const std::uint32_t top = pick_top(lib, argc, argv, 4);
+int cmd_svg(const Words& words) {
+  const Args args =
+      Args::parse({"svg", {}, {}, "<in.gds> <out.svg> [top]"}, words);
+  const Library lib = read_layout_file(args.positional[0]);
+  const std::uint32_t top = pick_top(lib, args, 2);
   const std::vector<LayerKey> order = lib.layers();
   const LayoutSnapshot snap(lib, top, order);
   SvgWriter w(lib.bbox(top), 1200);
   for (const LayerKey k : order) {
     w.add_layer(snap.layer(k), SvgWriter::default_color(k));
   }
-  w.write_file(argv[3]);
-  std::printf("wrote %s\n", argv[3]);
+  w.write_file(args.positional[1]);
+  std::printf("wrote %s\n", args.positional[1].c_str());
+  return 0;
+}
+
+int cmd_version(const Words& words) {
+  Args::parse({"version"}, words);
+  std::printf("%s\n", dfm::version_string().c_str());
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const std::map<std::string, int (*)(const Words&)> kCommands = {
+      {"gen", cmd_gen},
+      {"info", cmd_info},
+      {"drc", [](const Words& w) { return cmd_drc(w, false); }},
+      {"drcplus", [](const Words& w) { return cmd_drc(w, true); }},
+      {"flow", cmd_flow},
+      {"fix", cmd_fix},
+      {"catalog", cmd_catalog},
+      {"svg", cmd_svg},
+      {"serve", dfm::cli::cmd_serve},
+      {"client", dfm::cli::cmd_client},
+      {"top", dfm::cli::cmd_top},
+      {"trace-merge", dfm::cli::cmd_trace_merge},
+      {"version", cmd_version},
+  };
+  // Only --threads and --version may precede the command; the command's
+  // own parse sees every other word, --threads included.
+  cli::ArgSpec global{"", {"--threads N"}, {"--version"}, "<command> ..."};
+  for (const auto& [name, run] : kCommands) {
+    global.notes += (global.notes.empty() ? "  commands: " : "|") + name;
+  }
   try {
-    // Strip global options (accepted anywhere) before command dispatch.
-    for (int i = 1; i < argc;) {
-      if (std::strncmp(argv[i], "--threads", 9) != 0) {
-        ++i;
-        continue;
-      }
-      const char* val = nullptr;
-      int eat = 0;
-      if (argv[i][9] == '=') {
-        val = argv[i] + 10;
-        eat = 1;
-      } else if (argv[i][9] == '\0' && i + 1 < argc) {
-        val = argv[i + 1];
-        eat = 2;
-      } else if (argv[i][9] == '\0') {
-        throw std::runtime_error("--threads needs a value");
-      } else {
-        ++i;  // some other --threads* token; leave it for the subcommand
-        continue;
-      }
-      g_threads = static_cast<unsigned>(parse_count(
-          "--threads", val, std::numeric_limits<unsigned>::max()));
-      for (int j = i; j + eat < argc; ++j) argv[j] = argv[j + eat];
-      argc -= eat;
+    Words words(argv + 1, argv + argc);
+    std::size_t at = 0;
+    if (Args::parse(global, words, &at).has("--version")) {
+      return cmd_version({});
     }
-    if (argc < 2) {
-      std::fprintf(stderr,
-                   "usage: dfmkit [--threads N] "
-                   "<gen|info|drc|drcplus|flow|fix|catalog|svg|serve|"
-                   "client|top|trace-merge> ...\n");
+    if (at == words.size()) {
+      std::fprintf(stderr, "%s\n", global.usage().c_str());
       return 2;
     }
-    const std::string cmd = argv[1];
-    if (cmd == "--version" || cmd == "version") {
-      std::printf("%s\n", dfm::version_string().c_str());
-      return 0;
+    const std::string cmd = words[at];
+    words.erase(words.begin() + static_cast<std::ptrdiff_t>(at));
+    const auto it = kCommands.find(cmd);
+    if (it == kCommands.end()) {
+      std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
+      return 2;
     }
-    if (cmd == "gen") return cmd_gen(argc, argv);
-    if (cmd == "info") return cmd_info(argc, argv);
-    if (cmd == "drc") return cmd_drc(argc, argv, false);
-    if (cmd == "drcplus") return cmd_drc(argc, argv, true);
-    if (cmd == "flow") return cmd_flow(argc, argv);
-    if (cmd == "fix") return cmd_fix(argc, argv);
-    if (cmd == "catalog") return cmd_catalog(argc, argv);
-    if (cmd == "svg") return cmd_svg(argc, argv);
-    if (cmd == "serve") return dfm::cli::cmd_serve(argc, argv, g_threads);
-    if (cmd == "client") return dfm::cli::cmd_client(argc, argv);
-    if (cmd == "top") return dfm::cli::cmd_top(argc, argv);
-    if (cmd == "trace-merge") return dfm::cli::cmd_trace_merge(argc, argv);
-    std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-    return 2;
+    return it->second(words);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dfmkit: %s\n", e.what());
     return 2;
