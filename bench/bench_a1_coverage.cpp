@@ -24,7 +24,7 @@ Region product_m2(std::uint64_t seed, double wide_ratio) {
   p.wide_wire_ratio = wide_ratio;
   const Library lib = generate_design(p);
   const LayoutSnapshot snap =
-      make_snapshot(lib, lib.top_cells()[0], {layers::kMetal2});
+      make_snapshot(lib, lib.top_cell(), {layers::kMetal2});
   return snap.layer(layers::kMetal2).region();
 }
 

@@ -20,7 +20,7 @@ int main() {
   p.routes = 0;
   p.via_fields = 0;
   const Library lib = generate_design(p);
-  const auto top = lib.top_cells()[0];
+  const auto top = lib.top_cell();
   const LayoutSnapshot snap =
       make_snapshot(lib, top, {layers::kPoly, layers::kDiff});
   const NormalizedRegion poly = snap.layer(layers::kPoly);

@@ -36,7 +36,7 @@ int main() {
     // do this automatically).
     p.tech.poly_pitch = 140 + 2 * (space - 50);
     const Library lib = generate_design(p);
-    const auto top = lib.top_cells()[0];
+    const auto top = lib.top_cell();
     const LayoutSnapshot snap = make_snapshot(lib, top, {layers::kMetal1});
     const NormalizedRegion m1 = snap.layer(layers::kMetal1);
     const double area =

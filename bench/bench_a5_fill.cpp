@@ -19,7 +19,7 @@ int main() {
   p.routes = 20;
   p.via_fields = 1;
   const Library lib = generate_design(p);
-  const auto top = lib.top_cells()[0];
+  const auto top = lib.top_cell();
   const LayoutSnapshot snap = make_snapshot(lib, top, {layers::kMetal2});
   const Region& m2 = snap.layer(layers::kMetal2);
   const Rect extent = lib.bbox(top);

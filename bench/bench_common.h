@@ -47,7 +47,7 @@ inline TestDesign make_design_with_defects(std::uint64_t seed, int rows,
   p.cells_per_row = cells_per_row;
   p.routes = routes;
   TestDesign d{generate_design(p), 0, {}};
-  d.top = d.lib.top_cells()[0];
+  d.top = d.lib.top_cell();
   if (defects > 0) {
     Rng rng(seed ^ 0xD0D0);
     const Rect core = d.lib.bbox(d.top);

@@ -40,7 +40,7 @@ const Workload& workload_for(int scale) {
     p.via_fields = scale;
     p.vias_per_field = 64;
     const Library lib = generate_design(p);
-    const auto top = lib.top_cells()[0];
+    const auto top = lib.top_cell();
     Workload w;
     w.flat_shapes = lib.flat_shape_count(top);
     w.snap = std::make_unique<LayoutSnapshot>(lib, top, kOn);

@@ -19,7 +19,7 @@ int main() {
   p.routes = 40;
   const Library lib = generate_design(p);
   const LayoutSnapshot snap =
-      make_snapshot(lib, lib.top_cells()[0], {layers::kMetal2});
+      make_snapshot(lib, lib.top_cell(), {layers::kMetal2});
   const Region& m2 = snap.layer(layers::kMetal2);
   const Area extent = m2.bbox().area();
 

@@ -11,6 +11,7 @@
 
 #include "core/dfm_flow.h"
 #include "core/incremental.h"
+#include "core/telemetry.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -54,6 +55,20 @@ double median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
+// The p90 and the max of `v`, as "p90 / max".
+std::string tail(std::vector<double> v, int digits) {
+  std::sort(v.begin(), v.end());
+  return Table::num(telemetry::sample_percentile(v, 0.9), digits) + " / " +
+         Table::num(v.empty() ? 0.0 : v.back(), digits);
+}
+
+// The median and the max of a count, as "median / max".
+std::string median_max(const std::vector<double>& v) {
+  return Table::num(median(v), 0) + " / " +
+         Table::num(v.empty() ? 0.0 : *std::max_element(v.begin(), v.end()),
+                    0);
+}
+
 const char* const kPasses[] = {"snapshot",     "drc_plus",     "recommended",
                                "litho",        "dpt",          "via_doubling",
                                "connectivity", "caa_yield"};
@@ -71,14 +86,21 @@ Rect empty_patch(const LayoutSnapshot& index, LayerKey layer, Rng& rng) {
   }
 }
 
-// Adds `patch` to the session's design and removes it again. Each apply
-// is one sample of "apply" and of every pass's PassTrace ms in `ms`.
-// With `cold_check`, the report after the add is compared with a cold
-// run over the edited layout; returns false when they differ.
+// What a run of applies records: per apply, the ms of "apply" and of
+// every pass's PassTrace (`ms`), the same for the adds alone (`add_ms`),
+// and caa_yield's dirty units.
+struct ApplySamples {
+  std::map<std::string, std::vector<double>> ms, add_ms;
+  std::vector<double> caa_dirty;
+};
+
+// Adds `patch` to the session's design and removes it again, one sample
+// each in `samples`. With `cold_check`, the report after the add is
+// compared with a cold run over the edited layout; returns false when
+// they differ.
 bool add_then_remove(DfmFlowSession& session, const Library& lib,
                      std::uint32_t top, LayerKey layer, const Rect& patch,
-                     bool cold_check,
-                     std::map<std::string, std::vector<double>>& ms) {
+                     bool cold_check, ApplySamples& samples) {
   bool equal = true;
   for (const bool add : {true, false}) {
     LayoutDelta d;
@@ -89,9 +111,15 @@ bool add_then_remove(DfmFlowSession& session, const Library& lib,
     }
     Stopwatch t;
     const DfmFlowReport& rep = session.apply(d);
-    ms["apply"].push_back(t.ms());
-    for (const PassTrace& pt : rep.trace.passes) {
-      ms[pt.name].push_back(pt.ms);
+    const double apply_ms = t.ms();
+    const auto record = [&](std::map<std::string, std::vector<double>>& ms) {
+      ms["apply"].push_back(apply_ms);
+      for (const PassTrace& pt : rep.trace.passes) ms[pt.name].push_back(pt.ms);
+    };
+    record(samples.ms);
+    if (add) record(samples.add_ms);
+    if (const PassTrace* caa = rep.trace.find("caa_yield")) {
+      samples.caa_dirty.push_back(static_cast<double>(caa->dirty_units));
     }
     if (cold_check && add) {
       LayerMap edited;
@@ -110,11 +138,13 @@ bool add_then_remove(DfmFlowSession& session, const Library& lib,
 // session at default options and 4 threads. Each layer gets `per_layer`
 // empty_patch()es, each added and then removed; every apply is one
 // sample. Prints the cold flow time, the per-layer apply medians and,
-// per layer, the median of every pass's PassTrace ms. Returns false when
-// a spliced report diverges from a cold run over the same layout.
+// per layer, the median of every pass's PassTrace ms, then per layer the
+// p90 and the max over the adds of the apply and of every pass, and
+// caa_yield's dirty units per apply. Returns false when a spliced report
+// diverges from a cold run over the same layout.
 bool edit_probe(int per_layer) {
   const Library lib = scaling_design(7, 8);
-  const std::uint32_t top = lib.top_cells()[0];
+  const std::uint32_t top = lib.top_cell();
   DfmFlowOptions options;
   options.threads = 4;
 
@@ -129,7 +159,7 @@ bool edit_probe(int per_layer) {
                              std::vector<LayerKey>(std::begin(layers_),
                                                    std::end(layers_)));
   Rng rng(7);
-  std::map<std::string, std::vector<double>> apply_ms[3];
+  ApplySamples apply_ms[3];
   bool equal = true;
   for (int n = 0; n < 3 * per_layer; ++n) {
     const int l = n % 3;
@@ -149,14 +179,27 @@ bool edit_probe(int per_layer) {
   for (const char* pass : kPasses) header.emplace_back(pass);
   table.set_header(header);
   for (int l = 0; l < 3; ++l) {
+    std::map<std::string, std::vector<double>>& ms = apply_ms[l].ms;
     std::vector<std::string> row = {names[l],
-                                    Table::num(median(apply_ms[l]["apply"]), 1)};
+                                    Table::num(median(ms["apply"]), 1)};
     for (const char* pass : kPasses) {
-      row.push_back(Table::num(median(apply_ms[l][pass]), 1));
+      row.push_back(Table::num(median(ms[pass]), 1));
     }
     table.add_row(row);
   }
   table.print();
+  // The medians hide a slow mode; the tail over the adds shows it.
+  Table tails("edit probe: per-layer p90 / max over adds (ms)");
+  header.emplace_back("caa_yield dirty units, median / max");
+  tails.set_header(header);
+  for (int l = 0; l < 3; ++l) {
+    std::map<std::string, std::vector<double>>& ms = apply_ms[l].add_ms;
+    std::vector<std::string> row = {names[l], tail(ms["apply"], 1)};
+    for (const char* pass : kPasses) row.push_back(tail(ms[pass], 1));
+    row.push_back(median_max(apply_ms[l].caa_dirty));
+    tails.add_row(row);
+  }
+  tails.print();
   std::printf("spliced reports equal a cold run: %s\n", equal ? "yes" : "NO");
   return equal;
 }
@@ -166,16 +209,17 @@ bool edit_probe(int per_layer) {
 // default options and 4 threads takes `patches` M1 empty_patch()es, each
 // added and then removed. Prints, per scale, the M1 rect count, the
 // session's cold open, and the medians of the apply and of each pass
-// over every apply. The patches touch no shape, so the damage is the
-// same at every scale and whatever grows is a whole-layer cost. Returns
-// false when the one cold check per scale diverges.
+// over every apply; then the p90 and the max of each over the adds, and
+// caa_yield's dirty units per apply. The patches touch no shape, so the
+// damage is the same at every scale and whatever grows is a whole-layer
+// cost. Returns false when the one cold check per scale diverges.
 bool m1_sweep(int patches) {
   const int scales[] = {4, 8, 16};
-  std::vector<std::vector<std::string>> columns;
+  std::vector<std::vector<std::string>> columns, tail_columns;
   bool equal = true;
   for (const int scale : scales) {
     const Library lib = scaling_design(7, scale);
-    const std::uint32_t top = lib.top_cells()[0];
+    const std::uint32_t top = lib.top_cell();
     DfmFlowOptions options;
     options.threads = 4;
     Stopwatch t_cold;
@@ -184,13 +228,14 @@ bool m1_sweep(int patches) {
 
     const LayoutSnapshot index(lib, top, {layers::kMetal1});
     Rng rng(7);
-    std::map<std::string, std::vector<double>> ms;
+    ApplySamples samples;
     for (int n = 0; n < patches; ++n) {
       const Rect patch = empty_patch(index, layers::kMetal1, rng);
       equal = add_then_remove(session, lib, top, layers::kMetal1, patch,
-                              n == 0, ms) &&
+                              n == 0, samples) &&
               equal;
     }
+    std::map<std::string, std::vector<double>>& ms = samples.ms;
     // Per apply, the time outside every pass and the apply without dpt.
     std::vector<double> outside, without_dpt;
     for (std::size_t i = 0; i < ms["apply"].size(); ++i) {
@@ -211,6 +256,12 @@ bool m1_sweep(int patches) {
     }
     col.push_back(Table::num(median(outside), 2));
     columns.push_back(col);
+    std::vector<std::string> tail_col = {tail(samples.add_ms["apply"], 1)};
+    for (const char* pass : kPasses) {
+      tail_col.push_back(tail(samples.add_ms[pass], 2));
+    }
+    tail_col.push_back(median_max(samples.caa_dirty));
+    tail_columns.push_back(tail_col);
   }
 
   std::printf("\nM1 sweep: perfbench designs (seed 7), default options, "
@@ -232,6 +283,17 @@ bool m1_sweep(int patches) {
     table.add_row(row);
   }
   table.print();
+  Table tails("M1 sweep: p90 / max over the adds (ms)");
+  tails.set_header(header);
+  std::vector<std::string> tail_rows = {"apply"};
+  for (const char* pass : kPasses) tail_rows.emplace_back(pass);
+  tail_rows.emplace_back("caa_yield dirty units, median / max");
+  for (std::size_t r = 0; r < tail_rows.size(); ++r) {
+    std::vector<std::string> row = {tail_rows[r]};
+    for (const auto& col : tail_columns) row.push_back(col[r]);
+    tails.add_row(row);
+  }
+  tails.print();
   std::printf("spliced reports equal a cold run: %s\n", equal ? "yes" : "NO");
   return equal;
 }
@@ -241,7 +303,7 @@ bool m1_sweep(int patches) {
 int main() {
   const int scale = 8;
   const Library lib = scaling_design(scale, scale);
-  const std::uint32_t top = lib.top_cells()[0];
+  const std::uint32_t top = lib.top_cell();
 
   // The edit: one small M1 patch in the middle of the core — the shape a
   // hotspot fix or an ECO buffer drop leaves behind.

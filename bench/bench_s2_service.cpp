@@ -70,7 +70,7 @@ int main() {
   p.cells_per_row = 10;
   p.routes = 30;
   const Library lib = generate_design(p);
-  const std::uint32_t top = lib.top_cells()[0];
+  const std::uint32_t top = lib.top_cell();
   const std::string gds_path =
       "/tmp/dfm_bench_s2_" + std::to_string(::getpid()) + ".gds";
   write_gdsii_file(lib, gds_path);

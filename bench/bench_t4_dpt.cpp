@@ -42,7 +42,7 @@ Region cell_row_m1(std::uint64_t seed, int cols) {
   p.via_fields = 0;
   const Library lib = generate_design(p);
   const LayoutSnapshot snap =
-      make_snapshot(lib, lib.top_cells()[0], {layers::kMetal1});
+      make_snapshot(lib, lib.top_cell(), {layers::kMetal1});
   return snap.layer(layers::kMetal1).region();
 }
 

@@ -756,9 +756,10 @@ FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
   // opens as one unit. M1 uses the conservative layer-local shorts
   // estimate; shorts on M2 are net-aware (stubs strapped through vias
   // are not shorts), so its tiles read the per-net M2 pieces and go
-  // stale with the nets the connectivity splice changed. Both tile terms
-  // sum integer areas in tile order and integrate them as the
+  // stale where the M2 geometry or its partition into nets changed. Both
+  // tile terms sum integer areas in tile order and integrate them as the
   // whole-layer kernel's integers are, so they are bit-identical to it.
+  // Each stale tile fans its defect sizes out on the pool.
   flow.pass("flow/caa_yield", [&] {
     const std::vector<LayerKey> m1_m2 = {layers::kMetal1, layers::kMetal2};
     flow.evict_keeping(m1_m2);
@@ -770,11 +771,16 @@ FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
     // when the damage grown by the largest defect's half-width
     // (short_reach, exact) reaches it, directly or through a component
     // the edit changed. M2 net-aware shorts: the same kernel over one
-    // region per net (its M2 piece) at 16 sizes; a tile is touched when
-    // it lies within short_reach of the old or new M2 bbox of a net the
-    // connectivity splice dissolved or created (every other net is the
-    // same point set with the same identity), and every tile is when the
-    // nets did not splice.
+    // region per net (its M2 piece) at 16 sizes, and every tile is
+    // touched when the nets did not splice. Otherwise a tile is touched
+    // when an M2 dirty rect comes within short_reach of it, or when at
+    // least two of the nets the connectivity splice dissolved, or at
+    // least two of those it created, have an M2 rect within short_reach.
+    // That is exact: away from the M2 damage the geometry within reach is
+    // unchanged, and so is every carried net, so the dissolved nets cover
+    // the same points there before the edit as the created ones after.
+    // With at most one net on each side, those points count as one net
+    // both times, and the tile's >= 2-net coverage cannot change.
     const std::vector<Coord> sizes[2] = {defect_size_grid(defects, 24),
                                          defect_size_grid(defects, 16)};
     std::vector<char> touched[2] = {std::vector<char>(grid.size(), 0),
@@ -788,13 +794,34 @@ FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
       touched[1].assign(grid.size(), 0);
       const Coord reach = short_reach(sizes[1]);
       std::vector<std::size_t> hit;
-      const auto mark = [&](const Net& net) {
-        if (const Region* piece = net.on(layers::kMetal2)) {
-          grid.touching(bounding_box(piece->raw()).expanded(reach), hit);
+      for (const Rect& r : dirty_rects(damage, {layers::kMetal2})) {
+        grid.touching(r.expanded(reach), hit);
+      }
+      // Per tile, how many dissolved (0) and created (1) nets reach it.
+      std::vector<unsigned> nets_near[2] = {
+          std::vector<unsigned>(grid.size(), 0),
+          std::vector<unsigned>(grid.size(), 0)};
+      std::vector<std::size_t> near;
+      const auto count = [&](const Net& net, std::vector<unsigned>& n) {
+        const Region* piece = net.on(layers::kMetal2);
+        if (piece == nullptr) return;
+        near.clear();
+        // Any rect decomposition covers the same points; raw() reads the
+        // report's nets without normalizing them.
+        for (const Rect& r : piece->raw()) {
+          grid.touching(r.expanded(reach), near);
         }
+        std::sort(near.begin(), near.end());
+        near.erase(std::unique(near.begin(), near.end()), near.end());
+        for (const std::size_t ti : near) ++n[ti];
       };
-      for (const Net& net : spliced->dissolved) mark(net);
-      for (const std::size_t n : spliced->created) mark(rep.nets.nets[n]);
+      for (const Net& net : spliced->dissolved) count(net, nets_near[0]);
+      for (const std::size_t n : spliced->created) {
+        count(rep.nets.nets[n], nets_near[1]);
+      }
+      for (std::size_t ti = 0; ti < grid.size(); ++ti) {
+        if (nets_near[0][ti] >= 2 || nets_near[1][ti] >= 2) hit.push_back(ti);
+      }
       for (const std::size_t ti : hit) touched[1][ti] = 1;
     }
     // Both terms' tiles splice as (term, tile) units in one batch. The
@@ -818,7 +845,7 @@ FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
           if (term == 0) {
             TELEM_SPAN_ARG("caa/m1_tile", ti);
             return short_critical_areas_tile(snap.components(layers::kMetal1),
-                                             sizes[0], grid, ti);
+                                             sizes[0], grid, ti, pool);
           }
           std::call_once(m2_gathered, [&] {
             for (Net& net : rep.nets.nets) {
@@ -833,7 +860,7 @@ FlowCaches run_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
             m2_nets.index.build(m2_nets.boxes);
           });
           TELEM_SPAN_ARG("caa/m2_tile", ti);
-          return short_critical_areas_tile(m2_nets, sizes[1], grid, ti);
+          return short_critical_areas_tile(m2_nets, sizes[1], grid, ti, pool);
         });
     std::size_t dirty_units = found.recomputed;
     // Each term's fault rate: its tiles' integer areas per size, summed

@@ -67,11 +67,17 @@
 //    unit per (term x tile) each: the integer 2x-grid area of the >= 2-net
 //    coverage the tile owns at every defect size of the term. An M1 tile
 //    is stale when the M1 damage, or a component touching it, comes
-//    within short_reach (half the largest defect) of it; an M2 tile when
-//    the old or new M2 bbox of a net the connectivity splice dissolved
-//    or created does. The pass sums each term's integers in tile order
-//    and integrates them as the whole-layer kernel's integers are. M2
-//    opens (m2) is one unit, cached as a double.
+//    within short_reach (half the largest defect) of it. An M2 tile is
+//    stale when an M2 dirty rect comes within short_reach of it, or when
+//    M2 rects of at least two nets the connectivity splice dissolved, or
+//    of at least two it created, do. That is exact: away from the M2
+//    damage the geometry within reach is unchanged and so is every
+//    carried net, so the dissolved nets cover the same points there
+//    before the edit as the created ones after; with at most one on each
+//    side they count as one net both times. The pass sums each term's
+//    integers in tile order and integrates them as the whole-layer
+//    kernel's integers are. M2 opens (m2) is one unit, cached as a
+//    double.
 // A cold run is the case where every unit of every pass is stale.
 //
 // Undo: a run never writes the caches it reuses. It reads the previous

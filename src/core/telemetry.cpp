@@ -89,8 +89,39 @@ struct Global {
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
+// Every counter the toolkit records, registered at zero with the
+// registry, so a metrics snapshot has the same counter keys whether or
+// not each one fired (a run in which no worker stole a task still
+// reports pool.steals: 0). Any other name registers on first use.
+constexpr const char* kCounters[] = {
+    "fix.accepted",
+    "fix.rejected",
+    "flow.units_dirty",
+    "flow.units_reused",
+    "flow.units_total",
+    "litho.prefilter_skip",
+    "pool.steals",
+    "pool.tasks_run",
+    "pool.tasks_submitted",
+    "service.deadline_exceeded",
+    "service.protocol_errors",
+    "service.rejected_backpressure",
+    "service.rejected_shutdown",
+    "service.requests",
+    "service.sessions_evicted",
+    "service.sessions_opened",
+    "service.slow_requests",
+};
+
 Global& global() {
-  static Global* g = new Global();  // leaked: outlives all thread exits
+  // Leaked: outlives all thread exits.
+  static Global* g = [] {
+    auto* made = new Global();
+    for (const char* name : kCounters) {
+      made->counters[name] = std::make_unique<Counter>();
+    }
+    return made;
+  }();
   return *g;
 }
 
@@ -345,12 +376,8 @@ MetricsSnapshot metrics_snapshot() {
     snap.histograms[name] =
         HistogramSnapshot{h->bounds(), h->counts(), h->total(), h->sum()};
   }
-  // Surface ring-overflow losses next to the metrics they taint. Skipped
-  // when the registry never saw a metric (and nothing was dropped), so a
-  // process that never records keeps an empty() snapshot.
-  if (!snap.empty() || dropped != 0) {
-    snap.gauges["telemetry.dropped_events"] = static_cast<double>(dropped);
-  }
+  // Surface ring-overflow losses next to the metrics they taint.
+  snap.gauges["telemetry.dropped_events"] = static_cast<double>(dropped);
   return snap;
 }
 

@@ -18,7 +18,9 @@
 // which is the entire disabled-path cost.
 //
 // Metrics: counters (monotonic), gauges (set/add), and fixed-bucket
-// histograms, all atomics, registered by name on first use. The TELEM_*
+// histograms, all atomics, registered by name on first use; the counters
+// the toolkit itself records are registered at zero up front, so every
+// snapshot has the same counter keys. The TELEM_*
 // macros cache the registry lookup in a function-local static, so the
 // steady state is a single relaxed RMW. Out-of-range histogram values
 // clamp into the edge buckets (the last bucket is an explicit overflow
@@ -273,10 +275,6 @@ struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-
-  bool empty() const {
-    return counters.empty() && gauges.empty() && histograms.empty();
-  }
 };
 
 MetricsSnapshot metrics_snapshot();
@@ -338,7 +336,7 @@ std::string metrics_text();
 
 /// Total events lost to ring overflow across every registered thread
 /// buffer. Also injected into metrics_snapshot() as the
-/// "telemetry.dropped_events" gauge (non-empty snapshots), so
+/// "telemetry.dropped_events" gauge, so
 /// metrics_json/metrics_text surface it.
 std::uint64_t dropped_events();
 

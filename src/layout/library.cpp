@@ -43,6 +43,13 @@ std::vector<std::uint32_t> Library::top_cells() const {
   return out;
 }
 
+std::uint32_t Library::top_cell(const std::string& name) const {
+  if (!name.empty()) return index_of(name);
+  const std::vector<std::uint32_t> tops = top_cells();
+  if (tops.empty()) throw std::runtime_error("library has no cells");
+  return tops.front();
+}
+
 std::vector<LayerKey> Library::layers() const {
   std::vector<LayerKey> out;
   for (const Cell& c : cells_) {

@@ -40,6 +40,10 @@ class Library {
 
   /// Cells not referenced by any other cell.
   std::vector<std::uint32_t> top_cells() const;
+  /// The cell to analyse: the one named `name`, else (no name) the first
+  /// of top_cells(). Throws std::out_of_range for an unknown name and
+  /// std::runtime_error("library has no cells") when there is none.
+  std::uint32_t top_cell(const std::string& name = {}) const;
 
   /// Bounding box of a cell including its full reference subtree.
   Rect bbox(std::uint32_t cell_index) const;

@@ -713,13 +713,7 @@ Json ServiceServer::op_open(std::uint64_t id, const Json& req) {
     }();
     std::uint32_t top = 0;
     try {
-      if (top_name.empty()) {
-        const auto tops = lib.top_cells();
-        if (tops.empty()) throw std::runtime_error("library has no cells");
-        top = tops.front();
-      } else {
-        top = lib.index_of(top_name);
-      }
+      top = lib.top_cell(top_name);
     } catch (const std::exception& e) {
       throw ProtocolError(errc::kBadRequest,
                           "open: " + std::string(e.what()));

@@ -74,21 +74,22 @@ Coord short_reach(const std::vector<Coord>& sizes) {
 
 std::vector<Area> short_critical_areas_tile(const LayerComponents& comps,
                                             const std::vector<Coord>& sizes,
-                                            const TileGrid& grid,
-                                            std::size_t t) {
-  std::vector<Area> out(sizes.size(), 0);
+                                            const TileGrid& grid, std::size_t t,
+                                            ThreadPool* pool) {
   const Rect cell = grid.cell(t);
   const Rect own2x = doubled(cell);
-  // Every net within the largest size's reach, clipped once.
+  // Every net within the largest size's reach, clipped once. The empty()
+  // test normalizes each piece, and scaled() keeps it normalized, so the
+  // sizes that fan out below only read them.
   const Rect reach = cell.expanded(short_reach(sizes) + 2);
   std::vector<Region> pieces;
   comps.index.visit(reach, [&](std::uint32_t i) {
     Region piece = comps.regions[i].clipped(reach);
     if (!piece.empty()) pieces.push_back(piece.scaled(2));
   });
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
+  return parallel_map(pool, sizes.size(), [&](std::size_t i) -> Area {
     const Coord s = sizes[i];
-    if (s <= 0) continue;
+    if (s <= 0) return 0;
     const Rect ctx2x = own2x.expanded(s + 4);
     std::vector<Region> near;
     near.reserve(pieces.size());
@@ -97,11 +98,10 @@ std::vector<Area> short_critical_areas_tile(const LayerComponents& comps,
       if (!c.empty()) near.push_back(std::move(c));
     }
     const Region shorts = shorts_region(near, s);
-    for (const Rect& r : shorts.rects()) {
-      out[i] += r.intersect(own2x).area();
-    }
-  }
-  return out;
+    Area owned = 0;
+    for (const Rect& r : shorts.rects()) owned += r.intersect(own2x).area();
+    return owned;
+  });
 }
 
 Area short_critical_area(const Region& layer, Coord s) {

@@ -75,11 +75,14 @@ Coord short_reach(const std::vector<Coord>& sizes);
 /// exactly short_critical_areas' integer. Reads the components within
 /// the largest size's reach of the tile only: each is clipped to the
 /// tile's cell grown by s/2 + 2 before it is bloated, which leaves the
-/// coverage inside the cell unchanged.
+/// coverage inside the cell unchanged. Sizes fan out on `pool` (null =
+/// serial; a call from inside a pool task nests safely); each size's
+/// integer is computed serially on its own, so the result is the same at
+/// any thread count.
 std::vector<Area> short_critical_areas_tile(const LayerComponents& comps,
                                             const std::vector<Coord>& sizes,
-                                            const TileGrid& grid,
-                                            std::size_t t);
+                                            const TileGrid& grid, std::size_t t,
+                                            ThreadPool* pool = nullptr);
 
 /// Critical area for *shorts* at one defect size: the set of defect
 /// centers where a square defect of side `s` bridges two distinct nets

@@ -399,24 +399,36 @@ std::size_t m1_tiles_reached(const LayerMap& edited, const Rect& patch,
   return static_cast<std::size_t>(std::count(hit.begin(), hit.end(), 1));
 }
 
-/// The M2 net-aware tiles an edit `patch` (before -> after) makes stale,
-/// counted the way the pass defines them: cells within half the largest
-/// of the term's 16 defect sizes (rounded up) of the M2 bbox of a net the
-/// edit changes. Those are the old nets with a piece touching the patch
-/// (they dissolve) and the new nets that are not one of the old nets
+/// Half the largest of the M2 net-aware term's 16 defect sizes, rounded
+/// up: how far an M2 rect reaches that term's tiles.
+Coord m2_reach(const DfmFlowOptions& opt) {
+  const std::vector<Coord> sizes = defect_size_grid(opt.defects, 16);
+  return (*std::max_element(sizes.begin(), sizes.end()) + 1) / 2;
+}
+
+/// The M2 net-aware tiles an edit `patch` on `layer` (before -> after)
+/// makes stale, counted the way the pass defines them: cells within
+/// m2_reach of the patch when it is on M2, and cells that M2 rects of at
+/// least two changed nets on one side of the edit reach. The changed
+/// nets are, before, the old nets with a piece touching the patch (they
+/// dissolve) and, after, the new nets that are not one of the old nets
 /// left alone (they are re-extracted).
 std::size_t m2_tiles_reached(const LayerMap& before, const LayerMap& after,
-                             const Rect& patch, const DfmFlowOptions& opt) {
+                             LayerKey layer, const Rect& patch,
+                             const DfmFlowOptions& opt) {
   const LayoutSnapshot old_snap{LayerMap(before)};
   const LayoutSnapshot new_snap{LayerMap(after)};
   const TileGrid grid(new_snap.bbox(), opt.tech.density_tile);
-  const std::vector<Coord> sizes = defect_size_grid(opt.defects, 16);
-  const Coord reach = (*std::max_element(sizes.begin(), sizes.end()) + 1) / 2;
-  std::vector<Rect> reached;
-  const auto reach_m2 = [&](const Net& net) {
+  const Coord reach = m2_reach(opt);
+  // Per side, the changed nets' M2 rects grown by the reach, one list
+  // per net.
+  std::vector<std::vector<Rect>> changed[2];
+  const auto reach_m2 = [&](const Net& net, int side) {
+    std::vector<Rect> grown;
     if (const Region* m2 = net.on(layers::kMetal2)) {
-      reached.push_back(m2->bbox().expanded(reach));
+      for (const Rect& r : m2->rects()) grown.push_back(r.expanded(reach));
     }
+    changed[side].push_back(grown);
   };
   std::vector<Net> untouched;
   for (const Net& net : extract_nets(old_snap, standard_stack()).nets) {
@@ -425,24 +437,32 @@ std::size_t m2_tiles_reached(const LayerMap& before, const LayerMap& after,
       for (const Rect& r : piece.rects()) touched = touched || r.touches(patch);
     }
     if (touched) {
-      reach_m2(net);
+      reach_m2(net, 0);
     } else {
       untouched.push_back(net);
     }
   }
   for (const Net& net : extract_nets(new_snap, standard_stack()).nets) {
     if (std::find(untouched.begin(), untouched.end(), net) == untouched.end()) {
-      reach_m2(net);
+      reach_m2(net, 1);
     }
   }
   std::size_t n = 0;
   for (std::size_t t = 0; t < grid.size(); ++t) {
-    for (const Rect& r : reached) {
-      if (grid.cell(t).touches(r)) {
-        ++n;
-        break;
+    const Rect cell = grid.cell(t);
+    bool stale =
+        layer == layers::kMetal2 && cell.touches(patch.expanded(reach));
+    for (const auto& side : changed) {
+      std::size_t nets = 0;
+      for (const std::vector<Rect>& grown : side) {
+        if (std::any_of(grown.begin(), grown.end(),
+                        [&](const Rect& r) { return cell.touches(r); })) {
+          ++nets;
+        }
       }
+      stale = stale || nets >= 2;
     }
+    if (stale) ++n;
   }
   return n;
 }
@@ -467,7 +487,10 @@ TEST_P(CaaSplice, EachUnitRecomputesOnlyOnItsOwnLayers) {
       TileGrid(session.snapshot().bbox(), opt.tech.density_tile).size();
 
   // Via1: a cut where M1 and M2 overlap inside the core, so it can
-  // merge nets and move the net-aware M2 term.
+  // merge nets. The net-aware M2 term then rechecks only the tiles two
+  // of the nets it changed reach on one side of the edit (here none: the
+  // cut joins an M1-only net to an M2 net); the ViaJoin tests below pin
+  // each case.
   const Region landing =
       (base.at(layers::kMetal1) & base.at(layers::kMetal2)).clipped(core);
   ASSERT_FALSE(landing.empty());
@@ -493,12 +516,10 @@ TEST_P(CaaSplice, EachUnitRecomputesOnlyOnItsOwnLayers) {
     const LayerMap before = shadow;
     d.apply(shadow);
     const DfmFlowReport& warm = session.apply(d);
-    // The M1 tiles an M1 edit reaches, the M2 tiles of the nets the edit
-    // changed, and M2 opens on an M2 edit.
-    const std::size_t m2_tiles = m2_tiles_reached(before, shadow, s.rect, opt);
-    if (s.layer == layers::kVia1) {
-      EXPECT_GT(m2_tiles, 0u);
-    }
+    // The M1 tiles an M1 edit reaches, the M2 tiles an M2 edit or the
+    // nets the edit changed reach, and M2 opens on an M2 edit.
+    const std::size_t m2_tiles =
+        m2_tiles_reached(before, shadow, s.layer, s.rect, opt);
     EXPECT_EQ(caa_dirty_units(warm, tiles),
               (s.layer == layers::kMetal1
                    ? m1_tiles_reached(shadow, s.rect, opt)
@@ -623,6 +644,129 @@ TEST_P(CaaSplice, M2NetStreamsMatchColdFlow) {
     }
   }
   EXPECT_GT(partial, 0u);
+}
+
+// A hand-built 4 x 3 tile layout for the Via1 cases of the net-aware M2
+// term (grid tiles are Tech::density_tile = 5000 wide, and an M2 rect
+// reaches tiles within m2_reach = 1000 of it):
+//  * net A: M2 wire a2 across all four columns of the middle row, and an
+//    M1 stub a1 strapped to it by a via, which also runs under b2;
+//  * net B: M2 wire b2, 200 dbu above a2, in the middle two columns only;
+//  * net C: an M1 wire c1, M1 only, crossing net D's M2 wire d2 in the top
+//    row.
+// `join_ab` (on a1 and b2) merges A and B, `join_cd` (on c1 and d2) merges
+// C and D.
+struct ViaJoinLayout {
+  LayerMap m;
+  Rect a2{1000, 7000, 19000, 7100};
+  Rect b2{6500, 7300, 13500, 7400};
+  Rect join_ab{8025, 7325, 8075, 7375};
+  Rect join_cd{2025, 12025, 2075, 12075};
+
+  ViaJoinLayout() {
+    for (const LayerKey k : LayoutSnapshot::standard_flow_layers()) {
+      m.emplace(k, Region{});
+    }
+    Region& m1 = m.at(layers::kMetal1);
+    Region& m2 = m.at(layers::kMetal2);
+    Region& v1 = m.at(layers::kVia1);
+    m1.add(Rect{0, 0, 100, 100});  // bbox corners: a 4 x 3 grid
+    m1.add(Rect{19900, 14900, 20000, 15000});
+    m2.add(a2);
+    m1.add(Rect{8000, 6900, 8100, 7500});  // a1, under a2 and b2
+    v1.add(Rect{8025, 7025, 8075, 7075});  // a1 to a2
+    m2.add(b2);
+    m1.add(Rect{2000, 11000, 2100, 13000});  // c1
+    m2.add(Rect{1500, 12000, 4000, 12100});  // d2
+  }
+};
+
+DfmFlowOptions net_caa_options(unsigned threads) {
+  DfmFlowOptions opt;
+  opt.threads = threads;
+  opt.passes = {"connectivity", "caa_yield"};
+  return opt;
+}
+
+// The tiles both of two rects reach: where two nets, one rect each, are
+// both in reach of a tile.
+std::size_t tiles_both_reach(const TileGrid& grid, const Rect& a,
+                             const Rect& b, Coord reach) {
+  std::size_t n = 0;
+  for (std::size_t t = 0; t < grid.size(); ++t) {
+    const Rect cell = grid.cell(t);
+    if (cell.touches(a.expanded(reach)) && cell.touches(b.expanded(reach))) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+// A via joining an M1-only net to an M2 net changes which net the M2
+// wire belongs to, but not how M2 splits into nets: one changed net with
+// M2 on each side, so no M2 tile reruns and lambda_shorts stays put.
+TEST_P(CaaSplice, ViaJoinOfAnM1OnlyNetRechecksNoM2Tile) {
+  const DfmFlowOptions opt = net_caa_options(GetParam());
+  ViaJoinLayout lay;
+  DfmFlowSession session(lay.m, opt);
+  const double shorts = session.report().lambda_shorts;
+  const std::size_t tiles =
+      TileGrid(session.snapshot().bbox(), opt.tech.density_tile).size();
+  ASSERT_EQ(tiles, 12u);
+  const std::size_t nets_before = session.report().nets.size();
+  LayoutDelta d;
+  d.add(layers::kVia1, lay.join_cd);
+  const LayerMap before = lay.m;
+  d.apply(lay.m);
+  const DfmFlowReport& warm = session.apply(d);
+  EXPECT_EQ(warm.nets.size(), nets_before - 1);
+  EXPECT_EQ(caa_dirty_units(warm, tiles), 0u);
+  EXPECT_EQ(m2_tiles_reached(before, lay.m, layers::kVia1, lay.join_cd, opt),
+            0u);
+  EXPECT_EQ(warm.lambda_shorts, shorts);
+  expect_matches_cold(warm, lay.m, opt);
+}
+
+// A via joining two nets whose M2 wires run side by side removes the
+// shorts between them, but only where both wires reach: those tiles
+// rerun, the rest of net A's tiles do not. Removing the via splits the
+// nets again and reruns the same tiles, back to the first lambda_shorts.
+TEST_P(CaaSplice, ViaJoinOfTwoM2NetsRechecksOnlyWhereBothReach) {
+  const DfmFlowOptions opt = net_caa_options(GetParam());
+  ViaJoinLayout lay;
+  DfmFlowSession session(lay.m, opt);
+  const double split_shorts = session.report().lambda_shorts;
+  const TileGrid grid(session.snapshot().bbox(), opt.tech.density_tile);
+  ASSERT_EQ(grid.size(), 12u);
+  const Coord reach = m2_reach(opt);
+  const std::size_t both = tiles_both_reach(grid, lay.a2, lay.b2, reach);
+  const std::size_t a_alone = tiles_both_reach(grid, lay.a2, lay.a2, reach);
+  ASSERT_EQ(both, 2u);
+  ASSERT_EQ(a_alone, 4u);
+
+  for (const bool add : {true, false}) {
+    SCOPED_TRACE(add ? "join" : "split");
+    LayoutDelta d;
+    if (add) {
+      d.add(layers::kVia1, lay.join_ab);
+    } else {
+      d.remove(layers::kVia1, lay.join_ab);
+    }
+    const LayerMap before = lay.m;
+    const std::size_t nets_before = session.report().nets.size();
+    d.apply(lay.m);
+    const DfmFlowReport& warm = session.apply(d);
+    EXPECT_EQ(warm.nets.size(), add ? nets_before - 1 : nets_before + 1);
+    EXPECT_EQ(caa_dirty_units(warm, grid.size()), both);
+    EXPECT_EQ(m2_tiles_reached(before, lay.m, layers::kVia1, lay.join_ab, opt),
+              both);
+    if (add) {
+      EXPECT_LT(warm.lambda_shorts, split_shorts);
+    } else {
+      EXPECT_EQ(warm.lambda_shorts, split_shorts);
+    }
+    expect_matches_cold(warm, lay.m, opt);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, CaaSplice, ::testing::Values(1u, 2u, 8u));

@@ -403,6 +403,44 @@ TEST_F(TelemetryTest, RecordingDoesNotChangeTheFlowReport) {
   EXPECT_GT(telem::drain().total_events(), 0u);
 }
 
+// The counter keys of a metrics snapshot do not depend on which counters
+// fired. A flow at 4 threads may or may not steal a task, and it fires
+// no fix-loop or service counter, yet two runs report the same keys as
+// a snapshot taken before either: every counter the toolkit records is
+// registered at zero up front, so `flow --json` outputs compare by value.
+TEST_F(TelemetryTest, FlowRunsReportTheSameCounterKeys) {
+  DesignParams p;
+  p.seed = 7;
+  p.rows = 2;
+  p.cells_per_row = 4;
+  p.routes = 8;
+  const Library lib = generate_design(p);
+  DfmFlowOptions opt;
+  opt.threads = 4;
+  opt.run_litho = false;
+  const auto counter_keys = [] {
+    std::set<std::string> keys;
+    for (const auto& [name, value] : telem::metrics_snapshot().counters) {
+      keys.insert(name);
+    }
+    return keys;
+  };
+  const std::set<std::string> before = counter_keys();
+  for (const char* name : {"pool.steals", "fix.accepted", "service.requests",
+                           "flow.units_total"}) {
+    EXPECT_EQ(before.count(name), 1u) << name;
+  }
+  std::set<std::string> runs[2];
+  for (std::set<std::string>& keys : runs) {
+    telem::reset_metrics();
+    (void)run_dfm_flow(lib, lib.top_cell(), opt);
+    keys = counter_keys();
+  }
+  EXPECT_EQ(runs[0], before);
+  EXPECT_EQ(runs[1], before);
+  EXPECT_EQ(telem::metrics_snapshot().counters.at("fix.accepted"), 0u);
+}
+
 /// A small session layout and litho options quick enough for a unit
 /// test; one thread, so every span lands on the calling thread.
 struct SessionFixture {

@@ -556,6 +556,58 @@ TEST_P(CriticalAreaKernel, LayerLambdaMatchesReference) {
   }
 }
 
+// The per-tile kernel the flow splices: over a TileGrid, the tiles' owned
+// 2x-grid areas sum, divided by 4, to the whole-layer kernel's integer
+// at every size, for the layer-local nets (the M1 term) and for one
+// region per net (the M2 net-aware term). The flow calls it from inside
+// a pool task with the same pool, so each tile runs that way too, and
+// must equal the serial call bit for bit at every thread count.
+TEST_P(CriticalAreaKernel, TilesSumToWholeLayerAndPoolMatchesSerial) {
+  const KernelDesign d = kernel_design(GetParam());
+  const DefectModel model;
+  LayerComponents m2_nets;
+  for (const Region& piece : d.m2_pieces) {
+    m2_nets.boxes.push_back(piece.bbox());
+    m2_nets.regions.push_back(piece);
+  }
+  m2_nets.index.build(m2_nets.boxes);
+  const LayerComponents m1 = LayerComponents::of(d.layers.at(layers::kMetal1));
+  const struct {
+    const char* what;
+    const LayerComponents& comps;
+    ShortNets whole;
+    int steps;
+  } terms[] = {
+      {"m1", m1, ShortNets::of_layer(d.layers.at(layers::kMetal1)), 24},
+      {"m2 nets", m2_nets, ShortNets::of_pieces(d.m2_pieces, d.m2_net_of), 16},
+  };
+  const TileGrid grid(bounding_box({d.layers.at(layers::kMetal1).bbox(),
+                                    d.layers.at(layers::kMetal2).bbox()}),
+                      1000);
+  ASSERT_GE(grid.size(), 6u);
+  for (const auto& term : terms) {
+    SCOPED_TRACE(term.what);
+    const std::vector<Coord> sizes = defect_size_grid(model, term.steps);
+    std::vector<std::vector<Area>> serial;
+    std::vector<Area> sum(sizes.size(), 0);
+    for (std::size_t t = 0; t < grid.size(); ++t) {
+      serial.push_back(short_critical_areas_tile(term.comps, sizes, grid, t));
+      for (std::size_t i = 0; i < sizes.size(); ++i) sum[i] += serial[t][i];
+    }
+    for (Area& a : sum) a /= 4;
+    const std::vector<Area> want = short_critical_areas(term.whole, sizes);
+    ASSERT_GT(want.back(), 0) << "the largest defect must short something";
+    EXPECT_EQ(sum, want);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      const auto pooled = parallel_map(&pool, grid.size(), [&](std::size_t t) {
+        return short_critical_areas_tile(term.comps, sizes, grid, t, &pool);
+      });
+      EXPECT_EQ(pooled, serial) << "threads " << threads;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CriticalAreaKernel,
                          ::testing::Values(3u, 17u, 29u));
 

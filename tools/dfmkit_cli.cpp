@@ -126,12 +126,8 @@ void write_layout(const Library& lib, const std::string& path) {
 /// The [top] argument at `index`, else the library's first top cell.
 std::uint32_t pick_top(const Library& lib, const Args& args,
                        std::size_t index) {
-  if (args.positional.size() > index) {
-    return lib.index_of(args.positional[index]);
-  }
-  const auto tops = lib.top_cells();
-  if (tops.empty()) throw std::runtime_error("library has no cells");
-  return tops.front();
+  return lib.top_cell(args.positional.size() > index ? args.positional[index]
+                                                     : std::string{});
 }
 
 int cmd_gen(const Words& words) {
@@ -152,7 +148,7 @@ int cmd_gen(const Words& words) {
   write_layout(lib, out);
   std::printf("wrote %s: %zu cells, %zu flat shapes\n", out.c_str(),
               lib.cell_count(),
-              lib.flat_shape_count(lib.top_cells().front()));
+              lib.flat_shape_count(lib.top_cell()));
   return 0;
 }
 
@@ -253,8 +249,7 @@ int cmd_flow(const Words& words) {
   const auto write_outputs = [&](const DfmFlowReport& rep) {
     if (const std::string* json = args.get("--json")) {
       const telemetry::MetricsSnapshot metrics = telemetry::metrics_snapshot();
-      cli::write_file(*json,
-                      flow_trace_json(rep, metrics.empty() ? nullptr : &metrics));
+      cli::write_file(*json, flow_trace_json(rep, &metrics));
     }
     cli::write_trace(args);
   };
