@@ -59,6 +59,21 @@ inline TestDesign make_design_with_defects(std::uint64_t seed, int rows,
   return d;
 }
 
+/// The f1 runtime-scaling design family (perfbench's too): `scale` rows
+/// of 4 * scale cells, 10 * scale routes and `scale` via fields of 64
+/// vias.
+inline Library scaling_design(std::uint64_t seed, int scale) {
+  DesignParams p;
+  p.seed = seed;
+  p.name = "s" + std::to_string(scale);
+  p.rows = scale;
+  p.cells_per_row = 4 * scale;
+  p.routes = 10 * scale;
+  p.via_fields = scale;
+  p.vias_per_field = 64;
+  return generate_design(p);
+}
+
 /// The standard flow snapshot of a design: flattened + normalized once,
 /// derived products memoized. LayoutSnapshot is immovable, so bind the
 /// result directly (`const LayoutSnapshot snap = make_snapshot(...)`) —

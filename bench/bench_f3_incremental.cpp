@@ -24,20 +24,6 @@ using namespace dfm::bench;
 
 namespace {
 
-// The f1 runtime-scaling design family: `scale` rows of 4 * scale cells,
-// 10 * scale routes and `scale` via fields of 64 vias.
-Library scaling_design(std::uint64_t seed, int scale) {
-  DesignParams p;
-  p.seed = seed;
-  p.name = "s" + std::to_string(scale);
-  p.rows = scale;
-  p.cells_per_row = 4 * scale;
-  p.routes = 10 * scale;
-  p.via_fields = scale;
-  p.vias_per_field = 64;
-  return generate_design(p);
-}
-
 DfmFlowOptions flow_options(unsigned threads) {
   DfmFlowOptions o;
   o.threads = threads;

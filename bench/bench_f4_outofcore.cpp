@@ -34,19 +34,6 @@ using namespace dfm::bench;
 
 namespace {
 
-// The f1/f3 runtime-scaling design family at scale 8.
-Library scaling_design(int scale) {
-  DesignParams p;
-  p.seed = static_cast<std::uint64_t>(scale);
-  p.name = "s" + std::to_string(scale);
-  p.rows = scale;
-  p.cells_per_row = 4 * scale;
-  p.routes = 10 * scale;
-  p.via_fields = scale;
-  p.vias_per_field = 64;
-  return generate_design(p);
-}
-
 DfmFlowOptions flow_options(unsigned threads) {
   DfmFlowOptions o;
   o.threads = threads;
@@ -57,7 +44,7 @@ DfmFlowOptions flow_options(unsigned threads) {
 
 int main() {
   const int scale = 8;
-  const Library lib = scaling_design(scale);
+  const Library lib = scaling_design(static_cast<std::uint64_t>(scale), scale);
   const std::string path = "bench_f4_outofcore.gds";
   {
     std::ofstream out(path, std::ios::binary);

@@ -2,15 +2,15 @@
 //
 // Vertical edges of every input rect become events at their x coordinate
 // carrying a (+1/-1, which-operand) delta over a y interval. Sweeping x in
-// sorted order, coverage counts per operand are maintained in an ordered
-// map keyed by y. Between consecutive event x's the predicate intervals
-// are constant; runs of slabs with identical interval sets are merged so
-// the output decomposition is canonical (a pure function of the point set).
+// sorted order, coverage counts per operand are maintained in a flat
+// table of y boundaries, sorted by y. Between consecutive event x's the
+// predicate intervals are constant; runs of slabs with identical interval
+// sets are merged so the output decomposition is canonical (a pure
+// function of the point set).
 #include "geometry/region.h"
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <vector>
 
 namespace dfm {
@@ -85,60 +85,68 @@ class SlabBands {
   std::vector<std::pair<Interval, Coord>> open_, next_;
 };
 
-}  // namespace
-
-std::vector<Rect> sweep_boolean(const std::vector<Rect>& a,
-                                const std::vector<Rect>& b, BoolOp op) {
-  std::vector<Event> events;
-  events.reserve(2 * (a.size() + b.size()));
-  auto emit = [&events](const std::vector<Rect>& rs, int operand) {
-    for (const Rect& r : rs) {
-      if (r.is_empty()) continue;
-      events.push_back({r.lo.x, r.lo.y, r.hi.y, +1, operand});
-      events.push_back({r.hi.x, r.lo.y, r.hi.y, -1, operand});
-    }
+// Coverage deltas per y boundary and operand: crossing boundary y upward
+// adds d[operand] to that operand's count. One flat vector sorted by y;
+// an entry that returns to zero on every operand is erased, so a walk in
+// y order meets only the live boundaries, as an ordered map would.
+template <std::size_t N>
+class DeltaTable {
+ public:
+  struct Entry {
+    Coord y;
+    std::array<int, N> d;
   };
-  emit(a, 0);
-  emit(b, 1);
+
+  void add(Coord y, int operand, int delta) {
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), y,
+        [](const Entry& e, Coord v) { return e.y < v; });
+    if (it == entries_.end() || it->y != y) {
+      it = entries_.insert(it, Entry{y, {}});
+    }
+    it->d[static_cast<std::size_t>(operand)] += delta;
+    if (it->d == std::array<int, N>{}) entries_.erase(it);
+  }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  std::vector<Entry> entries_;
+};
+
+// Sweeps `events` (N operands) in x and emits the canonical bands of the
+// points where `inside(counts)` holds, sorted.
+template <std::size_t N, class Inside>
+std::vector<Rect> sweep(std::vector<Event>& events, Inside inside) {
   if (events.empty()) return {};
   std::sort(events.begin(), events.end(),
             [](const Event& l, const Event& r) { return l.x < r.x; });
-
-  // Coverage deltas per y boundary, per operand.
-  std::map<Coord, std::array<int, 2>> deltas;
-
+  DeltaTable<N> deltas;
   SlabBands bands;
   std::vector<Rect> out;
   std::vector<Interval> cur;
-
   std::size_t i = 0;
   while (i < events.size()) {
     const Coord x = events[i].x;
     // Apply all events at this x.
     for (; i < events.size() && events[i].x == x; ++i) {
       const Event& e = events[i];
-      auto apply = [&](Coord y, int d) {
-        auto it = deltas.try_emplace(y, std::array<int, 2>{0, 0}).first;
-        it->second[static_cast<std::size_t>(e.operand)] += d;
-        if (it->second[0] == 0 && it->second[1] == 0) deltas.erase(it);
-      };
-      apply(e.ylo, e.delta);
-      apply(e.yhi, -e.delta);
+      deltas.add(e.ylo, e.operand, e.delta);
+      deltas.add(e.yhi, e.operand, -e.delta);
     }
     // Recompute predicate intervals for the slab starting at x.
     cur.clear();
-    int ca = 0, cb = 0;
-    bool inside = false;
+    std::array<int, N> counts{};
+    bool in = false;
     Coord start = 0;
-    for (const auto& [y, d] : deltas) {
-      ca += d[0];
-      cb += d[1];
-      const bool now = predicate(op, ca > 0, cb > 0);
-      if (now && !inside) {
-        inside = true;
+    for (const auto& [y, d] : deltas.entries()) {
+      for (std::size_t k = 0; k < N; ++k) counts[k] += d[k];
+      const bool now = inside(counts);
+      if (now && !in) {
+        in = true;
         start = y;
-      } else if (!now && inside) {
-        inside = false;
+      } else if (!now && in) {
+        in = false;
         append_interval(cur, start, y);
       }
     }
@@ -151,56 +159,36 @@ std::vector<Rect> sweep_boolean(const std::vector<Rect>& a,
   return out;
 }
 
-Region covered_at_least(const std::vector<Rect>& rects, int k) {
-  struct VEvent {
-    Coord x, ylo, yhi;
-    int delta;
-  };
-  std::vector<VEvent> events;
-  events.reserve(rects.size() * 2);
-  for (const Rect& r : rects) {
+void push_events(const std::vector<Rect>& rs, int operand,
+                 std::vector<Event>& events) {
+  for (const Rect& r : rs) {
     if (r.is_empty()) continue;
-    events.push_back({r.lo.x, r.lo.y, r.hi.y, +1});
-    events.push_back({r.hi.x, r.lo.y, r.hi.y, -1});
+    events.push_back({r.lo.x, r.lo.y, r.hi.y, +1, operand});
+    events.push_back({r.hi.x, r.lo.y, r.hi.y, -1, operand});
   }
-  std::sort(events.begin(), events.end(),
-            [](const VEvent& a, const VEvent& b) { return a.x < b.x; });
+}
 
-  std::map<Coord, int> deltas;
-  SlabBands bands;
-  std::vector<Rect> out;
-  std::vector<Interval> cur;
-  std::size_t i = 0;
-  while (i < events.size()) {
-    const Coord x = events[i].x;
-    for (; i < events.size() && events[i].x == x; ++i) {
-      const VEvent& e = events[i];
-      deltas[e.ylo] += e.delta;
-      if (deltas[e.ylo] == 0) deltas.erase(e.ylo);
-      deltas[e.yhi] -= e.delta;
-      if (deltas[e.yhi] == 0) deltas.erase(e.yhi);
-    }
-    cur.clear();
-    int c = 0;
-    bool inside = false;
-    Coord start = 0;
-    for (const auto& [y, d] : deltas) {
-      c += d;
-      const bool now = c >= k;
-      if (now && !inside) {
-        inside = true;
-        start = y;
-      } else if (!now && inside) {
-        inside = false;
-        append_interval(cur, start, y);
-      }
-    }
-    bands.advance(x, cur, out);
-  }
-  std::sort(out.begin(), out.end());
-  // Same banding and order as sweep_boolean: `out` is already canonical.
+}  // namespace
+
+std::vector<Rect> sweep_boolean(const std::vector<Rect>& a,
+                                const std::vector<Rect>& b, BoolOp op) {
+  std::vector<Event> events;
+  events.reserve(2 * (a.size() + b.size()));
+  push_events(a, 0, events);
+  push_events(b, 1, events);
+  return sweep<2>(events, [op](const std::array<int, 2>& c) {
+    return predicate(op, c[0] > 0, c[1] > 0);
+  });
+}
+
+Region covered_at_least(const std::vector<Rect>& rects, int k) {
+  std::vector<Event> events;
+  events.reserve(rects.size() * 2);
+  push_events(rects, 0, events);
+  // Same banding and order as sweep_boolean: the result is canonical.
   Region reg;
-  reg.raw_ = std::move(out);
+  reg.raw_ = sweep<1>(events,
+                      [k](const std::array<int, 1>& c) { return c[0] >= k; });
   reg.normalized_ = true;
   return reg;
 }
@@ -292,14 +280,9 @@ std::vector<Rect> decompose(const Polygon& p) {
   // Build events directly from the polygon's vertical edges: an upward
   // edge (interior to its left in CCW winding) closes coverage, a downward
   // edge opens it — sweeping left to right with winding counts is
-  // equivalent to treating the polygon as a union of signed slabs. It is
-  // simpler and robust to reuse the union sweep: CCW rectilinear polygons
-  // decompose correctly because coverage counts handle any winding.
-  struct VEdge {
-    Coord x, ylo, yhi;
-    int delta;
-  };
-  std::vector<VEdge> vedges;
+  // equivalent to treating the polygon as a union of signed slabs, so the
+  // union sweep decomposes any winding correctly.
+  std::vector<Event> events;
   const auto& pts = p.points();
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const Point u = pts[i];
@@ -307,47 +290,12 @@ std::vector<Rect> decompose(const Polygon& p) {
     if (u.x != v.x) continue;  // horizontal edge: no event
     if (v.y > u.y) {
       // Upward edge: interior on the left => coverage ends at this x.
-      vedges.push_back({u.x, u.y, v.y, -1});
+      events.push_back({u.x, u.y, v.y, -1, 0});
     } else {
-      vedges.push_back({u.x, v.y, u.y, +1});
+      events.push_back({u.x, v.y, u.y, +1, 0});
     }
   }
-  std::sort(vedges.begin(), vedges.end(),
-            [](const VEdge& a, const VEdge& b) { return a.x < b.x; });
-
-  std::map<Coord, int> deltas;
-  SlabBands bands;
-  std::vector<Rect> out;
-  std::vector<Interval> cur;
-  std::size_t i = 0;
-  while (i < vedges.size()) {
-    const Coord x = vedges[i].x;
-    for (; i < vedges.size() && vedges[i].x == x; ++i) {
-      const VEdge& e = vedges[i];
-      deltas[e.ylo] += e.delta;
-      if (deltas[e.ylo] == 0) deltas.erase(e.ylo);
-      deltas[e.yhi] -= e.delta;
-      if (deltas[e.yhi] == 0) deltas.erase(e.yhi);
-    }
-    cur.clear();
-    int c = 0;
-    bool inside = false;
-    Coord start = 0;
-    for (const auto& [y, d] : deltas) {
-      c += d;
-      const bool now = c > 0;
-      if (now && !inside) {
-        inside = true;
-        start = y;
-      } else if (!now && inside) {
-        inside = false;
-        append_interval(cur, start, y);
-      }
-    }
-    bands.advance(x, cur, out);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return sweep<1>(events, [](const std::array<int, 1>& c) { return c[0] > 0; });
 }
 
 }  // namespace dfm

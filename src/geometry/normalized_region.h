@@ -35,6 +35,7 @@ class NormalizedRegion {
   Area area() const { return region_->area(); }
   Rect bbox() const { return region_->bbox(); }
   bool contains(Point p) const { return region_->contains(p); }
+  /// Already normalized: the clip of a canonical region is canonical.
   Region clipped(const Rect& window) const { return region_->clipped(window); }
   Region translated(Point d) const { return region_->translated(d); }
   std::vector<Region> components() const { return region_->components(); }

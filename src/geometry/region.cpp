@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <numeric>
+#include <tuple>
 #include <unordered_map>
 
 namespace dfm {
@@ -100,11 +101,41 @@ Region Region::scaled(Coord f) const {
 
 Region Region::clipped(const Rect& window) const {
   Region out;
+  std::vector<Rect>& rs = out.raw_;
   for (const Rect& r : raw_) {
     const Rect c = r.intersect(window);
-    if (!c.is_empty()) out.raw_.push_back(c);
+    if (!c.is_empty()) rs.push_back(c);
   }
-  out.normalized_ = out.raw_.size() <= 1;
+  if (!normalized_ || rs.size() <= 1) {
+    out.normalized_ = rs.size() <= 1;
+    return out;
+  }
+  // The clip keeps each slab's intervals maximal and disjoint, so a
+  // clipped band is still a band unless an x-abutting band now has the
+  // same interval. Their intervals differed, so both were cut by the
+  // window's lower or upper edge: merge runs among those rects only.
+  const auto cut = [&](const Rect& c) {
+    return c.lo.y == window.lo.y || c.hi.y == window.hi.y;
+  };
+  const auto first = std::partition(
+      rs.begin(), rs.end(), [&](const Rect& c) { return !cut(c); });
+  std::sort(first, rs.end(), [](const Rect& a, const Rect& b) {
+    return std::tie(a.lo.y, a.hi.y, a.lo.x) < std::tie(b.lo.y, b.hi.y, b.lo.x);
+  });
+  auto last = first;
+  for (auto it = first; it != rs.end(); ++it) {
+    if (last != first) {
+      Rect& prev = *(last - 1);
+      if (prev.lo.y == it->lo.y && prev.hi.y == it->hi.y &&
+          prev.hi.x == it->lo.x) {
+        prev.hi.x = it->hi.x;
+        continue;
+      }
+    }
+    *last++ = *it;
+  }
+  rs.erase(last, rs.end());
+  std::sort(rs.begin(), rs.end());
   return out;
 }
 
@@ -164,16 +195,15 @@ std::vector<Region> components_of(const std::vector<Rect>& rects) {
     });
   }
 
-  std::map<std::uint32_t, Region> groups;  // ordered for determinism
+  // Rects go to their root's group in ascending index, so each group is a
+  // sorted subset, canonical on its own (see region.h).
+  std::vector<Region> groups(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     groups[find(i)].raw_.push_back(rects[i]);
   }
   std::vector<Region> out;
-  out.reserve(groups.size());
-  for (auto& [root, reg] : groups) {
-    // A subset of sorted rects, and canonical on its own (see region.h).
-    reg.normalized_ = true;
-    out.push_back(std::move(reg));
+  for (Region& reg : groups) {
+    if (!reg.raw_.empty()) out.push_back(std::move(reg));
   }
   std::sort(out.begin(), out.end(), component_less);
   return out;

@@ -87,7 +87,12 @@ class Region {
   /// resolution gives exact odd-threshold DRC checks on integer grids.
   Region scaled(Coord f) const;
 
-  /// Clips to a window.
+  /// Clips to a window. The clip of a normalized region is normalized,
+  /// equal rect for rect to the sweep of its clipped rects, and runs no
+  /// sweep: only bands cut by the window's lower or upper edge can merge
+  /// with an x-abutting neighbour, and those are merged in one sorted
+  /// pass. The clip of a region that is not normalized holds the clipped
+  /// shapes as added and normalizes lazily, like add().
   Region clipped(const Rect& window) const;
 
   // Morphology (implemented in morphology.cpp).

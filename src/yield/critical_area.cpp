@@ -78,9 +78,9 @@ std::vector<Area> short_critical_areas_tile(const LayerComponents& comps,
                                             ThreadPool* pool) {
   const Rect cell = grid.cell(t);
   const Rect own2x = doubled(cell);
-  // Every net within the largest size's reach, clipped once. The empty()
-  // test normalizes each piece, and scaled() keeps it normalized, so the
-  // sizes that fan out below only read them.
+  // Every net within the largest size's reach, clipped once. A net's
+  // region is canonical, so its clip comes back normalized and scaled()
+  // keeps it so: the sizes that fan out below only read the pieces.
   const Rect reach = cell.expanded(short_reach(sizes) + 2);
   std::vector<Region> pieces;
   comps.index.visit(reach, [&](std::uint32_t i) {
